@@ -79,6 +79,7 @@ from .services import (
     Service,
     ServiceError,
     apply_bindings,
+    apply_use,
     apply_use_bounded,
     apply_use_finite,
     down_counter,

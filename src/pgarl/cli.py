@@ -39,8 +39,9 @@ from .services import (
     FullCounter,
     Service,
     ServiceError,
+    apply_use,
     apply_use_bounded,
-    apply_use_finite,
+    check_foci,
     simulate_with_services,
 )
 from .threads import (
@@ -226,11 +227,12 @@ def _cmd_extract(args) -> int:
     (raw,) = _load_programs(args, 1)
     program = canonicalize(raw)
     bindings = [_parse_binding(text) for text in args.bind or []]
+    check_foci([(b.focus, b.service) for b in bindings])
     spec = _program_spec(program, args)
-    enumerable = [b for b in bindings if b.service.states is not None]
+    enumerable = [(b.focus, b.service) for b in bindings if b.service.states is not None]
     unbounded = [b for b in bindings if b.service.states is None]
-    for binding in enumerable:
-        spec = apply_use_finite(spec, binding.focus, binding.service)
+    if enumerable:
+        spec = apply_use(spec, enumerable)
     if unbounded:
         if args.depth is None:
             raise _CliError(

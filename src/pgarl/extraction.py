@@ -40,11 +40,11 @@ from .threads import (
     BranchRef,
     Deadlock,
     LinearSpec,
-    SpecRhs,
     Stop,
     Witness,
     _require_valid,
     distinguish,
+    explore,
     thread_equal,
 )
 
@@ -133,85 +133,45 @@ class _Walker:
         return self._enter((landing, ()))
 
     def resolve(self, pos: Position | None):
-        """Follow jump chains from ``pos``; returns ("S",), ("D",) or
-        ("at", position-of-an-action-instruction)."""
+        """Follow jump chains from ``pos``; returns STOP, DEADLOCK or the
+        position of an action instruction."""
         seen: set[Position] = set()
         while True:
-            if pos is None:
-                return ("D",)
-            if pos in seen:
-                return ("D",)
+            if pos is None or pos in seen:
+                return DEADLOCK
             seen.add(pos)
             ins = self.at(pos)
             if isinstance(ins, Halt):
-                return ("S",)
+                return STOP
             if isinstance(ins, Jump):
                 if ins.distance == 0:
-                    return ("D",)
+                    return DEADLOCK
                 pos = self.advance(pos, ins.distance)
                 continue
-            return ("at", pos)
+            return pos
 
 
 def _extract(program: CanonicalProgram, allow_units: bool) -> LinearSpec:
     _reject_rigid(program)
     if not allow_units and has_units(program):
         raise ProgramError("program contains unit instructions; use the unit-aware extraction")
-    walker = _Walker(program)
     if len(program) == 0:
         return LinearSpec((DEADLOCK,), 1)
-    root = walker.resolve(walker.start())
-    if root[0] == "S":
-        return LinearSpec((STOP,), 1)
-    if root[0] == "D":
-        return LinearSpec((DEADLOCK,), 1)
+    walker = _Walker(program)
 
-    index: dict[Position, int] = {root[1]: 1}
-    order: list[Position] = [root[1]]
-    rows: list[tuple] = []
-    cursor = 0
-    while cursor < len(order):
-        pos = order[cursor]
-        cursor += 1
+    def successors(pos: Position):
         ins = walker.at(pos)
+        after = walker.resolve(walker.advance(pos, 1))
         if isinstance(ins, Basic):
-            target = walker.resolve(walker.advance(pos, 1))
-            row = (ins.action, target, target)
-        elif isinstance(ins, PosTest):
-            row = (
-                ins.action,
-                walker.resolve(walker.advance(pos, 1)),
-                walker.resolve(walker.advance(pos, 2)),
-            )
-        elif isinstance(ins, NegTest):
-            row = (
-                ins.action,
-                walker.resolve(walker.advance(pos, 2)),
-                walker.resolve(walker.advance(pos, 1)),
-            )
-        else:
-            raise AssertionError(f"unresolved instruction {ins!r}")
-        rows.append(row)
-        for outcome in row[1:]:
-            if outcome[0] == "at" and outcome[1] not in index:
-                index[outcome[1]] = len(order) + 1
-                order.append(outcome[1])
+            return ins.action, after, after
+        skip = walker.resolve(walker.advance(pos, 2))
+        if isinstance(ins, PosTest):
+            return ins.action, after, skip
+        if isinstance(ins, NegTest):
+            return ins.action, skip, after
+        raise AssertionError(f"unresolved instruction {ins!r}")
 
-    terminals: dict[str, int] = {}
-
-    def ref(outcome) -> int:
-        if outcome[0] == "at":
-            return index[outcome[1]]
-        if outcome[0] not in terminals:
-            terminals[outcome[0]] = len(order) + len(terminals) + 1
-        return terminals[outcome[0]]
-
-    equations: list[SpecRhs] = [
-        BranchRef(ref(yes), action, ref(no)) for action, yes, no in rows
-    ]
-    for status, _ in sorted(terminals.items(), key=lambda item: item[1]):
-        equations.append(STOP if status == "S" else DEADLOCK)
-    return LinearSpec(tuple(equations), 1)
+    return explore(walker.resolve(walker.start()), successors)
 
 
 def extract_pga(program: CanonicalProgram) -> LinearSpec:

@@ -6,6 +6,12 @@ Applying a service to a thread (the use operator) consumes every action on
 the bound focus silently, branching on the service's reply; actions on other
 foci pass through, a co-action outside the service's alphabet deadlocks, and
 a cycle of consumed actions that never emits anything is deadlock as well.
+
+Several services are applied together, one per focus: the finite product
+(:func:`apply_use`) explores pairs of a thread state and a tuple of service
+states in a single pass, and scripted simulation walks the same tuple. Both
+resolve consumed steps with one resolver, and both reject a list of bindings
+that binds a focus twice.
 """
 
 from __future__ import annotations
@@ -22,15 +28,14 @@ from .threads import (
     STATUS_STOP,
     Action,
     Branch,
-    BranchRef,
     Deadlock,
     FiniteThread,
     LinearSpec,
     ReplyScript,
-    SpecRhs,
     Stop,
     Trace,
     _require_valid,
+    explore,
 )
 
 SILENT_RUN_LIMIT = 10**6
@@ -148,6 +153,15 @@ def full_counter(initial: int = 0) -> FullCounter:
     return FullCounter(initial)
 
 
+def check_foci(bindings) -> None:
+    """Reject a list of (focus, service) bindings that binds a focus twice."""
+    seen: set[str] = set()
+    for focus, _ in bindings:
+        if focus in seen:
+            raise ServiceError(f"focus {focus} is bound more than once")
+        seen.add(focus)
+
+
 @dataclass(frozen=True)
 class ProjectedProgram:
     """A program together with the services its foci are bound to."""
@@ -156,90 +170,95 @@ class ProjectedProgram:
     bindings: tuple[tuple[str, Service], ...] = ()
 
     def __post_init__(self) -> None:
-        foci = [focus for focus, _ in self.bindings]
-        if len(set(foci)) != len(foci):
-            raise ValueError("binding foci must be pairwise distinct")
+        check_foci(self.bindings)
 
 
-def _co_action(action: Action) -> CoAction:
-    return CoAction(action.method, action.argument)
+class _SilentSteps:
+    """The consumed (silent) steps of a thread under a tuple of bound services.
 
+    Service states travel as a tuple with one slot per binding. Each equation
+    is classified once: it ends the thread, it performs a visible action, it
+    asks a bound service for a co-action outside that service's alphabet
+    (deadlock), or it is a silent step on one slot.
+    """
 
-def _silent_resolve(spec: LinearSpec, focus: str, svc: Service, state, equation: int, budget=None):
-    """Run consumed (silent) service steps until the thread emits, ends, or
-    silently cycles; returns ("S",), ("D",) or ("node", equation, state)."""
-    seen = set()
-    while True:
-        key = (equation, state)
-        if key in seen:
-            return ("D",)
-        seen.add(key)
-        if budget is not None:
-            if budget[0] <= 0:
-                raise DivergenceSuspected(
-                    f"no visible progress within {SILENT_RUN_LIMIT} consumed steps"
+    def __init__(self, spec: LinearSpec, bindings) -> None:
+        _require_valid(spec)
+        check_foci(bindings)
+        self.initial = tuple(svc.initial for _, svc in bindings)
+        slots = {focus: slot for slot, (focus, _) in enumerate(bindings)}
+        moves: list = [None]  # equations count from 1
+        for rhs in spec.equations:
+            if isinstance(rhs, Stop):
+                moves.append(STOP)
+            elif isinstance(rhs, Deadlock):
+                moves.append(DEADLOCK)
+            elif rhs.action.focus not in slots:
+                moves.append(None)
+            else:
+                slot = slots[rhs.action.focus]
+                svc = bindings[slot][1]
+                co = CoAction(rhs.action.method, rhs.action.argument)
+                moves.append(
+                    (slot, svc.step, co, rhs.yes, rhs.no) if svc.accepts(co) else DEADLOCK
                 )
-            budget[0] -= 1
-        rhs = spec.rhs(equation)
-        if isinstance(rhs, Stop):
-            return ("S",)
-        if isinstance(rhs, Deadlock):
-            return ("D",)
-        if rhs.action.focus != focus:
-            return ("node", equation, state)
-        co = _co_action(rhs.action)
-        if not svc.accepts(co):
-            return ("D",)
-        reply, state = svc.step(state, co)
-        equation = rhs.yes if reply else rhs.no
+        self.moves = moves
+
+    def resolve(self, equation: int, states: tuple, budget: list[int] | None = None):
+        """Consume silent steps from ``equation`` until the thread emits a
+        visible action, ends, or revisits an (equation, states) pair; returns
+        STOP, DEADLOCK (a silent cycle is deadlock too) or the pair at the
+        visible action. ``budget`` is a one-element list of the steps still
+        allowed, decremented per consumed step; DivergenceSuspected is raised
+        when a step is due and none is left."""
+        moves = self.moves
+        seen = set()
+        while True:
+            move = moves[equation]
+            if move is None:
+                return equation, states
+            if move is STOP or move is DEADLOCK:
+                return move
+            key = (equation, states)
+            if key in seen:
+                return DEADLOCK
+            seen.add(key)
+            if budget is not None:
+                if budget[0] <= 0:
+                    raise DivergenceSuspected(
+                        f"no visible progress within {SILENT_RUN_LIMIT} consumed steps"
+                    )
+                budget[0] -= 1
+            slot, step, co, yes, no = move
+            reply, state = step(states[slot], co)
+            states = states[:slot] + (state,) + states[slot + 1:]
+            equation = yes if reply else no
+
+
+def apply_use(spec: LinearSpec, bindings) -> LinearSpec:
+    """The use operator with every finite-state service of ``bindings`` (a
+    sequence of (focus, service) with distinct foci) applied in one product
+    pass: one equation per reachable (thread state, service states) pair that
+    performs a visible action, plus shared terminal equations."""
+    for _, svc in bindings:
+        if svc.states is None:
+            raise ServiceError("service has no finite state enumeration; use the bounded form")
+    silent = _SilentSteps(spec, tuple(bindings))
+    resolve = silent.resolve
+
+    def successors(node):
+        equation, states = node
+        rhs = spec.equations[equation - 1]
+        yes = resolve(rhs.yes, states)
+        return rhs.action, yes, yes if rhs.no == rhs.yes else resolve(rhs.no, states)
+
+    return explore(resolve(spec.root, silent.initial), successors)
 
 
 def apply_use_finite(spec: LinearSpec, focus: str, svc: Service) -> LinearSpec:
-    """Product construction of a thread with a finite-state service: one
-    equation per reachable (thread state, service state) pair that performs a
-    visible action, plus shared terminal equations. The result has at most
-    len(spec) * len(svc.states) branch equations."""
-    _require_valid(spec)
-    if svc.states is None:
-        raise ServiceError("service has no finite state enumeration; use the bounded form")
-    root = _silent_resolve(spec, focus, svc, svc.initial, spec.root)
-    if root[0] == "S":
-        return LinearSpec((STOP,), 1)
-    if root[0] == "D":
-        return LinearSpec((DEADLOCK,), 1)
-
-    index = {root[1:]: 1}
-    order = [root[1:]]
-    rows = []
-    cursor = 0
-    while cursor < len(order):
-        equation, state = order[cursor]
-        cursor += 1
-        rhs = spec.rhs(equation)
-        assert isinstance(rhs, BranchRef)
-        yes = _silent_resolve(spec, focus, svc, state, rhs.yes)
-        no = _silent_resolve(spec, focus, svc, state, rhs.no)
-        rows.append((rhs.action, yes, no))
-        for outcome in (yes, no):
-            if outcome[0] == "node" and outcome[1:] not in index:
-                index[outcome[1:]] = len(order) + 1
-                order.append(outcome[1:])
-
-    terminals: dict[str, int] = {}
-
-    def ref(outcome) -> int:
-        if outcome[0] == "node":
-            return index[outcome[1:]]
-        if outcome[0] not in terminals:
-            terminals[outcome[0]] = len(order) + len(terminals) + 1
-        return terminals[outcome[0]]
-
-    equations: list[SpecRhs] = [
-        BranchRef(ref(yes), action, ref(no)) for action, yes, no in rows
-    ]
-    for status, _ in sorted(terminals.items(), key=lambda item: item[1]):
-        equations.append(STOP if status == "S" else DEADLOCK)
-    return LinearSpec(tuple(equations), 1)
+    """Product construction of a thread with one finite-state service. The
+    result has at most len(spec) * len(svc.states) branch equations."""
+    return apply_use(spec, ((focus, svc),))
 
 
 def apply_use_bounded(spec: LinearSpec, focus: str, svc: Service, depth: int) -> FiniteThread:
@@ -249,44 +268,39 @@ def apply_use_bounded(spec: LinearSpec, focus: str, svc: Service, depth: int) ->
     count toward the visible depth but are limited by an internal budget of
     depth * (1 + 10**6) steps; running out raises DivergenceSuspected.
     """
-    _require_valid(spec)
+    silent = _SilentSteps(spec, ((focus, svc),))
     budget = [depth * (1 + SILENT_RUN_LIMIT)]
     memo: dict = {}
 
-    def build(equation: int, state, remaining: int) -> FiniteThread:
+    def build(equation: int, states: tuple, remaining: int) -> FiniteThread:
         if remaining == 0:
             return DEADLOCK
-        key = (equation, state, remaining)
+        key = (equation, states, remaining)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        outcome = _silent_resolve(spec, focus, svc, state, equation, budget)
-        if outcome[0] == "S":
-            result: FiniteThread = STOP
-        elif outcome[0] == "D":
-            result = DEADLOCK
+        outcome = silent.resolve(equation, states, budget)
+        if outcome is STOP or outcome is DEADLOCK:
+            result: FiniteThread = outcome
         else:
-            _, at_equation, at_state = outcome
+            at_equation, at_states = outcome
             rhs = spec.rhs(at_equation)
-            assert isinstance(rhs, BranchRef)
             result = Branch(
-                build(rhs.yes, at_state, remaining - 1),
+                build(rhs.yes, at_states, remaining - 1),
                 rhs.action,
-                build(rhs.no, at_state, remaining - 1),
+                build(rhs.no, at_states, remaining - 1),
             )
         memo[key] = result
         return result
 
-    return build(spec.root, svc.initial, depth)
+    return build(spec.root, silent.initial, depth)
 
 
 def apply_bindings(projected: ProjectedProgram) -> LinearSpec:
-    """Extract the program's thread, then apply each bound service in order
-    (leftmost binding first). All bound services must be finite-state."""
+    """Extract the program's thread, then apply all bound services in one
+    product pass. All bound services must be finite-state."""
     spec = extract_pgau(projected.program)
-    for focus, svc in projected.bindings:
-        spec = apply_use_finite(spec, focus, svc)
-    return spec
+    return apply_use(spec, projected.bindings) if projected.bindings else spec
 
 
 def simulate_with_services(
@@ -298,39 +312,22 @@ def simulate_with_services(
     """Scripted simulation with live services: actions on bound foci are
     answered by their service and do not appear in the trace or consume the
     script; every other action consumes one scripted reply. Works for
-    services with or without a finite enumeration."""
-    _require_valid(spec)
-    services = dict(bindings)
-    states = {focus: svc.initial for focus, svc in bindings}
-    equation = spec.root
+    services with or without a finite enumeration. Each silent run between
+    two visible steps may consume at most SILENT_RUN_LIMIT steps."""
+    silent = _SilentSteps(spec, tuple(bindings))
+    equation, states = spec.root, silent.initial
     steps: list[tuple[Action, bool]] = []
     cursor = script.cursor
     while True:
-        seen = set()
-        while True:  # silent run
-            rhs = spec.rhs(equation)
-            if isinstance(rhs, (Stop, Deadlock)) or rhs.action.focus not in services:
-                break
-            key = (equation, tuple(sorted(states.items())))
-            if key in seen:
-                return Trace(tuple(steps), STATUS_DEADLOCK)
-            seen.add(key)
-            if len(seen) > SILENT_RUN_LIMIT:
-                raise DivergenceSuspected(
-                    f"no visible progress within {SILENT_RUN_LIMIT} consumed steps"
-                )
-            svc = services[rhs.action.focus]
-            co = _co_action(rhs.action)
-            if not svc.accepts(co):
-                return Trace(tuple(steps), STATUS_DEADLOCK)
-            reply, states[rhs.action.focus] = svc.step(states[rhs.action.focus], co)
-            equation = rhs.yes if reply else rhs.no
-        if isinstance(rhs, Stop):
+        at = silent.resolve(equation, states, [SILENT_RUN_LIMIT])
+        if at is STOP:
             return Trace(tuple(steps), STATUS_STOP)
-        if isinstance(rhs, Deadlock):
+        if at is DEADLOCK:
             return Trace(tuple(steps), STATUS_DEADLOCK)
         if len(steps) >= max_steps or cursor >= len(script.values):
             return Trace(tuple(steps), STATUS_CUTOFF)
+        equation, states = at
+        rhs = spec.rhs(equation)
         reply = script.values[cursor]
         cursor += 1
         steps.append((rhs.action, reply))

@@ -10,8 +10,10 @@ branch on an action.
 
 The module provides the depth approximation operator :func:`pi`, the
 refinement order and equality on regular threads (:func:`refines`,
-:func:`thread_equal`), a distinguishing-trace search (:func:`distinguish`)
-and scripted simulation (:func:`simulate_thread`).
+:func:`thread_equal`), a distinguishing-trace search (:func:`distinguish`),
+scripted simulation (:func:`simulate_thread`), and the breadth-first
+numbering of a state space as a specification (:func:`explore`) that
+extraction and the use operator share.
 """
 
 from __future__ import annotations
@@ -260,16 +262,11 @@ def tree_equal(left: FiniteThread, right: FiniteThread) -> bool:
     return go(left, right)
 
 
-def refines(spec_p: LinearSpec, spec_q: LinearSpec) -> bool:
-    """Decide the refinement order between the root threads of two specs.
-
-    For regular threads the order is already determined at finite depth: with
-    n the total number of equations of both specs, it holds exactly when the
-    depth-n approximations of the two roots are related. That criterion is
-    decided here by a synchronized walk over reachable state pairs, assuming
-    the relation on revisited pairs; the walk computes the same answer without
-    materializing the approximation trees.
-    """
+def _synchronized_walk(spec_p: LinearSpec, spec_q: LinearSpec, deadlock_below: bool) -> bool:
+    """Walk the reachable state pairs of two specs in step, assuming the
+    relation on revisited pairs. Branches must agree on the action and are
+    followed on both replies; other pairs must agree in kind, except that a
+    deadlock on the left is below everything when ``deadlock_below`` holds."""
     _require_valid(spec_p)
     _require_valid(spec_q)
     seen: set[tuple[int, int]] = set()
@@ -281,22 +278,34 @@ def refines(spec_p: LinearSpec, spec_q: LinearSpec) -> bool:
         seen.add(pair)
         a = spec_p.rhs(pair[0])
         b = spec_q.rhs(pair[1])
-        if isinstance(a, Deadlock):
-            continue
-        if isinstance(a, Stop):
-            if not isinstance(b, Stop):
+        if isinstance(a, BranchRef):
+            if not isinstance(b, BranchRef) or a.action != b.action:
                 return False
-            continue
-        if not isinstance(b, BranchRef) or a.action != b.action:
+            stack.append((a.yes, b.yes))
+            stack.append((a.no, b.no))
+        elif type(a) is not type(b) and not (deadlock_below and isinstance(a, Deadlock)):
             return False
-        stack.append((a.yes, b.yes))
-        stack.append((a.no, b.no))
     return True
 
 
+def refines(spec_p: LinearSpec, spec_q: LinearSpec) -> bool:
+    """Decide the refinement order between the root threads of two specs.
+
+    For regular threads the order is already determined at finite depth: with
+    n the total number of equations of both specs, it holds exactly when the
+    depth-n approximations of the two roots are related. That criterion is
+    decided here by a synchronized walk over reachable state pairs, assuming
+    the relation on revisited pairs; the walk computes the same answer without
+    materializing the approximation trees.
+    """
+    return _synchronized_walk(spec_p, spec_q, deadlock_below=True)
+
+
 def thread_equal(spec_p: LinearSpec, spec_q: LinearSpec) -> bool:
-    """Equality of the root threads: refinement in both directions."""
-    return refines(spec_p, spec_q) and refines(spec_q, spec_p)
+    """Equality of the root threads: one synchronized walk in which every
+    reachable pair of states agrees in kind and action (refinement in both
+    directions, decided in a single pass)."""
+    return _synchronized_walk(spec_p, spec_q, deadlock_below=False)
 
 
 @dataclass(frozen=True)
@@ -438,6 +447,47 @@ def simulate_thread(
         else:
             steps.append((current.action, reply))
             current = current.yes if reply else current.no
+
+
+def explore(root, successors) -> LinearSpec:
+    """Number the states reachable from ``root`` as a linear specification.
+
+    A state is any hashable value; ``STOP`` and ``DEADLOCK`` (the module's
+    singletons) stand for termination and deadlock. ``successors(state)``
+    returns ``(action, yes, no)``, the branch performed in ``state`` and the
+    states the two replies lead to. States are numbered breadth-first from
+    the root, which gets 1, with yes before no; the terminals come last, in
+    the order they are first reached. A terminal root gives a one-equation
+    spec.
+    """
+    if root is STOP or root is DEADLOCK:
+        return LinearSpec((root,), 1)
+    index = {root: 1}
+    order = [root]
+    terminals: list[SpecRhs] = []
+    rows = []
+    for state in order:  # the list grows while it is walked
+        action, *targets = successors(state)
+        refs = []
+        for target in targets:
+            if target is STOP or target is DEADLOCK:
+                if target not in terminals:
+                    terminals.append(target)
+                refs.append(-1 - terminals.index(target))
+                continue
+            number = index.get(target)
+            if number is None:
+                number = index[target] = len(order) + 1
+                order.append(target)
+            refs.append(number)
+        rows.append((refs[0], action, refs[1]))
+    n = len(order)  # terminal i (from 0) is numbered n + 1 + i, stored as -1 - i
+    equations: list[SpecRhs] = [
+        BranchRef(yes if yes > 0 else n - yes, action, no if no > 0 else n - no)
+        for yes, action, no in rows
+    ]
+    equations.extend(terminals)
+    return LinearSpec(tuple(equations), 1)
 
 
 def format_spec(spec: LinearSpec) -> str:

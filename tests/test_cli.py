@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pgarl.cli import main
 
 FIRST = "(3x{;a;b;4x{;c;}x;d;}x;e)^w"
@@ -157,6 +159,22 @@ def test_simulate_with_counter_service(capsys):
     lines = out.splitlines()
     assert lines[:5] == ["a true", "a true", "a false", "b true", "b true"]
     assert lines[-1] == "S"
+
+
+@pytest.mark.parametrize("command", ["extract", "simulate"])
+def test_duplicate_binding_focus_rejected(capsys, command):
+    code, out, err = run(
+        capsys, command, "-e", "(+c.dec;#2;!;a)^w",
+        "--bind", "c=dc(init=2,max=2)", "--bind", "c=dc(init=0,max=0)",
+    )
+    assert code == 3 and out == "" and "c is bound more than once" in err
+
+
+def test_simulate_binding_cannot_replace_loop_counter(capsys):
+    code, out, err = run(
+        capsys, "simulate", "-e", "(2x{;a;}x)^w", "--bind", "rlc:3=dc(init=0,max=0)"
+    )
+    assert code == 3 and out == "" and "rlc:3 is bound more than once" in err
 
 
 def test_stats_fields(capsys):

@@ -16,19 +16,24 @@ from pgarl import (
     STOP,
     ServiceError,
     apply_bindings,
+    apply_use,
     apply_use_bounded,
     apply_use_finite,
+    canonicalize,
     down_counter,
+    extract_pgau,
     full_counter,
     parse_canonical,
+    parse_program,
     pi,
+    project_counter,
     simulate_with_services,
     thread_equal,
     thread_to_spec,
     tree_equal,
 )
 
-from genprograms import random_spec
+from genprograms import random_pgarl, random_spec
 
 a = Action("a")
 b = Action("b")
@@ -245,6 +250,78 @@ def test_apply_bindings_disjoint_foci_commute():
     one = ProjectedProgram(program, (("p:1", down_counter(1, max=1)), ("q:1", down_counter(1, max=2))))
     two = ProjectedProgram(program, (("q:1", down_counter(1, max=2)), ("p:1", down_counter(1, max=1))))
     assert thread_equal(apply_bindings(one), apply_bindings(two))
+
+
+def _reference_use_finite(spec, focus, svc):
+    """The single-focus product the one-pass operator replaced, kept as the
+    oracle: explore (thread state, service state) pairs breadth-first from
+    the root, resolving consumed steps of ``focus`` along the way."""
+
+    def resolve(equation, state):
+        seen = set()
+        while (equation, state) not in seen:
+            seen.add((equation, state))
+            rhs = spec.rhs(equation)
+            if rhs in (STOP, DEADLOCK):
+                return rhs
+            if rhs.action.focus != focus:
+                return (equation, state)
+            co = CoAction(rhs.action.method, rhs.action.argument)
+            if not svc.accepts(co):
+                return DEADLOCK
+            reply, state = svc.step(state, co)
+            equation = rhs.yes if reply else rhs.no
+        return DEADLOCK
+
+    root = resolve(spec.root, svc.initial)
+    if root in (STOP, DEADLOCK):
+        return LinearSpec((root,), 1)
+    order, index, rows, terminals = [root], {root: 1}, [], []
+    for equation, state in order:
+        rhs = spec.rhs(equation)
+        targets = (resolve(rhs.yes, state), resolve(rhs.no, state))
+        for target in targets:
+            if target in (STOP, DEADLOCK):
+                if target not in terminals:
+                    terminals.append(target)
+            elif target not in index:
+                index[target] = len(order) + 1
+                order.append(target)
+        rows.append((rhs.action, targets))
+
+    def ref(target):
+        if target in (STOP, DEADLOCK):
+            return len(order) + terminals.index(target) + 1
+        return index[target]
+
+    equations = [BranchRef(ref(yes), action, ref(no)) for action, (yes, no) in rows]
+    return LinearSpec(tuple(equations + terminals), 1)
+
+
+def _chain_family(k):
+    rng = random.Random(k)
+    loops = [
+        f"{rng.randint(2, 6)}x{{;a{i};{'+t;#2;' if i % 3 == 0 else ''}u;}}x" for i in range(k)
+    ]
+    return canonicalize(parse_program(f"({';'.join(loops)})^w"))
+
+
+def test_one_pass_product_equals_chained_passes():
+    rng = random.Random(20260808)
+    corpus = [random_pgarl(rng, shape=("omega", "finite", "mixed")[i % 3]) for i in range(500)]
+    family = [_chain_family(k) for k in range(1, 41)]
+    multi = 0
+    for program in corpus + family:
+        projected = project_counter(program)
+        extracted = extract_pgau(projected.program)
+        chained = reference = extracted
+        for focus, svc in projected.bindings:
+            chained = apply_use_finite(chained, focus, svc)
+            reference = _reference_use_finite(reference, focus, svc)
+            assert chained == reference
+        assert apply_use(extracted, projected.bindings) == reference
+        multi += len(projected.bindings) > 1
+    assert multi > 200
 
 
 def test_binding_foci_must_be_distinct():

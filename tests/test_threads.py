@@ -13,19 +13,22 @@ from pgarl import (
     LinearSpec,
     ReplyScript,
     SpecError,
+    defining_thread,
     distinguish,
+    extract_pga,
     finite_leq,
     format_spec,
     pi,
     pi_thread,
     prefixed,
+    project_pure,
     refines,
     simulate_thread,
     thread_equal,
     validate_spec,
 )
 
-from genprograms import random_spec
+from genprograms import random_pgarl, random_spec
 
 a = Action("a")
 b = Action("b")
@@ -178,6 +181,25 @@ def test_recut_deeper_approximation(spec, n, extra):
 def test_equal_specs_refine_each_other(p, q):
     assert thread_equal(p, q) == (refines(p, q) and refines(q, p))
     assert thread_equal(p, q) == (distinguish(p, q) is None)
+
+
+def test_thread_equal_walk_matches_two_refinements_on_corpus():
+    # defining thread against the pure projection of the same program (equal)
+    # and of the previous program (mostly unequal, often in kind only)
+    rng = random.Random(20260808)
+    verdicts = []
+    previous = None
+    for i in range(500):
+        program = random_pgarl(rng, shape=("omega", "finite", "mixed")[i % 3])
+        defining = defining_thread(program)
+        pure = extract_pga(project_pure(program))
+        for other in (pure, previous):
+            if other is not None:
+                verdict = thread_equal(defining, other)
+                assert verdict == (refines(defining, other) and refines(other, defining))
+                verdicts.append(verdict)
+        previous = pure
+    assert verdicts.count(False) > 100
 
 
 @settings(max_examples=40)
