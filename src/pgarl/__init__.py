@@ -71,6 +71,7 @@ from .extraction import (
     synthesize,
 )
 from .services import (
+    BudgetExceeded,
     CoAction,
     DivergenceSuspected,
     DownCounter,

@@ -34,11 +34,12 @@ from .rigidloops import (
     validate_pgarl,
 )
 from .services import (
-    DivergenceSuspected,
+    BudgetExceeded,
     DownCounter,
     FullCounter,
     Service,
     ServiceError,
+    apply_bindings,
     apply_use,
     apply_use_bounded,
     check_foci,
@@ -227,8 +228,15 @@ def _cmd_extract(args) -> int:
     (raw,) = _load_programs(args, 1)
     program = canonicalize(raw)
     bindings = [_parse_binding(text) for text in args.bind or []]
-    check_foci([(b.focus, b.service) for b in bindings])
-    spec = _program_spec(program, args)
+    given = [(b.focus, b.service) for b in bindings]
+    if has_rigid(program) and args.via == "defining":
+        # the loop counters are bound first, so a --bind may not rebind one
+        projected = project_counter(program, args.xi_tail)
+        check_foci(list(projected.bindings) + given)
+        spec = apply_bindings(projected)
+    else:
+        check_foci(given)
+        spec = _program_spec(program, args)
     enumerable = [(b.focus, b.service) for b in bindings if b.service.states is not None]
     unbounded = [b for b in bindings if b.service.states is None]
     if enumerable:
@@ -382,7 +390,7 @@ def main(argv=None) -> int:
     except (ProgramError, ServiceError, SpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ILL_FORMED
-    except DivergenceSuspected as exc:
+    except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

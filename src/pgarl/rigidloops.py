@@ -8,6 +8,14 @@ unit driving a dedicated down counter, packs counter resets onto jumps that
 leave a loop, and binds one counter service per closure position. The pure
 projection instead unrolls every loop into plain instructions, which is
 behaviorally equivalent but blows the program up combinatorially.
+
+Both projections read the repeated body with normalized jumps. The pure
+projection is built in time linear in its output by two passes over the
+source: a layout pass that places the first instance of every instruction
+and so gives the output length in closed form (``size_report`` uses it
+without building anything), and an emission pass that repeats each loop's
+finished block and shortens the jumps that leave it, one block per
+iteration.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from .program import (
     has_rigid,
     normalize_jumps,
 )
-from .services import ProjectedProgram, apply_bindings, down_counter
+from .services import BudgetExceeded, ProjectedProgram, apply_bindings, down_counter
 from .threads import Action, LinearSpec
 
 
@@ -317,128 +325,141 @@ def defining_thread(program: CanonicalProgram, xi_tail: str = "derived") -> Line
     return apply_bindings(project_counter(program, xi_tail))
 
 
-def _gap_crossings(lo: int, hi: int, first_gap: int, period: int | None) -> int:
-    """How many insertion gaps (at first_gap, first_gap+period, ...) lie in
-    the inclusive stream interval [lo, hi]."""
-    if hi < lo:
-        return 0
-    if period is None:
-        return 1 if lo <= first_gap <= hi else 0
-    if hi < first_gap:
-        return 0
-    start = max(lo, first_gap)
-    over = start - first_gap
-    first = first_gap + -(-over // period) * period
-    if first > hi:
-        return 0
-    return (hi - first) // period + 1
+_SKIP = Jump(1)
+PURE_LENGTH_LIMIT = 10**7
 
 
-def _raise_jump(ins: Instruction, source: int, first_gap: int, period: int | None, grow: int):
-    if not isinstance(ins, Jump) or ins.distance == 0:
-        return ins
-    crossings = _gap_crossings(source, source + ins.distance - 1, first_gap, period)
-    if crossings:
-        return Jump(ins.distance + grow * crossings)
-    return ins
+@dataclass(frozen=True)
+class _PureLayout:
+    """Where each source instruction lands in the pure projection.
 
-
-def _expand_step(
-    seq: list[Instruction], header: int, close: int, *, stream_base: int, period: int | None,
-    outside: list[tuple[int, Instruction]] | None = None,
-) -> tuple[list[Instruction], list[Instruction] | None]:
-    """One application of an expansion equation on the loop [header..close]
-    of ``seq``. ``stream_base`` is the stream position of seq[0]; ``period``
-    is the repetition period when ``seq`` is an ω-body. ``outside`` holds
-    (stream position, instruction) pairs of a preceding finite segment whose
-    jumps may cross the insertion; the adjusted copy is returned alongside.
+    ``source`` is the program as one list (the prefix, then the repeated body
+    with normalized jumps), lonely brackets already turned into skips;
+    ``closes`` maps each matched header position to its closure position.
+    An output instruction is a source position together with the iteration
+    of each loop enclosing it; ``first[p]`` is the output position of p in
+    the first iteration of all of them, and ``first[-1]`` is one past the
+    last output position.
     """
-    count = seq[header - 1].count  # type: ignore[union-attr]
-    inner = seq[header:close - 1]
-    k = len(inner)
-    if count == 1:
-        new_seq = seq[: header - 1] + [Jump(1)] + inner + [Jump(1)] + seq[close:]
-        return new_seq, [ins for _, ins in outside] if outside is not None else None
-    grow = k + 2
-    gap = stream_base + close  # insertion sits between close and close+1
-    copy = [
-        Jump(ins.distance + grow) if isinstance(ins, Jump) and i + ins.distance > k + 1 else ins
-        for i, ins in enumerate(inner, 1)
-    ]
-    before = [
-        _raise_jump(ins, stream_base + pos, gap, period, grow)
-        for pos, ins in enumerate(seq[: header - 1], 1)
-    ]
-    after = [
-        _raise_jump(ins, stream_base + pos, gap, period, grow)
-        for pos, ins in enumerate(seq[close:], close + 1)
-    ]
-    residual = [LoopHeader(count - 1)] + inner + [LoopClose()]
-    new_seq = before + [Jump(1)] + copy + [Jump(1)] + residual + after
-    adjusted_outside = None
-    if outside is not None:
-        adjusted_outside = [
-            _raise_jump(ins, src, gap, period, grow) for src, ins in outside
-        ]
-    return new_seq, adjusted_outside
+
+    source: list[Instruction]
+    prefix_len: int
+    closes: dict[int, int]
+    first: list[int]
+
+    @property
+    def length(self) -> int:
+        return self.first[-1] - 1
 
 
-def _leftmost_loop(seq: list[Instruction]) -> tuple[int, int] | None:
-    pairs, _, _ = _match_loops(seq)
-    if not pairs:
-        return None
-    by_header = {h: c for c, h in pairs.items()}
-    header = min(by_header)
-    return header, by_header[header]
-
-
-def project_pure(program: CanonicalProgram) -> CanonicalProgram:
-    """Remove every rigid loop by unrolling, leftmost header first.
-
-    A one-iteration loop turns both its bracket instructions into skips; a
-    loop of n+1 iterations becomes one unrolled copy (with jumps that leave
-    the copy raised past the rest) followed by the n-iteration loop, and
-    every other jump crossing the grown region is raised to keep its target.
-    Lonely headers and closures become skips first. Loops spanning the
-    prefix/repetition boundary are rejected.
-    """
+def _pure_layout(program: CanonicalProgram) -> _PureLayout:
+    """The layout pass: check the program, then walk it once. A loop of count
+    c whose body expands to L instructions takes c blocks of L + 2 (one skip
+    per bracket), and its iteration i sits i blocks after the first."""
     diagnostics = validate_pgarl(program)
     errors = [d for d in diagnostics if d.severity == "error"]
     if errors:
         raise WellFormednessError(errors)
-    prefix = list(program.prefix)
-    body = list(program.body or ())
-    flat = prefix + body
-    pairs, lonely_headers, lonely_closures = _match_loops(flat)
-    plen = len(prefix)
+    source = list(program.prefix)
+    plen = len(source)
+    if program.body:
+        source.extend(normalize_jumps(program.body))
+    pairs, lonely_headers, lonely_closures = _match_loops(source)
     for close_pos, header_pos in pairs.items():
         if header_pos <= plen < close_pos:
             raise ProgramError(
                 "a loop spanning the prefix/repetition boundary cannot be expanded"
             )
     for pos in lonely_headers + lonely_closures:
-        flat[pos - 1] = Jump(1)
-    prefix, body = flat[:plen], flat[plen:]
+        source[pos - 1] = _SKIP
+    first = [0] * (len(source) + 2)
+    end = 0  # output instructions laid out so far
+    for pos in range(1, len(source) + 1):
+        end += 1
+        first[pos] = end
+        header = pairs.get(pos)
+        if header is not None:
+            block = end - first[header] + 1
+            end = first[header] - 1 + source[header - 1].count * block
+    first[-1] = end + 1
+    return _PureLayout(source, plen, {h: c for c, h in pairs.items()}, first)
 
-    while True:
-        loop = _leftmost_loop(prefix)
-        if loop is None:
-            break
-        prefix, _ = _expand_step(prefix, loop[0], loop[1], stream_base=0, period=None)
-    while True:
-        loop = _leftmost_loop(body)
-        if loop is None:
-            break
-        outside = list(enumerate(prefix, 1))
-        body, prefix = _expand_step(
-            body,
-            loop[0],
-            loop[1],
-            stream_base=len(prefix),
-            period=len(body),
-            outside=outside,
+
+def project_pure(program: CanonicalProgram) -> CanonicalProgram:
+    """Remove every rigid loop by unrolling it: a loop of count c becomes c
+    copies of its expanded body, each between two skips that replace the
+    brackets. Lonely headers and closures become skips; loops spanning the
+    prefix/repetition boundary are rejected. The repeated body's jumps are
+    normalized first, as in the counter projection.
+
+    Two linear passes build the result. The layout pass (:func:`_pure_layout`)
+    places the first instance of every source instruction and gives the
+    output length, which is checked against ``PURE_LENGTH_LIMIT`` before
+    anything is built. The emission pass then walks the source once and
+    repeats each loop's finished block count - 1 times. A jump keeps the
+    iteration of every loop enclosing both it and its target and enters every
+    other loop in its first iteration, so its distance is fixed by the layout
+    except for the loops it leaves: in iteration i of such a loop it is i
+    blocks shorter. A jump past the end of the repeated body lands in a later
+    period, each one body's output length further on.
+    """
+    layout = _pure_layout(program)
+    if layout.length > PURE_LENGTH_LIMIT:
+        raise BudgetExceeded(
+            f"the pure projection would have {layout.length} instructions, "
+            f"over the limit of {PURE_LENGTH_LIMIT}"
         )
-    return CanonicalProgram(tuple(prefix), tuple(body) if body else None)
+    source, plen, closes, first = layout.source, layout.prefix_len, layout.closes, layout.first
+    n = len(source)
+    period = first[-1] - first[plen + 1]  # output length of one repeated body
+
+    def target(q: int) -> int:
+        """Output position of the first instance of stream position q."""
+        if q <= n:
+            return first[q]
+        if not program.body:
+            return first[-1] + q - n - 1
+        periods, offset = divmod(q - plen - 1, n - plen)
+        return first[plen + 1 + offset] + periods * period
+
+    out: list[Instruction] = []
+    # per open loop: its closure position, its count, where its first block
+    # starts in ``out``, and the jumps in that block that leave the loop, each
+    # with how many enclosing loops it leaves besides
+    frames: list[tuple[int, int, int, list[tuple[int, int]]]] = []
+    for pos, ins in enumerate(source, 1):
+        if isinstance(ins, LoopHeader):
+            frames.append((closes[pos], ins.count, len(out), []))
+            out.append(_SKIP)
+        elif isinstance(ins, LoopClose):
+            out.append(_SKIP)
+            _, count, start, leaving = frames.pop()
+            block = out[start:]
+            size = len(block)
+            out.extend(block * (count - 1))
+            for i in range(1, count):
+                for index, _ in leaving:
+                    at = index + i * size
+                    out[at] = Jump(out[at].distance - i * size)
+            if frames:
+                frames[-1][3].extend(
+                    (index + i * size, more - 1)
+                    for i in range(count)
+                    for index, more in leaving
+                    if more
+                )
+        elif isinstance(ins, Jump) and ins.distance:
+            q = pos + ins.distance
+            out.append(Jump(target(q) - first[pos]))
+            left = 0
+            while left < len(frames) and frames[-1 - left][0] < q:
+                left += 1
+            if left:
+                frames[-1][3].append((len(out) - 1, left - 1))
+        else:
+            out.append(ins)
+    cut = first[plen + 1] - 1
+    return CanonicalProgram(tuple(out[:cut]), tuple(out[cut:]) if program.body else None)
 
 
 @dataclass(frozen=True)
@@ -482,13 +503,13 @@ def _loop_product(flat: list[Instruction]) -> int:
 
 
 def size_report(program: CanonicalProgram, xi_tail: str = "derived") -> SizeReport:
-    """Measure the source against both projections."""
-    pure = project_pure(program)
+    """Measure the source against both projections. The pure length comes
+    from the layout pass alone, so the pure program is never built."""
     counter = project_counter(program, xi_tail).program
     counter_flat = list(counter.prefix) + list(counter.body or ())
     return SizeReport(
         source_len=len(program),
-        pure_len=len(pure),
+        pure_len=_pure_layout(program).length,
         counter_len=len(counter),
         counter_len_expanded=_expanded_len(counter_flat),
         loop_product=_loop_product(list(program.prefix) + list(program.body or ())),

@@ -45,7 +45,11 @@ class ServiceError(ValueError):
     """A service cannot be used the way it was asked to."""
 
 
-class DivergenceSuspected(RuntimeError):
+class BudgetExceeded(RuntimeError):
+    """A computation ran out of, or would exceed, one of its fixed budgets."""
+
+
+class DivergenceSuspected(BudgetExceeded):
     """The silent-step budget ran out before the thread produced anything."""
 
 
@@ -270,30 +274,35 @@ def apply_use_bounded(spec: LinearSpec, focus: str, svc: Service, depth: int) ->
     """
     silent = _SilentSteps(spec, ((focus, svc),))
     budget = [depth * (1 + SILENT_RUN_LIMIT)]
-    memo: dict = {}
-
-    def build(equation: int, states: tuple, remaining: int) -> FiniteThread:
-        if remaining == 0:
-            return DEADLOCK
-        key = (equation, states, remaining)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        outcome = silent.resolve(equation, states, budget)
+    memo: dict = {}  # (equation, states, remaining) -> finished subtree
+    branches: dict = {}  # the same key -> (action, yes key, no key) while its subtrees are built
+    root = (spec.root, silent.initial, depth)
+    stack = [root]
+    while stack:  # depth first, yes before no: nodes resolve in preorder
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        pending = branches.pop(key, None)
+        if pending is not None:
+            action, yes, no = pending
+            memo[key] = Branch(memo[yes], action, memo[no])
+            stack.pop()
+            continue
+        equation, states, remaining = key
+        outcome = DEADLOCK if remaining == 0 else silent.resolve(equation, states, budget)
         if outcome is STOP or outcome is DEADLOCK:
-            result: FiniteThread = outcome
-        else:
-            at_equation, at_states = outcome
-            rhs = spec.rhs(at_equation)
-            result = Branch(
-                build(rhs.yes, at_states, remaining - 1),
-                rhs.action,
-                build(rhs.no, at_states, remaining - 1),
-            )
-        memo[key] = result
-        return result
-
-    return build(spec.root, silent.initial, depth)
+            memo[key] = outcome
+            stack.pop()
+            continue
+        at_equation, at_states = outcome
+        rhs = spec.rhs(at_equation)
+        yes = (rhs.yes, at_states, remaining - 1)
+        no = (rhs.no, at_states, remaining - 1)
+        branches[key] = (rhs.action, yes, no)
+        stack.append(no)
+        stack.append(yes)
+    return memo[root]
 
 
 def apply_bindings(projected: ProjectedProgram) -> LinearSpec:

@@ -509,19 +509,16 @@ def thread_to_spec(thread: FiniteThread) -> LinearSpec:
     (shared subtrees get one equation each)."""
     index: dict[int, int] = {}
     order: list[FiniteThread] = []
-
-    def visit(t: FiniteThread) -> int:
-        key = id(t)
-        if key in index:
-            return index[key]
-        index[key] = len(order) + 1
+    stack = [thread]
+    while stack:  # preorder, yes before no
+        t = stack.pop()
+        if id(t) in index:
+            continue
+        index[id(t)] = len(order) + 1
         order.append(t)
         if isinstance(t, Branch):
-            visit(t.yes)
-            visit(t.no)
-        return index[key]
-
-    visit(thread)
+            stack.append(t.no)
+            stack.append(t.yes)
     equations: list[SpecRhs] = []
     for t in order:
         if isinstance(t, Stop):

@@ -177,6 +177,37 @@ def test_simulate_binding_cannot_replace_loop_counter(capsys):
     assert code == 3 and out == "" and "rlc:3 is bound more than once" in err
 
 
+def test_extract_binding_cannot_replace_loop_counter(capsys):
+    code, out, err = run(
+        capsys, "extract", "-e", "(2x{;a;}x)^w", "--bind", "rlc:3=dc(init=0,max=0)"
+    )
+    assert code == 3 and out == "" and "rlc:3 is bound more than once" in err
+
+
+def test_extract_unbounded_binding_at_depth_3000(capsys):
+    code, out, _ = run(
+        capsys, "extract", "-e", "(a;c.inc)^w", "--bind", "c=counter()", "--depth", "3000"
+    )
+    assert code == 0 and out.count("<a>") == 3000
+
+
+HUGE_NEST = "(1000000x{;1000000x{;a;}x;}x)^w"
+
+
+def test_stats_pure_len_of_huge_nest(capsys):
+    code, out, _ = run(capsys, "stats", "-e", HUGE_NEST)
+    fields = dict(line.split() for line in out.splitlines())
+    assert code == 0 and fields["pure_len"] == "3000002000000"
+
+
+@pytest.mark.parametrize(
+    "argv", [("project", "--mode=pure"), ("equiv", "--via=pure", "-e", "(a)^w")]
+)
+def test_pure_projection_budget_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv, "-e", HUGE_NEST)
+    assert code == 4 and out == "" and "3000002000000 instructions" in err
+
+
 def test_stats_fields(capsys):
     code, out, _ = run(capsys, "stats", "-e", "(2x{;2x{;a;}x;}x)^w")
     assert code == 0

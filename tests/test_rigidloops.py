@@ -7,9 +7,14 @@ from pgarl import (
     AnnClose,
     AnnJump,
     BranchRef,
+    BudgetExceeded,
+    CanonicalProgram,
     DEADLOCK,
     DownCounter,
+    Jump,
     LinearSpec,
+    LoopClose,
+    LoopHeader,
     ProgramError,
     WellFormednessError,
     annotate,
@@ -28,6 +33,7 @@ from pgarl import (
     thread_equal,
     validate_pgarl,
 )
+from pgarl.rigidloops import _match_loops
 
 from genprograms import random_pgarl
 
@@ -273,6 +279,175 @@ def test_pure_output_has_no_rigid_instructions():
 def test_pure_lonely_brackets_become_skips():
     assert format_program(project_pure(parse_canonical("3x{;a"))) == "#1;a"
     assert format_program(project_pure(parse_canonical("a;}x;b"))) == "a;#1;b"
+
+
+def test_pure_length_budget():
+    program = parse_canonical("(1000000x{;1000000x{;a;}x;}x)^w")
+    assert size_report(program).pure_len == 3000002000000
+    with pytest.raises(BudgetExceeded, match="3000002000000 instructions.*10000000"):
+        project_pure(program)
+
+
+# -- the replaced unrolling, kept as the oracle for project_pure ----------------
+
+def _gap_crossings(lo: int, hi: int, first_gap: int, period: int | None) -> int:
+    """How many insertion gaps (at first_gap, first_gap+period, ...) lie in
+    the inclusive stream interval [lo, hi]."""
+    if hi < lo:
+        return 0
+    if period is None:
+        return 1 if lo <= first_gap <= hi else 0
+    if hi < first_gap:
+        return 0
+    start = max(lo, first_gap)
+    over = start - first_gap
+    first = first_gap + -(-over // period) * period
+    if first > hi:
+        return 0
+    return (hi - first) // period + 1
+
+
+def _raise_jump(ins, source: int, first_gap: int, period: int | None, grow: int):
+    if not isinstance(ins, Jump) or ins.distance == 0:
+        return ins
+    crossings = _gap_crossings(source, source + ins.distance - 1, first_gap, period)
+    if crossings:
+        return Jump(ins.distance + grow * crossings)
+    return ins
+
+
+def _expand_step(seq, header, close, *, stream_base, period, outside=None):
+    """One application of an expansion equation on the loop [header..close]
+    of ``seq``. ``stream_base`` is the stream position of seq[0]; ``period``
+    is the repetition period when ``seq`` is an omega-body. ``outside`` holds
+    (stream position, instruction) pairs of a preceding finite segment whose
+    jumps may cross the insertion; the adjusted copy is returned alongside.
+    """
+    count = seq[header - 1].count
+    inner = seq[header:close - 1]
+    k = len(inner)
+    if count == 1:
+        new_seq = seq[: header - 1] + [Jump(1)] + inner + [Jump(1)] + seq[close:]
+        return new_seq, [ins for _, ins in outside] if outside is not None else None
+    grow = k + 2
+    gap = stream_base + close  # insertion sits between close and close+1
+    copy = [
+        Jump(ins.distance + grow) if isinstance(ins, Jump) and i + ins.distance > k + 1 else ins
+        for i, ins in enumerate(inner, 1)
+    ]
+    before = [
+        _raise_jump(ins, stream_base + pos, gap, period, grow)
+        for pos, ins in enumerate(seq[: header - 1], 1)
+    ]
+    after = [
+        _raise_jump(ins, stream_base + pos, gap, period, grow)
+        for pos, ins in enumerate(seq[close:], close + 1)
+    ]
+    residual = [LoopHeader(count - 1)] + inner + [LoopClose()]
+    new_seq = before + [Jump(1)] + copy + [Jump(1)] + residual + after
+    adjusted_outside = None
+    if outside is not None:
+        adjusted_outside = [
+            _raise_jump(ins, src, gap, period, grow) for src, ins in outside
+        ]
+    return new_seq, adjusted_outside
+
+
+def _leftmost_loop(seq):
+    pairs, _, _ = _match_loops(seq)
+    if not pairs:
+        return None
+    by_header = {h: c for c, h in pairs.items()}
+    header = min(by_header)
+    return header, by_header[header]
+
+
+def _unrolled(program):
+    """The pure projection by repeated expansion steps, leftmost header first
+    (quadratic in the output; the body is not normalized)."""
+    prefix = list(program.prefix)
+    body = list(program.body or ())
+    flat = prefix + body
+    pairs, lonely_headers, lonely_closures = _match_loops(flat)
+    plen = len(prefix)
+    for close_pos, header_pos in pairs.items():
+        if header_pos <= plen < close_pos:
+            raise ProgramError("loop spans the repetition boundary")
+    for pos in lonely_headers + lonely_closures:
+        flat[pos - 1] = Jump(1)
+    prefix, body = flat[:plen], flat[plen:]
+    while (loop := _leftmost_loop(prefix)) is not None:
+        prefix, _ = _expand_step(prefix, loop[0], loop[1], stream_base=0, period=None)
+    while (loop := _leftmost_loop(body)) is not None:
+        body, prefix = _expand_step(
+            body, loop[0], loop[1], stream_base=len(prefix), period=len(body),
+            outside=list(enumerate(prefix, 1)),
+        )
+    return CanonicalProgram(tuple(prefix), tuple(body) if body else None)
+
+
+def _soundness_corpus():
+    """The 500 programs of acceptance criterion 4."""
+    rng = random.Random(20260808)
+    shapes = ("omega", "finite", "mixed")
+    return [random_pgarl(rng, shape=shapes[i % 3]) for i in range(500)]
+
+
+def _stretched(rng, program, body_limit):
+    """The program with every jump distance drawn again: prefix jumps up to
+    three times the program length, body jumps up to ``body_limit``."""
+    def redraw(items, limit):
+        return tuple(
+            Jump(rng.randint(0, limit)) if isinstance(ins, Jump) else ins for ins in items
+        )
+
+    body = redraw(program.body, body_limit) if program.body else None
+    return CanonicalProgram(redraw(program.prefix, 3 * len(program)), body)
+
+
+def test_pure_matches_unrolling_oracle_on_soundness_corpus():
+    for program in _soundness_corpus():
+        expected = format_program(_unrolled(program))
+        assert format_program(project_pure(program)) == expected, format_program(program)
+
+
+def test_pure_matches_unrolling_oracle_on_nests():
+    for n in range(1, 13):
+        for m in (1, 2, n):
+            for text in (
+                f"({n}x{{;{m}x{{;a;}}x;}}x)^w",
+                f"({n}x{{;{m}x{{;+a;#3;}}x;b;}}x)^w",
+                f"c;#4;{m}x{{;#2;a;}}x;({n}x{{;2x{{;{m}x{{;a;#5;}}x;}}x;b;}}x;d)^w",
+            ):
+                program = parse_canonical(text)
+                assert project_pure(program) == _unrolled(program), text
+
+
+def test_pure_matches_unrolling_oracle_with_jumps_up_to_body_length():
+    rng = random.Random(5150)
+    for _ in range(1500):
+        program = random_pgarl(rng)
+        program = _stretched(rng, program, len(program.body or ()))
+        assert project_pure(program) == _unrolled(program), format_program(program)
+
+
+def test_pure_agrees_with_defining_thread_on_long_jumps():
+    # jumps longer than the repeated body: the unrolling oracle raised a jump
+    # that wraps past more than one period by only one growth
+    rng = random.Random(31337)
+    programs = [parse_canonical("(b;3x{;#6;}x)^w"), parse_canonical("(a;3x{;a;#15;}x)^w")]
+    for _ in range(600):
+        program = random_pgarl(rng)
+        programs.append(_stretched(rng, program, 3 * len(program)))
+    for program in programs:
+        assert thread_equal(
+            defining_thread(program), extract_pgau(project_pure(program))
+        ), format_program(program)
+
+
+def test_size_report_pure_len_is_closed_form():
+    for program in _soundness_corpus():
+        assert size_report(program).pure_len == len(project_pure(program))
 
 
 # -- sizes ---------------------------------------------------------------------
