@@ -64,7 +64,6 @@ from .program import (
 from .parser import ParseError, parse_action, parse_canonical, parse_program
 from .extraction import (
     behav_equiv,
-    behav_witness,
     extract_pga,
     extract_pgau,
     pgau2pga,
@@ -88,13 +87,11 @@ from .services import (
     simulate_with_services,
 )
 from .rigidloops import (
-    AnnotatedBody,
     Diagnostic,
     SizeReport,
     WellFormednessError,
     annotate,
     defining_thread,
-    erase_annotations,
     project_counter,
     project_pure,
     size_report,

@@ -9,9 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
-from .extraction import extract_pga, extract_pgau
+from .extraction import extract_pgau
 from .parser import ParseError, parse_program
 from .program import (
     CanonicalProgram,
@@ -22,16 +21,14 @@ from .program import (
     format_program,
     format_sequence,
     has_rigid,
-    has_units,
 )
 from .rigidloops import (
     WellFormednessError,
     annotate,
-    defining_thread,
     project_counter,
     project_pure,
+    require_well_formed,
     size_report,
-    validate_pgarl,
 )
 from .services import (
     BudgetExceeded,
@@ -39,7 +36,6 @@ from .services import (
     FullCounter,
     Service,
     ServiceError,
-    apply_bindings,
     apply_use,
     apply_use_bounded,
     check_foci,
@@ -67,18 +63,7 @@ class _CliError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class Binding:
-    focus: str
-    service: Service
-
-    def describe(self) -> str:
-        if isinstance(self.service, DownCounter):
-            return f"{self.focus}=dc(init={self.service.initial},max={self.service.limit})"
-        return f"{self.focus}=counter(init={self.service.initial})"
-
-
-def _parse_binding(text: str) -> Binding:
+def _parse_binding(text: str) -> tuple[str, Service]:
     focus, _, rest = text.partition("=")
     focus = focus.strip()
     rest = rest.strip()
@@ -99,7 +84,7 @@ def _parse_binding(text: str) -> Binding:
                 else:
                     raise _CliError(f"unknown dc() field {key!r}", EXIT_ILL_FORMED)
         try:
-            return Binding(focus, DownCounter(init, limit))
+            return focus, DownCounter(init, limit)
         except ValueError as exc:
             raise _CliError(str(exc), EXIT_ILL_FORMED) from None
     if rest.startswith("counter(") and rest.endswith(")"):
@@ -110,7 +95,7 @@ def _parse_binding(text: str) -> Binding:
             if key.strip() != "init":
                 raise _CliError(f"unknown counter() field {key.strip()!r}", EXIT_ILL_FORMED)
             init = int(value)
-        return Binding(focus, FullCounter(init))
+        return focus, FullCounter(init)
     raise _CliError(f"bad service spec {rest!r}", EXIT_ILL_FORMED)
 
 
@@ -146,15 +131,20 @@ def _emit(args, text: str, payload: dict) -> None:
         print(text)
 
 
-def _program_spec(program: CanonicalProgram, args) -> LinearSpec:
-    """Extract through the projection a program's instruction set calls for."""
-    if has_rigid(program):
-        if getattr(args, "via", "defining") == "pure":
-            return extract_pgau(project_pure(program))
-        return defining_thread(program, args.xi_tail)
-    if has_units(program):
-        return extract_pgau(program)
-    return extract_pga(program)
+def _projected_thread(program: CanonicalProgram, args) -> tuple[LinearSpec, list]:
+    """The thread of a program, projected as ``--via`` says when it has rigid
+    loops, and the (focus, service) bindings still to apply to it: the loop
+    counters of the counter projection, then the ``--bind`` services."""
+    bindings = [_parse_binding(text) for text in getattr(args, "bind", None) or []]
+    via = getattr(args, "via", "defining") if has_rigid(program) else None
+    if via == "defining":
+        projected = project_counter(program)
+        program = projected.program
+        bindings = list(projected.bindings) + bindings
+    check_foci(bindings)
+    if via == "pure":
+        program = project_pure(program)
+    return extract_pgau(program), bindings
 
 
 def _cmd_parse(args) -> int:
@@ -186,20 +176,15 @@ def _cmd_normalize(args) -> int:
 def _cmd_annotate(args) -> int:
     (raw,) = _load_programs(args, 1)
     program = canonicalize(raw)
-    diagnostics = validate_pgarl(program)
-    errors = [d for d in diagnostics if d.severity == "error"]
-    if errors:
-        raise WellFormednessError(errors)
+    require_well_formed(program)
     if program.body and program.prefix:
         raise _CliError(
             "annotate expects a repetition-free or fully repeating program", EXIT_ILL_FORMED
         )
     if program.body:
-        annotated = annotate(program.body, cyclic=True)
-        text = f"({format_sequence(annotated.instructions)})^w"
+        text = f"({format_sequence(annotate(program.body, cyclic=True))})^w"
     else:
-        annotated = annotate(program.prefix, cyclic=False)
-        text = format_sequence(annotated.instructions)
+        text = format_sequence(annotate(program.prefix, cyclic=False))
     _emit(args, text, {"program": text})
     return EXIT_OK
 
@@ -211,9 +196,9 @@ def _cmd_project(args) -> int:
         text = format_program(project_pure(program))
         _emit(args, text, {"program": text})
         return EXIT_OK
-    projected = project_counter(program, args.xi_tail)
-    bind_lines = [
-        Binding(focus, svc).describe() for focus, svc in projected.bindings
+    projected = project_counter(program)
+    bind_lines = [  # the loop counters are down counters
+        f"{focus}=dc(init={svc.initial},max={svc.limit})" for focus, svc in projected.bindings
     ]
     text = "\n".join([format_program(projected.program)] + [f"bind {b}" for b in bind_lines])
     _emit(
@@ -226,40 +211,29 @@ def _cmd_project(args) -> int:
 
 def _cmd_extract(args) -> int:
     (raw,) = _load_programs(args, 1)
-    program = canonicalize(raw)
-    bindings = [_parse_binding(text) for text in args.bind or []]
-    given = [(b.focus, b.service) for b in bindings]
-    if has_rigid(program) and args.via == "defining":
-        # the loop counters are bound first, so a --bind may not rebind one
-        projected = project_counter(program, args.xi_tail)
-        check_foci(list(projected.bindings) + given)
-        spec = apply_bindings(projected)
-    else:
-        check_foci(given)
-        spec = _program_spec(program, args)
-    enumerable = [(b.focus, b.service) for b in bindings if b.service.states is not None]
-    unbounded = [b for b in bindings if b.service.states is None]
-    if enumerable:
-        spec = apply_use(spec, enumerable)
+    spec, bindings = _projected_thread(canonicalize(raw), args)
+    finite = [(focus, svc) for focus, svc in bindings if svc.states is not None]
+    unbounded = [(focus, svc) for focus, svc in bindings if svc.states is None]
+    if finite:
+        spec = apply_use(spec, finite)
     if unbounded:
         if args.depth is None:
             raise _CliError(
                 "binding a service without a finite enumeration needs --depth", EXIT_ILL_FORMED
             )
-        thread = None
-        for binding in unbounded:
-            thread = apply_use_bounded(spec, binding.focus, binding.service, args.depth)
-            spec = thread_to_spec(thread)
+        for focus, svc in unbounded:
+            spec = thread_to_spec(apply_use_bounded(spec, focus, svc, args.depth))
     text = format_spec(spec)
     _emit(args, text, _spec_json(spec))
     return EXIT_OK
 
 
 def _cmd_equiv(args) -> int:
-    left_raw, right_raw = _load_programs(args, 2)
-    left = _program_spec(canonicalize(left_raw), args)
-    right = _program_spec(canonicalize(right_raw), args)
-    witness = distinguish(left, right)
+    specs = []
+    for raw in _load_programs(args, 2):
+        spec, bindings = _projected_thread(canonicalize(raw), args)
+        specs.append(apply_use(spec, bindings) if bindings else spec)
+    witness = distinguish(*specs)
     if witness is None:
         _emit(args, "equivalent", {"equivalent": True})
         return EXIT_OK
@@ -273,18 +247,9 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_simulate(args) -> int:
     (raw,) = _load_programs(args, 1)
-    program = canonicalize(raw)
-    bindings = [_parse_binding(text) for text in args.bind or []]
-    if has_rigid(program):
-        projected = project_counter(program, args.xi_tail)
-        spec = extract_pgau(projected.program)
-        bindings = [Binding(f, s) for f, s in projected.bindings] + bindings
-    else:
-        spec = extract_pgau(program)
+    spec, bindings = _projected_thread(canonicalize(raw), args)
     script = ReplyScript.from_text(args.replies or "")
-    trace = simulate_with_services(
-        spec, tuple((b.focus, b.service) for b in bindings), script, args.max_steps
-    )
+    trace = simulate_with_services(spec, tuple(bindings), script, args.max_steps)
     _emit(
         args,
         str(trace),
@@ -298,7 +263,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_stats(args) -> int:
     (raw,) = _load_programs(args, 1)
-    report = size_report(canonicalize(raw), args.xi_tail)
+    report = size_report(canonicalize(raw))
     fields = {
         "source_len": report.source_len,
         "pure_len": report.pure_len,
@@ -339,12 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="project rigid loops away")
     _add_program_args(p)
     p.add_argument("--mode", choices=("counter", "pure"), default="counter")
-    p.add_argument("--xi-tail", choices=("derived", "paper"), default="derived")
     p.set_defaults(handler=_cmd_project)
 
     p = sub.add_parser("extract", help="print the extracted thread")
     _add_program_args(p)
-    p.add_argument("--xi-tail", choices=("derived", "paper"), default="derived")
     p.add_argument("--via", choices=("defining", "pure"), default="defining")
     p.add_argument("--bind", action="append", help="focus=dc(init=0,max=3) or focus=counter()")
     p.add_argument("--depth", type=int, default=None,
@@ -353,13 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equiv", help="decide behavioral equivalence of two programs")
     _add_program_args(p)
-    p.add_argument("--xi-tail", choices=("derived", "paper"), default="derived")
     p.add_argument("--via", choices=("defining", "pure"), default="defining")
     p.set_defaults(handler=_cmd_equiv)
 
     p = sub.add_parser("simulate", help="run a program against scripted replies")
     _add_program_args(p)
-    p.add_argument("--xi-tail", choices=("derived", "paper"), default="derived")
     p.add_argument("--bind", action="append", help="focus=dc(init=0,max=3) or focus=counter()")
     p.add_argument("--replies", default="", help="reply script, e.g. TTF or 110")
     p.add_argument("--max-steps", type=int, default=1000)
@@ -367,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="compare projection sizes")
     _add_program_args(p)
-    p.add_argument("--xi-tail", choices=("derived", "paper"), default="derived")
     p.set_defaults(handler=_cmd_stats)
 
     return parser

@@ -41,9 +41,7 @@ from .threads import (
     Deadlock,
     LinearSpec,
     Stop,
-    Witness,
     _require_valid,
-    distinguish,
     explore,
     thread_equal,
 )
@@ -226,11 +224,6 @@ def synthesize(spec: LinearSpec) -> CanonicalProgram:
 def behav_equiv(p: CanonicalProgram, q: CanonicalProgram) -> bool:
     """Behavioral equivalence: both programs extract to equal threads."""
     return thread_equal(extract_pgau(p), extract_pgau(q))
-
-
-def behav_witness(p: CanonicalProgram, q: CanonicalProgram) -> Witness | None:
-    """A distinguishing trace when the programs differ behaviorally."""
-    return distinguish(extract_pgau(p), extract_pgau(q))
 
 
 def pgau2pga(program: CanonicalProgram) -> CanonicalProgram:

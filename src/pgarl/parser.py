@@ -13,7 +13,8 @@ The grammar is ASCII and whitespace-insensitive between tokens::
 
 The printed form of any program parses back to itself. A focus may carry a
 ``:NAT`` suffix, so ``rlc:5.set:1`` is the action with focus ``rlc:5``,
-method ``set``, and argument 1.
+method ``set``, and argument 1. Units nest at most ``UNIT_NESTING_LIMIT``
+deep; a deeper one is a parse error.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .program import (
 )
 from .threads import Action
 
+UNIT_NESTING_LIMIT = 100
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, column: int):
@@ -49,6 +52,7 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.units = 0  # units open around the current position
 
     def error(self, message: str, pos: int | None = None) -> ParseError:
         at = self.pos if pos is None else pos
@@ -189,8 +193,12 @@ def _parse_instruction(sc: _Scanner) -> Instruction:
         mark = sc.pos
         name = sc.take_ident()
         if name == "u" and sc.peek() == "(":
+            if sc.units == UNIT_NESTING_LIMIT:
+                raise sc.error(f"units nested more than {UNIT_NESTING_LIMIT} deep", mark)
             sc.take("(")
+            sc.units += 1
             body = _parse_sequence(sc, stop=")")
+            sc.units -= 1
             sc.skip_ws()
             sc.take(")")
             try:

@@ -37,6 +37,7 @@ from .program import (
     Unit,
     has_rigid,
     normalize_jumps,
+    program_instructions,
 )
 from .services import BudgetExceeded, ProjectedProgram, apply_bindings, down_counter
 from .threads import Action, LinearSpec
@@ -59,19 +60,6 @@ class Diagnostic:
     def __str__(self) -> str:
         where = f" at {self.position}" if self.position is not None else ""
         return f"{self.severity}{where}: {self.message}"
-
-
-@dataclass(frozen=True)
-class AnnotatedBody:
-    """Annotation result: the instruction list with closures and qualifying
-    jumps annotated, plus the matched closure-to-header position pairs."""
-
-    instructions: tuple[Instruction, ...]
-    header_positions: tuple[tuple[int, int], ...]
-
-    @property
-    def header_map(self) -> dict[int, int]:
-        return dict(self.header_positions)
 
 
 def _match_loops(instructions) -> tuple[dict[int, int], list[int], list[int]]:
@@ -155,31 +143,32 @@ def validate_pgarl(program: CanonicalProgram) -> list[Diagnostic]:
     return out
 
 
-def annotate(instructions, cyclic: bool = False) -> AnnotatedBody:
+def require_well_formed(program: CanonicalProgram) -> None:
+    """Raise WellFormednessError with the error diagnostics of
+    :func:`validate_pgarl`, if there are any; warnings pass."""
+    errors = [d for d in validate_pgarl(program) if d.severity == "error"]
+    if errors:
+        raise WellFormednessError(errors)
+
+
+def annotate(instructions, cyclic: bool = False) -> tuple[Instruction, ...]:
     """Annotate one instruction list.
 
-    First pass: match headers and closures with a stack; a closure whose
-    header carries count c and whose body spans m instructions becomes the
-    annotated closure (c-1, m), and a closure with no header becomes (0, 0).
-    Second pass: a jump whose path crosses annotated closures becomes an
-    annotated jump listing those closure positions (in increasing order) with
-    their left annotations; with ``cyclic`` the path wraps and positions are
-    reduced modulo the body length.
+    First pass: match headers and closures (:func:`_match_loops`); a closure
+    whose header carries count c and whose body spans m instructions becomes
+    the annotated closure (c-1, m), and a closure with no header becomes
+    (0, 0). Second pass: a jump whose path crosses annotated closures becomes
+    an annotated jump listing those closure positions (in increasing order)
+    with their left annotations; with ``cyclic`` the path wraps and positions
+    are reduced modulo the body length.
     """
     items = list(instructions)
     n = len(items)
-    stack: list[tuple[int, int]] = []
-    matched: list[tuple[int, int]] = []
-    for pos, ins in enumerate(items, 1):
-        if isinstance(ins, LoopHeader):
-            stack.append((pos, ins.count))
-        elif isinstance(ins, LoopClose):
-            if stack:
-                header_pos, count = stack.pop()
-                items[pos - 1] = AnnClose(count - 1, pos - header_pos - 1)
-                matched.append((pos, header_pos))
-            else:
-                items[pos - 1] = AnnClose(0, 0)
+    pairs, _, lonely_closures = _match_loops(items)
+    for pos, header_pos in pairs.items():
+        items[pos - 1] = AnnClose(items[header_pos - 1].count - 1, pos - header_pos - 1)
+    for pos in lonely_closures:
+        items[pos - 1] = AnnClose(0, 0)
     closures = {
         pos: ins.remaining
         for pos, ins in enumerate(items, 1)
@@ -201,20 +190,7 @@ def annotate(instructions, cyclic: bool = False) -> AnnotatedBody:
                     crossed[j] = closures[j]
             if crossed:
                 items[pos - 1] = AnnJump(ins.distance, tuple(sorted(crossed.items())))
-    return AnnotatedBody(tuple(items), tuple(matched))
-
-
-def erase_annotations(instructions) -> tuple[Instruction, ...]:
-    """Drop annotations, restoring plain closures and jumps."""
-    out = []
-    for ins in instructions:
-        if isinstance(ins, AnnClose):
-            out.append(LoopClose())
-        elif isinstance(ins, AnnJump):
-            out.append(Jump(ins.distance))
-        else:
-            out.append(ins)
-    return tuple(out)
+    return tuple(items)
 
 
 def _counter_focus(position: int) -> str:
@@ -244,17 +220,16 @@ def _psi(ins: Instruction, position: int, body_len: int) -> Instruction:
     return ins
 
 
-def _omega_form(program: CanonicalProgram, xi_tail: str) -> tuple[Instruction, ...]:
+def _omega_form(program: CanonicalProgram) -> tuple[Instruction, ...]:
     """Bring any canonical shape to a single repeated body.
 
     A body-only program is taken as is (jumps normalized). A repetition-free
     program is wrapped with two trailing dead jumps, capping every jump so it
-    lands at most on them. A mixed program appends two wrap-back jumps after
-    the body and raises body jumps that would wrap so they skip the appended
-    jumps and the prefix, which only runs once.
+    lands at most on them. A mixed program appends two wrap-back jumps of the
+    prefix length + 2 after the body; they lead back to the body start past
+    the prefix, which only runs once. Body jumps that would wrap are raised by
+    the same amount.
     """
-    if xi_tail not in ("derived", "paper"):
-        raise ValueError("xi_tail must be 'derived' or 'paper'")
     if program.body is not None and not program.prefix:
         return normalize_jumps(program.body)
     if program.body is None:
@@ -279,8 +254,7 @@ def _omega_form(program: CanonicalProgram, xi_tail: str) -> tuple[Instruction, .
         if isinstance(ins, Jump) and i + ins.distance > m:
             ins = Jump(ins.distance + k + 2)
         mid.append(ins)
-    tail = Jump(k + 2) if xi_tail == "derived" else Jump(k)
-    return tuple(head) + tuple(mid) + (tail, tail)
+    return tuple(head) + tuple(mid) + (Jump(k + 2), Jump(k + 2))
 
 
 def project_counter(program: CanonicalProgram, xi_tail: str = "derived") -> ProjectedProgram:
@@ -291,28 +265,26 @@ def project_counter(program: CanonicalProgram, xi_tail: str = "derived") -> Proj
     closures into counter-driving units, and annotated jumps into units that
     reset the counters of every loop they leave. Each closure position gets
     its own down-counter binding.
+
+    ``xi_tail`` names the wrap-back distance of :func:`_omega_form`; only
+    ``"derived"`` exists, and any other value raises ValueError.
     """
-    diagnostics = validate_pgarl(program)
-    errors = [d for d in diagnostics if d.severity == "error"]
-    if errors:
-        raise WellFormednessError(errors)
+    if xi_tail != "derived":
+        raise ValueError(f"unknown wrap-back tail {xi_tail!r}; the only one is 'derived'")
+    require_well_formed(program)
     if not has_rigid(program):
         return ProjectedProgram(program, ())
-    body = normalize_jumps(_omega_form(program, xi_tail))
+    body = normalize_jumps(_omega_form(program))
     annotated = annotate(body, cyclic=True)
     closures = [
-        (pos, ins.remaining)
-        for pos, ins in enumerate(annotated.instructions, 1)
-        if isinstance(ins, AnnClose)
+        (pos, ins.remaining) for pos, ins in enumerate(annotated, 1) if isinstance(ins, AnnClose)
     ]
     body_len = len(body)
     prefix = tuple(
         Basic(Action("set", focus=_counter_focus(pos), argument=value))
         for pos, value in closures
     )
-    mapped = tuple(
-        _psi(ins, pos, body_len) for pos, ins in enumerate(annotated.instructions, 1)
-    )
+    mapped = tuple(_psi(ins, pos, body_len) for pos, ins in enumerate(annotated, 1))
     bindings = tuple(
         (_counter_focus(pos), down_counter(0, max=value)) for pos, value in closures
     )
@@ -321,7 +293,7 @@ def project_counter(program: CanonicalProgram, xi_tail: str = "derived") -> Proj
 
 def defining_thread(program: CanonicalProgram, xi_tail: str = "derived") -> LinearSpec:
     """The meaning of a rigid-loop program: project with counters, then apply
-    the counter services."""
+    the counter services. ``xi_tail`` is as in :func:`project_counter`."""
     return apply_bindings(project_counter(program, xi_tail))
 
 
@@ -356,10 +328,7 @@ def _pure_layout(program: CanonicalProgram) -> _PureLayout:
     """The layout pass: check the program, then walk it once. A loop of count
     c whose body expands to L instructions takes c blocks of L + 2 (one skip
     per bracket), and its iteration i sits i blocks after the first."""
-    diagnostics = validate_pgarl(program)
-    errors = [d for d in diagnostics if d.severity == "error"]
-    if errors:
-        raise WellFormednessError(errors)
+    require_well_formed(program)
     source = list(program.prefix)
     plen = len(source)
     if program.body:
@@ -476,41 +445,30 @@ class SizeReport:
     loop_product: int
 
 
-def _expanded_len(instructions) -> int:
-    total = 0
-    for ins in instructions:
-        if isinstance(ins, Unit):
-            total += _expanded_len(ins.body)
-        else:
-            total += 1
-    return total
-
-
 def _loop_product(flat: list[Instruction]) -> int:
     pairs, _, _ = _match_loops(flat)
-    matched_headers = set(pairs.values())
+    headers = set(pairs.values())
+    products = [1]  # one per open loop: the product of its count and the enclosing ones
     best = 1
-    stack: list[int] = []
-    product = 1
     for pos, ins in enumerate(flat, 1):
-        if isinstance(ins, LoopHeader) and pos in matched_headers:
-            stack.append(ins.count)
-            product *= ins.count
-            best = max(best, product)
-        elif isinstance(ins, LoopClose) and pos in pairs:
-            product //= stack.pop()
+        if pos in headers:
+            products.append(products[-1] * ins.count)
+            best = max(best, products[-1])
+        elif pos in pairs:
+            products.pop()
     return best
 
 
-def size_report(program: CanonicalProgram, xi_tail: str = "derived") -> SizeReport:
+def size_report(program: CanonicalProgram) -> SizeReport:
     """Measure the source against both projections. The pure length comes
     from the layout pass alone, so the pure program is never built."""
-    counter = project_counter(program, xi_tail).program
-    counter_flat = list(counter.prefix) + list(counter.body or ())
+    counter = project_counter(program).program
     return SizeReport(
         source_len=len(program),
         pure_len=_pure_layout(program).length,
         counter_len=len(counter),
-        counter_len_expanded=_expanded_len(counter_flat),
+        counter_len_expanded=sum(
+            not isinstance(ins, Unit) for ins in program_instructions(counter)
+        ),
         loop_product=_loop_product(list(program.prefix) + list(program.body or ())),
     )

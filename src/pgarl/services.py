@@ -102,10 +102,6 @@ class DownCounter(Service):
     def states(self) -> tuple:
         return tuple(range(self.limit + 1))
 
-    @property
-    def alphabet(self) -> tuple[CoAction, ...]:
-        return (CoAction("dec"),) + tuple(CoAction("set", n) for n in range(self.limit + 1))
-
     def accepts(self, co: CoAction) -> bool:
         if co.method == "dec":
             return co.argument is None
@@ -147,8 +143,6 @@ class FullCounter(Service):
 
 def down_counter(initial: int = 0, max: int = 0) -> DownCounter:
     """A down counter holding values 0..max; fresh counters start at zero."""
-    if initial > max:
-        raise ValueError("initial value exceeds the counter maximum")
     return DownCounter(initial, max)
 
 

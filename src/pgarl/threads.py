@@ -186,22 +186,25 @@ def pi(n: int, spec: LinearSpec, state: int) -> FiniteThread:
 
 
 def pi_thread(n: int, thread: FiniteThread) -> FiniteThread:
-    """The same depth cut applied directly to a finite thread tree."""
+    """The same depth cut applied directly to a finite thread tree. Cuts are
+    memoized on (depth, node identity), so shared subtrees are cut once and
+    stay shared; the walk keeps its own stack, so any depth is fine."""
     memo: dict[tuple[int, int], FiniteThread] = {}
-
-    def cut(k: int, t: FiniteThread) -> FiniteThread:
-        if k == 0:
-            return DEADLOCK
-        if not isinstance(t, Branch):
-            return t
+    stack = [(n, thread, False)]
+    while stack:  # a branch is visited again, expanded, once both cuts below it exist
+        k, t, expanded = stack.pop()
         key = (k, id(t))
-        hit = memo.get(key)
-        if hit is None:
-            hit = Branch(cut(k - 1, t.yes), t.action, cut(k - 1, t.no))
-            memo[key] = hit
-        return hit
-
-    return cut(n, thread)
+        if key in memo:
+            continue
+        if k == 0:
+            memo[key] = DEADLOCK
+        elif not isinstance(t, Branch):
+            memo[key] = t
+        elif expanded:
+            memo[key] = Branch(memo[(k - 1, id(t.yes))], t.action, memo[(k - 1, id(t.no))])
+        else:
+            stack.extend(((k, t, True), (k - 1, t.no, False), (k - 1, t.yes, False)))
+    return memo[(n, id(thread))]
 
 
 def finite_leq(left: FiniteThread, right: FiniteThread) -> bool:
@@ -209,57 +212,33 @@ def finite_leq(left: FiniteThread, right: FiniteThread) -> bool:
     termination only termination, and branches must agree on the action and
     refine componentwise.
 
-    Comparison is memoized on node identity so shared (DAG) trees compare in
-    time proportional to the number of distinct node pairs.
+    The node pairs reached in step are memoized on identity, so shared (DAG)
+    trees compare in time proportional to the number of distinct node pairs;
+    the walk keeps its own stack, so any depth is fine.
     """
-    memo: dict[tuple[int, int], bool] = {}
-
-    def go(a: FiniteThread, b: FiniteThread) -> bool:
-        if isinstance(a, Deadlock):
-            return True
+    seen: set[tuple[int, int]] = set()
+    stack = [(left, right)]
+    while stack:
+        a, b = stack.pop()
         key = (id(a), id(b))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+        if isinstance(a, Deadlock) or key in seen:
+            continue
+        seen.add(key)
         if isinstance(a, Stop):
-            res = isinstance(b, Stop)
+            if not isinstance(b, Stop):
+                return False
+        elif not isinstance(b, Branch) or a.action != b.action:
+            return False
         else:
-            res = (
-                isinstance(b, Branch)
-                and a.action == b.action
-                and go(a.yes, b.yes)
-                and go(a.no, b.no)
-            )
-        memo[key] = res
-        return res
-
-    return go(left, right)
+            stack.append((a.no, b.no))
+            stack.append((a.yes, b.yes))
+    return True
 
 
 def tree_equal(left: FiniteThread, right: FiniteThread) -> bool:
-    """Structural equality that is safe on shared (DAG) trees."""
-    memo: dict[tuple[int, int], bool] = {}
-
-    def go(a: FiniteThread, b: FiniteThread) -> bool:
-        if a is b:
-            return True
-        key = (id(a), id(b))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(a, Branch):
-            res = (
-                isinstance(b, Branch)
-                and a.action == b.action
-                and go(a.yes, b.yes)
-                and go(a.no, b.no)
-            )
-        else:
-            res = type(a) is type(b)
-        memo[key] = res
-        return res
-
-    return go(left, right)
+    """Equality of finite threads: refinement both ways, since the order is
+    antisymmetric on finite threads."""
+    return finite_leq(left, right) and finite_leq(right, left)
 
 
 def _synchronized_walk(spec_p: LinearSpec, spec_q: LinearSpec, deadlock_below: bool) -> bool:

@@ -82,7 +82,7 @@ def test_criterion_3_annotation_golden():
     from pgarl import annotate, format_sequence
 
     program = parse_canonical("3x{;a;b;4x{;+c;#4;}x;d;}x;+e;#3")
-    text = format_sequence(annotate(program.prefix, cyclic=False).instructions)
+    text = format_sequence(annotate(program.prefix, cyclic=False))
     ok = text == "3x{;a;b;4x{;+c;#4(7,3)(9,2);3}x2;d;2}x7;+e;#3"
     report(3, ok, text)
 

@@ -263,6 +263,64 @@ def test_project_then_extract_matches_defining_pipeline(capsys):
     assert via_projection == via_defining
 
 
+@pytest.mark.parametrize("command", ["project", "extract", "equiv", "simulate", "stats"])
+def test_xi_tail_option_is_gone(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--xi-tail", "derived", "-e", "a;(1x{;b;}x;c)^w"])
+    assert exc.value.code == 2 and "--xi-tail" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "program, binding, fmt, expected",
+    [
+        (
+            "(2x{;+q.dec;#2;a;b;}x;c)^w",
+            "q=dc(init=1,max=1)",
+            "text",
+            "root 1\nX1 = X2 <b> X2\nX2 = X3 <a> X3\nX3 = X4 <b> X4\n"
+            "X4 = X5 <c> X5\nX5 = X1 <a> X1\n",
+        ),
+        (
+            "(3x{;+q.dec;#3;a;!;b;}x;c)^w",
+            "q=dc(init=2,max=2)",
+            "json",
+            '{"equations": [{"index": 1, "text": "X1 = X2 <b> X2"}, '
+            '{"index": 2, "text": "X2 = X3 <b> X3"}, '
+            '{"index": 3, "text": "X3 = X4 <a> X4"}, '
+            '{"index": 4, "text": "X4 = S"}], "root": 1}\n',
+        ),
+    ],
+)
+def test_extract_rigid_program_with_finite_binding_golden(capsys, program, binding, fmt, expected):
+    # the loop counters and the --bind service are applied in one product pass
+    code, out, err = run(capsys, "extract", f"--format={fmt}", "-e", program, "--bind", binding)
+    assert (code, out, err) == (0, expected, "")
+
+
+def _nested_units(depth):
+    return "u(" * depth + "a" + ")" * depth
+
+
+def test_units_nested_3000_deep_are_a_parse_error(capsys):
+    code, out, err = run(capsys, "normalize", "-e", _nested_units(3000))
+    assert code == 2 and out == ""
+    assert err == "parse error: units nested more than 100 deep at line 1, column 201\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("parse",), ("normalize",), ("annotate",), ("project",), ("project", "--mode=pure"),
+        ("extract",), ("extract", "--via=pure"), ("equiv", "-e", "a"), ("simulate",), ("stats",),
+    ],
+)
+def test_units_at_the_nesting_limit(capsys, argv):
+    code, _, err = run(capsys, *argv, "-e", _nested_units(100))
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, *argv, "-e", _nested_units(101))
+    assert code == 2 and out == "" and "nested more than 100 deep" in err
+
+
 def test_budget_exhaustion_exit_code(capsys):
     # an increment loop never emits anything visible, so the silent-step
     # budget runs out

@@ -17,7 +17,7 @@ from pgarl import (
     STOP,
     Unit,
     behav_equiv,
-    behav_witness,
+    distinguish,
     extract_pga,
     extract_pgau,
     format_program,
@@ -205,7 +205,7 @@ def test_equivalence_not_a_congruence():
     left = parse_canonical("#0;a")
     right = parse_canonical("#1;a")
     assert not behav_equiv(left, right)
-    witness = behav_witness(left, right)
+    witness = distinguish(extract_pgau(left), extract_pgau(right))
     assert witness is not None and witness.reason == "D vs action a"
 
 

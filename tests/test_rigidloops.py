@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -18,8 +19,8 @@ from pgarl import (
     ProgramError,
     WellFormednessError,
     annotate,
+    apply_bindings,
     defining_thread,
-    erase_annotations,
     extract_pga,
     extract_pgau,
     format_program,
@@ -96,42 +97,46 @@ def test_project_rejects_errors():
 def test_annotation_golden_finite():
     program = parse_canonical("3x{;a;b;4x{;+c;#4;}x;d;}x;+e;#3")
     annotated = annotate(program.prefix, cyclic=False)
-    assert (
-        format_sequence(annotated.instructions)
-        == "3x{;a;b;4x{;+c;#4(7,3)(9,2);3}x2;d;2}x7;+e;#3"
-    )
-    assert annotated.header_map == {7: 4, 9: 1}
+    assert format_sequence(annotated) == "3x{;a;b;4x{;+c;#4(7,3)(9,2);3}x2;d;2}x7;+e;#3"
+    assert _match_loops(program.prefix)[0] == {7: 4, 9: 1}
 
 
 def test_annotation_golden_cyclic():
     program = parse_canonical(FIRST)
     annotated = annotate(program.body, cyclic=True)
-    assert format_sequence(annotated.instructions) == "3x{;a;b;4x{;c;3}x1;d;2}x6;e"
+    assert format_sequence(annotated) == "3x{;a;b;4x{;c;3}x1;d;2}x6;e"
 
 
 def test_annotation_second_example():
     program = parse_canonical(SECOND)
     annotated = annotate(program.body, cyclic=True)
-    assert format_sequence(annotated.instructions) == "a;2x{;+b;#3(5,1);1}x2;c;d"
+    assert format_sequence(annotated) == "a;2x{;+b;#3(5,1);1}x2;c;d"
 
 
 def test_annotation_without_loops_is_identity():
     program = parse_canonical("a;#2;+b;!")
     annotated = annotate(program.prefix, cyclic=False)
-    assert annotated.instructions == program.prefix
+    assert annotated == program.prefix
 
 
 def test_annotation_lonely_closure_gets_zero_zero():
     annotated = annotate(parse_canonical("a;}x").prefix)
-    assert annotated.instructions[1] == AnnClose(0, 0)
+    assert annotated[1] == AnnClose(0, 0)
 
 
 def test_annotation_erasure_restores_source():
+    def erase(ins):
+        if isinstance(ins, AnnClose):
+            return LoopClose()
+        if isinstance(ins, AnnJump):
+            return Jump(ins.distance)
+        return ins
+
     rng = random.Random(13)
     for _ in range(100):
         program = random_pgarl(rng, shape="omega")
         annotated = annotate(program.body, cyclic=True)
-        assert erase_annotations(annotated.instructions) == program.body
+        assert tuple(map(erase, annotated)) == program.body
 
 
 def test_annotation_wrapping_jump_collects_closures():
@@ -139,7 +144,7 @@ def test_annotation_wrapping_jump_collects_closures():
     # closure at position 3
     body = parse_canonical("(1x{;a;}x;b;#4)^w").body
     annotated = annotate(body, cyclic=True)
-    jump = annotated.instructions[4]
+    jump = annotated[4]
     assert isinstance(jump, AnnJump) and jump.resets == ((3, 0),)
 
 
@@ -225,12 +230,28 @@ def test_counter_projection_repetition_free():
 
 
 def test_xi_tail_variants():
-    # Only the derived wrap-back distance routes control back to the body
-    # start; the shorter printed variant is behaviorally wrong.
+    # Only the derived wrap-back distance (prefix length k + 2) routes control
+    # back to the body start; the shorter printed variant (k), built here by
+    # shortening the two trailing wrap-back jumps, is behaviorally wrong.
     source = parse_canonical("a;(1x{;b;}x;c)^w")
     oracle = extract_pga(project_pure(source))
     assert thread_equal(defining_thread(source, "derived"), oracle)
-    assert not thread_equal(defining_thread(source, "paper"), oracle)
+    derived = project_counter(source)
+    k = len(source.prefix)
+    body = derived.program.body
+    assert body[-2:] == (Jump(k + 2), Jump(k + 2))
+    paper = dataclasses.replace(
+        derived,
+        program=dataclasses.replace(derived.program, body=body[:-2] + (Jump(k), Jump(k))),
+    )
+    assert not thread_equal(apply_bindings(paper), oracle)
+
+
+def test_only_the_derived_tail_exists():
+    program = parse_canonical("a;(1x{;b;}x;c)^w")
+    for projection in (project_counter, defining_thread):
+        with pytest.raises(ValueError, match="paper"):
+            projection(program, "paper")
 
 
 def test_closure_unit_in_isolation():
@@ -474,7 +495,7 @@ def test_size_counter_projection_bound():
     for _ in range(100):
         program = random_pgarl(rng)
         flat = list(program.prefix) + list(program.body or ())
-        closures = sum(isinstance(x, AnnClose) for x in annotate(flat).instructions)
+        closures = sum(isinstance(x, AnnClose) for x in annotate(flat))
         report = size_report(program)
         # init prefix adds one instruction per closure; the wrapped shapes add
         # at most four more slots (two cap jumps, two wrap-back jumps)
@@ -488,7 +509,7 @@ def test_size_counter_projection_expanded_bound():
     rng = random.Random(18)
     for _ in range(150):
         program = random_pgarl(rng, shape="omega")
-        annotated = annotate(program.body, cyclic=True).instructions
+        annotated = annotate(program.body, cyclic=True)
         closures = sum(isinstance(x, AnnClose) for x in annotated)
         ann_jumps = [x for x in annotated if isinstance(x, AnnJump)]
         max_resets = max((len(x.resets) for x in ann_jumps), default=0)

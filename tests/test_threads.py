@@ -13,18 +13,23 @@ from pgarl import (
     LinearSpec,
     ReplyScript,
     SpecError,
+    apply_use_bounded,
     defining_thread,
     distinguish,
     extract_pga,
+    extract_pgau,
     finite_leq,
+    full_counter,
     format_spec,
     pi,
     pi_thread,
+    parse_canonical,
     prefixed,
     project_pure,
     refines,
     simulate_thread,
     thread_equal,
+    tree_equal,
     validate_spec,
 )
 
@@ -225,3 +230,57 @@ def test_postconditional_monotone():
     assert finite_leq(small, large)
     assert finite_leq(Branch(small, b, DEADLOCK), Branch(large, b, STOP))
     assert not finite_leq(Branch(large, b, STOP), Branch(small, b, STOP))
+
+
+# -- the replaced recursive walks, kept as oracles ------------------------------
+
+def _recursive_pi_thread(n, thread):
+    if n == 0:
+        return DEADLOCK
+    if not isinstance(thread, Branch):
+        return thread
+    return Branch(
+        _recursive_pi_thread(n - 1, thread.yes),
+        thread.action,
+        _recursive_pi_thread(n - 1, thread.no),
+    )
+
+
+def _recursive_finite_leq(left, right):
+    if left == DEADLOCK:
+        return True
+    if left == STOP:
+        return right == STOP
+    return (
+        isinstance(right, Branch)
+        and left.action == right.action
+        and _recursive_finite_leq(left.yes, right.yes)
+        and _recursive_finite_leq(left.no, right.no)
+    )
+
+
+def test_iterative_walks_match_recursive_oracles():
+    rng = random.Random(4242)
+    for _ in range(400):
+        spec, other = random_spec(rng), random_spec(rng)
+        depth = rng.randint(0, 6)
+        left = pi(depth, spec, spec.root)
+        right = pi(rng.randint(0, 6), other, other.root) if rng.random() < 0.5 else pi(
+            rng.randint(depth, 7), spec, spec.root
+        )
+        cut = rng.randint(0, 7)
+        assert pi_thread(cut, left) == _recursive_pi_thread(cut, left)
+        for x, y in ((left, right), (right, left), (left, left)):
+            assert finite_leq(x, y) == _recursive_finite_leq(x, y)
+            assert tree_equal(x, y) == (x == y)
+
+
+def test_walks_on_a_thread_3000_deep():
+    spec = extract_pgau(parse_canonical("(a;c.inc)^w"))
+    thread = apply_use_bounded(spec, "c", full_counter(), 3000)
+    again = apply_use_bounded(spec, "c", full_counter(), 3000)
+    half = pi_thread(1500, thread)
+    assert tree_equal(pi_thread(3000, thread), thread)
+    assert tree_equal(thread, again) and not tree_equal(thread, half)
+    assert finite_leq(half, thread) and not finite_leq(thread, half)
+    assert tree_equal(half, apply_use_bounded(spec, "c", full_counter(), 1500))
