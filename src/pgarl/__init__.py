@@ -27,7 +27,6 @@ from .threads import (
     pi_thread,
     prefixed,
     refines,
-    simulate_thread,
     thread_equal,
     thread_to_spec,
     tree_equal,
@@ -84,6 +83,7 @@ from .services import (
     apply_use_finite,
     down_counter,
     full_counter,
+    simulate_thread,
     simulate_with_services,
 )
 from .rigidloops import (

@@ -221,8 +221,7 @@ def _cmd_extract(args) -> int:
             raise _CliError(
                 "binding a service without a finite enumeration needs --depth", EXIT_ILL_FORMED
             )
-        for focus, svc in unbounded:
-            spec = thread_to_spec(apply_use_bounded(spec, focus, svc, args.depth))
+        spec = thread_to_spec(apply_use_bounded(spec, unbounded, args.depth))
     text = format_spec(spec)
     _emit(args, text, _spec_json(spec))
     return EXIT_OK

@@ -7,11 +7,15 @@ the bound focus silently, branching on the service's reply; actions on other
 foci pass through, a co-action outside the service's alphabet deadlocks, and
 a cycle of consumed actions that never emits anything is deadlock as well.
 
-Several services are applied together, one per focus: the finite product
-(:func:`apply_use`) explores pairs of a thread state and a tuple of service
-states in a single pass, and scripted simulation walks the same tuple. Both
-resolve consumed steps with one resolver, and both reject a list of bindings
-that binds a focus twice.
+Several services are applied together, one per focus, over a tuple of
+service states: the finite product (:func:`apply_use`) explores every
+reachable pair of a thread state and such a tuple in a single pass, the
+depth-bounded form (:func:`apply_use_bounded`) unfolds them to a visible
+depth, and scripted simulation (:func:`simulate_with_services`) walks one
+path; :func:`simulate_thread` is that walk with no services bound. All three
+resolve consumed steps with one resolver, which the bounded form and
+simulation limit to ``SILENT_RUN_LIMIT`` steps per silent run, and all three
+reject a list of bindings that binds a focus twice.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .threads import (
     Trace,
     _require_valid,
     explore,
+    thread_to_spec,
 )
 
 SILENT_RUN_LIMIT = 10**6
@@ -202,15 +207,14 @@ class _SilentSteps:
                 )
         self.moves = moves
 
-    def resolve(self, equation: int, states: tuple, budget: list[int] | None = None):
+    def resolve(self, equation: int, states: tuple, limit: int | None = None):
         """Consume silent steps from ``equation`` until the thread emits a
         visible action, ends, or revisits an (equation, states) pair; returns
         STOP, DEADLOCK (a silent cycle is deadlock too) or the pair at the
-        visible action. ``budget`` is a one-element list of the steps still
-        allowed, decremented per consumed step; DivergenceSuspected is raised
-        when a step is due and none is left."""
+        visible action. With a ``limit``, DivergenceSuspected is raised when
+        a step is due after ``limit`` consumed steps."""
         moves = self.moves
-        seen = set()
+        seen = set()  # one entry per consumed step
         while True:
             move = moves[equation]
             if move is None:
@@ -220,13 +224,9 @@ class _SilentSteps:
             key = (equation, states)
             if key in seen:
                 return DEADLOCK
+            if len(seen) == limit:  # never when limit is None
+                raise DivergenceSuspected(f"no visible progress within {limit} consumed steps")
             seen.add(key)
-            if budget is not None:
-                if budget[0] <= 0:
-                    raise DivergenceSuspected(
-                        f"no visible progress within {SILENT_RUN_LIMIT} consumed steps"
-                    )
-                budget[0] -= 1
             slot, step, co, yes, no = move
             reply, state = step(states[slot], co)
             states = states[:slot] + (state,) + states[slot + 1:]
@@ -259,15 +259,19 @@ def apply_use_finite(spec: LinearSpec, focus: str, svc: Service) -> LinearSpec:
     return apply_use(spec, ((focus, svc),))
 
 
-def apply_use_bounded(spec: LinearSpec, focus: str, svc: Service, depth: int) -> FiniteThread:
-    """Depth approximation of a thread using a service, explored on the fly.
+def apply_use_bounded(spec: LinearSpec, bindings, depth: int) -> FiniteThread:
+    """Depth approximation of a thread using the services of ``bindings`` (a
+    sequence of (focus, service) with distinct foci), explored on the fly.
 
-    Works for services without a finite enumeration. Consumed steps do not
-    count toward the visible depth but are limited by an internal budget of
-    depth * (1 + 10**6) steps; running out raises DivergenceSuspected.
+    Works for services without a finite enumeration. Every bound focus is
+    consumed in the same pass, so only the remaining actions count toward
+    the visible ``depth``, a natural number. Each silent run between two
+    visible actions may consume at most SILENT_RUN_LIMIT steps; running out
+    raises DivergenceSuspected.
     """
-    silent = _SilentSteps(spec, ((focus, svc),))
-    budget = [depth * (1 + SILENT_RUN_LIMIT)]
+    if depth < 0:
+        raise ValueError(f"depth must be a natural number, got {depth}")
+    silent = _SilentSteps(spec, tuple(bindings))
     memo: dict = {}  # (equation, states, remaining) -> finished subtree
     branches: dict = {}  # the same key -> (action, yes key, no key) while its subtrees are built
     root = (spec.root, silent.initial, depth)
@@ -284,7 +288,9 @@ def apply_use_bounded(spec: LinearSpec, focus: str, svc: Service, depth: int) ->
             stack.pop()
             continue
         equation, states, remaining = key
-        outcome = DEADLOCK if remaining == 0 else silent.resolve(equation, states, budget)
+        outcome = (
+            DEADLOCK if remaining == 0 else silent.resolve(equation, states, SILENT_RUN_LIMIT)
+        )
         if outcome is STOP or outcome is DEADLOCK:
             memo[key] = outcome
             stack.pop()
@@ -322,7 +328,7 @@ def simulate_with_services(
     steps: list[tuple[Action, bool]] = []
     cursor = script.cursor
     while True:
-        at = silent.resolve(equation, states, [SILENT_RUN_LIMIT])
+        at = silent.resolve(equation, states, SILENT_RUN_LIMIT)
         if at is STOP:
             return Trace(tuple(steps), STATUS_STOP)
         if at is DEADLOCK:
@@ -335,3 +341,18 @@ def simulate_with_services(
         cursor += 1
         steps.append((rhs.action, reply))
         equation = rhs.yes if reply else rhs.no
+
+
+def simulate_thread(
+    spec: LinearSpec | FiniteThread, script: ReplyScript, max_steps: int = 1000
+) -> Trace:
+    """Run a thread from its root, consuming one scripted reply per branch
+    (true selects the left continuation): scripted simulation with no
+    services bound. Ends with status ``S``, ``D``, or ``cutoff`` when the
+    script or the step budget runs out.
+
+    Accepts either a LinearSpec or a finite thread tree.
+    """
+    if not isinstance(spec, LinearSpec):
+        spec = thread_to_spec(spec)
+    return simulate_with_services(spec, (), script, max_steps)

@@ -11,15 +11,16 @@ branch on an action.
 The module provides the depth approximation operator :func:`pi`, the
 refinement order and equality on regular threads (:func:`refines`,
 :func:`thread_equal`), a distinguishing-trace search (:func:`distinguish`),
-scripted simulation (:func:`simulate_thread`), and the breadth-first
-numbering of a state space as a specification (:func:`explore`) that
-extraction and the use operator share.
+and the breadth-first numbering of a state space as a specification
+(:func:`explore`) that extraction and the use operator share. The order,
+equality and distinguishing traces are one breadth-first walk over pairs of
+states, which stops at the first pair that disagrees. Scripted runs are the
+use operator's with no services bound, so they live in :mod:`pgarl.services`.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Union
 
@@ -241,30 +242,34 @@ def tree_equal(left: FiniteThread, right: FiniteThread) -> bool:
     return finite_leq(left, right) and finite_leq(right, left)
 
 
-def _synchronized_walk(spec_p: LinearSpec, spec_q: LinearSpec, deadlock_below: bool) -> bool:
-    """Walk the reachable state pairs of two specs in step, assuming the
-    relation on revisited pairs. Branches must agree on the action and are
-    followed on both replies; other pairs must agree in kind, except that a
-    deadlock on the left is below everything when ``deadlock_below`` holds."""
+def _first_difference(spec_p: LinearSpec, spec_q: LinearSpec, deadlock_below: bool):
+    """Walk the reachable state pairs of two specs in step, breadth first with
+    yes before no, and return the first pair that disagrees together with the
+    parent links of the walk, or None when no reachable pair disagrees.
+
+    Branches must agree on the action and are followed on both replies; other
+    pairs must agree in kind, except that a deadlock on the left is below
+    everything when ``deadlock_below`` holds. A parent link maps a pair to
+    (previous pair, action, reply), and the root pair to None.
+    """
     _require_valid(spec_p)
     _require_valid(spec_q)
-    seen: set[tuple[int, int]] = set()
-    stack = [(spec_p.root, spec_q.root)]
-    while stack:
-        pair = stack.pop()
-        if pair in seen:
-            continue
-        seen.add(pair)
+    start = (spec_p.root, spec_q.root)
+    parent: dict = {start: None}
+    queue = [start]
+    for pair in queue:  # the list grows while it is walked
         a = spec_p.rhs(pair[0])
         b = spec_q.rhs(pair[1])
         if isinstance(a, BranchRef):
             if not isinstance(b, BranchRef) or a.action != b.action:
-                return False
-            stack.append((a.yes, b.yes))
-            stack.append((a.no, b.no))
+                return pair, parent
+            for reply, nxt in ((True, (a.yes, b.yes)), (False, (a.no, b.no))):
+                if nxt not in parent:
+                    parent[nxt] = (pair, a.action, reply)
+                    queue.append(nxt)
         elif type(a) is not type(b) and not (deadlock_below and isinstance(a, Deadlock)):
-            return False
-    return True
+            return pair, parent
+    return None
 
 
 def refines(spec_p: LinearSpec, spec_q: LinearSpec) -> bool:
@@ -277,14 +282,14 @@ def refines(spec_p: LinearSpec, spec_q: LinearSpec) -> bool:
     the relation on revisited pairs; the walk computes the same answer without
     materializing the approximation trees.
     """
-    return _synchronized_walk(spec_p, spec_q, deadlock_below=True)
+    return _first_difference(spec_p, spec_q, deadlock_below=True) is None
 
 
 def thread_equal(spec_p: LinearSpec, spec_q: LinearSpec) -> bool:
     """Equality of the root threads: one synchronized walk in which every
     reachable pair of states agrees in kind and action (refinement in both
     directions, decided in a single pass)."""
-    return _synchronized_walk(spec_p, spec_q, deadlock_below=False)
+    return _first_difference(spec_p, spec_q, deadlock_below=False) is None
 
 
 @dataclass(frozen=True)
@@ -312,43 +317,18 @@ def _describe_rhs(rhs: SpecRhs) -> str:
 def distinguish(spec_p: LinearSpec, spec_q: LinearSpec) -> Witness | None:
     """Search for a shortest distinguishing trace; None when the root threads
     are equal."""
-    _require_valid(spec_p)
-    _require_valid(spec_q)
-    start = (spec_p.root, spec_q.root)
-    parent: dict[tuple[int, int], tuple[tuple[int, int], Action, bool] | None] = {start: None}
-    queue = deque([start])
-
-    def trace_to(pair: tuple[int, int]) -> tuple[tuple[Action, bool], ...]:
-        steps = []
-        link = parent[pair]
-        while link is not None:
-            prev, action, reply = link
-            steps.append((action, reply))
-            link = parent[prev]
-        return tuple(reversed(steps))
-
-    while queue:
-        pair = queue.popleft()
-        a = spec_p.rhs(pair[0])
-        b = spec_q.rhs(pair[1])
-        same_kind = (
-            (isinstance(a, Stop) and isinstance(b, Stop))
-            or (isinstance(a, Deadlock) and isinstance(b, Deadlock))
-            or (
-                isinstance(a, BranchRef)
-                and isinstance(b, BranchRef)
-                and a.action == b.action
-            )
-        )
-        if not same_kind:
-            return Witness(trace_to(pair), f"{_describe_rhs(a)} vs {_describe_rhs(b)}")
-        if isinstance(a, BranchRef):
-            assert isinstance(b, BranchRef)
-            for reply, nxt in ((True, (a.yes, b.yes)), (False, (a.no, b.no))):
-                if nxt not in parent:
-                    parent[nxt] = (pair, a.action, reply)
-                    queue.append(nxt)
-    return None
+    found = _first_difference(spec_p, spec_q, deadlock_below=False)
+    if found is None:
+        return None
+    pair, parent = found
+    steps = []
+    link = parent[pair]
+    while link is not None:
+        previous, action, reply = link
+        steps.append((action, reply))
+        link = parent[previous]
+    reason = f"{_describe_rhs(spec_p.rhs(pair[0]))} vs {_describe_rhs(spec_q.rhs(pair[1]))}"
+    return Witness(tuple(reversed(steps)), reason)
 
 
 @dataclass(frozen=True)
@@ -393,39 +373,6 @@ class Trace:
         lines = [f"{action} {'true' if reply else 'false'}" for action, reply in self.steps]
         lines.append(self.status)
         return "\n".join(lines)
-
-
-def simulate_thread(
-    spec: LinearSpec | FiniteThread, script: ReplyScript, max_steps: int = 1000
-) -> Trace:
-    """Run a thread from its root, consuming one scripted reply per branch
-    (true selects the left continuation). Ends with status ``S``, ``D``, or
-    ``cutoff`` when the script or the step budget runs out.
-
-    Accepts either a LinearSpec (unfolded on demand) or a finite thread tree.
-    """
-    if isinstance(spec, LinearSpec):
-        _require_valid(spec)
-        current: SpecRhs | FiniteThread = spec.rhs(spec.root)
-    else:
-        current = spec
-    steps: list[tuple[Action, bool]] = []
-    cursor = script.cursor
-    while True:
-        if isinstance(current, Stop):
-            return Trace(tuple(steps), STATUS_STOP)
-        if isinstance(current, Deadlock):
-            return Trace(tuple(steps), STATUS_DEADLOCK)
-        if len(steps) >= max_steps or cursor >= len(script.values):
-            return Trace(tuple(steps), STATUS_CUTOFF)
-        reply = script.values[cursor]
-        cursor += 1
-        if isinstance(current, BranchRef):
-            steps.append((current.action, reply))
-            current = spec.rhs(current.yes if reply else current.no)
-        else:
-            steps.append((current.action, reply))
-            current = current.yes if reply else current.no
 
 
 def explore(root, successors) -> LinearSpec:

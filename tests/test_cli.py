@@ -177,6 +177,23 @@ def test_simulate_binding_cannot_replace_loop_counter(capsys):
     assert code == 3 and out == "" and "rlc:3 is bound more than once" in err
 
 
+def test_extract_depth_counts_visible_actions_of_all_bindings(capsys):
+    # both counters are consumed in one pass, so neither c.inc nor d.inc
+    # counts toward the visible depth
+    code, out, _ = run(
+        capsys, "extract", "-e", "(a;c.inc;d.inc)^w",
+        "--bind", "c=counter()", "--bind", "d=counter()", "--depth", "3",
+    )
+    assert code == 0 and out.count("<a>") == 3
+
+
+def test_extract_negative_depth_is_an_input_error(capsys):
+    code, out, err = run(
+        capsys, "extract", "-e", "(a;c.inc)^w", "--bind", "c=counter()", "--depth", "-3"
+    )
+    assert code == 3 and out == "" and err.startswith("error:") and "depth" in err
+
+
 def test_extract_binding_cannot_replace_loop_counter(capsys):
     code, out, err = run(
         capsys, "extract", "-e", "(2x{;a;}x)^w", "--bind", "rlc:3=dc(init=0,max=0)"
@@ -323,8 +340,10 @@ def test_units_at_the_nesting_limit(capsys, argv):
 
 def test_budget_exhaustion_exit_code(capsys):
     # an increment loop never emits anything visible, so the silent-step
-    # budget runs out
-    code, _, err = run(
-        capsys, "extract", "-e", "(c.inc)^w", "--bind", "c=counter()", "--depth", "1"
-    )
-    assert code == 4 and "budget" in err
+    # budget runs out; the budget holds for each silent run and does not grow
+    # with the depth, so depth 1000 stops as soon as depth 1 does
+    for depth in ("1", "1000"):
+        code, _, err = run(
+            capsys, "extract", "-e", "(c.inc)^w", "--bind", "c=counter()", "--depth", depth
+        )
+        assert code == 4 and "budget" in err

@@ -33,6 +33,8 @@ from pgarl import (
     tree_equal,
 )
 
+from pgarl.services import _SilentSteps
+
 from genprograms import random_pgarl, random_spec
 
 a = Action("a")
@@ -153,7 +155,7 @@ def test_product_size_bound():
 # -- use operator, bounded ----------------------------------------------------
 
 def test_bounded_depth_zero_is_deadlock():
-    assert apply_use_bounded(counter_spec(), "c", full_counter(), 0) == DEADLOCK
+    assert apply_use_bounded(counter_spec(), (("c", full_counter()),), 0) == DEADLOCK
 
 
 def test_bounded_counter_law_inc():
@@ -166,9 +168,30 @@ def test_bounded_counter_law_inc():
                 for e in spec.equations
             ]
         )
-        left = apply_use_bounded(with_inc, "c", full_counter(n), 6)
-        right = apply_use_bounded(spec, "c", full_counter(n + 1), 6)
+        left = apply_use_bounded(with_inc, (("c", full_counter(n)),), 6)
+        right = apply_use_bounded(spec, (("c", full_counter(n + 1)),), 6)
         assert tree_equal(left, right)
+
+
+FOCI = ("p", "q", "r")
+
+
+def _focused_spec(rng):
+    """A random spec in which about half the branches request ``dec`` or
+    ``set:n`` (n up to 3) on one of the foci p, q and r."""
+
+    def request():
+        focus = rng.choice(FOCI)
+        if rng.random() < 0.5:
+            return Action("dec", focus=focus)
+        return Action("set", focus=focus, argument=rng.randint(0, 3))
+
+    equations = [
+        BranchRef(rhs.yes, request(), rhs.no)
+        if isinstance(rhs, BranchRef) and rng.random() < 0.5 else rhs
+        for rhs in random_spec(rng).equations
+    ]
+    return lin(*equations, root=rng.randint(1, len(equations)))
 
 
 def test_bounded_matches_finite_product():
@@ -177,20 +200,58 @@ def test_bounded_matches_finite_product():
         spec = random_spec(rng)
         svc = down_counter(rng.randint(0, 2), max=2)
         depth = rng.randint(0, 6)
-        bounded = apply_use_bounded(spec, "c", svc, depth)
+        bounded = apply_use_bounded(spec, (("c", svc),), depth)
         product = apply_use_finite(spec, "c", svc)
         assert tree_equal(bounded, pi(depth, product, product.root))
+    # one to three down counters on the foci the spec requests
+    consumed = 0
+    for _ in range(300):
+        spec = _focused_spec(rng)
+        bindings = tuple(
+            (focus, down_counter(rng.randint(0, 2), max=2)) for focus in FOCI[: rng.randint(1, 3)]
+        )
+        depth = rng.randint(0, 6)
+        bounded = apply_use_bounded(spec, bindings, depth)
+        product = apply_use(spec, bindings)
+        assert tree_equal(bounded, pi(depth, product, product.root))
+        consumed += product != spec
+    assert consumed > 150
+
+
+def test_bounded_consumes_every_binding_in_one_pass():
+    spec = extract_pgau(parse_canonical("(a;c.inc;d.inc)^w"))
+    bindings = (("c", full_counter()), ("d", full_counter()))
+    a_loop = lin(BranchRef(1, a, 1))
+    for depth in range(5):
+        assert tree_equal(apply_use_bounded(spec, bindings, depth), pi(depth, a_loop, 1))
+
+
+def test_bounded_rejects_negative_depth():
+    with pytest.raises(ValueError, match="natural number"):
+        apply_use_bounded(counter_spec(), (("c", full_counter()),), -1)
+
+
+def test_silent_run_limit_counts_consumed_steps():
+    # three increments, then a visible action: a limit of 3 lets the run
+    # reach it, a limit of 2 stops the run before its third step
+    spec = lin(BranchRef(2, c_inc, 2), BranchRef(3, c_inc, 3), BranchRef(4, c_inc, 4),
+               BranchRef(4, a, 4))
+    silent = _SilentSteps(spec, (("c", full_counter()),))
+    assert silent.resolve(spec.root, silent.initial, 3) == (4, (3,))
+    assert silent.resolve(spec.root, silent.initial) == (4, (3,))
+    with pytest.raises(DivergenceSuspected, match="within 2 consumed steps"):
+        silent.resolve(spec.root, silent.initial, 2)
 
 
 def test_bounded_budget_exhaustion():
     inc_forever = lin(BranchRef(1, c_inc, 1))
     with pytest.raises(DivergenceSuspected):
-        apply_use_bounded(inc_forever, "c", full_counter(), 1)
+        apply_use_bounded(inc_forever, (("c", full_counter()),), 1)
 
 
 def test_bounded_silent_cycle_is_deadlock():
     dec_forever = lin(BranchRef(1, c_dec, 1))
-    assert apply_use_bounded(dec_forever, "c", down_counter(0, max=1), 5) == DEADLOCK
+    assert apply_use_bounded(dec_forever, (("c", down_counter(0, max=1)),), 5) == DEADLOCK
 
 
 # -- the irregular counter thread ----------------------------------------------
@@ -208,7 +269,7 @@ def test_counter_thread_trace_family():
 def test_counter_thread_bounded_tree():
     from pgarl import simulate_thread
 
-    thread = apply_use_bounded(counter_spec(), "c", full_counter(), 8)
+    thread = apply_use_bounded(counter_spec(), (("c", full_counter()),), 8)
     script = ReplyScript.from_text("TTFTT")
     # simulate accepts the finite tree directly and its spec-ified form
     for shape in (thread, thread_to_spec(thread)):
@@ -230,7 +291,7 @@ def test_counter_law_inc_chain_feeds_dec_loop():
             STOP,
         ]
         spec = lin(*eqs)
-        tree = apply_use_bounded(spec, "c", full_counter(), n + 2)
+        tree = apply_use_bounded(spec, (("c", full_counter()),), n + 2)
         expected = stop_tree
         for _ in range(n):
             expected = prefixed(b, expected)

@@ -277,10 +277,140 @@ def test_iterative_walks_match_recursive_oracles():
 
 def test_walks_on_a_thread_3000_deep():
     spec = extract_pgau(parse_canonical("(a;c.inc)^w"))
-    thread = apply_use_bounded(spec, "c", full_counter(), 3000)
-    again = apply_use_bounded(spec, "c", full_counter(), 3000)
+    thread = apply_use_bounded(spec, (("c", full_counter()),), 3000)
+    again = apply_use_bounded(spec, (("c", full_counter()),), 3000)
     half = pi_thread(1500, thread)
     assert tree_equal(pi_thread(3000, thread), thread)
     assert tree_equal(thread, again) and not tree_equal(thread, half)
     assert finite_leq(half, thread) and not finite_leq(thread, half)
-    assert tree_equal(half, apply_use_bounded(spec, "c", full_counter(), 1500))
+    assert tree_equal(half, apply_use_bounded(spec, (("c", full_counter()),), 1500))
+
+
+# -- the replaced equality walks and scripted run, kept as oracles ---------------
+
+def _synchronized_walk(spec_p, spec_q, deadlock_below):
+    seen = set()
+    stack = [(spec_p.root, spec_q.root)]
+    while stack:
+        pair = stack.pop()
+        if pair in seen:
+            continue
+        seen.add(pair)
+        x = spec_p.rhs(pair[0])
+        y = spec_q.rhs(pair[1])
+        if isinstance(x, BranchRef):
+            if not isinstance(y, BranchRef) or x.action != y.action:
+                return False
+            stack.append((x.yes, y.yes))
+            stack.append((x.no, y.no))
+        elif type(x) is not type(y) and not (deadlock_below and x == DEADLOCK):
+            return False
+    return True
+
+
+def _describe(rhs):
+    return "S" if rhs == STOP else "D" if rhs == DEADLOCK else f"action {rhs.action}"
+
+
+def _bfs_distinguish(spec_p, spec_q):
+    start = (spec_p.root, spec_q.root)
+    parent = {start: None}
+    queue = [start]
+    for pair in queue:
+        x = spec_p.rhs(pair[0])
+        y = spec_q.rhs(pair[1])
+        same_kind = (
+            (x == STOP and y == STOP)
+            or (x == DEADLOCK and y == DEADLOCK)
+            or (isinstance(x, BranchRef) and isinstance(y, BranchRef) and x.action == y.action)
+        )
+        if not same_kind:
+            steps = []
+            link = parent[pair]
+            while link is not None:
+                prev, action, reply = link
+                steps.append((action, reply))
+                link = parent[prev]
+            return tuple(reversed(steps)), f"{_describe(x)} vs {_describe(y)}"
+        if isinstance(x, BranchRef):
+            for reply, nxt in ((True, (x.yes, y.yes)), (False, (x.no, y.no))):
+                if nxt not in parent:
+                    parent[nxt] = (pair, x.action, reply)
+                    queue.append(nxt)
+    return None
+
+
+def _scripted_run(spec, script, max_steps=1000):
+    current = spec.rhs(spec.root) if isinstance(spec, LinearSpec) else spec
+    steps = []
+    cursor = script.cursor
+    while True:
+        if current == STOP:
+            return steps, "S"
+        if current == DEADLOCK:
+            return steps, "D"
+        if len(steps) >= max_steps or cursor >= len(script.values):
+            return steps, "cutoff"
+        reply = script.values[cursor]
+        cursor += 1
+        steps.append((current.action, reply))
+        target = current.yes if reply else current.no
+        current = spec.rhs(target) if isinstance(spec, LinearSpec) else target
+
+
+def _check_pair_walks(p, q):
+    assert refines(p, q) == _synchronized_walk(p, q, deadlock_below=True)
+    assert thread_equal(p, q) == _synchronized_walk(p, q, deadlock_below=False)
+    witness = distinguish(p, q)
+    expected = _bfs_distinguish(p, q)
+    assert (None if witness is None else (witness.steps, witness.reason)) == expected
+
+
+@given(specs, specs)
+def test_pair_walk_matches_replaced_walks(p, q):
+    for x, y in ((p, q), (q, p), (p, p)):
+        _check_pair_walks(x, y)
+
+
+def _corpus_specs():
+    rng = random.Random(20260808)
+    for i in range(500):
+        program = random_pgarl(rng, shape=("omega", "finite", "mixed")[i % 3])
+        yield defining_thread(program), extract_pga(project_pure(program))
+
+
+def test_pair_walk_matches_replaced_walks_on_corpus():
+    previous = None
+    outcomes = set()
+    for defining, pure in _corpus_specs():
+        for other in (pure, previous):
+            if other is not None:
+                for x, y in ((defining, other), (other, defining)):
+                    _check_pair_walks(x, y)
+                    outcomes.add((refines(x, y), thread_equal(x, y)))
+        previous = pure
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def _check_scripted_run(spec, script, max_steps):
+    trace = simulate_thread(spec, script, max_steps)
+    assert (list(trace.steps), trace.status) == _scripted_run(spec, script, max_steps)
+
+
+@given(specs, st.lists(st.booleans(), max_size=12), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=12))
+def test_scripted_run_matches_replaced_loop(spec, replies, cursor, max_steps):
+    script = ReplyScript(tuple(replies), min(cursor, len(replies)))
+    _check_scripted_run(spec, script, max_steps)
+    _check_scripted_run(pi(6, spec, spec.root), script, max_steps)
+
+
+def test_scripted_run_matches_replaced_loop_on_corpus():
+    rng = random.Random(20260808)
+    statuses = set()
+    for defining, pure in _corpus_specs():
+        script = ReplyScript(tuple(rng.random() < 0.5 for _ in range(rng.randint(0, 30))))
+        for spec in (defining, pure, pi(8, pure, pure.root)):
+            _check_scripted_run(spec, script, 20)
+            statuses.add(simulate_thread(spec, script, 20).status)
+    assert statuses == {"S", "D", "cutoff"}
