@@ -1,13 +1,15 @@
 """Command-line surface.
 
 Exit codes: 0 success (or: equivalent), 1 not equivalent, 2 parse error,
-3 well-formedness error, 4 internal budget exhaustion.
+3 well-formedness error, 4 internal budget exhaustion. A reader that closes
+standard output early (``| head -1``) ends the command quietly with 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .extraction import extract_pgau
@@ -332,11 +334,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_expr(argv: list[str]) -> list[str]:
+    """``-e TEXT`` and ``--expr TEXT`` as ``--expr=TEXT``, so that TEXT may
+    start with ``-`` (a negative test) without argparse taking it for an
+    option. Arguments after ``--`` stay as they are."""
+    out: list[str] = []
+    rest = iter(argv)
+    for arg in rest:
+        if arg == "--":
+            return out + [arg, *rest]
+        if arg in ("-e", "--expr"):
+            text = next(rest, None)
+            arg = arg if text is None else f"--expr={text}"
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_expr(sys.argv[1:] if argv is None else argv))
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader took what it wanted; later writes and the flush at exit
+        # go to the null device, so no traceback follows
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

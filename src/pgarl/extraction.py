@@ -1,13 +1,18 @@
 """From instruction sequences to threads and back.
 
-Extraction evaluates a canonical program position by position: halts map to
-termination, falling off the end or an unreachable jump target to deadlock,
-tests to branches, and jump chains are resolved (a chain that revisits a
-position without performing an action is deadlock). Units count as a single
-instruction for outside jump counting; execution enters a unit at its first
-instruction, a jump issued inside a unit counts the remaining inner
-instructions individually and then whole outer instructions, and falling off
-a unit's end continues after it.
+Extraction first lays a canonical program out as a flat table: its
+executable instructions numbered 0..n-1 in program order, descending into
+units, each with its unit level and its slot there, and each level with its
+length and its slot in the level above. One pass builds the table and rejects
+rigid-loop and annotated instructions. Halts map to termination, falling off
+the end or an unreachable jump target to deadlock, tests to branches. Units
+count as a single instruction for outside jump counting; execution enters a
+unit at its first instruction, a jump issued inside a unit counts the
+remaining inner instructions individually and then whole outer instructions
+(climbing the level records), and falling off a unit's end continues after
+it. Each jump chain is resolved once and remembered; a chain that revisits an
+instruction without performing an action is deadlock. The thread is then
+explored over instruction numbers.
 
 Synthesis goes the other way: every regular thread is laid out as a repeated
 program with one test-jump-jump triple per branch equation and one
@@ -32,7 +37,6 @@ from .program import (
     ProgramError,
     Unit,
     has_units,
-    program_instructions,
 )
 from .threads import (
     DEADLOCK,
@@ -46,130 +50,92 @@ from .threads import (
     thread_equal,
 )
 
-Position = tuple[int, tuple[int, ...]]
-
-
-def _reject_rigid(program: CanonicalProgram) -> None:
-    for ins in program_instructions(program):
-        if isinstance(ins, (LoopHeader, LoopClose, AnnClose, AnnJump)):
-            raise ProgramError(
-                "cannot extract a program containing rigid loop or annotated "
-                "instructions; project it first"
-            )
-
-
-class _Walker:
-    """Position arithmetic over a canonical program, unit-aware.
-
-    A position is (outer, path): the 1-based outer slot (prefix then body,
-    wrapping inside the body) plus offsets into nested unit bodies.
-    """
-
-    def __init__(self, program: CanonicalProgram):
-        self.prefix = program.prefix
-        self.body = program.body or ()
-        self.plen = len(self.prefix)
-        self.blen = len(self.body)
-
-    def outer_norm(self, p: int) -> int | None:
-        if p <= self.plen:
-            return p
-        if self.blen:
-            return self.plen + ((p - self.plen - 1) % self.blen) + 1
-        return None
-
-    def outer_instruction(self, p: int) -> Instruction:
-        if p <= self.plen:
-            return self.prefix[p - 1]
-        return self.body[p - self.plen - 1]
-
-    def at(self, pos: Position) -> Instruction:
-        ins = self.outer_instruction(pos[0])
-        for off in pos[1]:
-            assert isinstance(ins, Unit)
-            ins = ins.body[off - 1]
-        return ins
-
-    def _enter(self, pos: Position) -> Position:
-        outer, path = pos
-        ins = self.at(pos)
-        while isinstance(ins, Unit):
-            path = path + (1,)
-            ins = ins.body[0]
-        return (outer, path)
-
-    def start(self) -> Position | None:
-        first = self.outer_norm(1)
-        if first is None:
-            return None
-        return self._enter((first, ()))
-
-    def advance(self, pos: Position, distance: int) -> Position | None:
-        """The position ``distance`` slots further, or None past the end.
-        Inside a unit the remaining inner instructions count one by one;
-        every outer instruction (units included) counts as a single slot."""
-        outer, path = pos
-        if distance == 0:
-            return pos
-        chain = []
-        ins = self.outer_instruction(outer)
-        for off in path:
-            chain.append(ins.body)  # type: ignore[union-attr]
-            ins = ins.body[off - 1]  # type: ignore[union-attr]
-        offsets = list(path)
-        while offsets:
-            containing = chain[len(offsets) - 1]
-            remaining = len(containing) - offsets[-1]
-            if distance <= remaining:
-                offsets[-1] += distance
-                return self._enter((outer, tuple(offsets)))
-            distance -= remaining
-            offsets.pop()
-        landing = self.outer_norm(outer + distance)
-        if landing is None:
-            return None
-        return self._enter((landing, ()))
-
-    def resolve(self, pos: Position | None):
-        """Follow jump chains from ``pos``; returns STOP, DEADLOCK or the
-        position of an action instruction."""
-        seen: set[Position] = set()
-        while True:
-            if pos is None or pos in seen:
-                return DEADLOCK
-            seen.add(pos)
-            ins = self.at(pos)
-            if isinstance(ins, Halt):
-                return STOP
-            if isinstance(ins, Jump):
-                if ins.distance == 0:
-                    return DEADLOCK
-                pos = self.advance(pos, ins.distance)
-                continue
-            return pos
+_RIGID = (LoopHeader, LoopClose, AnnClose, AnnJump)
 
 
 def _extract(program: CanonicalProgram, allow_units: bool) -> LinearSpec:
-    _reject_rigid(program)
-    if not allow_units and has_units(program):
+    # The flat table: ``table[i]`` is the i-th executable instruction in
+    # program order, units descended into, and ``where[i]`` its (level, slot).
+    # Level 0 is the outer sequence; ``levels[v]`` is (the first instruction
+    # of each slot, the parent level, the slot the unit takes in it).
+    outer = program.prefix + (program.body or ())
+    plen, blen = len(program.prefix), len(outer) - len(program.prefix)
+    table: list[Instruction] = []
+    where: list[tuple[int, int]] = []
+    levels = [([0] * len(outer), 0, 0)]
+    # resolved jump chains, seeded with the instructions that end one
+    resolved: dict[int, object] = {}
+    stack = [(0, iter(enumerate(outer)))]  # explicit, so the table has no cycle
+    while stack:
+        level, items = stack[-1]
+        for slot, ins in items:
+            levels[level][0][slot] = len(table)
+            if isinstance(ins, Unit):
+                levels.append(([0] * len(ins.body), level, slot))
+                stack.append((len(levels) - 1, iter(enumerate(ins.body))))
+                break
+            if isinstance(ins, _RIGID):
+                raise ProgramError(
+                    "cannot extract a program containing rigid loop or annotated "
+                    "instructions; project it first"
+                )
+            if isinstance(ins, Halt):
+                resolved[len(table)] = STOP
+            elif not isinstance(ins, Jump):
+                resolved[len(table)] = len(table)
+            elif not ins.distance:
+                resolved[len(table)] = DEADLOCK
+            table.append(ins)
+            where.append((level, slot))
+        else:
+            stack.pop()
+    if not allow_units and len(levels) > 1:
         raise ProgramError("program contains unit instructions; use the unit-aware extraction")
-    if len(program) == 0:
-        return LinearSpec((DEADLOCK,), 1)
-    walker = _Walker(program)
 
-    def successors(pos: Position):
-        ins = walker.at(pos)
-        after = walker.resolve(walker.advance(pos, 1))
+    def advance(i: int, distance: int) -> int | None:
+        """The instruction ``distance`` slots after i, or None past the end.
+        Inside a unit the remaining inner slots count one by one, then the
+        unit's own slot in the level above counts as one."""
+        level, slot = where[i]
+        while level:
+            starts, up, up_slot = levels[level]
+            if slot + distance < len(starts):
+                return starts[slot + distance]
+            distance -= len(starts) - 1 - slot
+            level, slot = up, up_slot
+        slot += distance
+        if slot >= plen:
+            if not blen:
+                return None
+            slot = plen + (slot - plen) % blen
+        return levels[0][0][slot]
+
+    def resolve(i: int | None):
+        """STOP, DEADLOCK or the action instruction the jump chain from i
+        reaches; a chain that revisits an instruction is deadlock."""
+        chain = []
+        while i is not None and i not in resolved:
+            resolved[i] = DEADLOCK  # until the chain ends: a revisit is a cycle
+            chain.append(i)
+            i = advance(i, table[i].distance)  # type: ignore[attr-defined]
+        end = DEADLOCK if i is None else resolved[i]
+        for j in chain:
+            resolved[j] = end
+        return end
+
+    def successors(i: int):
+        ins = table[i]
+        after = resolve(advance(i, 1))
         if isinstance(ins, Basic):
             return ins.action, after, after
-        skip = walker.resolve(walker.advance(pos, 2))
+        skip = resolve(advance(i, 2))
         if isinstance(ins, PosTest):
             return ins.action, after, skip
         if isinstance(ins, NegTest):
             return ins.action, skip, after
         raise AssertionError(f"unresolved instruction {ins!r}")
 
-    return explore(walker.resolve(walker.start()), successors)
+    return explore(resolve(0) if table else DEADLOCK, successors)
 
 
 def extract_pga(program: CanonicalProgram) -> LinearSpec:

@@ -9,13 +9,14 @@ leave a loop, and binds one counter service per closure position. The pure
 projection instead unrolls every loop into plain instructions, which is
 behaviorally equivalent but blows the program up combinatorially.
 
-Both projections read the repeated body with normalized jumps. The pure
-projection is built in time linear in its output by two passes over the
-source: a layout pass that places the first instance of every instruction
-and so gives the output length in closed form (``size_report`` uses it
-without building anything), and an emission pass that repeats each loop's
-finished block and shortens the jumps that leave it, one block per
-iteration.
+Both projections read the repeated body with normalized jumps, and with the
+repetition boundary moved forward past any loop that the first canonical
+form split between the prefix and the body. The pure projection is built in
+time linear in its output by two passes over the source: a layout pass that
+places the first instance of every instruction and so gives the output
+length in closed form (``size_report`` uses it without building anything),
+and an emission pass that repeats each loop's finished block and shortens the
+jumps that leave it, one block per iteration.
 """
 
 from __future__ import annotations
@@ -79,6 +80,28 @@ def _match_loops(instructions) -> tuple[dict[int, int], list[int], list[int]]:
     return pairs, stack, lonely_closures
 
 
+def _unsplit_loops(program: CanonicalProgram) -> CanonicalProgram:
+    """The same instruction sequence with no matched loop that has its header
+    in the prefix and its closure in the repeated body.
+
+    ``canonicalize`` absorbs a suffix of the prefix into the body by rotation,
+    which can move a closure past the boundary. This undoes it: the boundary
+    moves forward one instruction at a time, X;(Y;Z)^w to X;Y;(Z;Y)^w, at most
+    once per body instruction. A program whose loops stay split after that
+    (its body's brackets do not balance within one period) is returned as
+    given.
+    """
+    prefix, body = program.prefix, program.body
+    if not prefix or not body:
+        return program
+    for _ in range(len(body) + 1):
+        pairs, _, _ = _match_loops(prefix + body)
+        if all(header > len(prefix) or close <= len(prefix) for close, header in pairs.items()):
+            return CanonicalProgram(prefix, body)
+        prefix, body = prefix + body[:1], body[1:] + body[:1]
+    return program
+
+
 def validate_pgarl(program: CanonicalProgram) -> list[Diagnostic]:
     """Check the projection restrictions. Errors block projection; lonely
     headers and closures are legal (they act as skips) and only warn."""
@@ -92,7 +115,7 @@ def validate_pgarl(program: CanonicalProgram) -> list[Diagnostic]:
                     "error", pos, "annotated instruction in a source program"
                 )
             )
-    pairs, lonely_headers, lonely_closures = _match_loops(flat)
+    _, lonely_headers, lonely_closures = _match_loops(flat)
     for pos in lonely_headers:
         out.append(
             Diagnostic("warning", pos, "loop header has no matching closure; acts as a skip")
@@ -101,15 +124,6 @@ def validate_pgarl(program: CanonicalProgram) -> list[Diagnostic]:
         out.append(
             Diagnostic("warning", pos, "loop closure has no matching header; acts as a skip")
         )
-    for close_pos, header_pos in pairs.items():
-        if header_pos <= plen < close_pos:
-            out.append(
-                Diagnostic(
-                    "warning",
-                    header_pos,
-                    "loop spans the repetition boundary; the pure projection rejects this",
-                )
-            )
     if program.body:
         k = len(program.body)
         for offset, ins in enumerate(normalize_jumps(program.body), 1):
@@ -264,7 +278,8 @@ def project_counter(program: CanonicalProgram, xi_tail: str = "derived") -> Proj
     closure, followed by the repeated body with headers turned into skips,
     closures into counter-driving units, and annotated jumps into units that
     reset the counters of every loop they leave. Each closure position gets
-    its own down-counter binding.
+    its own down-counter binding. A loop that the canonical form split across
+    the prefix/repetition boundary is made whole first (:func:`_unsplit_loops`).
 
     ``xi_tail`` names the wrap-back distance of :func:`_omega_form`; only
     ``"derived"`` exists, and any other value raises ValueError.
@@ -274,7 +289,7 @@ def project_counter(program: CanonicalProgram, xi_tail: str = "derived") -> Proj
     require_well_formed(program)
     if not has_rigid(program):
         return ProjectedProgram(program, ())
-    body = normalize_jumps(_omega_form(program))
+    body = normalize_jumps(_omega_form(_unsplit_loops(program)))
     annotated = annotate(body, cyclic=True)
     closures = [
         (pos, ins.remaining) for pos, ins in enumerate(annotated, 1) if isinstance(ins, AnnClose)
@@ -329,6 +344,7 @@ def _pure_layout(program: CanonicalProgram) -> _PureLayout:
     c whose body expands to L instructions takes c blocks of L + 2 (one skip
     per bracket), and its iteration i sits i blocks after the first."""
     require_well_formed(program)
+    program = _unsplit_loops(program)
     source = list(program.prefix)
     plen = len(source)
     if program.body:
@@ -357,9 +373,11 @@ def _pure_layout(program: CanonicalProgram) -> _PureLayout:
 def project_pure(program: CanonicalProgram) -> CanonicalProgram:
     """Remove every rigid loop by unrolling it: a loop of count c becomes c
     copies of its expanded body, each between two skips that replace the
-    brackets. Lonely headers and closures become skips; loops spanning the
-    prefix/repetition boundary are rejected. The repeated body's jumps are
-    normalized first, as in the counter projection.
+    brackets. Lonely headers and closures become skips. A loop that the
+    canonical form split across the prefix/repetition boundary is first made
+    whole again by moving the boundary (:func:`_unsplit_loops`); one that
+    stays split is rejected. The repeated body's jumps are normalized first,
+    as in the counter projection.
 
     Two linear passes build the result. The layout pass (:func:`_pure_layout`)
     places the first instance of every source instruction and gives the

@@ -1,7 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pgarl
 from pgarl.cli import main
 
 FIRST = "(3x{;a;b;4x{;c;}x;d;}x;e)^w"
@@ -347,3 +356,99 @@ def test_budget_exhaustion_exit_code(capsys):
             capsys, "extract", "-e", "(c.inc)^w", "--bind", "c=counter()", "--depth", depth
         )
         assert code == 4 and "budget" in err
+
+
+NEGATIVE_FIRST = "-b;(-d;c)^w"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("parse",), ("normalize",), ("annotate",), ("project",), ("extract",),
+        ("equiv", "-e", "-b;(-d;c)^w"), ("simulate",), ("stats",),
+    ],
+)
+def test_expr_text_may_start_with_minus(capsys, argv):
+    # a program that starts with a negative test reads the same after -e,
+    # after --expr, and attached with --expr=
+    expected = run(capsys, *argv, f"--expr={NEGATIVE_FIRST}")
+    assert "expected one argument" not in expected[2]
+    assert run(capsys, *argv, "-e", NEGATIVE_FIRST) == expected
+    assert run(capsys, *argv, "--expr", NEGATIVE_FIRST) == expected
+
+
+def test_closed_stdout_exits_quietly():
+    # the read end is closed before the command starts, so its first write
+    # to stdout fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(pgarl.__file__).parents[1]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pgarl.cli", "parse", "-e", NEGATIVE_FIRST],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
+_TOKENS = st.sampled_from(
+    ("a", "b", "+a", "-b", "-d.dec", "+d.inc", "!", "#0", "#1", "#2", "#5",
+     "2x{", "1x{", "}x", "u(a;#2)", "u(-b;u(a))", "2x{;a;}x")
+)
+_MALFORMED = st.sampled_from(("#", "x", "(", ")^w", "0x{", "u()"))
+_BINDINGS = st.sampled_from(
+    ("d=dc(init=1,max=2)", "d=dc()", "c=counter()", "c=counter(init=2)", "rlc:1=dc()",
+     "x=", "=dc()", "d=dc(foo=1)", "d=dc(init=z)", "d=dc(init=3,max=1)", "d=spin()")
+)
+
+
+@st.composite
+def _programs(draw):
+    tokens = draw(st.lists(_TOKENS, min_size=0, max_size=8))
+    if draw(st.integers(min_value=0, max_value=7)) == 0:
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(_MALFORMED))
+    cut = draw(st.integers(min_value=0, max_value=len(tokens)))
+    head, tail = ";".join(tokens[:cut]), ";".join(tokens[cut:])
+    if tail and draw(st.booleans()):
+        tail = f"({tail})^w"
+    return ";".join(part for part in (head, tail) if part)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(
+        ("parse", "normalize", "annotate", "project", "extract", "equiv", "simulate", "stats")
+    ))
+    argv = [command]
+    for _ in range(2 if command == "equiv" else 1):
+        argv += ["-e", draw(_programs())]
+    if draw(st.booleans()):
+        argv.append(draw(st.sampled_from(("--format=json", "--format=text"))))
+    if command == "project":
+        argv.append(draw(st.sampled_from(("--mode=counter", "--mode=pure"))))
+    if command in ("extract", "equiv"):
+        argv.append(draw(st.sampled_from(("--via=defining", "--via=pure"))))
+    if command in ("extract", "simulate"):
+        for binding in draw(st.lists(_BINDINGS, max_size=2)):
+            argv += ["--bind", binding]
+    if command == "extract" and draw(st.booleans()):
+        argv += ["--depth", str(draw(st.integers(min_value=-2, max_value=6)))]
+    if command == "simulate":
+        argv += ["--replies", draw(st.sampled_from(("", "TF", "110", "TTFx")))]
+        argv += ["--max-steps", str(draw(st.integers(min_value=-1, max_value=20)))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argvs())
+def test_every_argv_gets_an_exit_code(argv):
+    # the counter() bindings name a focus the programs never use, so no
+    # silent run can take the 10^6 steps that end in exit 4
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in range(5), argv

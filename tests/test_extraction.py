@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -6,13 +7,20 @@ from hypothesis import strategies as st
 
 from pgarl import (
     Action,
+    AnnClose,
+    AnnJump,
     Basic,
     BranchRef,
     CanonicalProgram,
     DEADLOCK,
     HALT,
+    Halt,
     Jump,
     LinearSpec,
+    LoopClose,
+    LoopHeader,
+    NegTest,
+    PosTest,
     ProgramError,
     STOP,
     Unit,
@@ -21,14 +29,20 @@ from pgarl import (
     extract_pga,
     extract_pgau,
     format_program,
+    format_spec,
     has_units,
     parse_canonical,
     pgau2pga,
+    project_counter,
+    project_pure,
     synthesize,
     thread_equal,
 )
+from pgarl.parser import UNIT_NESTING_LIMIT
+from pgarl.program import program_instructions
+from pgarl.threads import explore
 
-from genprograms import random_pga, random_spec
+from genprograms import random_pga, random_pgarl, random_spec
 
 a, b, c, d, e = (Action(n) for n in "abcde")
 
@@ -282,3 +296,231 @@ def test_unit_inlining_coherence(seed):
     with_unit = CanonicalProgram(tuple(base[:at] + [Unit(inner)] + base[at:] + tail), None)
     spliced = _splice_unit(with_unit)
     assert thread_equal(extract_pgau(with_unit), extract_pga(spliced))
+
+
+# -- the flat table against the position walker it replaced -------------------
+
+def _oracle_reject_rigid(program):
+    for ins in program_instructions(program):
+        if isinstance(ins, (LoopHeader, LoopClose, AnnClose, AnnJump)):
+            raise ProgramError(
+                "cannot extract a program containing rigid loop or annotated "
+                "instructions; project it first"
+            )
+
+
+class _OracleWalker:
+    """Position arithmetic over a canonical program, unit-aware.
+
+    A position is (outer, path): the 1-based outer slot (prefix then body,
+    wrapping inside the body) plus offsets into nested unit bodies.
+    """
+
+    def __init__(self, program):
+        self.prefix = program.prefix
+        self.body = program.body or ()
+        self.plen = len(self.prefix)
+        self.blen = len(self.body)
+
+    def outer_norm(self, p):
+        if p <= self.plen:
+            return p
+        if self.blen:
+            return self.plen + ((p - self.plen - 1) % self.blen) + 1
+        return None
+
+    def outer_instruction(self, p):
+        if p <= self.plen:
+            return self.prefix[p - 1]
+        return self.body[p - self.plen - 1]
+
+    def at(self, pos):
+        ins = self.outer_instruction(pos[0])
+        for off in pos[1]:
+            assert isinstance(ins, Unit)
+            ins = ins.body[off - 1]
+        return ins
+
+    def _enter(self, pos):
+        outer, path = pos
+        ins = self.at(pos)
+        while isinstance(ins, Unit):
+            path = path + (1,)
+            ins = ins.body[0]
+        return (outer, path)
+
+    def start(self):
+        first = self.outer_norm(1)
+        if first is None:
+            return None
+        return self._enter((first, ()))
+
+    def advance(self, pos, distance):
+        outer, path = pos
+        if distance == 0:
+            return pos
+        chain = []
+        ins = self.outer_instruction(outer)
+        for off in path:
+            chain.append(ins.body)
+            ins = ins.body[off - 1]
+        offsets = list(path)
+        while offsets:
+            containing = chain[len(offsets) - 1]
+            remaining = len(containing) - offsets[-1]
+            if distance <= remaining:
+                offsets[-1] += distance
+                return self._enter((outer, tuple(offsets)))
+            distance -= remaining
+            offsets.pop()
+        landing = self.outer_norm(outer + distance)
+        if landing is None:
+            return None
+        return self._enter((landing, ()))
+
+    def resolve(self, pos):
+        seen = set()
+        while True:
+            if pos is None or pos in seen:
+                return DEADLOCK
+            seen.add(pos)
+            ins = self.at(pos)
+            if isinstance(ins, Halt):
+                return STOP
+            if isinstance(ins, Jump):
+                if ins.distance == 0:
+                    return DEADLOCK
+                pos = self.advance(pos, ins.distance)
+                continue
+            return pos
+
+
+def _oracle_extract(program, allow_units):
+    _oracle_reject_rigid(program)
+    if not allow_units and has_units(program):
+        raise ProgramError("program contains unit instructions; use the unit-aware extraction")
+    if len(program) == 0:
+        return LinearSpec((DEADLOCK,), 1)
+    walker = _OracleWalker(program)
+
+    def successors(pos):
+        ins = walker.at(pos)
+        after = walker.resolve(walker.advance(pos, 1))
+        if isinstance(ins, Basic):
+            return ins.action, after, after
+        skip = walker.resolve(walker.advance(pos, 2))
+        if isinstance(ins, PosTest):
+            return ins.action, after, skip
+        if isinstance(ins, NegTest):
+            return ins.action, skip, after
+        raise AssertionError(f"unresolved instruction {ins!r}")
+
+    return explore(walker.resolve(walker.start()), successors)
+
+
+def _outcome(extract, program):
+    """The formatted thread, or the error's type and message."""
+    try:
+        return format_spec(extract(program))
+    except ProgramError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_matches_walker(program):
+    assert _outcome(extract_pgau, program) == _outcome(
+        lambda p: _oracle_extract(p, allow_units=True), program
+    ), format_program(program)
+    assert _outcome(extract_pga, program) == _outcome(
+        lambda p: _oracle_extract(p, allow_units=False), program
+    ), format_program(program)
+
+
+def test_flat_table_matches_walker_on_soundness_corpus():
+    rng = random.Random(20260808)
+    shapes = ("omega", "finite", "mixed")
+    for i in range(500):
+        program = random_pgarl(rng, shape=shapes[i % 3])
+        _assert_matches_walker(program)
+        _assert_matches_walker(project_counter(program).program)
+        _assert_matches_walker(project_pure(program))
+
+
+def test_flat_table_matches_walker_on_random_pga():
+    rng = random.Random(5)
+    for _ in range(2000):
+        _assert_matches_walker(canonical(rng))
+
+
+_ACTIONS = (Basic(a), Basic(b), Basic(c), PosTest(a), PosTest(b), NegTest(a), NegTest(b))
+_ANNOTATED = (AnnClose(1, 2), AnnJump(3, ((2, 1),)))  # units may hold these
+_BRACKETS = (LoopHeader(2), LoopClose())  # but not these
+
+
+def _plain(rng, rigid=()):
+    """A jump (one in four, reaching up to 12 ahead), a halt, an action, or
+    now and then one of ``rigid``."""
+    roll = rng.random()
+    if roll < 0.25:
+        return Jump(rng.randint(0, 12))
+    if roll < 0.3:
+        return HALT
+    if rigid and roll < 0.35:
+        return rng.choice(rigid)
+    return rng.choice(_ACTIONS)
+
+
+def _random_unit(rng, depth, rigid=()):
+    """A unit nested ``depth`` deep, with a few instructions around each level."""
+    def fill(low, high):
+        return tuple(_plain(rng, rigid) for _ in range(rng.randint(low, high)))
+
+    unit = Unit(fill(1, 3))
+    for _ in range(depth - 1):
+        unit = Unit(fill(0, 2) + (unit,) + fill(0, 2))
+    return unit
+
+
+@st.composite
+def _unit_programs(draw):
+    """Prefix-only, body-only and mixed programs of plain instructions and
+    units nested up to ``UNIT_NESTING_LIMIT`` deep, with jumps reaching past
+    the end; one in ten also has rigid and annotated ones, to compare the
+    errors."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    inner = _ANNOTATED if rng.random() < 0.1 else ()
+    outer = inner + _BRACKETS if inner else ()
+    depths = st.integers(min_value=1, max_value=UNIT_NESTING_LIMIT)
+
+    def items(min_size):
+        count = draw(st.integers(min_value=min_size, max_value=6))
+        return tuple(
+            _random_unit(rng, draw(depths), inner) if rng.random() < 0.3 else _plain(rng, outer)
+            for _ in range(count)
+        )
+
+    shape = draw(st.sampled_from(("prefix", "body", "mixed")))
+    prefix = () if shape == "body" else items(0)
+    body = None if shape == "prefix" else items(1)
+    return CanonicalProgram(prefix, body)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_unit_programs())
+def test_flat_table_matches_walker_on_nested_units(program):
+    _assert_matches_walker(program)
+
+
+def test_extraction_leaves_no_garbage_cycles():
+    # the table is freed by reference counting alone, so repeated calls on
+    # large programs do not pile up until a collection
+    pure = project_pure(parse_canonical("(24x{;24x{;a;}x;b;}x)^w"))
+    counter = project_counter(parse_canonical("(3x{;a;b;4x{;c;}x;d;}x;e)^w")).program
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            extract_pgau(pure)
+            extract_pgau(counter)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -20,6 +20,7 @@ from pgarl import (
     WellFormednessError,
     annotate,
     apply_bindings,
+    canonicalize,
     defining_thread,
     extract_pga,
     extract_pgau,
@@ -285,9 +286,14 @@ def test_pure_second_example_sound():
 
 
 def test_pure_rejects_boundary_spanning_loop():
+    # canonicalize split this loop across the boundary; both projections
+    # move the boundary back past its closure and agree
     program = parse_canonical("2x{;a;(b;}x;c)^w")
+    assert thread_equal(extract_pga(project_pure(program)), defining_thread(program))
+    # no rotation of a body whose brackets do not balance within one period
+    # makes this loop whole
     with pytest.raises(ProgramError):
-        project_pure(program)
+        project_pure(parse_canonical("2x{;2x{;(}x)^w"))
 
 
 def test_pure_output_has_no_rigid_instructions():
@@ -424,6 +430,17 @@ def _stretched(rng, program, body_limit):
 
     body = redraw(program.body, body_limit) if program.body else None
     return CanonicalProgram(redraw(program.prefix, 3 * len(program)), body)
+
+
+def test_written_and_canonical_forms_share_one_meaning():
+    # canonicalize can split a loop across the repetition boundary; the form
+    # as written, its canonical form and the canonical form's pure projection
+    # still give one thread
+    for program in _soundness_corpus():
+        canonical = canonicalize(parse_program(format_program(program)))
+        expected = defining_thread(program)
+        assert thread_equal(defining_thread(canonical), expected), format_program(program)
+        assert thread_equal(extract_pgau(project_pure(canonical)), expected)
 
 
 def test_pure_matches_unrolling_oracle_on_soundness_corpus():
