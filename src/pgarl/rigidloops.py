@@ -10,8 +10,8 @@ projection instead unrolls every loop into plain instructions, which is
 behaviorally equivalent but blows the program up combinatorially.
 
 Both projections read the repeated body with normalized jumps, and with the
-repetition boundary moved forward past any loop that the first canonical
-form split between the prefix and the body. The pure projection is built in
+repetition boundary moved forward past every loop that has its header in the
+prefix and its closure in the body. The pure projection is built in
 time linear in its output by two passes over the source: a layout pass that
 places the first instance of every instruction and so gives the output
 length in closed form (``size_report`` uses it without building anything),
@@ -34,7 +34,6 @@ from .program import (
     LoopHeader,
     NegTest,
     PosTest,
-    ProgramError,
     Unit,
     has_rigid,
     normalize_jumps,
@@ -85,21 +84,23 @@ def _unsplit_loops(program: CanonicalProgram) -> CanonicalProgram:
     in the prefix and its closure in the repeated body.
 
     ``canonicalize`` absorbs a suffix of the prefix into the body by rotation,
-    which can move a closure past the boundary. This undoes it: the boundary
-    moves forward one instruction at a time, X;(Y;Z)^w to X;Y;(Z;Y)^w, at most
-    once per body instruction. A program whose loops stay split after that
-    (its body's brackets do not balance within one period) is returned as
-    given.
+    which can move a closure past the boundary, and a body whose brackets do
+    not balance within one period closes prefix headers in later periods.
+    This moves the boundary forward one instruction at a time, X;(Y;Z)^w to
+    X;Y;(Z;Y)^w, until no matched loop is split. The moves end: once no
+    prefix header is matched later, every period matches like the one before;
+    within such a period, every closure that closes an earlier period's
+    header comes before every header left open past the period; so a
+    boundary right after the last such closure splits nothing.
     """
     prefix, body = program.prefix, program.body
     if not prefix or not body:
         return program
-    for _ in range(len(body) + 1):
+    while True:
         pairs, _, _ = _match_loops(prefix + body)
         if all(header > len(prefix) or close <= len(prefix) for close, header in pairs.items()):
             return CanonicalProgram(prefix, body)
         prefix, body = prefix + body[:1], body[1:] + body[:1]
-    return program
 
 
 def validate_pgarl(program: CanonicalProgram) -> list[Diagnostic]:
@@ -350,11 +351,6 @@ def _pure_layout(program: CanonicalProgram) -> _PureLayout:
     if program.body:
         source.extend(normalize_jumps(program.body))
     pairs, lonely_headers, lonely_closures = _match_loops(source)
-    for close_pos, header_pos in pairs.items():
-        if header_pos <= plen < close_pos:
-            raise ProgramError(
-                "a loop spanning the prefix/repetition boundary cannot be expanded"
-            )
     for pos in lonely_headers + lonely_closures:
         source[pos - 1] = _SKIP
     first = [0] * (len(source) + 2)
@@ -375,9 +371,8 @@ def project_pure(program: CanonicalProgram) -> CanonicalProgram:
     copies of its expanded body, each between two skips that replace the
     brackets. Lonely headers and closures become skips. A loop that the
     canonical form split across the prefix/repetition boundary is first made
-    whole again by moving the boundary (:func:`_unsplit_loops`); one that
-    stays split is rejected. The repeated body's jumps are normalized first,
-    as in the counter projection.
+    whole again by moving the boundary (:func:`_unsplit_loops`). The repeated
+    body's jumps are normalized first, as in the counter projection.
 
     Two linear passes build the result. The layout pass (:func:`_pure_layout`)
     places the first instance of every source instruction and gives the
@@ -454,7 +449,8 @@ class SizeReport:
     """Instruction counts of a program and its two projections. Outer counts
     treat a unit as one instruction; the expanded count sums unit bodies.
     ``loop_product`` is the largest product of iteration counts along one
-    nesting chain (1 when there are no loops)."""
+    nesting chain (1 when there are no loops), read with no loop split
+    across the repetition boundary, as both projections read it."""
 
     source_len: int
     pure_len: int
@@ -463,7 +459,7 @@ class SizeReport:
     loop_product: int
 
 
-def _loop_product(flat: list[Instruction]) -> int:
+def _loop_product(flat: tuple[Instruction, ...]) -> int:
     pairs, _, _ = _match_loops(flat)
     headers = set(pairs.values())
     products = [1]  # one per open loop: the product of its count and the enclosing ones
@@ -481,6 +477,7 @@ def size_report(program: CanonicalProgram) -> SizeReport:
     """Measure the source against both projections. The pure length comes
     from the layout pass alone, so the pure program is never built."""
     counter = project_counter(program).program
+    unsplit = _unsplit_loops(program)
     return SizeReport(
         source_len=len(program),
         pure_len=_pure_layout(program).length,
@@ -488,5 +485,5 @@ def size_report(program: CanonicalProgram) -> SizeReport:
         counter_len_expanded=sum(
             not isinstance(ins, Unit) for ins in program_instructions(counter)
         ),
-        loop_product=_loop_product(list(program.prefix) + list(program.body or ())),
+        loop_product=_loop_product(unsplit.prefix + (unsplit.body or ())),
     )

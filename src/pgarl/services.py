@@ -11,16 +11,19 @@ Several services are applied together, one per focus, over a tuple of
 service states: the finite product (:func:`apply_use`) explores every
 reachable pair of a thread state and such a tuple in a single pass, the
 depth-bounded form (:func:`apply_use_bounded`) unfolds them to a visible
-depth, and scripted simulation (:func:`simulate_with_services`) walks one
-path; :func:`simulate_thread` is that walk with no services bound. All three
+depth with the depth cut that :func:`pgarl.threads.pi` uses, and scripted
+simulation (:func:`simulate_with_services`) walks one path;
+:func:`simulate_thread` is that walk with no services bound. All three
 resolve consumed steps with one resolver, which the bounded form and
 simulation limit to ``SILENT_RUN_LIMIT`` steps per silent run, and all three
-reject a list of bindings that binds a focus twice.
+reject a list of bindings that binds a focus twice. The product may have at
+most ``PRODUCT_STATE_LIMIT`` states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .extraction import extract_pgau
 from .program import CanonicalProgram
@@ -31,7 +34,6 @@ from .threads import (
     STATUS_DEADLOCK,
     STATUS_STOP,
     Action,
-    Branch,
     Deadlock,
     FiniteThread,
     LinearSpec,
@@ -39,11 +41,13 @@ from .threads import (
     Stop,
     Trace,
     _require_valid,
+    cut,
     explore,
     thread_to_spec,
 )
 
 SILENT_RUN_LIMIT = 10**6
+PRODUCT_STATE_LIMIT = 10**6
 
 
 class ServiceError(ValueError):
@@ -237,14 +241,19 @@ def apply_use(spec: LinearSpec, bindings) -> LinearSpec:
     """The use operator with every finite-state service of ``bindings`` (a
     sequence of (focus, service) with distinct foci) applied in one product
     pass: one equation per reachable (thread state, service states) pair that
-    performs a visible action, plus shared terminal equations."""
+    performs a visible action, plus shared terminal equations. More than
+    PRODUCT_STATE_LIMIT such pairs raise BudgetExceeded."""
     for _, svc in bindings:
         if svc.states is None:
             raise ServiceError("service has no finite state enumeration; use the bounded form")
     silent = _SilentSteps(spec, tuple(bindings))
     resolve = silent.resolve
+    explored = count(1)
+    limit = PRODUCT_STATE_LIMIT
 
     def successors(node):
+        if next(explored) > limit:
+            raise BudgetExceeded(f"the use-operator product has more than {limit} states")
         equation, states = node
         rhs = spec.equations[equation - 1]
         yes = resolve(rhs.yes, states)
@@ -272,37 +281,15 @@ def apply_use_bounded(spec: LinearSpec, bindings, depth: int) -> FiniteThread:
     if depth < 0:
         raise ValueError(f"depth must be a natural number, got {depth}")
     silent = _SilentSteps(spec, tuple(bindings))
-    memo: dict = {}  # (equation, states, remaining) -> finished subtree
-    branches: dict = {}  # the same key -> (action, yes key, no key) while its subtrees are built
-    root = (spec.root, silent.initial, depth)
-    stack = [root]
-    while stack:  # depth first, yes before no: nodes resolve in preorder
-        key = stack[-1]
-        if key in memo:
-            stack.pop()
-            continue
-        pending = branches.pop(key, None)
-        if pending is not None:
-            action, yes, no = pending
-            memo[key] = Branch(memo[yes], action, memo[no])
-            stack.pop()
-            continue
-        equation, states, remaining = key
-        outcome = (
-            DEADLOCK if remaining == 0 else silent.resolve(equation, states, SILENT_RUN_LIMIT)
-        )
-        if outcome is STOP or outcome is DEADLOCK:
-            memo[key] = outcome
-            stack.pop()
-            continue
-        at_equation, at_states = outcome
-        rhs = spec.rhs(at_equation)
-        yes = (rhs.yes, at_states, remaining - 1)
-        no = (rhs.no, at_states, remaining - 1)
-        branches[key] = (rhs.action, yes, no)
-        stack.append(no)
-        stack.append(yes)
-    return memo[root]
+
+    def successors(node):
+        at = silent.resolve(*node, SILENT_RUN_LIMIT)
+        if at is STOP or at is DEADLOCK:
+            return at
+        rhs = spec.rhs(at[0])
+        return rhs.action, (rhs.yes, at[1]), (rhs.no, at[1])
+
+    return cut((spec.root, silent.initial), depth, successors)
 
 
 def apply_bindings(projected: ProjectedProgram) -> LinearSpec:

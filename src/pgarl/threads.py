@@ -11,11 +11,13 @@ branch on an action.
 The module provides the depth approximation operator :func:`pi`, the
 refinement order and equality on regular threads (:func:`refines`,
 :func:`thread_equal`), a distinguishing-trace search (:func:`distinguish`),
-and the breadth-first numbering of a state space as a specification
-(:func:`explore`) that extraction and the use operator share. The order,
-equality and distinguishing traces are one breadth-first walk over pairs of
-states, which stops at the first pair that disagrees. Scripted runs are the
-use operator's with no services bound, so they live in :mod:`pgarl.services`.
+the breadth-first numbering of a state space as a specification
+(:func:`explore`) that extraction and the use operator share, and its
+depth-cut twin (:func:`cut`) behind :func:`pi`, :func:`pi_thread` and the
+use operator's depth-bounded form. The order, equality and distinguishing
+traces are one breadth-first walk over pairs of states, which stops at the
+first pair that disagrees. Scripted runs are the use operator's with no
+services bound, so they live in :mod:`pgarl.services`.
 """
 
 from __future__ import annotations
@@ -172,40 +174,20 @@ def pi(n: int, spec: LinearSpec, state: int) -> FiniteThread:
     _require_valid(spec)
     if not 1 <= state <= len(spec.equations):
         raise SpecError(f"state {state} out of range 1..{len(spec.equations)}")
-    level: dict[int, FiniteThread] = {i: DEADLOCK for i in range(1, len(spec.equations) + 1)}
-    for _ in range(n):
-        nxt: dict[int, FiniteThread] = {}
-        for i, rhs in enumerate(spec.equations, 1):
-            if isinstance(rhs, Stop):
-                nxt[i] = STOP
-            elif isinstance(rhs, Deadlock):
-                nxt[i] = DEADLOCK
-            else:
-                nxt[i] = Branch(level[rhs.yes], rhs.action, level[rhs.no])
-        level = nxt
-    return level[state]
+
+    def successors(i):
+        rhs = spec.rhs(i)
+        if isinstance(rhs, BranchRef):
+            return rhs.action, rhs.yes, rhs.no
+        return STOP if isinstance(rhs, Stop) else DEADLOCK
+
+    return cut(state, n, successors)
 
 
 def pi_thread(n: int, thread: FiniteThread) -> FiniteThread:
-    """The same depth cut applied directly to a finite thread tree. Cuts are
-    memoized on (depth, node identity), so shared subtrees are cut once and
-    stay shared; the walk keeps its own stack, so any depth is fine."""
-    memo: dict[tuple[int, int], FiniteThread] = {}
-    stack = [(n, thread, False)]
-    while stack:  # a branch is visited again, expanded, once both cuts below it exist
-        k, t, expanded = stack.pop()
-        key = (k, id(t))
-        if key in memo:
-            continue
-        if k == 0:
-            memo[key] = DEADLOCK
-        elif not isinstance(t, Branch):
-            memo[key] = t
-        elif expanded:
-            memo[key] = Branch(memo[(k - 1, id(t.yes))], t.action, memo[(k - 1, id(t.no))])
-        else:
-            stack.extend(((k, t, True), (k - 1, t.no, False), (k - 1, t.yes, False)))
-    return memo[(n, id(thread))]
+    """The same depth cut applied directly to a finite thread tree, through
+    its numbering as a specification, so shared subtrees stay shared."""
+    return pi(n, thread_to_spec(thread), 1)
 
 
 def finite_leq(left: FiniteThread, right: FiniteThread) -> bool:
@@ -414,6 +396,31 @@ def explore(root, successors) -> LinearSpec:
     ]
     equations.extend(terminals)
     return LinearSpec(tuple(equations), 1)
+
+
+def cut(root, depth: int, successors) -> FiniteThread:
+    """The depth cut of the thread unfolded from ``root``: :func:`explore`'s
+    states and ``successors``, cut ``depth`` branches down, deadlock below.
+
+    Depth 0 (or less) is deadlock and does not call ``successors``.
+    Subtrees are memoized on (remaining depth, state), so the result shares
+    them and ``successors`` runs once per pair; they are finished in
+    preorder, yes before no, on an explicit stack, so any depth is fine.
+    """
+    memo: dict = {}
+    stack = [(depth, root, None)]
+    while stack:  # a branch comes back, with its step, once both cuts below it exist
+        k, state, step = stack.pop()
+        if step is not None:
+            action, yes, no = step
+            memo[k, state] = Branch(memo[k - 1, yes], action, memo[k - 1, no])
+        elif (k, state) not in memo:
+            step = DEADLOCK if k <= 0 else successors(state)
+            if step is STOP or step is DEADLOCK:
+                memo[k, state] = step
+            else:
+                stack.extend(((k, state, step), (k - 1, step[2], None), (k - 1, step[1], None)))
+    return memo[depth, root]
 
 
 def format_spec(spec: LinearSpec) -> str:

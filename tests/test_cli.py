@@ -131,6 +131,16 @@ def test_equiv_via_pure(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("via", [(), ("--via=pure",)])
+def test_equiv_body_closing_prefix_loops_in_later_periods(capsys, via):
+    # the body's closure closes the inner loop in the first period and the
+    # outer one in the second; after that it is a skip
+    code, out, _ = run(
+        capsys, "equiv", *via, "-e", "2x{;a;2x{;b;(}x;c)^w", "-e", "a;b;b;c;a;b;b;c;(c)^w"
+    )
+    assert code == 0 and out.strip() == "equivalent"
+
+
 def test_simulate_plain(capsys):
     # F skips the halt to b, T wraps back to the test; the script then runs dry
     code, out, _ = run(capsys, "simulate", "-e", "(+a;!;b)^w", "--replies", "FT")
@@ -242,6 +252,14 @@ def test_stats_fields(capsys):
     assert fields["pure_len"] == "16"
     assert fields["counter_len"] == "7"
     assert fields["loop_product"] == "4"
+
+
+def test_stats_loop_product_reads_unsplit_loops(capsys):
+    # canonicalize moves the first closure into the body; the loop product
+    # is read with that loop whole again
+    code, out, _ = run(capsys, "stats", "-e", "2x{;a;}x;(3x{;b;}x)^w")
+    fields = dict(line.split() for line in out.splitlines())
+    assert code == 0 and fields["loop_product"] == "3"
 
 
 def test_json_output_is_deterministic(capsys):
@@ -356,6 +374,15 @@ def test_budget_exhaustion_exit_code(capsys):
             capsys, "extract", "-e", "(c.inc)^w", "--bind", "c=counter()", "--depth", depth
         )
         assert code == 4 and "budget" in err
+
+
+def test_product_state_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(pgarl.services, "PRODUCT_STATE_LIMIT", 1000)
+    argv = ("extract", "-e", "(+d.dec;a;b)^w", "--bind")
+    code, out, err = run(capsys, *argv, "d=dc(init=5000,max=5000)")
+    assert code == 4 and out == "" and "budget exhausted:" in err and "1000 states" in err
+    code, _, err = run(capsys, *argv, "d=dc(init=400,max=400)")
+    assert code == 0 and err == ""
 
 
 NEGATIVE_FIRST = "-b;(-d;c)^w"

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from pgarl import (
     Action,
     AnnClose,
     AnnJump,
+    Basic,
     BranchRef,
     BudgetExceeded,
     CanonicalProgram,
@@ -16,7 +18,9 @@ from pgarl import (
     LinearSpec,
     LoopClose,
     LoopHeader,
+    Part,
     ProgramError,
+    RawProgram,
     WellFormednessError,
     annotate,
     apply_bindings,
@@ -29,15 +33,18 @@ from pgarl import (
     has_rigid,
     parse_canonical,
     parse_program,
+    pi,
     project_counter,
     project_pure,
     size_report,
     thread_equal,
+    tree_equal,
     validate_pgarl,
 )
-from pgarl.rigidloops import _match_loops
+from pgarl.rigidloops import _match_loops, _unsplit_loops
 
 from genprograms import random_pgarl
+from streamsemantics import stream_pi
 
 a = Action("a")
 
@@ -290,10 +297,13 @@ def test_pure_rejects_boundary_spanning_loop():
     # move the boundary back past its closure and agree
     program = parse_canonical("2x{;a;(b;}x;c)^w")
     assert thread_equal(extract_pga(project_pure(program)), defining_thread(program))
-    # no rotation of a body whose brackets do not balance within one period
-    # makes this loop whole
-    with pytest.raises(ProgramError):
-        project_pure(parse_canonical("2x{;2x{;(}x)^w"))
+    # a body whose brackets do not balance within one period closes the outer
+    # header in the second period; the boundary moves past it, and both
+    # projections read two empty loops, then lonely closures: deadlock
+    program = parse_canonical("2x{;2x{;(}x)^w")
+    deadlock = lin(DEADLOCK)
+    assert thread_equal(extract_pga(project_pure(program)), deadlock)
+    assert thread_equal(defining_thread(program), deadlock)
 
 
 def test_pure_output_has_no_rigid_instructions():
@@ -441,6 +451,49 @@ def test_written_and_canonical_forms_share_one_meaning():
         expected = defining_thread(program)
         assert thread_equal(defining_thread(canonical), expected), format_program(program)
         assert thread_equal(extract_pgau(project_pure(canonical)), expected)
+
+
+def test_written_and_canonical_forms_share_one_loop_product():
+    for program in _soundness_corpus():
+        canonical = canonicalize(parse_program(format_program(program)))
+        assert size_report(canonical).loop_product == size_report(program).loop_product
+
+
+def _sequences(alphabet, longest):
+    return [seq for n in range(1, longest + 1) for seq in itertools.product(alphabet, repeat=n)]
+
+
+def test_unsplit_moves_are_bounded():
+    # once no prefix header is matched later the boundary stops, so the moves
+    # never exceed |body| for each prefix header, plus one period
+    alphabet = (Basic(a), LoopHeader(2), LoopClose())
+    for prefix in _sequences(alphabet, 4):
+        headers = sum(isinstance(ins, LoopHeader) for ins in prefix)
+        for body in _sequences(alphabet, 4):
+            program = CanonicalProgram(prefix, body)
+            unsplit = _unsplit_loops(program)
+            moves = len(unsplit.prefix) - len(prefix)
+            assert moves <= len(body) * (headers + 1), format_program(program)
+            pairs, _, _ = _match_loops(unsplit.prefix + unsplit.body)
+            assert all(
+                h > len(unsplit.prefix) or c <= len(unsplit.prefix) for c, h in pairs.items()
+            )
+
+
+def test_projections_agree_with_stream_interpreter():
+    # every program with a prefix and a body of 1-3 instructions over a, b
+    # and one loop's brackets, canonicalized; the stream interpreter reads
+    # the program as written
+    alphabet = (Basic(a), Basic(Action("b")), LoopHeader(2), LoopClose())
+    for prefix in _sequences(alphabet, 3):
+        for body in _sequences(alphabet, 3):
+            program = CanonicalProgram(prefix, body)
+            canonical = canonicalize(RawProgram((Part(prefix), Part(body, repeated=True))))
+            defining = defining_thread(canonical)
+            assert thread_equal(defining, extract_pga(project_pure(canonical)))
+            assert tree_equal(pi(10, defining, defining.root), stream_pi(program, 10)), (
+                format_program(program)
+            )
 
 
 def test_pure_matches_unrolling_oracle_on_soundness_corpus():

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from pgarl import (
     Action,
+    Branch,
     BranchRef,
     CoAction,
     DEADLOCK,
@@ -22,6 +24,7 @@ from pgarl import (
     canonicalize,
     down_counter,
     extract_pgau,
+    format_spec,
     full_counter,
     parse_canonical,
     parse_program,
@@ -33,6 +36,7 @@ from pgarl import (
     tree_equal,
 )
 
+from pgarl import services
 from pgarl.services import _SilentSteps
 
 from genprograms import random_pgarl, random_spec
@@ -176,14 +180,15 @@ def test_bounded_counter_law_inc():
 FOCI = ("p", "q", "r")
 
 
-def _focused_spec(rng):
-    """A random spec in which about half the branches request ``dec`` or
-    ``set:n`` (n up to 3) on one of the foci p, q and r."""
+def _focused_spec(rng, methods=("dec", "set")):
+    """A random spec in which about half the branches request one of
+    ``methods`` (``set:n`` with n up to 3) on one of the foci p, q and r."""
 
     def request():
         focus = rng.choice(FOCI)
-        if rng.random() < 0.5:
-            return Action("dec", focus=focus)
+        method = methods[int(rng.random() * len(methods))]
+        if method != "set":
+            return Action(method, focus=focus)
         return Action("set", focus=focus, argument=rng.randint(0, 3))
 
     equations = [
@@ -252,6 +257,82 @@ def test_bounded_budget_exhaustion():
 def test_bounded_silent_cycle_is_deadlock():
     dec_forever = lin(BranchRef(1, c_dec, 1))
     assert apply_use_bounded(dec_forever, (("c", down_counter(0, max=1)),), 5) == DEADLOCK
+
+
+# -- the replaced bounded use loop, kept as the oracle ---------------------------
+
+def _memo_apply_use_bounded(spec, bindings, depth):
+    silent = _SilentSteps(spec, tuple(bindings))
+    memo = {}
+    branches = {}
+    root = (spec.root, silent.initial, depth)
+    stack = [root]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        pending = branches.pop(key, None)
+        if pending is not None:
+            action, yes, no = pending
+            memo[key] = Branch(memo[yes], action, memo[no])
+            stack.pop()
+            continue
+        equation, states, remaining = key
+        outcome = (
+            DEADLOCK
+            if remaining == 0
+            else silent.resolve(equation, states, services.SILENT_RUN_LIMIT)
+        )
+        if outcome is STOP or outcome is DEADLOCK:
+            memo[key] = outcome
+            stack.pop()
+            continue
+        at_equation, at_states = outcome
+        rhs = spec.rhs(at_equation)
+        yes = (rhs.yes, at_states, remaining - 1)
+        no = (rhs.no, at_states, remaining - 1)
+        branches[key] = (rhs.action, yes, no)
+        stack.append(no)
+        stack.append(yes)
+    return memo[root]
+
+
+def _outcome(function, *args):
+    try:
+        thread = function(*args)
+    except DivergenceSuspected as exc:
+        return str(exc)
+    return thread, format_spec(thread_to_spec(thread))
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_bounded_matches_replaced_loop(seed):
+    # full and down counters on the foci the spec requests; a small silent
+    # run limit makes increment loops stop with DivergenceSuspected at once
+    rng = random.Random(seed)
+    spec = _focused_spec(rng, methods=("dec", "inc", "set"))
+    counters = (lambda: full_counter(rng.randint(0, 2)), lambda: down_counter(rng.randint(0, 2), 3))
+    bindings = tuple((focus, rng.choice(counters)()) for focus in FOCI[: rng.randint(1, 3)])
+    with mock.patch.object(services, "SILENT_RUN_LIMIT", 20):
+        for depth in range(9):
+            assert _outcome(apply_use_bounded, spec, bindings, depth) == _outcome(
+                _memo_apply_use_bounded, spec, bindings, depth
+            )
+
+
+def test_bounded_divergence_below_the_root_matches_replaced_loop():
+    spec = lin(BranchRef(2, a, 1), BranchRef(2, c_inc, 2))
+    bindings = (("c", full_counter()),)
+    with mock.patch.object(services, "SILENT_RUN_LIMIT", 20):
+        for depth in range(4):
+            assert _outcome(apply_use_bounded, spec, bindings, depth) == _outcome(
+                _memo_apply_use_bounded, spec, bindings, depth
+            )
+        assert _outcome(apply_use_bounded, spec, bindings, 2) == (
+            "no visible progress within 20 consumed steps"
+        )
 
 
 # -- the irregular counter thread ----------------------------------------------

@@ -10,9 +10,11 @@ from pgarl import (
     Action,
     Branch,
     BranchRef,
+    Deadlock,
     LinearSpec,
     ReplyScript,
     SpecError,
+    Stop,
     apply_use_bounded,
     defining_thread,
     distinguish,
@@ -29,9 +31,11 @@ from pgarl import (
     refines,
     simulate_thread,
     thread_equal,
+    thread_to_spec,
     tree_equal,
     validate_spec,
 )
+from pgarl.threads import cut
 
 from genprograms import random_pgarl, random_spec
 
@@ -284,6 +288,97 @@ def test_walks_on_a_thread_3000_deep():
     assert tree_equal(thread, again) and not tree_equal(thread, half)
     assert finite_leq(half, thread) and not finite_leq(thread, half)
     assert tree_equal(half, apply_use_bounded(spec, (("c", full_counter()),), 1500))
+
+
+# -- the replaced depth cuts, kept as oracles ------------------------------------
+
+def _level_pi(n, spec, state):
+    level = {i: DEADLOCK for i in range(1, len(spec.equations) + 1)}
+    for _ in range(n):
+        nxt = {}
+        for i, rhs in enumerate(spec.equations, 1):
+            if isinstance(rhs, Stop):
+                nxt[i] = STOP
+            elif isinstance(rhs, Deadlock):
+                nxt[i] = DEADLOCK
+            else:
+                nxt[i] = Branch(level[rhs.yes], rhs.action, level[rhs.no])
+        level = nxt
+    return level[state]
+
+
+def _stack_pi_thread(n, thread):
+    memo = {}
+    stack = [(n, thread, False)]
+    while stack:
+        k, t, expanded = stack.pop()
+        key = (k, id(t))
+        if key in memo:
+            continue
+        if k == 0:
+            memo[key] = DEADLOCK
+        elif not isinstance(t, Branch):
+            memo[key] = t
+        elif expanded:
+            memo[key] = Branch(memo[(k - 1, id(t.yes))], t.action, memo[(k - 1, id(t.no))])
+        else:
+            stack.extend(((k, t, True), (k - 1, t.no, False), (k - 1, t.yes, False)))
+    return memo[(n, id(thread))]
+
+
+def _same_cut(got, expected):
+    """Equal in value, and in sharing as the numbered form shows it."""
+    return got == expected and format_spec(thread_to_spec(got)) == format_spec(
+        thread_to_spec(expected)
+    )
+
+
+@settings(max_examples=60)
+@given(specs)
+def test_cut_matches_replaced_depth_cuts(spec):
+    for state in range(1, len(spec) + 1):
+        for depth in range(9):
+            expected = _level_pi(depth, spec, state)
+            assert _same_cut(pi(depth, spec, state), expected)
+        for depth in range(10):
+            assert _same_cut(pi_thread(depth, expected), _stack_pi_thread(depth, expected))
+
+
+def test_cut_maps_fresh_terminals_to_the_singletons():
+    spec = LinearSpec((BranchRef(2, a, 3), Stop(), Deadlock(), BranchRef(2, b, 1)), 4)
+    for state in range(1, 5):
+        for depth in range(6):
+            got = pi(depth, spec, state)
+            assert _same_cut(got, _level_pi(depth, spec, state))
+            assert pi_thread(depth, got) == _stack_pi_thread(depth, got)
+    fresh = Branch(Stop(), a, Branch(Deadlock(), b, Stop()))
+    for depth in range(4):
+        assert pi_thread(depth, fresh) == _stack_pi_thread(depth, fresh)
+    assert pi_thread(2, fresh).yes is STOP
+
+
+def test_cut_calls_successors_once_per_depth_and_state():
+    calls = []
+
+    def successors(state):
+        calls.append(state)
+        return a, (state + 1) % 5, (state * 2) % 5
+
+    # state i is equation i + 1 of the same thread written as a spec
+    spec = LinearSpec(tuple(BranchRef((i + 1) % 5 + 1, a, 2 * i % 5 + 1) for i in range(5)))
+    assert cut(0, 7, successors) == _level_pi(7, spec, 1)
+    # once per (depth, state) pair reached, in preorder, yes before no
+    order = []
+
+    def visit(depth, state):
+        if depth and (depth, state) not in order:
+            order.append((depth, state))
+            visit(depth - 1, (state + 1) % 5)
+            visit(depth - 1, (state * 2) % 5)
+
+    visit(7, 0)
+    assert calls == [state for _, state in order]
+    assert cut(0, 0, successors) is DEADLOCK and len(calls) == len(order)
 
 
 # -- the replaced equality walks and scripted run, kept as oracles ---------------
