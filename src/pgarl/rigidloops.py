@@ -42,6 +42,9 @@ from .program import (
 from .services import BudgetExceeded, ProjectedProgram, apply_bindings, down_counter
 from .threads import Action, LinearSpec
 
+PURE_LENGTH_LIMIT = 10**7
+UNSPLIT_LENGTH_LIMIT = 10**6
+
 
 class WellFormednessError(ValueError):
     """Raised when a projection is asked to run on an ill-formed program."""
@@ -86,21 +89,45 @@ def _unsplit_loops(program: CanonicalProgram) -> CanonicalProgram:
     ``canonicalize`` absorbs a suffix of the prefix into the body by rotation,
     which can move a closure past the boundary, and a body whose brackets do
     not balance within one period closes prefix headers in later periods.
-    This moves the boundary forward one instruction at a time, X;(Y;Z)^w to
-    X;Y;(Z;Y)^w, until no matched loop is split. The moves end: once no
-    prefix header is matched later, every period matches like the one before;
+    This moves the boundary forward, X;(Y;Z)^w to X;Y;(Z;Y)^w, to the first
+    place where no matched loop is split. That place exists: once no prefix
+    header is matched later, every period matches like the one before;
     within such a period, every closure that closes an earlier period's
     header comes before every header left open past the period; so a
     boundary right after the last such closure splits nothing.
+
+    The stream X;Y;Y;... is read once, with the depth of the greedy matching
+    (as in :func:`_match_loops`) after each position. A boundary splits a
+    loop exactly when the depth drops below its value at the boundary within
+    the next period; the first such drop closes the innermost loop open at
+    the boundary, which every boundary up to the drop splits too, so the
+    boundary jumps there. A boundary past ``UNSPLIT_LENGTH_LIMIT`` raises
+    BudgetExceeded.
     """
     prefix, body = program.prefix, program.body
     if not prefix or not body:
         return program
+    p, m = len(prefix), len(body)
+    depths = [0]  # loops open after each stream position
+    boundary = p
     while True:
-        pairs, _, _ = _match_loops(prefix + body)
-        if all(header > len(prefix) or close <= len(prefix) for close, header in pairs.items()):
-            return CanonicalProgram(prefix, body)
-        prefix, body = prefix + body[:1], body[1:] + body[:1]
+        if boundary > UNSPLIT_LENGTH_LIMIT:
+            raise BudgetExceeded(f"the unsplit prefix would exceed {UNSPLIT_LENGTH_LIMIT} instructions")
+        for pos in range(len(depths), boundary + m + 1):
+            ins = prefix[pos - 1] if pos <= p else body[(pos - p - 1) % m]
+            d = depths[-1]
+            if isinstance(ins, LoopHeader):
+                d += 1
+            elif isinstance(ins, LoopClose) and d:
+                d -= 1
+            depths.append(d)
+        window = range(boundary + 1, boundary + m + 1)
+        drop = next((t for t in window if depths[t] < depths[boundary]), None)
+        if drop is None:
+            break
+        boundary = drop
+    periods, turn = divmod(boundary - p, m)
+    return CanonicalProgram(prefix + body * periods + body[:turn], body[turn:] + body[:turn])
 
 
 def validate_pgarl(program: CanonicalProgram) -> list[Diagnostic]:
@@ -140,21 +167,13 @@ def validate_pgarl(program: CanonicalProgram) -> list[Diagnostic]:
     for pos, ins in enumerate(flat, 1):
         if not isinstance(ins, LoopClose):
             continue
-        predecessors = []
-        if pos > 1:
-            predecessors.append(pos - 1)
-        elif program.body and plen == 0:
-            predecessors.append(len(flat))
+        predecessors = [pos - 1] if pos > 1 else []
         if program.body and pos == plen + 1:
             predecessors.append(len(flat))  # wrap within the repeated body
-        for pred in set(predecessors):
-            if isinstance(flat[pred - 1], (PosTest, NegTest)):
-                out.append(
-                    Diagnostic(
-                        "error", pos, "loop closure directly preceded by a test instruction"
-                    )
-                )
-                break
+        if any(isinstance(flat[pred - 1], (PosTest, NegTest)) for pred in predecessors):
+            out.append(
+                Diagnostic("error", pos, "loop closure directly preceded by a test instruction")
+            )
     return out
 
 
@@ -314,7 +333,6 @@ def defining_thread(program: CanonicalProgram, xi_tail: str = "derived") -> Line
 
 
 _SKIP = Jump(1)
-PURE_LENGTH_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -459,16 +477,15 @@ class SizeReport:
     loop_product: int
 
 
-def _loop_product(flat: tuple[Instruction, ...]) -> int:
-    pairs, _, _ = _match_loops(flat)
-    headers = set(pairs.values())
+def _loop_product(layout: _PureLayout) -> int:
+    """Read from the layout's source, where every bracket left is matched."""
     products = [1]  # one per open loop: the product of its count and the enclosing ones
     best = 1
-    for pos, ins in enumerate(flat, 1):
-        if pos in headers:
+    for ins in layout.source:
+        if isinstance(ins, LoopHeader):
             products.append(products[-1] * ins.count)
             best = max(best, products[-1])
-        elif pos in pairs:
+        elif isinstance(ins, LoopClose):
             products.pop()
     return best
 
@@ -477,13 +494,13 @@ def size_report(program: CanonicalProgram) -> SizeReport:
     """Measure the source against both projections. The pure length comes
     from the layout pass alone, so the pure program is never built."""
     counter = project_counter(program).program
-    unsplit = _unsplit_loops(program)
+    layout = _pure_layout(program)
     return SizeReport(
         source_len=len(program),
-        pure_len=_pure_layout(program).length,
+        pure_len=layout.length,
         counter_len=len(counter),
         counter_len_expanded=sum(
             not isinstance(ins, Unit) for ins in program_instructions(counter)
         ),
-        loop_product=_loop_product(unsplit.prefix + (unsplit.body or ())),
+        loop_product=_loop_product(layout),
     )

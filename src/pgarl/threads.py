@@ -185,9 +185,19 @@ def pi(n: int, spec: LinearSpec, state: int) -> FiniteThread:
 
 
 def pi_thread(n: int, thread: FiniteThread) -> FiniteThread:
-    """The same depth cut applied directly to a finite thread tree, through
-    its numbering as a specification, so shared subtrees stay shared."""
-    return pi(n, thread_to_spec(thread), 1)
+    """The same depth cut applied directly to a finite thread tree. Its
+    states are the nodes within ``n`` levels, told apart by identity, so
+    shared subtrees stay shared and nothing deeper is read."""
+    nodes = {id(thread): thread}
+
+    def successors(key):
+        t = nodes[key]
+        if isinstance(t, Branch):
+            nodes[id(t.yes)], nodes[id(t.no)] = t.yes, t.no
+            return t.action, id(t.yes), id(t.no)
+        return STOP if isinstance(t, Stop) else DEADLOCK
+
+    return cut(id(thread), n, successors)
 
 
 def finite_leq(left: FiniteThread, right: FiniteThread) -> bool:

@@ -385,6 +385,20 @@ def test_product_state_budget_exit_code(capsys, monkeypatch):
     assert code == 0 and err == ""
 
 
+def test_unsplitting_many_prefix_loops(capsys, monkeypatch):
+    # each period's closure closes one of 200 prefix headers, so the boundary
+    # moves 200 periods of 200 instructions before no loop is split
+    expr = "2x{;" * 200 + "(}x;" + "a;" * 198 + "a)^w"
+    code, out, err = run(capsys, "stats", "-e", expr)
+    fields = dict(line.split() for line in out.splitlines())
+    assert code == 0 and err == "" and fields["loop_product"] == str(2**200)
+    code, out, err = run(capsys, "equiv", "--via=pure", "-e", expr, "-e", expr)
+    assert code == 4 and out == "" and "budget exhausted:" in err
+    monkeypatch.setattr(pgarl.rigidloops, "UNSPLIT_LENGTH_LIMIT", 30000)
+    code, out, err = run(capsys, "stats", "-e", expr)
+    assert code == 4 and out == "" and "would exceed 30000 instructions" in err
+
+
 NEGATIVE_FIRST = "-b;(-d;c)^w"
 
 

@@ -463,6 +463,17 @@ def _sequences(alphabet, longest):
     return [seq for n in range(1, longest + 1) for seq in itertools.product(alphabet, repeat=n)]
 
 
+def _unsplit_one_move_at_a_time(program):
+    """The replaced walk, kept as an oracle: rematch the whole window after
+    every move of the boundary."""
+    prefix, body = program.prefix, program.body
+    while True:
+        pairs, _, _ = _match_loops(prefix + body)
+        if all(h > len(prefix) or c <= len(prefix) for c, h in pairs.items()):
+            return CanonicalProgram(prefix, body)
+        prefix, body = prefix + body[:1], body[1:] + body[:1]
+
+
 def test_unsplit_moves_are_bounded():
     # once no prefix header is matched later the boundary stops, so the moves
     # never exceed |body| for each prefix header, plus one period
@@ -472,6 +483,7 @@ def test_unsplit_moves_are_bounded():
         for body in _sequences(alphabet, 4):
             program = CanonicalProgram(prefix, body)
             unsplit = _unsplit_loops(program)
+            assert unsplit == _unsplit_one_move_at_a_time(program), format_program(program)
             moves = len(unsplit.prefix) - len(prefix)
             assert moves <= len(body) * (headers + 1), format_program(program)
             pairs, _, _ = _match_loops(unsplit.prefix + unsplit.body)

@@ -357,6 +357,12 @@ def test_cut_maps_fresh_terminals_to_the_singletons():
     assert pi_thread(2, fresh).yes is STOP
 
 
+def test_pi_thread_reads_nothing_below_the_cut():
+    # a node that is no thread at all, two levels down, is never looked at
+    thread = Branch(STOP, a, Branch(object(), b, DEADLOCK))
+    assert pi_thread(2, thread) == Branch(STOP, a, Branch(DEADLOCK, b, DEADLOCK))
+
+
 def test_cut_calls_successors_once_per_depth_and_state():
     calls = []
 
