@@ -214,8 +214,8 @@ def _cmd_project(args) -> int:
 def _cmd_extract(args) -> int:
     (raw,) = _load_programs(args, 1)
     spec, bindings = _projected_thread(canonicalize(raw), args)
-    finite = [(focus, svc) for focus, svc in bindings if svc.states is not None]
-    unbounded = [(focus, svc) for focus, svc in bindings if svc.states is None]
+    finite = [(focus, svc) for focus, svc in bindings if svc.finite]
+    unbounded = [(focus, svc) for focus, svc in bindings if not svc.finite]
     if finite:
         spec = apply_use(spec, finite)
     if unbounded:

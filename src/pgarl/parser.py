@@ -90,7 +90,10 @@ class _Scanner:
             self.pos += 1
         if start == self.pos:
             raise self.error("expected a number")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past the interpreter's limit on integer digits
+            raise self.error("number too long", start) from None
 
     def take_ident(self) -> str:
         self.skip_ws()

@@ -84,36 +84,43 @@ def _match_loops(instructions) -> tuple[dict[int, int], list[int], list[int]]:
 
 def _unsplit_loops(program: CanonicalProgram) -> CanonicalProgram:
     """The same instruction sequence with no matched loop that has its header
-    in the prefix and its closure in the repeated body.
+    before the repetition boundary and its closure after it, nor one that
+    straddles the boundary between two periods of the repeated body.
 
     ``canonicalize`` absorbs a suffix of the prefix into the body by rotation,
-    which can move a closure past the boundary, and a body whose brackets do
-    not balance within one period closes prefix headers in later periods.
-    This moves the boundary forward, X;(Y;Z)^w to X;Y;(Z;Y)^w, to the first
-    place where no matched loop is split. That place exists: once no prefix
-    header is matched later, every period matches like the one before;
-    within such a period, every closure that closes an earlier period's
-    header comes before every header left open past the period; so a
-    boundary right after the last such closure splits nothing.
+    which can move a closure past the boundary, a body whose brackets do not
+    balance within one period closes prefix headers in later periods, and a
+    body can close in each period a loop opened in the period before. This
+    moves the boundary forward, X;(Y;Z)^w to X;Y;(Z;Y)^w, to the first place
+    where neither boundary of the first period splits a matched loop. Then
+    no period closes a header opened before it, so every period matches its
+    brackets within itself, like one copy of the body. That place exists:
+    once no prefix header is matched later, every period matches like the
+    one before; within such a period, every closure that closes an earlier
+    period's header comes before every header left open past the period; so
+    a boundary right after the last such closure splits nothing.
 
     The stream X;Y;Y;... is read once, with the depth of the greedy matching
-    (as in :func:`_match_loops`) after each position. A boundary splits a
-    loop exactly when the depth drops below its value at the boundary within
-    the next period; the first such drop closes the innermost loop open at
-    the boundary, which every boundary up to the drop splits too, so the
-    boundary jumps there. A boundary past ``UNSPLIT_LENGTH_LIMIT`` raises
+    (as in :func:`_match_loops`) after each position, two periods from the
+    boundary. A loop is split exactly when, within one of these periods,
+    the depth drops below its value at the start of that period. The first
+    such drop closes the innermost loop open at the start of its period, and
+    every boundary up to the drop (in the first period) or up to the drop
+    less one period (in the second) splits that loop too, so the boundary
+    jumps there. A boundary past ``UNSPLIT_LENGTH_LIMIT`` raises
     BudgetExceeded.
     """
     prefix, body = program.prefix, program.body
-    if not prefix or not body:
+    if not body:
         return program
     p, m = len(prefix), len(body)
     depths = [0]  # loops open after each stream position
-    boundary = p
-    while True:
+    moved = p
+    while moved is not None:
+        boundary = moved
         if boundary > UNSPLIT_LENGTH_LIMIT:
             raise BudgetExceeded(f"the unsplit prefix would exceed {UNSPLIT_LENGTH_LIMIT} instructions")
-        for pos in range(len(depths), boundary + m + 1):
+        for pos in range(len(depths), boundary + 2 * m + 1):
             ins = prefix[pos - 1] if pos <= p else body[(pos - p - 1) % m]
             d = depths[-1]
             if isinstance(ins, LoopHeader):
@@ -121,66 +128,77 @@ def _unsplit_loops(program: CanonicalProgram) -> CanonicalProgram:
             elif isinstance(ins, LoopClose) and d:
                 d -= 1
             depths.append(d)
-        window = range(boundary + 1, boundary + m + 1)
-        drop = next((t for t in window if depths[t] < depths[boundary]), None)
-        if drop is None:
-            break
-        boundary = drop
+        moves = (
+            t - (start - boundary)
+            for start in (boundary, boundary + m)
+            for t in range(start + 1, start + m + 1)
+            if depths[t] < depths[start]
+        )
+        moved = next(moves, None)
     periods, turn = divmod(boundary - p, m)
     return CanonicalProgram(prefix + body * periods + body[:turn], body[turn:] + body[:turn])
 
 
+def _errors(program: CanonicalProgram) -> list[Diagnostic]:
+    """The diagnostics that block projection: annotated instructions, then
+    loop closures directly preceded by a test (wrapping within the body)."""
+    flat = list(program.prefix) + list(program.body or ())
+    before = [[]] + [[ins] for ins in flat[:-1]]  # what can run right before each position
+    if program.body:
+        before[len(program.prefix)].append(flat[-1])  # the body wraps around
+    return [
+        Diagnostic("error", pos, "annotated instruction in a source program")
+        for pos, ins in enumerate(flat, 1)
+        if isinstance(ins, (AnnClose, AnnJump))
+    ] + [
+        Diagnostic("error", pos, "loop closure directly preceded by a test instruction")
+        for pos, (ins, preds) in enumerate(zip(flat, before), 1)
+        if isinstance(ins, LoopClose) and any(isinstance(x, (PosTest, NegTest)) for x in preds)
+    ]
+
+
 def validate_pgarl(program: CanonicalProgram) -> list[Diagnostic]:
     """Check the projection restrictions. Errors block projection; lonely
-    headers and closures are legal (they act as skips) and only warn."""
-    out: list[Diagnostic] = []
-    flat = list(program.prefix) + list(program.body or ())
-    plen = len(program.prefix)
-    for pos, ins in enumerate(flat, 1):
-        if isinstance(ins, (AnnClose, AnnJump)):
-            out.append(
-                Diagnostic(
-                    "error", pos, "annotated instruction in a source program"
-                )
-            )
-    _, lonely_headers, lonely_closures = _match_loops(flat)
-    for pos in lonely_headers:
-        out.append(
-            Diagnostic("warning", pos, "loop header has no matching closure; acts as a skip")
+    headers and closures are legal (they act as skips) and only warn.
+
+    Brackets are matched as both projections read them, on
+    :func:`_unsplit_loops`'s form, and a bracket warns only if no copy of it
+    there is matched; positions are the written program's. Like the
+    projections, this raises BudgetExceeded when that form is too long.
+    """
+    out = _errors(program)
+    plen, k = len(program.prefix), len(program.body or ())
+    unsplit = _unsplit_loops(program)
+    pairs, lonely_headers, lonely_closures = _match_loops(unsplit.prefix + (unsplit.body or ()))
+
+    def written(positions) -> set[int]:
+        return {q if q <= plen else plen + 1 + (q - plen - 1) % k for q in positions}
+
+    matched = written(pairs) | written(pairs.values())
+    for lonely, kind, other in (
+        (lonely_headers, "header", "closure"),
+        (lonely_closures, "closure", "header"),
+    ):
+        out += [
+            Diagnostic("warning", pos, f"loop {kind} has no matching {other}; acts as a skip")
+            for pos in sorted(written(lonely) - matched)
+        ]
+    return out + [
+        Diagnostic(
+            "warning",
+            plen + offset,
+            f"jump distance {ins.distance} in a repeated body of length {k} "
+            "never reaches another instruction",
         )
-    for pos in lonely_closures:
-        out.append(
-            Diagnostic("warning", pos, "loop closure has no matching header; acts as a skip")
-        )
-    if program.body:
-        k = len(program.body)
-        for offset, ins in enumerate(normalize_jumps(program.body), 1):
-            if isinstance(ins, Jump) and ins.distance >= k:
-                out.append(
-                    Diagnostic(
-                        "warning",
-                        plen + offset,
-                        f"jump distance {ins.distance} in a repeated body of length {k} "
-                        "never reaches another instruction",
-                    )
-                )
-    for pos, ins in enumerate(flat, 1):
-        if not isinstance(ins, LoopClose):
-            continue
-        predecessors = [pos - 1] if pos > 1 else []
-        if program.body and pos == plen + 1:
-            predecessors.append(len(flat))  # wrap within the repeated body
-        if any(isinstance(flat[pred - 1], (PosTest, NegTest)) for pred in predecessors):
-            out.append(
-                Diagnostic("error", pos, "loop closure directly preceded by a test instruction")
-            )
-    return out
+        for offset, ins in enumerate(normalize_jumps(program.body) if k else (), 1)
+        if isinstance(ins, Jump) and ins.distance >= k
+    ]
 
 
 def require_well_formed(program: CanonicalProgram) -> None:
     """Raise WellFormednessError with the error diagnostics of
     :func:`validate_pgarl`, if there are any; warnings pass."""
-    errors = [d for d in validate_pgarl(program) if d.severity == "error"]
+    errors = _errors(program)
     if errors:
         raise WellFormednessError(errors)
 
@@ -193,8 +211,9 @@ def annotate(instructions, cyclic: bool = False) -> tuple[Instruction, ...]:
     the annotated closure (c-1, m), and a closure with no header becomes
     (0, 0). Second pass: a jump whose path crosses annotated closures becomes
     an annotated jump listing those closure positions (in increasing order)
-    with their left annotations; with ``cyclic`` the path wraps and positions
-    are reduced modulo the body length.
+    with their left annotations. A jump of distance d at p crosses the
+    closures at p < j < p + d; with ``cyclic`` the path wraps, so it crosses
+    those with 0 < (j - p) mod n < d, where n is the body length.
     """
     items = list(instructions)
     n = len(items)
@@ -203,27 +222,17 @@ def annotate(instructions, cyclic: bool = False) -> tuple[Instruction, ...]:
         items[pos - 1] = AnnClose(items[header_pos - 1].count - 1, pos - header_pos - 1)
     for pos in lonely_closures:
         items[pos - 1] = AnnClose(0, 0)
-    closures = {
-        pos: ins.remaining
-        for pos, ins in enumerate(items, 1)
-        if isinstance(ins, AnnClose)
-    }
-    if closures:
-        for pos, ins in enumerate(items, 1):
-            if not isinstance(ins, Jump) or ins.distance <= 1:
-                continue
-            crossed: dict[int, int] = {}
-            for x in range(pos + 1, pos + ins.distance):
-                if cyclic:
-                    j = ((x - 1) % n) + 1
-                elif x > n:
-                    break
-                else:
-                    j = x
-                if j in closures:
-                    crossed[j] = closures[j]
-            if crossed:
-                items[pos - 1] = AnnJump(ins.distance, tuple(sorted(crossed.items())))
+    closures = [(j, ins.remaining) for j, ins in enumerate(items, 1) if isinstance(ins, AnnClose)]
+    for pos, ins in enumerate(items, 1):
+        if not isinstance(ins, Jump):
+            continue
+        crossed = tuple(
+            (j, left)
+            for j, left in closures
+            if (0 < (j - pos) % n < ins.distance if cyclic else pos < j < pos + ins.distance)
+        )
+        if crossed:
+            items[pos - 1] = AnnJump(ins.distance, crossed)
     return tuple(items)
 
 
@@ -275,14 +284,12 @@ def _omega_form(program: CanonicalProgram) -> tuple[Instruction, ...]:
         return tuple(wrapped) + (Jump(0), Jump(0))
     k = len(program.prefix)
     m = len(program.body)
-    head: list[Instruction] = []
-    for i, ins in enumerate(program.prefix, 1):
-        if isinstance(ins, Jump):
-            distance = ins.distance
-            while distance > k - i + m:
-                distance -= m
-            ins = Jump(distance)
-        head.append(ins)
+    head = [  # a jump past the first period lands as many periods earlier
+        Jump(k - i + 1 + (ins.distance - (k - i) - 1) % m)
+        if isinstance(ins, Jump) and ins.distance > k - i + m
+        else ins
+        for i, ins in enumerate(program.prefix, 1)
+    ]
     mid: list[Instruction] = []
     for i, ins in enumerate(normalize_jumps(program.body), 1):
         if isinstance(ins, Jump) and i + ins.distance > m:
@@ -340,9 +347,8 @@ class _PureLayout:
     """Where each source instruction lands in the pure projection.
 
     ``source`` is the program as one list (the prefix, then the repeated body
-    with normalized jumps), lonely brackets already turned into skips;
-    ``closes`` maps each matched header position to its closure position.
-    An output instruction is a source position together with the iteration
+    with normalized jumps), lonely brackets already turned into skips. An
+    output instruction is a source position together with the iteration
     of each loop enclosing it; ``first[p]`` is the output position of p in
     the first iteration of all of them, and ``first[-1]`` is one past the
     last output position.
@@ -350,7 +356,6 @@ class _PureLayout:
 
     source: list[Instruction]
     prefix_len: int
-    closes: dict[int, int]
     first: list[int]
 
     @property
@@ -381,7 +386,7 @@ def _pure_layout(program: CanonicalProgram) -> _PureLayout:
             block = end - first[header] + 1
             end = first[header] - 1 + source[header - 1].count * block
     first[-1] = end + 1
-    return _PureLayout(source, plen, {h: c for c, h in pairs.items()}, first)
+    return _PureLayout(source, plen, first)
 
 
 def project_pure(program: CanonicalProgram) -> CanonicalProgram:
@@ -409,7 +414,7 @@ def project_pure(program: CanonicalProgram) -> CanonicalProgram:
             f"the pure projection would have {layout.length} instructions, "
             f"over the limit of {PURE_LENGTH_LIMIT}"
         )
-    source, plen, closes, first = layout.source, layout.prefix_len, layout.closes, layout.first
+    source, plen, first = layout.source, layout.prefix_len, layout.first
     n = len(source)
     period = first[-1] - first[plen + 1]  # output length of one repeated body
 
@@ -423,17 +428,17 @@ def project_pure(program: CanonicalProgram) -> CanonicalProgram:
         return first[plen + 1 + offset] + periods * period
 
     out: list[Instruction] = []
-    # per open loop: its closure position, its count, where its first block
-    # starts in ``out``, and the jumps in that block that leave the loop, each
-    # with how many enclosing loops it leaves besides
-    frames: list[tuple[int, int, int, list[tuple[int, int]]]] = []
+    # per open loop: its count, where its first block starts in ``out``, and
+    # the jumps in that block, each with its target's stream position
+    frames: list[tuple[int, int, list[tuple[int, int]]]] = []
     for pos, ins in enumerate(source, 1):
         if isinstance(ins, LoopHeader):
-            frames.append((closes[pos], ins.count, len(out), []))
+            frames.append((ins.count, len(out), []))
             out.append(_SKIP)
         elif isinstance(ins, LoopClose):
             out.append(_SKIP)
-            _, count, start, leaving = frames.pop()
+            count, start, jumps = frames.pop()
+            leaving = [(index, q) for index, q in jumps if q > pos]
             block = out[start:]
             size = len(block)
             out.extend(block * (count - 1))
@@ -442,20 +447,14 @@ def project_pure(program: CanonicalProgram) -> CanonicalProgram:
                     at = index + i * size
                     out[at] = Jump(out[at].distance - i * size)
             if frames:
-                frames[-1][3].extend(
-                    (index + i * size, more - 1)
-                    for i in range(count)
-                    for index, more in leaving
-                    if more
+                frames[-1][2].extend(
+                    (index + i * size, q) for i in range(count) for index, q in leaving
                 )
         elif isinstance(ins, Jump) and ins.distance:
             q = pos + ins.distance
             out.append(Jump(target(q) - first[pos]))
-            left = 0
-            while left < len(frames) and frames[-1 - left][0] < q:
-                left += 1
-            if left:
-                frames[-1][3].append((len(out) - 1, left - 1))
+            if frames:
+                frames[-1][2].append((len(out) - 1, q))
         else:
             out.append(ins)
     cut = first[plen + 1] - 1

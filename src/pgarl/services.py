@@ -14,10 +14,10 @@ depth-bounded form (:func:`apply_use_bounded`) unfolds them to a visible
 depth with the depth cut that :func:`pgarl.threads.pi` uses, and scripted
 simulation (:func:`simulate_with_services`) walks one path;
 :func:`simulate_thread` is that walk with no services bound. All three
-resolve consumed steps with one resolver, which the bounded form and
-simulation limit to ``SILENT_RUN_LIMIT`` steps per silent run, and all three
-reject a list of bindings that binds a focus twice. The product may have at
-most ``PRODUCT_STATE_LIMIT`` states.
+resolve consumed steps with one resolver, which limits each silent run to
+``SILENT_RUN_LIMIT`` steps, and all three reject a list of bindings that
+binds a focus twice. The product may have at most ``PRODUCT_STATE_LIMIT``
+states, and the depth-bounded form may unfold at most as many.
 """
 
 from __future__ import annotations
@@ -76,16 +76,13 @@ class CoAction:
 class Service:
     """Interface: an initial state, a reply function, and an alphabet test.
 
-    ``states`` enumerates every reachable state when the service is finite,
-    and is None otherwise. States are immutable snapshots; ``step`` returns
-    the successor rather than mutating.
+    ``finite`` tells whether the service has finitely many states, so that
+    the finite product (:func:`apply_use`) can take it. States are immutable
+    snapshots; ``step`` returns the successor rather than mutating.
     """
 
     initial: object
-
-    @property
-    def states(self) -> tuple | None:
-        return None
+    finite = False
 
     def accepts(self, co: CoAction) -> bool:
         raise NotImplementedError
@@ -98,18 +95,16 @@ class Service:
 class DownCounter(Service):
     """Bounded counter: ``dec`` replies true and decrements while positive,
     false at zero (leaving it at zero); ``set:n`` replies true and loads n.
-    Values above ``limit`` are outside the alphabet."""
+    Values above ``limit`` are outside the alphabet, so its states are
+    0..limit."""
 
     initial: int = 0
     limit: int = 0
+    finite = True
 
     def __post_init__(self) -> None:
         if not 0 <= self.initial <= self.limit:
             raise ValueError("initial counter value must lie within 0..limit")
-
-    @property
-    def states(self) -> tuple:
-        return tuple(range(self.limit + 1))
 
     def accepts(self, co: CoAction) -> bool:
         if co.method == "dec":
@@ -127,7 +122,7 @@ class DownCounter(Service):
 @dataclass(frozen=True)
 class FullCounter(Service):
     """Unbounded counter: like the down counter but with ``inc`` (always
-    true) and no cap on ``set``; it has no finite state enumeration."""
+    true) and no cap on ``set``; it has infinitely many states."""
 
     initial: int = 0
 
@@ -242,29 +237,30 @@ def apply_use(spec: LinearSpec, bindings) -> LinearSpec:
     sequence of (focus, service) with distinct foci) applied in one product
     pass: one equation per reachable (thread state, service states) pair that
     performs a visible action, plus shared terminal equations. More than
-    PRODUCT_STATE_LIMIT such pairs raise BudgetExceeded."""
-    for _, svc in bindings:
-        if svc.states is None:
-            raise ServiceError("service has no finite state enumeration; use the bounded form")
+    PRODUCT_STATE_LIMIT such pairs raise BudgetExceeded, and a silent run
+    of more than SILENT_RUN_LIMIT consumed steps DivergenceSuspected."""
+    if not all(svc.finite for _, svc in bindings):
+        raise ServiceError("service has no finite state enumeration; use the bounded form")
     silent = _SilentSteps(spec, tuple(bindings))
     resolve = silent.resolve
     explored = count(1)
-    limit = PRODUCT_STATE_LIMIT
+    limit, run = PRODUCT_STATE_LIMIT, SILENT_RUN_LIMIT
 
     def successors(node):
         if next(explored) > limit:
             raise BudgetExceeded(f"the use-operator product has more than {limit} states")
         equation, states = node
         rhs = spec.equations[equation - 1]
-        yes = resolve(rhs.yes, states)
-        return rhs.action, yes, yes if rhs.no == rhs.yes else resolve(rhs.no, states)
+        yes = resolve(rhs.yes, states, run)
+        return rhs.action, yes, yes if rhs.no == rhs.yes else resolve(rhs.no, states, run)
 
-    return explore(resolve(spec.root, silent.initial), successors)
+    return explore(resolve(spec.root, silent.initial, run), successors)
 
 
 def apply_use_finite(spec: LinearSpec, focus: str, svc: Service) -> LinearSpec:
     """Product construction of a thread with one finite-state service. The
-    result has at most len(spec) * len(svc.states) branch equations."""
+    result has at most len(spec) * (svc.limit + 1) branch equations for a
+    down counter."""
     return apply_use(spec, ((focus, svc),))
 
 
@@ -276,13 +272,18 @@ def apply_use_bounded(spec: LinearSpec, bindings, depth: int) -> FiniteThread:
     consumed in the same pass, so only the remaining actions count toward
     the visible ``depth``, a natural number. Each silent run between two
     visible actions may consume at most SILENT_RUN_LIMIT steps; running out
-    raises DivergenceSuspected.
+    raises DivergenceSuspected. More than PRODUCT_STATE_LIMIT (depth, state)
+    pairs unfolded raise BudgetExceeded.
     """
     if depth < 0:
         raise ValueError(f"depth must be a natural number, got {depth}")
     silent = _SilentSteps(spec, tuple(bindings))
+    explored = count(1)
+    limit = PRODUCT_STATE_LIMIT
 
     def successors(node):
+        if next(explored) > limit:
+            raise BudgetExceeded(f"the bounded use operator unfolds more than {limit} states")
         at = silent.resolve(*node, SILENT_RUN_LIMIT)
         if at is STOP or at is DEADLOCK:
             return at

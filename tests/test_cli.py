@@ -4,7 +4,9 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -399,6 +401,55 @@ def test_unsplitting_many_prefix_loops(capsys, monkeypatch):
     assert code == 4 and out == "" and "would exceed 30000 instructions" in err
 
 
+def timed(capsys, *argv):
+    start = time.perf_counter()
+    outcome = run(capsys, *argv)
+    return outcome, time.perf_counter() - start
+
+
+def test_long_jumps_take_no_time(capsys):
+    # a jump's distance is read with arithmetic, not stepped through
+    (code, out, err), took = timed(capsys, "annotate", "-e", "(2x{;a;}x;#1000000000000)^w")
+    assert (code, out, err) == (0, "(2x{;a;1}x1;#1000000000000(3,1))^w\n", "") and took < 2
+    (code, out, err), took = timed(capsys, "project", "-e", "#1000000000000;2x{;a;}x;(b)^w")
+    assert code == 0 and err == "" and took < 2
+
+
+def test_large_loop_count_exhausts_the_product_budget(capsys, monkeypatch):
+    # a down counter's states are never listed, so a count of 10^12 only
+    # runs into the product's budget
+    monkeypatch.setattr(pgarl.services, "PRODUCT_STATE_LIMIT", 1000)
+    (code, out, err), took = timed(
+        capsys, "equiv", "-e", "(1000000000000x{;a;}x)^w", "-e", "(a)^w"
+    )
+    assert code == 4 and out == "" and "budget exhausted:" in err and took < 2
+
+
+def test_bounded_use_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(pgarl.services, "PRODUCT_STATE_LIMIT", 1000)
+    argv = ("extract", "-e", "(a;c.inc)^w", "--bind", "c=counter()", "--depth")
+    code, out, err = run(capsys, *argv, "10000000")
+    assert code == 4 and out == "" and "budget exhausted:" in err and "1000 states" in err
+    code, out, err = run(capsys, *argv, "1000")
+    assert code == 0 and err == "" and out.splitlines()[-1] == "X1001 = D"
+
+
+def test_number_too_long_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "parse", "-e", "#" + "9" * 5000)
+    assert (code, out) == (2, "")
+    assert err.strip() == "parse error: number too long at line 1, column 2"
+
+
+@pytest.mark.parametrize("via", [(), ("--via", "pure")])
+def test_equiv_loop_straddling_the_period_boundary(capsys, via):
+    # canonicalize rotates the body to (}x;b;2x{;a)^w, whose 2x{ closes in
+    # the next period
+    code, out, _ = run(capsys, "equiv", *via, "-e", "}x;(b;2x{;a;}x)^w", "-e", "(b;a;a)^w")
+    assert code == 0 and out.strip() == "equivalent"
+    code, out, _ = run(capsys, "stats", "-e", "}x;(b;2x{;a;}x)^w")
+    assert code == 0 and "loop_product 2" in out.splitlines()
+
+
 NEGATIVE_FIRST = "-b;(-d;c)^w"
 
 
@@ -436,7 +487,8 @@ def test_closed_stdout_exits_quietly():
 
 _TOKENS = st.sampled_from(
     ("a", "b", "+a", "-b", "-d.dec", "+d.inc", "!", "#0", "#1", "#2", "#5",
-     "2x{", "1x{", "}x", "u(a;#2)", "u(-b;u(a))", "2x{;a;}x")
+     "2x{", "1x{", "}x", "u(a;#2)", "u(-b;u(a))", "2x{;a;}x", "#1000000000000",
+     "1000000000000x{")
 )
 _MALFORMED = st.sampled_from(("#", "x", "(", ")^w", "0x{", "u()"))
 _BINDINGS = st.sampled_from(
@@ -485,9 +537,12 @@ def _argvs(draw):
 @settings(max_examples=150, deadline=None)
 @given(_argvs())
 def test_every_argv_gets_an_exit_code(argv):
-    # the counter() bindings name a focus the programs never use, so no
-    # silent run can take the 10^6 steps that end in exit 4
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    # the budgets are small, so a loop count of 10^12 runs into one of them
+    # (exit 4) after a few thousand steps
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+            mock.patch.object(pgarl.services, "PRODUCT_STATE_LIMIT", 1000), \
+            mock.patch.object(pgarl.services, "SILENT_RUN_LIMIT", 1000), \
+            mock.patch.object(pgarl.rigidloops, "PURE_LENGTH_LIMIT", 1000):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors

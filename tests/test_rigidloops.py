@@ -14,11 +14,14 @@ from pgarl import (
     CanonicalProgram,
     DEADLOCK,
     DownCounter,
+    HALT,
     Jump,
     LinearSpec,
     LoopClose,
     LoopHeader,
+    NegTest,
     Part,
+    PosTest,
     ProgramError,
     RawProgram,
     WellFormednessError,
@@ -41,7 +44,7 @@ from pgarl import (
     tree_equal,
     validate_pgarl,
 )
-from pgarl.rigidloops import _match_loops, _unsplit_loops
+from pgarl.rigidloops import _SKIP, _match_loops, _omega_form, _pure_layout, _unsplit_loops
 
 from genprograms import random_pgarl
 from streamsemantics import stream_pi
@@ -83,6 +86,30 @@ def test_validate_lonely_header_is_warning():
     diags = validate_pgarl(parse_canonical("(3x{;a)^w"))
     assert [d.severity for d in diags] == ["warning"]
     assert "skip" in diags[0].message
+
+
+def test_validate_matches_brackets_as_the_projections_read_them():
+    # the body's }x closes the prefix loop, and its 3x{ is closed by the next
+    # period's }x, so no bracket acts as a skip
+    assert validate_pgarl(parse_canonical("2x{;a;(}x;3x{;b)^w")) == []
+    diags = validate_pgarl(parse_canonical("(3x{;a)^w"))
+    assert [(d.position, d.message) for d in diags] == [
+        (1, "loop header has no matching closure; acts as a skip")
+    ]
+    diags = validate_pgarl(parse_canonical("a;}x;(2x{;b)^w"))
+    assert [str(d) for d in diags] == [
+        "warning at 3: loop header has no matching closure; acts as a skip",
+        "warning at 2: loop closure has no matching header; acts as a skip",
+    ]
+
+
+def test_well_formedness_error_lists_the_errors_alone():
+    with pytest.raises(WellFormednessError) as caught:
+        project_counter(parse_canonical("3}x2;(+b;}x;a)^w"))
+    assert str(caught.value) == (
+        "error at 1: annotated instruction in a source program; "
+        "error at 3: loop closure directly preceded by a test instruction"
+    )
 
 
 def test_validate_annotated_source_is_error():
@@ -306,6 +333,17 @@ def test_pure_rejects_boundary_spanning_loop():
     assert thread_equal(defining_thread(program), deadlock)
 
 
+def test_loop_straddling_the_period_boundary():
+    # the stream matches each period's 2x{ with the next period's }x, so the
+    # boundary moves past the first period's }x
+    program = parse_canonical("(}x;b;2x{;a)^w")
+    assert format_program(_unsplit_loops(program)) == "}x;(b;2x{;a;}x)^w"
+    expected = cycle_of("baa")
+    assert thread_equal(defining_thread(program), expected)
+    assert thread_equal(extract_pga(project_pure(program)), expected)
+    assert size_report(program).loop_product == 2
+
+
 def test_pure_output_has_no_rigid_instructions():
     rng = random.Random(3)
     for _ in range(100):
@@ -459,17 +497,21 @@ def test_written_and_canonical_forms_share_one_loop_product():
         assert size_report(canonical).loop_product == size_report(program).loop_product
 
 
-def _sequences(alphabet, longest):
-    return [seq for n in range(1, longest + 1) for seq in itertools.product(alphabet, repeat=n)]
+def _sequences(alphabet, longest, shortest=1):
+    return [
+        seq for n in range(shortest, longest + 1) for seq in itertools.product(alphabet, repeat=n)
+    ]
 
 
 def _unsplit_one_move_at_a_time(program):
-    """The replaced walk, kept as an oracle: rematch the whole window after
-    every move of the boundary."""
+    """The replaced walk, kept as an oracle: rematch the whole window of two
+    periods after every move of the boundary, until no pair crosses the
+    boundary or the end of the first period."""
     prefix, body = program.prefix, program.body
     while True:
-        pairs, _, _ = _match_loops(prefix + body)
-        if all(h > len(prefix) or c <= len(prefix) for c, h in pairs.items()):
+        pairs, _, _ = _match_loops(prefix + body + body)
+        ends = (len(prefix), len(prefix) + len(body))
+        if not any(h <= end < c for c, h in pairs.items() for end in ends):
             return CanonicalProgram(prefix, body)
         prefix, body = prefix + body[:1], body[1:] + body[:1]
 
@@ -478,7 +520,7 @@ def test_unsplit_moves_are_bounded():
     # once no prefix header is matched later the boundary stops, so the moves
     # never exceed |body| for each prefix header, plus one period
     alphabet = (Basic(a), LoopHeader(2), LoopClose())
-    for prefix in _sequences(alphabet, 4):
+    for prefix in _sequences(alphabet, 4, shortest=0):
         headers = sum(isinstance(ins, LoopHeader) for ins in prefix)
         for body in _sequences(alphabet, 4):
             program = CanonicalProgram(prefix, body)
@@ -493,12 +535,12 @@ def test_unsplit_moves_are_bounded():
 
 
 def test_projections_agree_with_stream_interpreter():
-    # every program with a prefix and a body of 1-3 instructions over a, b
-    # and one loop's brackets, canonicalized; the stream interpreter reads
-    # the program as written
+    # every program with a prefix of 0-3 and a body of 1-3 instructions over
+    # a, b and one loop's brackets, and with a prefix of 0-2 and a body of 4,
+    # canonicalized; the stream interpreter reads the program as written
     alphabet = (Basic(a), Basic(Action("b")), LoopHeader(2), LoopClose())
-    for prefix in _sequences(alphabet, 3):
-        for body in _sequences(alphabet, 3):
+    for prefix in _sequences(alphabet, 3, shortest=0):
+        for body in _sequences(alphabet, 4 if len(prefix) < 3 else 3):
             program = CanonicalProgram(prefix, body)
             canonical = canonicalize(RawProgram((Part(prefix), Part(body, repeated=True))))
             defining = defining_thread(canonical)
@@ -545,6 +587,179 @@ def test_pure_agrees_with_defining_thread_on_long_jumps():
     for program in programs:
         assert thread_equal(
             defining_thread(program), extract_pgau(project_pure(program))
+        ), format_program(program)
+
+
+# -- the replaced walks, kept as oracles for annotate, _omega_form and the
+# -- emission pass of project_pure
+
+def _annotate_by_stepping(instructions, cyclic=False):
+    """The replaced annotate: a jump collects the closures it crosses by
+    stepping through every position on its path."""
+    items = list(instructions)
+    n = len(items)
+    pairs, _, lonely_closures = _match_loops(items)
+    for pos, header_pos in pairs.items():
+        items[pos - 1] = AnnClose(items[header_pos - 1].count - 1, pos - header_pos - 1)
+    for pos in lonely_closures:
+        items[pos - 1] = AnnClose(0, 0)
+    closures = {pos: ins.remaining for pos, ins in enumerate(items, 1) if isinstance(ins, AnnClose)}
+    if closures:
+        for pos, ins in enumerate(items, 1):
+            if not isinstance(ins, Jump) or ins.distance <= 1:
+                continue
+            crossed = {}
+            for x in range(pos + 1, pos + ins.distance):
+                if cyclic:
+                    j = ((x - 1) % n) + 1
+                elif x > n:
+                    break
+                else:
+                    j = x
+                if j in closures:
+                    crossed[j] = closures[j]
+            if crossed:
+                items[pos - 1] = AnnJump(ins.distance, tuple(sorted(crossed.items())))
+    return tuple(items)
+
+
+def _omega_prefix_by_subtraction(program):
+    """The replaced prefix fold of _omega_form: a jump that lands past the
+    first period is shortened by one period at a time."""
+    k, m = len(program.prefix), len(program.body)
+    head = []
+    for i, ins in enumerate(program.prefix, 1):
+        if isinstance(ins, Jump):
+            distance = ins.distance
+            while distance > k - i + m:
+                distance -= m
+            ins = Jump(distance)
+        head.append(ins)
+    return tuple(head)
+
+
+def _pure_by_counting_left_loops(program):
+    """The replaced emission pass of project_pure: each jump counts the
+    enclosing loops it leaves, and each loop hands the count less one on to
+    the loop around it."""
+    layout = _pure_layout(program)
+    source, plen, first = layout.source, layout.prefix_len, layout.first
+    closes = {h: c for c, h in _match_loops(source)[0].items()}
+    n = len(source)
+    period = first[-1] - first[plen + 1]
+
+    def target(q):
+        if q <= n:
+            return first[q]
+        if not program.body:
+            return first[-1] + q - n - 1
+        periods, offset = divmod(q - plen - 1, n - plen)
+        return first[plen + 1 + offset] + periods * period
+
+    out = []
+    frames = []
+    for pos, ins in enumerate(source, 1):
+        if isinstance(ins, LoopHeader):
+            frames.append((closes[pos], ins.count, len(out), []))
+            out.append(_SKIP)
+        elif isinstance(ins, LoopClose):
+            out.append(_SKIP)
+            _, count, start, leaving = frames.pop()
+            block = out[start:]
+            size = len(block)
+            out.extend(block * (count - 1))
+            for i in range(1, count):
+                for index, _ in leaving:
+                    at = index + i * size
+                    out[at] = Jump(out[at].distance - i * size)
+            if frames:
+                frames[-1][3].extend(
+                    (index + i * size, more - 1)
+                    for i in range(count)
+                    for index, more in leaving
+                    if more
+                )
+        elif isinstance(ins, Jump) and ins.distance:
+            q = pos + ins.distance
+            out.append(Jump(target(q) - first[pos]))
+            left = 0
+            while left < len(frames) and frames[-1 - left][0] < q:
+                left += 1
+            if left:
+                frames[-1][3].append((len(out) - 1, left - 1))
+        else:
+            out.append(ins)
+    cut = first[plen + 1] - 1
+    return CanonicalProgram(tuple(out[:cut]), tuple(out[cut:]) if program.body else None)
+
+
+def _deep_segment(rng, budget, depth=0):
+    """Instructions with loops nested up to 4 deep, some lonely brackets, and
+    jumps mostly short, some up to 10^6 + 3."""
+    out = []
+    while len(out) < budget:
+        roll = rng.random()
+        if depth < 4 and budget - len(out) >= 3 and roll < 0.3:
+            inner = _deep_segment(rng, rng.randint(1, min(budget - len(out) - 2, 6)), depth + 1)
+            out += [LoopHeader(rng.randint(1, 4))] + inner + [LoopClose()]
+        elif roll < 0.34:
+            out.append(rng.choice((LoopHeader(rng.randint(1, 3)), LoopClose())))
+        elif roll < 0.6:
+            out.append(Basic(Action(rng.choice("abcd"))))
+        elif roll < 0.7:
+            out.append(rng.choice((PosTest, NegTest))(Action(rng.choice("abcd"))))
+        elif roll < 0.74:
+            out.append(HALT)
+        else:
+            spread = rng.random()
+            if spread < 0.6:
+                out.append(Jump(rng.randint(0, 14)))
+            elif spread < 0.97:
+                out.append(Jump(int(10 ** rng.uniform(1, 5))))
+            else:
+                out.append(Jump(10**6 + rng.randint(0, 3)))
+    return out
+
+
+def _deep_programs(count, seed):
+    """Random prefix-only, body-only and mixed programs from _deep_segment,
+    with no test right before a closure, so both projections accept them."""
+    rng = random.Random(seed)
+    programs = []
+    while len(programs) < count:
+        shape = rng.choice(("omega", "finite", "mixed"))
+        prefix = () if shape == "omega" else tuple(_deep_segment(rng, rng.randint(1, 10)))
+        body = None if shape == "finite" else tuple(_deep_segment(rng, rng.randint(1, 12)))
+        program = CanonicalProgram(prefix, body)
+        if not any(d.severity == "error" for d in validate_pgarl(program)):
+            programs.append(program)
+    return programs
+
+
+def _oracle_programs():
+    return _soundness_corpus() + _deep_programs(400, 1059)
+
+
+def test_annotate_matches_stepping_oracle():
+    for program in _oracle_programs():
+        for part, cyclic in ((program.prefix, False), (program.body, True)):
+            if part:
+                assert annotate(part, cyclic) == _annotate_by_stepping(part, cyclic), (
+                    format_program(program)
+                )
+
+
+def test_omega_form_matches_subtraction_oracle():
+    for program in _oracle_programs():
+        if program.prefix and program.body:
+            expected = _omega_prefix_by_subtraction(program)
+            assert _omega_form(program)[: len(program.prefix)] == expected, format_program(program)
+
+
+def test_pure_emission_matches_counting_oracle():
+    for program in _oracle_programs():
+        assert format_program(project_pure(program)) == format_program(
+            _pure_by_counting_left_loops(program)
         ), format_program(program)
 
 

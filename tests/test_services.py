@@ -9,6 +9,7 @@ from pgarl import (
     Action,
     Branch,
     BranchRef,
+    BudgetExceeded,
     CoAction,
     DEADLOCK,
     DivergenceSuspected,
@@ -147,13 +148,43 @@ def test_use_requires_enumeration():
         apply_use_finite(counter_spec(), "c", full_counter())
 
 
+def test_finiteness_is_a_flag_not_a_state_list():
+    # a down counter's states 0..limit are never listed, however large
+    assert down_counter(0, max=10**12).finite and not full_counter().finite
+    spec = lin(BranchRef(2, c_dec, 2), BranchRef(2, a, 2))
+    used = apply_use_finite(spec, "c", down_counter(10**12, max=10**12))
+    assert thread_equal(used, lin(BranchRef(1, a, 1)))
+
+
+def test_product_silent_runs_are_bounded(monkeypatch):
+    # 30 decrements before the count runs out; the product resolves silent
+    # runs with the same per-run budget as the bounded form and simulation
+    spec = lin(BranchRef(1, c_dec, 2), BranchRef(2, a, 2))
+    svc = down_counter(30, max=30)
+    assert thread_equal(apply_use_finite(spec, "c", svc), lin(BranchRef(1, a, 1)))
+    monkeypatch.setattr(services, "SILENT_RUN_LIMIT", 20)
+    with pytest.raises(DivergenceSuspected, match="within 20 consumed steps"):
+        apply_use_finite(spec, "c", svc)
+
+
+def test_bounded_unfolding_has_a_size_budget(monkeypatch):
+    # every level of (a;c.inc)^w is a new counter value, so depth n unfolds
+    # n (depth, state) pairs
+    monkeypatch.setattr(services, "PRODUCT_STATE_LIMIT", 1000)
+    spec = lin(BranchRef(2, a, 2), BranchRef(1, c_inc, 1))
+    bindings = (("c", full_counter()),)
+    assert apply_use_bounded(spec, bindings, 1000).action == a
+    with pytest.raises(BudgetExceeded, match="more than 1000 states"):
+        apply_use_bounded(spec, bindings, 1001)
+
+
 def test_product_size_bound():
     rng = random.Random(11)
     for _ in range(100):
         spec = random_spec(rng)
         svc = down_counter(0, max=2)
         used = apply_use_finite(spec, "c", svc)
-        assert len(used.equations) <= len(spec.equations) * len(svc.states) + 2
+        assert len(used.equations) <= len(spec.equations) * (svc.limit + 1) + 2
 
 
 # -- use operator, bounded ----------------------------------------------------
