@@ -8,6 +8,7 @@ standard output early (``| head -1``) ends the command quietly with 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -264,14 +265,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_stats(args) -> int:
     (raw,) = _load_programs(args, 1)
-    report = size_report(canonicalize(raw))
-    fields = {
-        "source_len": report.source_len,
-        "pure_len": report.pure_len,
-        "counter_len": report.counter_len,
-        "counter_len_expanded": report.counter_len_expanded,
-        "loop_product": report.loop_product,
-    }
+    fields = dataclasses.asdict(size_report(canonicalize(raw)))
     _emit(args, "\n".join(f"{k} {v}" for k, v in fields.items()), fields)
     return EXIT_OK
 

@@ -86,7 +86,7 @@ class _Scanner:
     def take_nat(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.peek().isdigit():
+        while "0" <= self.peek() <= "9":
             self.pos += 1
         if start == self.pos:
             raise self.error("expected a number")
@@ -103,7 +103,7 @@ class _Scanner:
             raise self.error("expected an identifier")
         while True:
             ch = self.peek()
-            if ("a" <= ch <= "z") or ch.isdigit() or ch == "_":
+            if ("a" <= ch <= "z") or ("0" <= ch <= "9") or ch == "_":
                 self.pos += 1
             else:
                 break
@@ -173,7 +173,7 @@ def _parse_instruction(sc: _Scanner) -> Instruction:
             raise sc.error("expected 'x' after '}'")
         sc.take("x")
         return CLOSE
-    if ch.isdigit():
+    if "0" <= ch <= "9":
         mark = sc.pos
         number = sc.take_nat()
         sc.skip_ws()

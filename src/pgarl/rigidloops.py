@@ -316,7 +316,11 @@ def project_counter(program: CanonicalProgram, xi_tail: str = "derived") -> Proj
     require_well_formed(program)
     if not has_rigid(program):
         return ProjectedProgram(program, ())
-    body = normalize_jumps(_omega_form(_unsplit_loops(program)))
+    # no jump of the omega form reaches past its end, so normalizing it changes
+    # nothing: with k the prefix length and m the body length, body jumps are
+    # normalized and then raised by at most k + 2, the head jump at i is folded
+    # to at most k - i + m, and a prefix-only jump at i is capped at k + 2 - i
+    body = _omega_form(_unsplit_loops(program))
     annotated = annotate(body, cyclic=True)
     closures = [
         (pos, ins.remaining) for pos, ins in enumerate(annotated, 1) if isinstance(ins, AnnClose)

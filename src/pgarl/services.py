@@ -206,13 +206,14 @@ class _SilentSteps:
                 )
         self.moves = moves
 
-    def resolve(self, equation: int, states: tuple, limit: int | None = None):
+    def resolve(self, equation: int, states: tuple):
         """Consume silent steps from ``equation`` until the thread emits a
         visible action, ends, or revisits an (equation, states) pair; returns
         STOP, DEADLOCK (a silent cycle is deadlock too) or the pair at the
-        visible action. With a ``limit``, DivergenceSuspected is raised when
-        a step is due after ``limit`` consumed steps."""
+        visible action. DivergenceSuspected is raised when a step is due
+        after SILENT_RUN_LIMIT consumed steps."""
         moves = self.moves
+        limit = SILENT_RUN_LIMIT
         seen = set()  # one entry per consumed step
         while True:
             move = moves[equation]
@@ -223,7 +224,7 @@ class _SilentSteps:
             key = (equation, states)
             if key in seen:
                 return DEADLOCK
-            if len(seen) == limit:  # never when limit is None
+            if len(seen) == limit:
                 raise DivergenceSuspected(f"no visible progress within {limit} consumed steps")
             seen.add(key)
             slot, step, co, yes, no = move
@@ -244,17 +245,17 @@ def apply_use(spec: LinearSpec, bindings) -> LinearSpec:
     silent = _SilentSteps(spec, tuple(bindings))
     resolve = silent.resolve
     explored = count(1)
-    limit, run = PRODUCT_STATE_LIMIT, SILENT_RUN_LIMIT
+    limit = PRODUCT_STATE_LIMIT
 
     def successors(node):
         if next(explored) > limit:
             raise BudgetExceeded(f"the use-operator product has more than {limit} states")
         equation, states = node
         rhs = spec.equations[equation - 1]
-        yes = resolve(rhs.yes, states, run)
-        return rhs.action, yes, yes if rhs.no == rhs.yes else resolve(rhs.no, states, run)
+        yes = resolve(rhs.yes, states)
+        return rhs.action, yes, yes if rhs.no == rhs.yes else resolve(rhs.no, states)
 
-    return explore(resolve(spec.root, silent.initial, run), successors)
+    return explore(resolve(spec.root, silent.initial), successors)
 
 
 def apply_use_finite(spec: LinearSpec, focus: str, svc: Service) -> LinearSpec:
@@ -284,7 +285,7 @@ def apply_use_bounded(spec: LinearSpec, bindings, depth: int) -> FiniteThread:
     def successors(node):
         if next(explored) > limit:
             raise BudgetExceeded(f"the bounded use operator unfolds more than {limit} states")
-        at = silent.resolve(*node, SILENT_RUN_LIMIT)
+        at = silent.resolve(*node)
         if at is STOP or at is DEADLOCK:
             return at
         rhs = spec.rhs(at[0])
@@ -316,7 +317,7 @@ def simulate_with_services(
     steps: list[tuple[Action, bool]] = []
     cursor = script.cursor
     while True:
-        at = silent.resolve(equation, states, SILENT_RUN_LIMIT)
+        at = silent.resolve(equation, states)
         if at is STOP:
             return Trace(tuple(steps), STATUS_STOP)
         if at is DEADLOCK:

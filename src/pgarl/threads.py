@@ -16,7 +16,10 @@ the breadth-first numbering of a state space as a specification
 depth-cut twin (:func:`cut`) behind :func:`pi`, :func:`pi_thread` and the
 use operator's depth-bounded form. The order, equality and distinguishing
 traces are one breadth-first walk over pairs of states, which stops at the
-first pair that disagrees. Scripted runs are the use operator's with no
+first pair that disagrees. Finite thread trees are state spaces too: one
+reading of their nodes by identity lets :func:`thread_to_spec`,
+:func:`pi_thread`, :func:`finite_leq` and :func:`tree_equal` use the same
+numbering, cut and walk. Scripted runs are the use operator's with no
 services bound, so they live in :mod:`pgarl.services`.
 """
 
@@ -184,54 +187,57 @@ def pi(n: int, spec: LinearSpec, state: int) -> FiniteThread:
     return cut(state, n, successors)
 
 
+def _tree_states(thread: FiniteThread):
+    """Read a finite thread tree as a state space for :func:`explore` and
+    :func:`cut`: returns ``(root, successors)``. A branch node is its id(),
+    kept in a dict so that no node is hashed by value and shared subtrees
+    are one state; a leaf is the singleton of its kind, which ``successors``
+    returns as it is."""
+    nodes: dict[int, Branch] = {}
+
+    def state(t: FiniteThread):
+        if isinstance(t, Branch):
+            nodes[id(t)] = t
+            return id(t)
+        return STOP if isinstance(t, Stop) else DEADLOCK
+
+    def successors(key):
+        if key is STOP or key is DEADLOCK:
+            return key
+        t = nodes[key]
+        return t.action, state(t.yes), state(t.no)
+
+    return state(thread), successors
+
+
 def pi_thread(n: int, thread: FiniteThread) -> FiniteThread:
     """The same depth cut applied directly to a finite thread tree. Its
     states are the nodes within ``n`` levels, told apart by identity, so
     shared subtrees stay shared and nothing deeper is read."""
-    nodes = {id(thread): thread}
+    root, successors = _tree_states(thread)
+    return cut(root, n, successors)
 
-    def successors(key):
-        t = nodes[key]
-        if isinstance(t, Branch):
-            nodes[id(t.yes)], nodes[id(t.no)] = t.yes, t.no
-            return t.action, id(t.yes), id(t.no)
-        return STOP if isinstance(t, Stop) else DEADLOCK
 
-    return cut(id(thread), n, successors)
+def thread_to_spec(thread: FiniteThread) -> LinearSpec:
+    """Number the nodes of a finite thread tree as a linear specification,
+    the way :func:`explore` numbers every state space: shared subtrees get
+    one equation each, and so does each kind of leaf."""
+    return explore(*_tree_states(thread))
 
 
 def finite_leq(left: FiniteThread, right: FiniteThread) -> bool:
     """Refinement order on finite threads: deadlock refines everything,
     termination only termination, and branches must agree on the action and
-    refine componentwise.
-
-    The node pairs reached in step are memoized on identity, so shared (DAG)
-    trees compare in time proportional to the number of distinct node pairs;
-    the walk keeps its own stack, so any depth is fine.
-    """
-    seen: set[tuple[int, int]] = set()
-    stack = [(left, right)]
-    while stack:
-        a, b = stack.pop()
-        key = (id(a), id(b))
-        if isinstance(a, Deadlock) or key in seen:
-            continue
-        seen.add(key)
-        if isinstance(a, Stop):
-            if not isinstance(b, Stop):
-                return False
-        elif not isinstance(b, Branch) or a.action != b.action:
-            return False
-        else:
-            stack.append((a.no, b.no))
-            stack.append((a.yes, b.yes))
-    return True
+    refine componentwise. Decided by :func:`refines` on the numbered trees,
+    so shared (DAG) trees compare in time proportional to the number of
+    distinct node pairs, at any depth."""
+    return refines(thread_to_spec(left), thread_to_spec(right))
 
 
 def tree_equal(left: FiniteThread, right: FiniteThread) -> bool:
-    """Equality of finite threads: refinement both ways, since the order is
-    antisymmetric on finite threads."""
-    return finite_leq(left, right) and finite_leq(right, left)
+    """Equality of finite threads: :func:`thread_equal` on the numbered
+    trees."""
+    return thread_equal(thread_to_spec(left), thread_to_spec(right))
 
 
 def _first_difference(spec_p: LinearSpec, spec_q: LinearSpec, deadlock_below: bool):
@@ -445,29 +451,3 @@ def format_spec(spec: LinearSpec) -> str:
         else:
             lines.append(f"X{i} = X{rhs.yes} <{rhs.action}> X{rhs.no}")
     return "\n".join(lines)
-
-
-def thread_to_spec(thread: FiniteThread) -> LinearSpec:
-    """Number the nodes of a finite thread tree as a linear specification
-    (shared subtrees get one equation each)."""
-    index: dict[int, int] = {}
-    order: list[FiniteThread] = []
-    stack = [thread]
-    while stack:  # preorder, yes before no
-        t = stack.pop()
-        if id(t) in index:
-            continue
-        index[id(t)] = len(order) + 1
-        order.append(t)
-        if isinstance(t, Branch):
-            stack.append(t.no)
-            stack.append(t.yes)
-    equations: list[SpecRhs] = []
-    for t in order:
-        if isinstance(t, Stop):
-            equations.append(STOP)
-        elif isinstance(t, Deadlock):
-            equations.append(DEADLOCK)
-        else:
-            equations.append(BranchRef(index[id(t.yes)], t.action, index[id(t.no)]))
-    return LinearSpec(tuple(equations), 1)

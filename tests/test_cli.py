@@ -109,6 +109,30 @@ def test_extract_unbounded_binding_with_depth(capsys):
     assert code == 0 and out.count("<a>") == 3
 
 
+DEPTH_3_EQUATIONS = [
+    "X1 = X2 <a> X3",
+    "X2 = X4 <a> X5",
+    "X3 = X4 <a> X5",
+    "X4 = X6 <a> X6",
+    "X5 = X6 <a> X6",
+    "X6 = D",
+]
+
+
+def test_extract_depth_is_numbered_breadth_first(capsys):
+    # breadth first from the root, yes before no, the terminal last
+    argv = ("extract", "-e", "(+a;c.inc;#2;b;c.dec)^w", "--bind", "c=counter()", "--depth", "3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.splitlines() == ["root 1"] + DEPTH_3_EQUATIONS
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out) == {
+        "root": 1,
+        "equations": [
+            {"index": i, "text": text} for i, text in enumerate(DEPTH_3_EQUATIONS, 1)
+        ],
+    }
+
+
 def test_equiv_equal_programs(capsys):
     code, out, _ = run(capsys, "equiv", "-e", "#0", "-e", "#1")
     assert code == 0 and out.strip() == "equivalent"
@@ -440,6 +464,14 @@ def test_number_too_long_is_a_parse_error(capsys):
     assert err.strip() == "parse error: number too long at line 1, column 2"
 
 
+@pytest.mark.parametrize("text", ["#\u00b2", "#\u0663;a"])
+def test_only_ascii_digits_are_numbers(capsys, text):
+    # superscript two and Arabic-Indic three are digits to str.isdigit()
+    code, out, err = run(capsys, "parse", "-e", text)
+    assert (code, out) == (2, "")
+    assert err == "parse error: expected a number at line 1, column 2\n"
+
+
 @pytest.mark.parametrize("via", [(), ("--via", "pure")])
 def test_equiv_loop_straddling_the_period_boundary(capsys, via):
     # canonicalize rotates the body to (}x;b;2x{;a)^w, whose 2x{ closes in
@@ -492,8 +524,9 @@ _TOKENS = st.sampled_from(
 )
 _MALFORMED = st.sampled_from(("#", "x", "(", ")^w", "0x{", "u()"))
 _BINDINGS = st.sampled_from(
-    ("d=dc(init=1,max=2)", "d=dc()", "c=counter()", "c=counter(init=2)", "rlc:1=dc()",
-     "x=", "=dc()", "d=dc(foo=1)", "d=dc(init=z)", "d=dc(init=3,max=1)", "d=spin()")
+    ("d=dc(init=1,max=2)", "d=dc()", "c=counter()", "c=counter(init=2)", "d=counter()",
+     "d=counter(init=2)", "rlc:1=dc()", "x=", "=dc()", "d=dc(foo=1)", "d=dc(init=z)",
+     "d=dc(init=3,max=1)", "d=spin()")
 )
 
 

@@ -94,6 +94,8 @@ def test_parse_whitespace_insensitive():
         "a;(b)^",
         "set:1",
         "3y{",
+        "#\u00b2",
+        "#\u0663;a",
     ],
 )
 def test_parse_errors(bad):

@@ -273,10 +273,12 @@ def test_silent_run_limit_counts_consumed_steps():
     spec = lin(BranchRef(2, c_inc, 2), BranchRef(3, c_inc, 3), BranchRef(4, c_inc, 4),
                BranchRef(4, a, 4))
     silent = _SilentSteps(spec, (("c", full_counter()),))
-    assert silent.resolve(spec.root, silent.initial, 3) == (4, (3,))
+    with mock.patch.object(services, "SILENT_RUN_LIMIT", 3):
+        assert silent.resolve(spec.root, silent.initial) == (4, (3,))
     assert silent.resolve(spec.root, silent.initial) == (4, (3,))
-    with pytest.raises(DivergenceSuspected, match="within 2 consumed steps"):
-        silent.resolve(spec.root, silent.initial, 2)
+    with mock.patch.object(services, "SILENT_RUN_LIMIT", 2), \
+            pytest.raises(DivergenceSuspected, match="within 2 consumed steps"):
+        silent.resolve(spec.root, silent.initial)
 
 
 def test_bounded_budget_exhaustion():
@@ -310,11 +312,7 @@ def _memo_apply_use_bounded(spec, bindings, depth):
             stack.pop()
             continue
         equation, states, remaining = key
-        outcome = (
-            DEADLOCK
-            if remaining == 0
-            else silent.resolve(equation, states, services.SILENT_RUN_LIMIT)
-        )
+        outcome = DEADLOCK if remaining == 0 else silent.resolve(equation, states)
         if outcome is STOP or outcome is DEADLOCK:
             memo[key] = outcome
             stack.pop()

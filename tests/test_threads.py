@@ -357,6 +357,44 @@ def test_cut_maps_fresh_terminals_to_the_singletons():
     assert pi_thread(2, fresh).yes is STOP
 
 
+# -- the replaced preorder numbering of trees, kept as the oracle ---------------
+
+def _preorder_thread_to_spec(thread):
+    index = {}
+    order = []
+    stack = [thread]
+    while stack:  # preorder, yes before no
+        t = stack.pop()
+        if id(t) in index:
+            continue
+        index[id(t)] = len(order) + 1
+        order.append(t)
+        if isinstance(t, Branch):
+            stack.append(t.no)
+            stack.append(t.yes)
+    equations = []
+    for t in order:
+        if isinstance(t, Stop):
+            equations.append(STOP)
+        elif isinstance(t, Deadlock):
+            equations.append(DEADLOCK)
+        else:
+            equations.append(BranchRef(index[id(t.yes)], t.action, index[id(t.no)]))
+    return LinearSpec(tuple(equations), 1)
+
+
+@settings(max_examples=60)
+@given(specs)
+def test_thread_to_spec_matches_preorder_numbering(spec):
+    for state in range(1, len(spec) + 1):
+        for depth in range(8):
+            tree = pi(depth, spec, state)
+            for shape in (tree, pi_thread(depth // 2, tree)):
+                new, old = thread_to_spec(shape), _preorder_thread_to_spec(shape)
+                assert thread_equal(new, old)
+                assert len(new) == len(old)
+
+
 def test_pi_thread_reads_nothing_below_the_cut():
     # a node that is no thread at all, two levels down, is never looked at
     thread = Branch(STOP, a, Branch(object(), b, DEADLOCK))
