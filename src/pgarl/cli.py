@@ -14,7 +14,7 @@ import os
 import sys
 
 from .extraction import extract_pgau
-from .parser import ParseError, parse_program
+from .parser import ParseError, _Scanner, parse_program
 from .program import (
     CanonicalProgram,
     ProgramError,
@@ -27,6 +27,7 @@ from .program import (
 )
 from .rigidloops import (
     WellFormednessError,
+    _unsplit_loops,
     annotate,
     project_counter,
     project_pure,
@@ -45,6 +46,7 @@ from .services import (
     simulate_with_services,
 )
 from .threads import (
+    FOCUS,
     LinearSpec,
     ReplyScript,
     SpecError,
@@ -66,46 +68,41 @@ class _CliError(Exception):
         self.code = code
 
 
+_SERVICES = {"dc": (DownCounter, ("init", "max")), "counter": (FullCounter, ("init",))}
+
+
 def _parse_binding(text: str) -> tuple[str, Service]:
-    focus, _, rest = text.partition("=")
-    focus = focus.strip()
-    rest = rest.strip()
-    if not focus or not rest:
-        raise _CliError(f"bad binding {text!r}; expected focus=dc(...) or focus=counter()",
-                        EXIT_ILL_FORMED)
-    if rest.startswith("dc(") and rest.endswith(")"):
-        init, limit = 0, 0
-        fields = rest[3:-1].strip()
-        if fields:
-            for field in fields.split(","):
-                key, _, value = field.partition("=")
-                key = key.strip()
-                if key == "init":
-                    init = int(value)
-                elif key == "max":
-                    limit = int(value)
-                else:
-                    raise _CliError(f"unknown dc() field {key!r}", EXIT_ILL_FORMED)
-        try:
-            return focus, DownCounter(init, limit)
-        except ValueError as exc:
-            raise _CliError(str(exc), EXIT_ILL_FORMED) from None
-    if rest.startswith("counter(") and rest.endswith(")"):
-        fields = rest[8:-1].strip()
-        init = 0
-        if fields:
-            key, _, value = fields.partition("=")
-            if key.strip() != "init":
-                raise _CliError(f"unknown counter() field {key.strip()!r}", EXIT_ILL_FORMED)
-            init = int(value)
-        return focus, FullCounter(init)
-    raise _CliError(f"bad service spec {rest!r}", EXIT_ILL_FORMED)
+    """Read ``FOCUS=KIND(FIELD=N,...)`` with the scanner that reads programs,
+    so a focus, a name and a number are what they are in program text. Each
+    of the kind's fields may appear at most once and is 0 when left out."""
+    sc = _Scanner(text)
+    try:
+        focus = sc.take_match(FOCUS, "a focus")
+        sc.take("=")
+        kind = sc.take_ident()
+        if kind not in _SERVICES:
+            raise sc.error("expected 'dc' or 'counter'", sc.pos - len(kind))
+        make, names = _SERVICES[kind]
+        values: dict[str, int] = {}
+        sc.take("(")
+        while not sc.at_end() and sc.peek() != ")":
+            if values:
+                sc.take(",")
+            name = sc.take_ident()
+            if name not in names or name in values:
+                raise sc.error(f"{kind}() takes {', '.join(names)}, once each", sc.pos - len(name))
+            sc.take("=")
+            values[name] = sc.take_nat()
+        sc.take(")")
+        if not sc.at_end():
+            raise sc.error("unexpected input after ')'")
+        return focus, make(*(values.get(name, 0) for name in names))
+    except ValueError as exc:  # a ParseError, or a value the service rejects
+        raise _CliError(f"bad binding {text!r}: {exc}", EXIT_ILL_FORMED) from None
 
 
 def _load_programs(args, expected: int) -> list[RawProgram]:
-    sources: list[str] = []
-    for text in args.expr or []:
-        sources.append(text)
+    sources = list(args.expr or [])
     for path in args.inputs or []:
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -180,10 +177,11 @@ def _cmd_annotate(args) -> int:
     (raw,) = _load_programs(args, 1)
     program = canonicalize(raw)
     require_well_formed(program)
-    if program.body and program.prefix:
-        raise _CliError(
-            "annotate expects a repetition-free or fully repeating program", EXIT_ILL_FORMED
-        )
+    form = program if program.prefix else _unsplit_loops(program)
+    if form.body and form.prefix:  # written so, or a loop straddles the period
+        moved = "" if form is program else f"; this one reads as {format_program(form)}"
+        raise _CliError("annotate expects a repetition-free or fully repeating program" + moved,
+                        EXIT_ILL_FORMED)
     if program.body:
         text = f"({format_sequence(annotate(program.body, cyclic=True))})^w"
     else:
@@ -219,11 +217,10 @@ def _cmd_extract(args) -> int:
     unbounded = [(focus, svc) for focus, svc in bindings if not svc.finite]
     if finite:
         spec = apply_use(spec, finite)
-    if unbounded:
-        if args.depth is None:
-            raise _CliError(
-                "binding a service without a finite enumeration needs --depth", EXIT_ILL_FORMED
-            )
+    if unbounded and args.depth is None:
+        raise _CliError("binding a service without a finite enumeration needs --depth",
+                        EXIT_ILL_FORMED)
+    if args.depth is not None:
         spec = thread_to_spec(apply_use_bounded(spec, unbounded, args.depth))
     text = format_spec(spec)
     _emit(args, text, _spec_json(spec))
@@ -306,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--via", choices=("defining", "pure"), default="defining")
     p.add_argument("--bind", action="append", help="focus=dc(init=0,max=3) or focus=counter()")
     p.add_argument("--depth", type=int, default=None,
-                   help="visible depth when binding an unbounded service")
+                   help="cut the thread at this visible depth (needed for an unbounded service)")
     p.set_defaults(handler=_cmd_extract)
 
     p = sub.add_parser("equiv", help="decide behavioral equivalence of two programs")

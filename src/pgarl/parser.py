@@ -11,6 +11,10 @@ The grammar is ASCII and whitespace-insensitive between tokens::
     action  := IDENT | focus '.' IDENT (':' NAT)?
     focus   := IDENT (':' NAT)?
 
+IDENT, NAT and a focus are the patterns ``threads.NAME``, ``threads.NAT``
+and ``threads.FOCUS`` (``[a-z][a-z0-9_]*``, ``[0-9]+``), which ``Action``
+checks and ``--bind`` text is read by too.
+
 The printed form of any program parses back to itself. A focus may carry a
 ``:NAT`` suffix, so ``rlc:5.set:1`` is the action with focus ``rlc:5``,
 method ``set``, and argument 1. Units nest at most ``UNIT_NESTING_LIMIT``
@@ -18,6 +22,8 @@ deep; a deeper one is a parse error.
 """
 
 from __future__ import annotations
+
+import re
 
 from .program import (
     CLOSE,
@@ -36,7 +42,7 @@ from .program import (
     Unit,
     canonicalize,
 )
-from .threads import Action
+from .threads import NAME, NAT, Action
 
 UNIT_NESTING_LIMIT = 100
 
@@ -73,6 +79,7 @@ class _Scanner:
         return self.text[at] if at < len(self.text) else ""
 
     def take(self, expected: str) -> None:
+        self.skip_ws()
         if not self.text.startswith(expected, self.pos):
             raise self.error(f"expected {expected!r}")
         self.pos += len(expected)
@@ -83,31 +90,24 @@ class _Scanner:
             return True
         return False
 
-    def take_nat(self) -> int:
+    def take_match(self, pattern: re.Pattern, what: str) -> str:
+        """Skip whitespace, then take the text ``pattern`` matches at the cursor."""
         self.skip_ws()
-        start = self.pos
-        while "0" <= self.peek() <= "9":
-            self.pos += 1
-        if start == self.pos:
-            raise self.error("expected a number")
+        match = pattern.match(self.text, self.pos)
+        if match is None:
+            raise self.error(f"expected {what}")
+        self.pos = match.end()
+        return match[0]
+
+    def take_nat(self) -> int:
+        digits = self.take_match(NAT, "a number")
         try:
-            return int(self.text[start : self.pos])
+            return int(digits)
         except ValueError:  # past the interpreter's limit on integer digits
-            raise self.error("number too long", start) from None
+            raise self.error("number too long", self.pos - len(digits)) from None
 
     def take_ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        ch = self.peek()
-        if not ("a" <= ch <= "z"):
-            raise self.error("expected an identifier")
-        while True:
-            ch = self.peek()
-            if ("a" <= ch <= "z") or ("0" <= ch <= "9") or ch == "_":
-                self.pos += 1
-            else:
-                break
-        return self.text[start : self.pos]
+        return self.take_match(NAME, "an identifier")
 
 
 def _parse_action(sc: _Scanner, first: str | None = None) -> Action:
@@ -141,10 +141,8 @@ def _parse_annots(sc: _Scanner) -> tuple[tuple[int, int], ...]:
             break
         sc.take("(")
         position = sc.take_nat()
-        sc.skip_ws()
         sc.take(",")
         value = sc.take_nat()
-        sc.skip_ws()
         sc.take(")")
         resets.append((position, value))
     return tuple(resets)
@@ -173,7 +171,7 @@ def _parse_instruction(sc: _Scanner) -> Instruction:
             raise sc.error("expected 'x' after '}'")
         sc.take("x")
         return CLOSE
-    if "0" <= ch <= "9":
+    if NAT.match(ch):
         mark = sc.pos
         number = sc.take_nat()
         sc.skip_ws()
@@ -184,7 +182,7 @@ def _parse_instruction(sc: _Scanner) -> Instruction:
             sc.take("x")
             size = sc.take_nat()
             return AnnClose(number, size)
-        if "a" <= sc.peek() <= "z":
+        if NAME.match(sc.peek()):
             word = sc.take_ident()
             if word == "x" and sc.peek() == "{":
                 sc.take("{")
@@ -192,7 +190,7 @@ def _parse_instruction(sc: _Scanner) -> Instruction:
                     raise sc.error("loop count must be positive", mark)
                 return LoopHeader(number)
         raise sc.error("expected 'x{' or '}x' after a number", mark)
-    if "a" <= ch <= "z":
+    if NAME.match(ch):
         mark = sc.pos
         name = sc.take_ident()
         if name == "u" and sc.peek() == "(":
@@ -202,7 +200,6 @@ def _parse_instruction(sc: _Scanner) -> Instruction:
             sc.units += 1
             body = _parse_sequence(sc, stop=")")
             sc.units -= 1
-            sc.skip_ws()
             sc.take(")")
             try:
                 return Unit(tuple(body))
@@ -239,7 +236,6 @@ def parse_program(text: str) -> RawProgram:
         if sc.peek() == "(":
             sc.take("(")
             body = _parse_sequence(sc, stop=")")
-            sc.skip_ws()
             sc.take(")")
             if not sc.try_take("^w"):
                 raise sc.error("expected '^w' after ')'")

@@ -171,21 +171,17 @@ def walk_instructions(instructions: Iterable[Instruction]) -> Iterator[Instructi
             yield from walk_instructions(ins.body)
 
 
-def program_instructions(program: RawProgram | CanonicalProgram) -> Iterator[Instruction]:
-    if isinstance(program, RawProgram):
-        for part in program.parts:
-            yield from walk_instructions(part.instructions)
-    else:
-        yield from walk_instructions(program.prefix)
-        if program.body:
-            yield from walk_instructions(program.body)
+def program_instructions(program: CanonicalProgram) -> Iterator[Instruction]:
+    yield from walk_instructions(program.prefix)
+    if program.body:
+        yield from walk_instructions(program.body)
 
 
-def has_units(program: RawProgram | CanonicalProgram) -> bool:
+def has_units(program: CanonicalProgram) -> bool:
     return any(isinstance(ins, Unit) for ins in program_instructions(program))
 
 
-def has_rigid(program: RawProgram | CanonicalProgram) -> bool:
+def has_rigid(program: CanonicalProgram) -> bool:
     return any(
         isinstance(ins, (LoopHeader, LoopClose, AnnClose, AnnJump))
         for ins in program_instructions(program)

@@ -315,19 +315,17 @@ def simulate_with_services(
     silent = _SilentSteps(spec, tuple(bindings))
     equation, states = spec.root, silent.initial
     steps: list[tuple[Action, bool]] = []
-    cursor = script.cursor
-    while True:
+    while True:  # one scripted reply per visible step
         at = silent.resolve(equation, states)
         if at is STOP:
             return Trace(tuple(steps), STATUS_STOP)
         if at is DEADLOCK:
             return Trace(tuple(steps), STATUS_DEADLOCK)
-        if len(steps) >= max_steps or cursor >= len(script.values):
+        if len(steps) >= max_steps or len(steps) >= len(script.values):
             return Trace(tuple(steps), STATUS_CUTOFF)
         equation, states = at
         rhs = spec.rhs(equation)
-        reply = script.values[cursor]
-        cursor += 1
+        reply = script.values[len(steps)]
         steps.append((rhs.action, reply))
         equation = rhs.yes if reply else rhs.no
 

@@ -29,8 +29,11 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-_METHOD_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
-_FOCUS_RE = re.compile(r"[a-z][a-z0-9_]*(:[0-9]+)?\Z")
+# The lexical rules every text is read by: program text, actions and the
+# foci of service bindings. Only ASCII letters and digits count.
+NAME = re.compile(r"[a-z][a-z0-9_]*")
+NAT = re.compile(r"[0-9]+")
+FOCUS = re.compile(rf"{NAME.pattern}(:{NAT.pattern})?")
 
 STATUS_STOP = "S"
 STATUS_DEADLOCK = "D"
@@ -52,9 +55,9 @@ class Action:
     argument: int | None = None
 
     def __post_init__(self) -> None:
-        if not _METHOD_RE.match(self.method):
+        if not NAME.fullmatch(self.method):
             raise ValueError(f"bad method identifier {self.method!r}")
-        if self.focus is not None and not _FOCUS_RE.match(self.focus):
+        if self.focus is not None and not FOCUS.fullmatch(self.focus):
             raise ValueError(f"bad focus identifier {self.focus!r}")
         if self.argument is not None:
             if self.argument < 0:
@@ -331,14 +334,9 @@ def distinguish(spec_p: LinearSpec, spec_q: LinearSpec) -> Witness | None:
 
 @dataclass(frozen=True)
 class ReplyScript:
-    """An ordered supply of boolean replies with a consumption cursor."""
+    """An ordered supply of boolean replies, consumed from the first."""
 
     values: tuple[bool, ...] = ()
-    cursor: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.cursor <= len(self.values):
-            raise ValueError("cursor beyond script length")
 
     @classmethod
     def from_text(cls, text: str) -> "ReplyScript":

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgarl
-from pgarl.cli import main
+from pgarl.cli import EXIT_ILL_FORMED, _CliError, _parse_binding, main
+from pgarl.parser import ParseError, _Scanner
+from pgarl.services import DownCounter, FullCounter
+from pgarl.threads import FOCUS
 
 FIRST = "(3x{;a;b;4x{;c;}x;d;}x;e)^w"
 
@@ -526,7 +530,7 @@ _MALFORMED = st.sampled_from(("#", "x", "(", ")^w", "0x{", "u()"))
 _BINDINGS = st.sampled_from(
     ("d=dc(init=1,max=2)", "d=dc()", "c=counter()", "c=counter(init=2)", "d=counter()",
      "d=counter(init=2)", "rlc:1=dc()", "x=", "=dc()", "d=dc(foo=1)", "d=dc(init=z)",
-     "d=dc(init=3,max=1)", "d=spin()")
+     "d=dc(init=3,max=1)", "d=spin()", "d=dc(max=\u0663)", "X Y=dc()", "d=dc(max=1,max=2)")
 )
 
 
@@ -581,3 +585,199 @@ def test_every_argv_gets_an_exit_code(argv):
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
     assert code in range(5), argv
+
+
+# -- --bind texts: one reading of names and numbers ---------------------------
+
+PROBE = "(+c.dec;a;b)^w"
+
+
+@pytest.mark.parametrize(
+    "binding",
+    ["c=dc(init=\u0661,max=\u0663)", "X Y=dc(max=1)", "c.d=dc()", "c=dc(max=1,max=2)",
+     "c=dc(max=x)", "c=dc(max=" + "9" * 5000 + ")", "c=dc(init=3,max=1)", "c=spin()",
+     "c=counter(max=1)", "c=dc(init=1", "c=dc(init=1)x", "c=dc(init=1,)", "c=dc(init=+1)"],
+)
+def test_malformed_binding_is_one_error(capsys, binding):
+    code, out, err = run(capsys, "extract", "-e", PROBE, "--bind", binding)
+    assert (code, out) == (3, "") and err.startswith(f"bad binding {binding!r}: ")
+
+
+@pytest.mark.parametrize(
+    "binding, expected",
+    [
+        ("c:1=dc(init=1,max=1)", ("c:1", DownCounter(1, 1))),
+        ("c = dc( max = 2 )", ("c", DownCounter(0, 2))),
+        (" c = dc ( init = 1 , max = 2 ) ", ("c", DownCounter(1, 2))),
+        ("c=counter()", ("c", FullCounter(0))),
+        ("c=counter(init=4)", ("c", FullCounter(4))),
+    ],
+)
+def test_valid_bindings(capsys, binding, expected):
+    assert _parse_binding(binding) == expected
+    code, out, err = run(capsys, "extract", "-e", "(+c:1.dec;a;b)^w", "--bind", binding,
+                         "--depth", "2")
+    assert code == 0 and err == ""
+
+
+def _replaced_parse_binding(text: str):
+    """The binding reader that _parse_binding replaced, kept as its oracle."""
+    focus, _, rest = text.partition("=")
+    focus = focus.strip()
+    rest = rest.strip()
+    if not focus or not rest:
+        raise _CliError(f"bad binding {text!r}; expected focus=dc(...) or focus=counter()",
+                        EXIT_ILL_FORMED)
+    if rest.startswith("dc(") and rest.endswith(")"):
+        init, limit = 0, 0
+        fields = rest[3:-1].strip()
+        if fields:
+            for field in fields.split(","):
+                key, _, value = field.partition("=")
+                key = key.strip()
+                if key == "init":
+                    init = int(value)
+                elif key == "max":
+                    limit = int(value)
+                else:
+                    raise _CliError(f"unknown dc() field {key!r}", EXIT_ILL_FORMED)
+        try:
+            return focus, DownCounter(init, limit)
+        except ValueError as exc:
+            raise _CliError(str(exc), EXIT_ILL_FORMED) from None
+    if rest.startswith("counter(") and rest.endswith(")"):
+        fields = rest[8:-1].strip()
+        init = 0
+        if fields:
+            key, _, value = fields.partition("=")
+            if key.strip() != "init":
+                raise _CliError(f"unknown counter() field {key.strip()!r}", EXIT_ILL_FORMED)
+            init = int(value)
+        return focus, FullCounter(init)
+    raise _CliError(f"bad service spec {rest!r}", EXIT_ILL_FORMED)
+
+
+_SPACES = st.sampled_from(("", "", " ", "  "))
+_DIGITS = st.text(alphabet="0123456789\u0663\u00b2", max_size=3)
+
+
+@st.composite
+def _binding_texts(draw):
+    """A binding text and the names of its fields."""
+    def sp():
+        return draw(_SPACES)
+
+    names = draw(st.lists(st.sampled_from(("init", "max", "foo", "")), max_size=3))
+    fields = ",".join(f"{sp()}{name}{sp()}={sp()}{draw(_DIGITS)}{sp()}" for name in names)
+    focus = draw(st.sampled_from(("c", "c:1", "rlc:5", "c:007", "d_2", "X Y", "c.d", "c:", "",
+                                  "9c", "C")))
+    kind = draw(st.sampled_from(("dc", "counter", "spin", "")))
+    closing = draw(st.sampled_from((")", ")", ")", "", ")x", ",)")))
+    return f"{sp()}{focus}{sp()}={sp()}{kind}{sp()}({sp()}{fields}{sp()}{closing}{sp()}", names
+
+
+@settings(max_examples=400, deadline=None)
+@given(_binding_texts())
+def test_binding_reader_matches_replaced_reader(drawn):
+    text, names = drawn
+    try:  # the replaced reader took no space between the kind and its parenthesis
+        expected = _replaced_parse_binding(re.sub(r"(dc|counter)\s+\(", r"\1(", text))
+    except (ValueError, _CliError):  # ValueError: int() on a field that is not a number
+        expected = None
+    digits = {ch for ch in text if ch.isdigit()}
+    if (expected is not None and digits <= set("0123456789") and FOCUS.fullmatch(expected[0])
+            and len(set(names)) == len(names)):
+        assert _parse_binding(text) == expected
+    else:
+        with pytest.raises(_CliError) as info:
+            _parse_binding(text)
+        assert info.value.code == 3 and str(info.value).startswith(f"bad binding {text!r}: ")
+
+
+def _pi_text(n, spec):
+    return pgarl.format_spec(pgarl.thread_to_spec(pgarl.pi(n, spec, spec.root))) + "\n"
+
+
+def test_extract_depth_cuts_without_bindings(capsys):
+    program = "(2x{;a;}x;b)^w"
+    code, out, _ = run(capsys, "extract", "-e", program, "--depth", "2")
+    assert code == 0 and out.splitlines() == ["root 1", "X1 = X2 <a> X2", "X2 = X3 <a> X3",
+                                              "X3 = D"]
+    assert out == _pi_text(2, pgarl.defining_thread(pgarl.parse_canonical(program)))
+    code, out, _ = run(capsys, "extract", "-e", "a;b", "--depth", "0")
+    assert (code, out) == (0, "root 1\nX1 = D\n")
+
+
+def test_extract_depth_cuts_with_finite_bindings_only(capsys):
+    code, out, _ = run(capsys, "extract", "-e", PROBE, "--bind", "c=dc(init=1,max=2)",
+                       "--depth", "3")
+    assert code == 0 and out.splitlines() == [
+        "root 1", "X1 = X2 <a> X2", "X2 = X3 <b> X3", "X3 = X4 <b> X4", "X4 = D"
+    ]
+    spec = pgarl.extract_pgau(pgarl.parse_canonical(PROBE))
+    assert out == _pi_text(3, pgarl.apply_use(spec, [("c", DownCounter(1, 2))]))
+
+
+def test_annotate_names_the_form_of_a_straddling_body(capsys):
+    code, out, err = run(capsys, "annotate", "-e", "(}x;b;2x{;a)^w")
+    assert (code, out) == (3, "")
+    assert err == ("annotate expects a repetition-free or fully repeating program; "
+                   "this one reads as }x;(b;2x{;a;}x)^w\n")
+
+
+# -- the scanner against the character loops it replaced ----------------------
+
+class _ReplacedScanner(_Scanner):
+    """The scanner with the character loops that the shared name and number
+    patterns replaced, kept as their oracle."""
+
+    def take_nat(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while "0" <= self.peek() <= "9":
+            self.pos += 1
+        if start == self.pos:
+            raise self.error("expected a number")
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past the interpreter's limit on integer digits
+            raise self.error("number too long", start) from None
+
+    def take_ident(self) -> str:
+        self.skip_ws()
+        start = self.pos
+        ch = self.peek()
+        if not ("a" <= ch <= "z"):
+            raise self.error("expected an identifier")
+        while True:
+            ch = self.peek()
+            if ("a" <= ch <= "z") or ("0" <= ch <= "9") or ch == "_":
+                self.pos += 1
+            else:
+                break
+        return self.text[start : self.pos]
+
+
+_SCANNER_TOKENS = st.one_of(
+    _TOKENS,
+    st.sampled_from(("#\u0663", "#\u00b2", "\u0663x{", "a\u0663", " a ", "2 x{", "2x {",
+                     "rlc:5.set:1", "c : 1.dec", "c:1 . dec", "a:1", "#4( 7 , 3 )(9,2)",
+                     "2}x 7", "3 }x2", "u( a ; #2 )", "#" + "9" * 5000, "_a", "a_b2", "A")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SCANNER_TOKENS, max_size=6), st.sampled_from((";", " ; ", ";\n")),
+       st.booleans())
+def test_scanner_matches_replaced_loops(tokens, separator, repeat):
+    text = separator.join(tokens)
+    if repeat:
+        text = f"( {text} )^w"
+    outcomes = []
+    for scanner in (_Scanner, _ReplacedScanner):
+        with mock.patch.object(pgarl.parser, "_Scanner", scanner):
+            try:
+                outcomes.append(pgarl.parse_program(text))
+            except ParseError as exc:
+                outcomes.append((str(exc), exc.line, exc.column))
+    assert outcomes[0] == outcomes[1]

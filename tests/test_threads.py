@@ -148,11 +148,6 @@ def test_simulate_follows_replies():
     assert trace.status == "S"
 
 
-def test_reply_script_cursor_invariant():
-    with pytest.raises(ValueError):
-        ReplyScript((True,), cursor=5)
-
-
 def test_format_spec_text_form():
     spec = LinearSpec((BranchRef(2, Action("dec", focus="c"), 1), STOP), 2)
     assert format_spec(spec) == "root 2\nX1 = X2 <c.dec> X1\nX2 = S"
@@ -482,7 +477,7 @@ def _bfs_distinguish(spec_p, spec_q):
 def _scripted_run(spec, script, max_steps=1000):
     current = spec.rhs(spec.root) if isinstance(spec, LinearSpec) else spec
     steps = []
-    cursor = script.cursor
+    cursor = 0
     while True:
         if current == STOP:
             return steps, "S"
@@ -539,7 +534,7 @@ def _check_scripted_run(spec, script, max_steps):
 @given(specs, st.lists(st.booleans(), max_size=12), st.integers(min_value=0, max_value=3),
        st.integers(min_value=0, max_value=12))
 def test_scripted_run_matches_replaced_loop(spec, replies, cursor, max_steps):
-    script = ReplyScript(tuple(replies), min(cursor, len(replies)))
+    script = ReplyScript(tuple(replies[cursor:]))
     _check_scripted_run(spec, script, max_steps)
     _check_scripted_run(pi(6, spec, spec.root), script, max_steps)
 
