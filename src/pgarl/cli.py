@@ -47,6 +47,7 @@ from .services import (
 )
 from .threads import (
     FOCUS,
+    NAT,
     LinearSpec,
     ReplyScript,
     SpecError,
@@ -78,6 +79,8 @@ def _parse_binding(text: str) -> tuple[str, Service]:
     sc = _Scanner(text)
     try:
         focus = sc.take_match(FOCUS, "a focus")
+        if NAT.match(sc.peek()):  # only a leading zero ends a focus before a digit
+            raise sc.error("a focus number has no leading zeros", sc.pos - len(focus))
         sc.take("=")
         kind = sc.take_ident()
         if kind not in _SERVICES:
@@ -99,6 +102,17 @@ def _parse_binding(text: str) -> tuple[str, Service]:
         return focus, make(*(values.get(name, 0) for name in names))
     except ValueError as exc:  # a ParseError, or a value the service rejects
         raise _CliError(f"bad binding {text!r}: {exc}", EXIT_ILL_FORMED) from None
+
+
+def _number(text: str) -> int:
+    """An integer option: ASCII digits with an optional leading ``-``, so
+    that a negative value reaches the library's natural-number check."""
+    try:
+        if NAT.fullmatch(text.removeprefix("-")):
+            return int(text)
+    except ValueError:  # past the interpreter's limit on integer digits
+        raise argparse.ArgumentTypeError("number too long") from None
+    raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
 
 
 def _load_programs(args, expected: int) -> list[RawProgram]:
@@ -302,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_program_args(p)
     p.add_argument("--via", choices=("defining", "pure"), default="defining")
     p.add_argument("--bind", action="append", help="focus=dc(init=0,max=3) or focus=counter()")
-    p.add_argument("--depth", type=int, default=None,
+    p.add_argument("--depth", type=_number, default=None,
                    help="cut the thread at this visible depth (needed for an unbounded service)")
     p.set_defaults(handler=_cmd_extract)
 
@@ -315,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_program_args(p)
     p.add_argument("--bind", action="append", help="focus=dc(init=0,max=3) or focus=counter()")
     p.add_argument("--replies", default="", help="reply script, e.g. TTF or 110")
-    p.add_argument("--max-steps", type=int, default=1000)
+    p.add_argument("--max-steps", type=_number, default=1000)
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("stats", help="compare projection sizes")

@@ -12,7 +12,8 @@ service states: the finite product (:func:`apply_use`) explores every
 reachable pair of a thread state and such a tuple in a single pass, the
 depth-bounded form (:func:`apply_use_bounded`) unfolds them to a visible
 depth with the depth cut that :func:`pgarl.threads.pi` uses, and scripted
-simulation (:func:`simulate_with_services`) walks one path;
+simulation (:func:`simulate_with_services`) walks one path, remembering
+the states it meets when every service is finite;
 :func:`simulate_thread` is that walk with no services bound. All three
 resolve consumed steps with one resolver, which limits each silent run to
 ``SILENT_RUN_LIMIT`` steps, and all three reject a list of bindings that
@@ -309,25 +310,49 @@ def simulate_with_services(
 ) -> Trace:
     """Scripted simulation with live services: actions on bound foci are
     answered by their service and do not appear in the trace or consume the
-    script; every other action consumes one scripted reply. Works for
-    services with or without a finite enumeration. Each silent run between
-    two visible steps may consume at most SILENT_RUN_LIMIT steps."""
+    script; every other action consumes one scripted reply, for at most
+    ``max_steps`` (a natural number) visible steps. Works for services with
+    or without a finite enumeration. Each silent run between two visible
+    steps may consume at most SILENT_RUN_LIMIT steps.
+
+    When every bound service is finite, the product has finitely many
+    visible states and a scripted run keeps returning to them, so the walk
+    keeps one entry per visible state it meets: the action performed there
+    and, once a reply has been taken from it, the entry that reply resolves
+    to. A state met again costs no silent steps. Only the branch a reply
+    takes is resolved, as in the walk without a table, so a divergence
+    behind an untaken branch is never raised."""
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be a natural number, got {max_steps}")
     silent = _SilentSteps(spec, tuple(bindings))
-    equation, states = spec.root, silent.initial
+    at = silent.resolve(spec.root, silent.initial)
     steps: list[tuple[Action, bool]] = []
-    while True:  # one scripted reply per visible step
-        at = silent.resolve(equation, states)
-        if at is STOP:
-            return Trace(tuple(steps), STATUS_STOP)
-        if at is DEADLOCK:
-            return Trace(tuple(steps), STATUS_DEADLOCK)
-        if len(steps) >= max_steps or len(steps) >= len(script.values):
-            return Trace(tuple(steps), STATUS_CUTOFF)
-        equation, states = at
-        rhs = spec.rhs(equation)
-        reply = script.values[len(steps)]
-        steps.append((rhs.action, reply))
-        equation = rhs.yes if reply else rhs.no
+    if all(svc.finite for _, svc in bindings):
+        table: dict = {STOP: STOP, DEADLOCK: DEADLOCK}  # the terminals stand for themselves
+
+        def entry(at):  # [action, where false leads, where true leads, equation, states]
+            if at not in table:
+                table[at] = [spec.rhs(at[0]).action, None, None, *at]
+            return table[at]
+
+        at = entry(at)
+        for reply in script.values[:max_steps]:
+            if at is STOP or at is DEADLOCK:
+                break
+            steps.append((at[0], reply))
+            if at[1 + reply] is None:
+                rhs = spec.rhs(at[3])
+                at[1 + reply] = entry(silent.resolve(rhs.yes if reply else rhs.no, at[4]))
+            at = at[1 + reply]
+    else:  # an unbounded service seldom meets a state twice: walk without a table
+        for reply in script.values[:max_steps]:
+            if at is STOP or at is DEADLOCK:
+                break
+            rhs = spec.rhs(at[0])
+            steps.append((rhs.action, reply))
+            at = silent.resolve(rhs.yes if reply else rhs.no, at[1])
+    status = STATUS_STOP if at is STOP else STATUS_DEADLOCK if at is DEADLOCK else STATUS_CUTOFF
+    return Trace(tuple(steps), status)
 
 
 def simulate_thread(

@@ -30,10 +30,11 @@ from dataclasses import dataclass
 from typing import Union
 
 # The lexical rules every text is read by: program text, actions and the
-# foci of service bindings. Only ASCII letters and digits count.
+# foci of service bindings. Only ASCII letters and digits count. A focus has
+# one spelling: its number, if any, is written without leading zeros.
 NAME = re.compile(r"[a-z][a-z0-9_]*")
 NAT = re.compile(r"[0-9]+")
-FOCUS = re.compile(rf"{NAME.pattern}(:{NAT.pattern})?")
+FOCUS = re.compile(rf"{NAME.pattern}(:(0|[1-9][0-9]*))?")
 
 STATUS_STOP = "S"
 STATUS_DEADLOCK = "D"

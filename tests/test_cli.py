@@ -243,6 +243,35 @@ def test_extract_negative_depth_is_an_input_error(capsys):
     assert code == 3 and out == "" and err.startswith("error:") and "depth" in err
 
 
+def test_simulate_negative_max_steps_is_an_input_error(capsys):
+    code, out, err = run(
+        capsys, "simulate", "-e", "(a;b)^w", "--replies", "TTT", "--max-steps", "-1"
+    )
+    assert (code, out) == (3, "") and err.startswith("error:") and "max_steps" in err
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--max-steps", "\u0663"), ("--depth", "\u0662"), ("--max-steps", " 2 "),
+                      ("--max-steps", "1_0"), ("--max-steps", "+2"), ("--depth", "9" * 5000)]
+)
+def test_numeric_options_read_ascii_digits(capsys, option, value):
+    command = "simulate" if option == "--max-steps" else "extract"
+    with pytest.raises(SystemExit) as info:
+        main([command, "-e", "(a;b)^w", option, value])
+    assert info.value.code == 2 and f"argument {option}:" in capsys.readouterr().err
+
+
+def test_one_focus_spelling(capsys):
+    # program text reads c:007 as the focus c:7, which --bind spells c:7;
+    # the spelling with leading zeros is a bad binding, not an unused one
+    program = "(+c:007.dec;!;a)^w"
+    code, out, err = run(capsys, "extract", "-e", program, "--bind", "c:7=dc(init=1,max=1)")
+    assert (code, out, err) == (0, "root 1\nX1 = S\n", "")
+    code, out, err = run(capsys, "extract", "-e", program, "--bind", "c:007=dc(init=1,max=1)")
+    assert (code, out) == (3, "") and err.startswith("bad binding 'c:007=dc(init=1,max=1)': ")
+    assert "leading zeros" in err
+
+
 def test_extract_binding_cannot_replace_loop_counter(capsys):
     code, out, err = run(
         capsys, "extract", "-e", "(2x{;a;}x)^w", "--bind", "rlc:3=dc(init=0,max=0)"
@@ -564,10 +593,12 @@ def _argvs(draw):
         for binding in draw(st.lists(_BINDINGS, max_size=2)):
             argv += ["--bind", binding]
     if command == "extract" and draw(st.booleans()):
-        argv += ["--depth", str(draw(st.integers(min_value=-2, max_value=6)))]
+        argv += ["--depth", draw(st.integers(min_value=-2, max_value=6).map(str)
+                                 | st.just("\u0663"))]
     if command == "simulate":
         argv += ["--replies", draw(st.sampled_from(("", "TF", "110", "TTFx")))]
-        argv += ["--max-steps", str(draw(st.integers(min_value=-1, max_value=20)))]
+        argv += ["--max-steps", draw(st.integers(min_value=-1, max_value=20).map(str)
+                                     | st.just("\u0663"))]
     return argv
 
 

@@ -18,6 +18,7 @@ from pgarl import (
     ReplyScript,
     STOP,
     ServiceError,
+    Trace,
     apply_bindings,
     apply_use,
     apply_use_bounded,
@@ -406,6 +407,142 @@ def test_counter_law_inc_chain_feeds_dec_loop():
         for _ in range(n):
             expected = prefixed(b, expected)
         assert tree_equal(tree, expected)
+
+
+# -- the replaced simulation walk, kept as the oracle -----------------------------
+
+def _walk_simulate(spec, bindings, script, max_steps=1000):
+    """The walk simulate_with_services replaced: every visible step resolves
+    the silent steps that follow it afresh, with no table."""
+    silent = _SilentSteps(spec, tuple(bindings))
+    equation, states = spec.root, silent.initial
+    steps = []
+    while True:  # one scripted reply per visible step
+        at = silent.resolve(equation, states)
+        if at is STOP:
+            return Trace(tuple(steps), "S")
+        if at is DEADLOCK:
+            return Trace(tuple(steps), "D")
+        if len(steps) >= max_steps or len(steps) >= len(script.values):
+            return Trace(tuple(steps), "cutoff")
+        equation, states = at
+        rhs = spec.rhs(equation)
+        reply = script.values[len(steps)]
+        steps.append((rhs.action, reply))
+        equation = rhs.yes if reply else rhs.no
+
+
+def _simulated(function, *args):
+    try:
+        trace = function(*args)
+    except BudgetExceeded as exc:
+        return type(exc), str(exc)
+    return trace.steps, trace.status
+
+
+def _same_walk(spec, bindings, script, max_steps=1000):
+    outcome = _simulated(simulate_with_services, spec, bindings, script, max_steps)
+    assert outcome == _simulated(_walk_simulate, spec, bindings, script, max_steps)
+    return outcome
+
+
+def test_simulation_matches_replaced_walk_on_the_corpus():
+    rng = random.Random(20260808)
+    corpus = [random_pgarl(rng, shape=("omega", "finite", "mixed")[i % 3]) for i in range(500)]
+    ends = set()
+    for program in corpus:
+        projected = project_counter(program)
+        spec = extract_pgau(projected.program)
+        for _ in range(3):
+            script = ReplyScript(tuple(rng.random() < 0.5 for _ in range(rng.randint(0, 60))))
+            steps, status = _same_walk(spec, projected.bindings, script, rng.randint(0, 70))
+            ends.add(status)
+    assert ends == {"S", "D", "cutoff"}
+
+
+_C_ACTIONS = (
+    a, b, c_inc, c_dec, *(Action("set", focus="c", argument=n) for n in range(5))
+)
+
+
+@st.composite
+def _c_specs(draw):
+    """A spec of up to six equations over a, b and c.inc, c.dec, c.set:N."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    index = st.integers(min_value=1, max_value=n)
+    rhs = st.one_of(
+        st.just(STOP),
+        st.just(DEADLOCK),
+        st.builds(BranchRef, index, st.sampled_from(_C_ACTIONS), index),
+    )
+    return lin(*draw(st.lists(rhs, min_size=n, max_size=n)), root=draw(index))
+
+
+_C_SERVICES = st.one_of(
+    st.integers(min_value=0, max_value=3).flatmap(
+        lambda top: st.builds(down_counter, st.integers(min_value=0, max_value=top), st.just(top))
+    ),
+    st.builds(full_counter, st.integers(min_value=0, max_value=2)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _c_specs(),
+    _C_SERVICES,
+    st.lists(st.booleans(), max_size=30).map(lambda replies: ReplyScript(tuple(replies))),
+    st.integers(min_value=0, max_value=40),
+)
+def test_simulation_matches_replaced_walk_on_counter_specs(spec, svc, script, max_steps):
+    # a small silent run limit makes increment loops stop with
+    # DivergenceSuspected at once
+    with mock.patch.object(services, "SILENT_RUN_LIMIT", 20):
+        _same_walk(spec, (("c", svc),), script, max_steps)
+
+
+def test_simulation_table_resolves_each_state_once(monkeypatch):
+    # 600 replies go round the loop and its counter's states dozens of
+    # times; the replaced walk resolves after every step, the table only
+    # after a (state, reply) it has not met
+    projected = project_counter(canonicalize(parse_program("(3x{;+a;#2;b;c;}x;d)^w")))
+    spec = extract_pgau(projected.program)
+    rng = random.Random(5)
+    script = ReplyScript(tuple(rng.random() < 0.5 for _ in range(600)))
+    calls = []
+    resolve = _SilentSteps.resolve
+    monkeypatch.setattr(_SilentSteps, "resolve", lambda *args: calls.append(1) or resolve(*args))
+    steps, status = _simulated(_walk_simulate, spec, projected.bindings, script)
+    walked = len(calls)
+    assert _simulated(simulate_with_services, spec, projected.bindings, script) == (steps, status)
+    assert status == "cutoff" and walked == len(steps) + 1 == 601
+    assert len(calls) - walked < 30
+
+
+def test_simulation_leaves_an_untaken_divergence_unresolved():
+    # X1 = X1 <+a> X2, and X2 consumes steps forever: replies T never go
+    # there, a reply F does and runs out of silent steps
+    for svc, endless in ((full_counter(), c_inc), (down_counter(100, max=100), c_dec)):
+        spec = lin(BranchRef(1, a, 2), BranchRef(2, endless, 2))
+        with mock.patch.object(services, "SILENT_RUN_LIMIT", 20):
+            assert _same_walk(spec, (("c", svc),), ReplyScript((True,) * 50)) == (
+                ((a, True),) * 50, "cutoff"
+            )
+            assert _same_walk(spec, (("c", svc),), ReplyScript((True, True, False))) == (
+                DivergenceSuspected, "no visible progress within 20 consumed steps"
+            )
+
+
+def test_simulation_rejects_negative_max_steps():
+    with pytest.raises(ValueError, match="max_steps must be a natural number"):
+        simulate_with_services(lin(BranchRef(1, a, 1)), (), ReplyScript((True,)), -1)
+
+
+def test_simulation_silent_dec_cycle_is_deadlock():
+    spec = lin(BranchRef(2, a, 2), BranchRef(2, c_dec, 2))
+    for svc in (down_counter(2, max=3), full_counter(2)):
+        assert _same_walk(spec, (("c", svc),), ReplyScript((True, False))) == (
+            ((a, True),), "D"
+        )
 
 
 # -- bindings ------------------------------------------------------------------
