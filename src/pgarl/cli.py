@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .extraction import extract_pgau
+from .extraction import _table_states, extract_pgau
 from .parser import ParseError, _Scanner, parse_program
 from .program import (
     CanonicalProgram,
@@ -40,8 +40,9 @@ from .services import (
     FullCounter,
     Service,
     ServiceError,
+    _product_states,
+    _unresolved_states,
     apply_use,
-    apply_use_bounded,
     check_foci,
     simulate_with_services,
 )
@@ -51,9 +52,10 @@ from .threads import (
     LinearSpec,
     ReplyScript,
     SpecError,
-    distinguish,
+    _bounded,
+    _first_difference,
+    explore,
     format_spec,
-    thread_to_spec,
 )
 
 EXIT_OK = 0
@@ -145,9 +147,9 @@ def _emit(args, text: str, payload: dict) -> None:
         print(text)
 
 
-def _projected_thread(program: CanonicalProgram, args) -> tuple[LinearSpec, list]:
-    """The thread of a program, projected as ``--via`` says when it has rigid
-    loops, and the (focus, service) bindings still to apply to it: the loop
+def _projected(program: CanonicalProgram, args) -> tuple[CanonicalProgram, list]:
+    """A program, projected as ``--via`` says when it has rigid loops, and
+    the (focus, service) bindings still to apply to its thread: the loop
     counters of the counter projection, then the ``--bind`` services."""
     bindings = [_parse_binding(text) for text in getattr(args, "bind", None) or []]
     via = getattr(args, "via", "defining") if has_rigid(program) else None
@@ -158,7 +160,7 @@ def _projected_thread(program: CanonicalProgram, args) -> tuple[LinearSpec, list
     check_foci(bindings)
     if via == "pure":
         program = project_pure(program)
-    return extract_pgau(program), bindings
+    return program, bindings
 
 
 def _cmd_parse(args) -> int:
@@ -226,7 +228,8 @@ def _cmd_project(args) -> int:
 
 def _cmd_extract(args) -> int:
     (raw,) = _load_programs(args, 1)
-    spec, bindings = _projected_thread(canonicalize(raw), args)
+    program, bindings = _projected(canonicalize(raw), args)
+    spec = extract_pgau(program)
     finite = [(focus, svc) for focus, svc in bindings if svc.finite]
     unbounded = [(focus, svc) for focus, svc in bindings if not svc.finite]
     if finite:
@@ -234,19 +237,21 @@ def _cmd_extract(args) -> int:
     if unbounded and args.depth is None:
         raise _CliError("binding a service without a finite enumeration needs --depth",
                         EXIT_ILL_FORMED)
-    if args.depth is not None:
-        spec = thread_to_spec(apply_use_bounded(spec, unbounded, args.depth))
+    if args.depth is not None:  # number the pairs of the cut, as apply_use_bounded cuts them
+        root, successors = _unresolved_states(spec, unbounded, args.depth)
+        spec = explore(*_bounded(root, args.depth, successors))
     text = format_spec(spec)
     _emit(args, text, _spec_json(spec))
     return EXIT_OK
 
 
 def _cmd_equiv(args) -> int:
-    specs = []
+    spaces = []  # compared as they are walked: neither is built, and a difference ends the walk
     for raw in _load_programs(args, 2):
-        spec, bindings = _projected_thread(canonicalize(raw), args)
-        specs.append(apply_use(spec, bindings) if bindings else spec)
-    witness = distinguish(*specs)
+        program, bindings = _projected(canonicalize(raw), args)
+        spaces.append(_product_states(extract_pgau(program), bindings) if bindings
+                      else _table_states(program, allow_units=True))
+    witness = _first_difference(*spaces, deadlock_below=False)
     if witness is None:
         _emit(args, "equivalent", {"equivalent": True})
         return EXIT_OK
@@ -260,9 +265,9 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_simulate(args) -> int:
     (raw,) = _load_programs(args, 1)
-    spec, bindings = _projected_thread(canonicalize(raw), args)
+    program, bindings = _projected(canonicalize(raw), args)
     script = ReplyScript.from_text(args.replies or "")
-    trace = simulate_with_services(spec, tuple(bindings), script, args.max_steps)
+    trace = simulate_with_services(extract_pgau(program), tuple(bindings), script, args.max_steps)
     _emit(
         args,
         str(trace),

@@ -11,8 +11,9 @@ unit at its first instruction, a jump issued inside a unit counts the
 remaining inner instructions individually and then whole outer instructions
 (climbing the level records), and falling off a unit's end continues after
 it. Each jump chain is resolved once and remembered; a chain that revisits an
-instruction without performing an action is deadlock. The thread is then
-explored over instruction numbers.
+instruction without performing an action is deadlock. The table is then a
+state space over instruction numbers (see :mod:`pgarl.threads`), which
+extraction numbers and :func:`behav_equiv` compares as it walks it.
 
 Synthesis goes the other way: every regular thread is laid out as a repeated
 program with one test-jump-jump triple per branch equation and one
@@ -45,15 +46,18 @@ from .threads import (
     Deadlock,
     LinearSpec,
     Stop,
+    _first_difference,
     _require_valid,
     explore,
-    thread_equal,
 )
 
 _RIGID = (LoopHeader, LoopClose, AnnClose, AnnJump)
 
 
-def _extract(program: CanonicalProgram, allow_units: bool) -> LinearSpec:
+def _table_states(program: CanonicalProgram, allow_units: bool):
+    """Lay ``program`` out as its flat table and return the table as a
+    state space ``(root, successors)``, whose states are the numbers of its
+    action instructions."""
     # The flat table: ``table[i]`` is the i-th executable instruction in
     # program order, units descended into, and ``where[i]`` its (level, slot).
     # Level 0 is the outer sequence; ``levels[v]`` is (the first instruction
@@ -135,17 +139,17 @@ def _extract(program: CanonicalProgram, allow_units: bool) -> LinearSpec:
             return ins.action, skip, after
         raise AssertionError(f"unresolved instruction {ins!r}")
 
-    return explore(resolve(0) if table else DEADLOCK, successors)
+    return resolve(0) if table else DEADLOCK, successors
 
 
 def extract_pga(program: CanonicalProgram) -> LinearSpec:
     """Thread extraction for unit-free programs."""
-    return _extract(program, allow_units=False)
+    return explore(*_table_states(program, allow_units=False))
 
 
 def extract_pgau(program: CanonicalProgram) -> LinearSpec:
     """Thread extraction with unit instructions allowed."""
-    return _extract(program, allow_units=True)
+    return explore(*_table_states(program, allow_units=True))
 
 
 def synthesize(spec: LinearSpec) -> CanonicalProgram:
@@ -188,8 +192,9 @@ def synthesize(spec: LinearSpec) -> CanonicalProgram:
 
 
 def behav_equiv(p: CanonicalProgram, q: CanonicalProgram) -> bool:
-    """Behavioral equivalence: both programs extract to equal threads."""
-    return thread_equal(extract_pgau(p), extract_pgau(q))
+    """Behavioral equivalence: both programs extract to equal threads,
+    compared as the two tables are walked, without numbering either."""
+    return _first_difference(_table_states(p, True), _table_states(q, True), False) is None
 
 
 def pgau2pga(program: CanonicalProgram) -> CanonicalProgram:

@@ -8,7 +8,7 @@ The grammar is ASCII and whitespace-insensitive between tokens::
     instr   := '!' | '#' NAT annots? | '+' action | '-' action | action
              | NAT 'x{' | '}x' | NAT '}x' NAT | 'u(' seq ')'
     annots  := ('(' NAT ',' NAT ')')+
-    action  := IDENT | focus '.' IDENT (':' NAT)?
+    action  := IDENT | focus '.' IDENT (':' NAT)?     (one token)
     focus   := IDENT (':' NAT)?
 
 IDENT, NAT and a focus are the patterns ``threads.NAME``, ``threads.NAT``
@@ -45,6 +45,7 @@ from .program import (
 from .threads import NAME, NAT, Action
 
 UNIT_NESTING_LIMIT = 100
+_SPACE = re.compile(r"\s")
 
 
 class ParseError(ValueError):
@@ -111,7 +112,11 @@ class _Scanner:
 
 
 def _parse_action(sc: _Scanner, first: str | None = None) -> Action:
+    """Read ``NAME[:NAT][.NAME[:NAT]]`` (``first`` is the NAME, when the
+    caller has taken it). An action is one token: whitespace may come before
+    it, but not inside it."""
     name = sc.take_ident() if first is None else first
+    start = sc.pos - len(name)
     focus = None
     if sc.peek() == ":":
         mark = sc.pos
@@ -130,6 +135,9 @@ def _parse_action(sc: _Scanner, first: str | None = None) -> Action:
     if sc.peek() == ":":
         sc.take(":")
         argument = sc.take_nat()
+    gap = _SPACE.search(sc.text, start, sc.pos)
+    if gap:
+        raise sc.error("whitespace inside an action", gap.start())
     return Action(method, focus=focus, argument=argument)
 
 

@@ -8,7 +8,7 @@ foci pass through, a co-action outside the service's alphabet deadlocks, and
 a cycle of consumed actions that never emits anything is deadlock as well.
 
 Several services are applied together, one per focus, over a tuple of
-service states: the finite product (:func:`apply_use`) explores every
+service states: the finite product (:func:`apply_use`) numbers every
 reachable pair of a thread state and such a tuple in a single pass, the
 depth-bounded form (:func:`apply_use_bounded`) unfolds them to a visible
 depth with the depth cut that :func:`pgarl.threads.pi` uses, and scripted
@@ -18,7 +18,10 @@ the states it meets when every service is finite;
 resolve consumed steps with one resolver, which limits each silent run to
 ``SILENT_RUN_LIMIT`` steps, and all three reject a list of bindings that
 binds a focus twice. The product may have at most ``PRODUCT_STATE_LIMIT``
-states, and the depth-bounded form may unfold at most as many.
+states, and the depth-bounded form may unfold at most as many. Both are
+state spaces in the sense of :mod:`pgarl.threads` (``_product_states``,
+``_unresolved_states``) before they are numbered or cut, so a caller can
+compare a product, or number a depth cut, without building it first.
 """
 
 from __future__ import annotations
@@ -234,13 +237,12 @@ class _SilentSteps:
             equation = yes if reply else no
 
 
-def apply_use(spec: LinearSpec, bindings) -> LinearSpec:
-    """The use operator with every finite-state service of ``bindings`` (a
-    sequence of (focus, service) with distinct foci) applied in one product
-    pass: one equation per reachable (thread state, service states) pair that
-    performs a visible action, plus shared terminal equations. More than
-    PRODUCT_STATE_LIMIT such pairs raise BudgetExceeded, and a silent run
-    of more than SILENT_RUN_LIMIT consumed steps DivergenceSuspected."""
+def _product_states(spec: LinearSpec, bindings):
+    """The use operator's finite product as a state space (see
+    :func:`pgarl.threads.explore`): a state is a (thread state, service
+    states) pair that performs a visible action, and the silent steps
+    between two such pairs are resolved when a pair is stepped. Stepping
+    more than PRODUCT_STATE_LIMIT pairs raises BudgetExceeded."""
     if not all(svc.finite for _, svc in bindings):
         raise ServiceError("service has no finite state enumeration; use the bounded form")
     silent = _SilentSteps(spec, tuple(bindings))
@@ -256,7 +258,17 @@ def apply_use(spec: LinearSpec, bindings) -> LinearSpec:
         yes = resolve(rhs.yes, states)
         return rhs.action, yes, yes if rhs.no == rhs.yes else resolve(rhs.no, states)
 
-    return explore(resolve(spec.root, silent.initial), successors)
+    return resolve(spec.root, silent.initial), successors
+
+
+def apply_use(spec: LinearSpec, bindings) -> LinearSpec:
+    """The use operator with every finite-state service of ``bindings`` (a
+    sequence of (focus, service) with distinct foci) applied in one product
+    pass: one equation per reachable (thread state, service states) pair that
+    performs a visible action, plus shared terminal equations. More than
+    PRODUCT_STATE_LIMIT such pairs raise BudgetExceeded, and a silent run
+    of more than SILENT_RUN_LIMIT consumed steps DivergenceSuspected."""
+    return explore(*_product_states(spec, bindings))
 
 
 def apply_use_finite(spec: LinearSpec, focus: str, svc: Service) -> LinearSpec:
@@ -266,17 +278,11 @@ def apply_use_finite(spec: LinearSpec, focus: str, svc: Service) -> LinearSpec:
     return apply_use(spec, ((focus, svc),))
 
 
-def apply_use_bounded(spec: LinearSpec, bindings, depth: int) -> FiniteThread:
-    """Depth approximation of a thread using the services of ``bindings`` (a
-    sequence of (focus, service) with distinct foci), explored on the fly.
-
-    Works for services without a finite enumeration. Every bound focus is
-    consumed in the same pass, so only the remaining actions count toward
-    the visible ``depth``, a natural number. Each silent run between two
-    visible actions may consume at most SILENT_RUN_LIMIT steps; running out
-    raises DivergenceSuspected. More than PRODUCT_STATE_LIMIT (depth, state)
-    pairs unfolded raise BudgetExceeded.
-    """
+def _unresolved_states(spec: LinearSpec, bindings, depth: int):
+    """The state space that :func:`apply_use_bounded` cuts at ``depth``, a
+    natural number: a state is a (thread state, service states) pair before
+    its silent steps are resolved, and it steps as the pair it resolves to.
+    Stepping more than PRODUCT_STATE_LIMIT pairs raises BudgetExceeded."""
     if depth < 0:
         raise ValueError(f"depth must be a natural number, got {depth}")
     silent = _SilentSteps(spec, tuple(bindings))
@@ -292,7 +298,22 @@ def apply_use_bounded(spec: LinearSpec, bindings, depth: int) -> FiniteThread:
         rhs = spec.rhs(at[0])
         return rhs.action, (rhs.yes, at[1]), (rhs.no, at[1])
 
-    return cut((spec.root, silent.initial), depth, successors)
+    return (spec.root, silent.initial), successors
+
+
+def apply_use_bounded(spec: LinearSpec, bindings, depth: int) -> FiniteThread:
+    """Depth approximation of a thread using the services of ``bindings`` (a
+    sequence of (focus, service) with distinct foci), explored on the fly.
+
+    Works for services without a finite enumeration. Every bound focus is
+    consumed in the same pass, so only the remaining actions count toward
+    the visible ``depth``, a natural number. Each silent run between two
+    visible actions may consume at most SILENT_RUN_LIMIT steps; running out
+    raises DivergenceSuspected. More than PRODUCT_STATE_LIMIT (depth, state)
+    pairs unfolded raise BudgetExceeded.
+    """
+    root, successors = _unresolved_states(spec, bindings, depth)
+    return cut(root, depth, successors)
 
 
 def apply_bindings(projected: ProjectedProgram) -> LinearSpec:

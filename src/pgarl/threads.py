@@ -8,19 +8,26 @@ termination or deadlock. Threads with finitely many distinct states are
 of equations whose right-hand sides are termination, deadlock, or a single
 branch on an action.
 
-The module provides the depth approximation operator :func:`pi`, the
-refinement order and equality on regular threads (:func:`refines`,
-:func:`thread_equal`), a distinguishing-trace search (:func:`distinguish`),
-the breadth-first numbering of a state space as a specification
-(:func:`explore`) that extraction and the use operator share, and its
-depth-cut twin (:func:`cut`) behind :func:`pi`, :func:`pi_thread` and the
-use operator's depth-bounded form. The order, equality and distinguishing
-traces are one breadth-first walk over pairs of states, which stops at the
-first pair that disagrees. Finite thread trees are state spaces too: one
-reading of their nodes by identity lets :func:`thread_to_spec`,
-:func:`pi_thread`, :func:`finite_leq` and :func:`tree_equal` use the same
-numbering, cut and walk. Scripted runs are the use operator's with no
-services bound, so they live in :mod:`pgarl.services`.
+Every walk here reads a thread as a *state space* ``(root, successors)``:
+``successors(state)`` returns the branch ``(action, yes, no)`` performed in
+a state, or the ``STOP``/``DEADLOCK`` singleton the state ends in, and the
+singletons step to themselves, a rule the walks keep so that no reader has
+to. Specifications (``_spec_states``), finite thread trees read by node
+identity (``_tree_states``), extraction's instruction table
+(``extraction._table_states``) and the use operator's product
+(``services._product_states``) are all read this way, and three walks read
+any of them:
+:func:`explore` numbers a space breadth first as a :class:`LinearSpec`,
+:func:`cut` unfolds it to a depth as a tree (the approximation operator
+:func:`pi`, :func:`pi_thread` and the use operator's depth-bounded form),
+and ``_first_difference`` walks two spaces in step, stopping at the first
+pair of states that disagrees. That walk decides the refinement order and
+equality (:func:`refines`, :func:`thread_equal`, :func:`finite_leq`,
+:func:`tree_equal`) and finds distinguishing traces (:func:`distinguish`)
+without numbering either side first. Depth is a transformer of spaces
+(``_bounded``, over (remaining depth, state) pairs), so a depth cut can be
+numbered without building its tree. Scripted runs are the use operator's
+with no services bound, so they live in :mod:`pgarl.services`.
 """
 
 from __future__ import annotations
@@ -178,25 +185,33 @@ def pi(n: int, spec: LinearSpec, state: int) -> FiniteThread:
     Subtrees are shared, so the result is a DAG of at most n * len(spec)
     distinct nodes.
     """
-    _require_valid(spec)
+    _, successors = _spec_states(spec)
     if not 1 <= state <= len(spec.equations):
         raise SpecError(f"state {state} out of range 1..{len(spec.equations)}")
+    return cut(state, n, successors)
 
-    def successors(i):
-        rhs = spec.rhs(i)
+
+def _spec_states(spec: LinearSpec):
+    """Read a specification as a state space: returns ``(root, successors)``.
+    A state is an equation number, and a terminal equation steps to the
+    singleton of its kind. Raises SpecError on an invalid spec."""
+    _require_valid(spec)
+    equations = spec.equations
+
+    def successors(i: int):
+        rhs = equations[i - 1]
         if isinstance(rhs, BranchRef):
             return rhs.action, rhs.yes, rhs.no
         return STOP if isinstance(rhs, Stop) else DEADLOCK
 
-    return cut(state, n, successors)
+    return spec.root, successors
 
 
 def _tree_states(thread: FiniteThread):
-    """Read a finite thread tree as a state space for :func:`explore` and
-    :func:`cut`: returns ``(root, successors)``. A branch node is its id(),
-    kept in a dict so that no node is hashed by value and shared subtrees
-    are one state; a leaf is the singleton of its kind, which ``successors``
-    returns as it is."""
+    """Read a finite thread tree as a state space: returns ``(root,
+    successors)``. A branch node is its id(), kept in a dict so that no node
+    is hashed by value and shared subtrees are one state; a leaf is the
+    singleton of its kind."""
     nodes: dict[int, Branch] = {}
 
     def state(t: FiniteThread):
@@ -206,8 +221,6 @@ def _tree_states(thread: FiniteThread):
         return STOP if isinstance(t, Stop) else DEADLOCK
 
     def successors(key):
-        if key is STOP or key is DEADLOCK:
-            return key
         t = nodes[key]
         return t.action, state(t.yes), state(t.no)
 
@@ -232,66 +245,16 @@ def thread_to_spec(thread: FiniteThread) -> LinearSpec:
 def finite_leq(left: FiniteThread, right: FiniteThread) -> bool:
     """Refinement order on finite threads: deadlock refines everything,
     termination only termination, and branches must agree on the action and
-    refine componentwise. Decided by :func:`refines` on the numbered trees,
+    refine componentwise. Decided by the pair walk over the two trees' nodes,
     so shared (DAG) trees compare in time proportional to the number of
     distinct node pairs, at any depth."""
-    return refines(thread_to_spec(left), thread_to_spec(right))
+    return _first_difference(_tree_states(left), _tree_states(right), deadlock_below=True) is None
 
 
 def tree_equal(left: FiniteThread, right: FiniteThread) -> bool:
-    """Equality of finite threads: :func:`thread_equal` on the numbered
-    trees."""
-    return thread_equal(thread_to_spec(left), thread_to_spec(right))
-
-
-def _first_difference(spec_p: LinearSpec, spec_q: LinearSpec, deadlock_below: bool):
-    """Walk the reachable state pairs of two specs in step, breadth first with
-    yes before no, and return the first pair that disagrees together with the
-    parent links of the walk, or None when no reachable pair disagrees.
-
-    Branches must agree on the action and are followed on both replies; other
-    pairs must agree in kind, except that a deadlock on the left is below
-    everything when ``deadlock_below`` holds. A parent link maps a pair to
-    (previous pair, action, reply), and the root pair to None.
-    """
-    _require_valid(spec_p)
-    _require_valid(spec_q)
-    start = (spec_p.root, spec_q.root)
-    parent: dict = {start: None}
-    queue = [start]
-    for pair in queue:  # the list grows while it is walked
-        a = spec_p.rhs(pair[0])
-        b = spec_q.rhs(pair[1])
-        if isinstance(a, BranchRef):
-            if not isinstance(b, BranchRef) or a.action != b.action:
-                return pair, parent
-            for reply, nxt in ((True, (a.yes, b.yes)), (False, (a.no, b.no))):
-                if nxt not in parent:
-                    parent[nxt] = (pair, a.action, reply)
-                    queue.append(nxt)
-        elif type(a) is not type(b) and not (deadlock_below and isinstance(a, Deadlock)):
-            return pair, parent
-    return None
-
-
-def refines(spec_p: LinearSpec, spec_q: LinearSpec) -> bool:
-    """Decide the refinement order between the root threads of two specs.
-
-    For regular threads the order is already determined at finite depth: with
-    n the total number of equations of both specs, it holds exactly when the
-    depth-n approximations of the two roots are related. That criterion is
-    decided here by a synchronized walk over reachable state pairs, assuming
-    the relation on revisited pairs; the walk computes the same answer without
-    materializing the approximation trees.
-    """
-    return _first_difference(spec_p, spec_q, deadlock_below=True) is None
-
-
-def thread_equal(spec_p: LinearSpec, spec_q: LinearSpec) -> bool:
-    """Equality of the root threads: one synchronized walk in which every
-    reachable pair of states agrees in kind and action (refinement in both
-    directions, decided in a single pass)."""
-    return _first_difference(spec_p, spec_q, deadlock_below=False) is None
+    """Equality of finite threads: the pair walk of :func:`thread_equal` over
+    the two trees' nodes."""
+    return _first_difference(_tree_states(left), _tree_states(right), deadlock_below=False) is None
 
 
 @dataclass(frozen=True)
@@ -308,29 +271,77 @@ class Witness:
         return "\n".join(lines)
 
 
-def _describe_rhs(rhs: SpecRhs) -> str:
-    if isinstance(rhs, Stop):
-        return "S"
-    if isinstance(rhs, Deadlock):
-        return "D"
-    return f"action {rhs.action}"
+def _first_difference(space_p, space_q, deadlock_below: bool) -> Witness | None:
+    """Walk the reachable state pairs of two state spaces (see
+    :func:`explore`) in step, breadth first with yes before no, and return a
+    shortest trace to the first pair that disagrees, or None when no
+    reachable pair disagrees.
+
+    Branches must agree on the action and are followed on both replies; other
+    pairs must agree in kind, except that a deadlock on the left is below
+    everything when ``deadlock_below`` holds. Each side steps each of its
+    states once, when a pair first reaches it, so a walk that stops at a
+    difference has stepped only the states of the pairs before it.
+    """
+    (root_p, next_p), (root_q, next_q) = space_p, space_q
+    steps_p: dict = {}  # each side's states and the steps they took
+    steps_q: dict = {}
+    start = (root_p, root_q)
+    parent: dict = {start: None}  # pair -> (previous pair, action, reply)
+    queue = [start]
+    for pair in queue:  # the list grows while it is walked
+        x, y = pair
+        a = steps_p.get(x)
+        if a is None:
+            a = steps_p[x] = x if x is STOP or x is DEADLOCK else next_p(x)
+        b = steps_q.get(y)
+        if b is None:
+            b = steps_q[y] = y if y is STOP or y is DEADLOCK else next_q(y)
+        if isinstance(a, tuple):
+            if not isinstance(b, tuple) or a[0] != b[0]:
+                break
+            for reply, nxt in ((True, (a[1], b[1])), (False, (a[2], b[2]))):
+                if nxt not in parent:
+                    parent[nxt] = (pair, a[0], reply)
+                    queue.append(nxt)
+        elif a is not b and not (deadlock_below and a is DEADLOCK):
+            break
+    else:
+        return None
+    steps = []
+    link = parent[pair]
+    while link is not None:
+        pair, action, reply = link
+        steps.append((action, reply))
+        link = parent[pair]
+    reason = " vs ".join(f"action {s[0]}" if isinstance(s, tuple) else str(s) for s in (a, b))
+    return Witness(tuple(reversed(steps)), reason)
+
+
+def refines(spec_p: LinearSpec, spec_q: LinearSpec) -> bool:
+    """Decide the refinement order between the root threads of two specs.
+
+    For regular threads the order is already determined at finite depth: with
+    n the total number of equations of both specs, it holds exactly when the
+    depth-n approximations of the two roots are related. That criterion is
+    decided here by a synchronized walk over reachable state pairs, assuming
+    the relation on revisited pairs; the walk computes the same answer without
+    materializing the approximation trees.
+    """
+    return _first_difference(_spec_states(spec_p), _spec_states(spec_q), True) is None
+
+
+def thread_equal(spec_p: LinearSpec, spec_q: LinearSpec) -> bool:
+    """Equality of the root threads: one synchronized walk in which every
+    reachable pair of states agrees in kind and action (refinement in both
+    directions, decided in a single pass)."""
+    return _first_difference(_spec_states(spec_p), _spec_states(spec_q), False) is None
 
 
 def distinguish(spec_p: LinearSpec, spec_q: LinearSpec) -> Witness | None:
     """Search for a shortest distinguishing trace; None when the root threads
     are equal."""
-    found = _first_difference(spec_p, spec_q, deadlock_below=False)
-    if found is None:
-        return None
-    pair, parent = found
-    steps = []
-    link = parent[pair]
-    while link is not None:
-        previous, action, reply = link
-        steps.append((action, reply))
-        link = parent[previous]
-    reason = f"{_describe_rhs(spec_p.rhs(pair[0]))} vs {_describe_rhs(spec_q.rhs(pair[1]))}"
-    return Witness(tuple(reversed(steps)), reason)
+    return _first_difference(_spec_states(spec_p), _spec_states(spec_q), False)
 
 
 @dataclass(frozen=True)
@@ -373,69 +384,92 @@ class Trace:
 
 
 def explore(root, successors) -> LinearSpec:
-    """Number the states reachable from ``root`` as a linear specification.
+    """Number the states of the state space ``(root, successors)`` reachable
+    from ``root`` as a linear specification.
 
     A state is any hashable value; ``STOP`` and ``DEADLOCK`` (the module's
-    singletons) stand for termination and deadlock. ``successors(state)``
-    returns ``(action, yes, no)``, the branch performed in ``state`` and the
-    states the two replies lead to. States are numbered breadth-first from
-    the root, which gets 1, with yes before no; the terminals come last, in
-    the order they are first reached. A terminal root gives a one-equation
-    spec.
+    singletons) stand for termination and deadlock and step to themselves.
+    ``successors(state)`` returns ``(action, yes, no)``, the branch performed
+    in ``state`` and the states the two replies lead to, or one of the
+    singletons, whose equation the state then shares. It runs once per
+    state, when the walk first meets it. States are numbered breadth-first
+    from the root, which gets 1, with yes before no; the terminals come last,
+    in the order they are first reached.
     """
-    if root is STOP or root is DEADLOCK:
-        return LinearSpec((root,), 1)
-    index = {root: 1}
-    order = [root]
+    index: dict = {}
+    rows: list = []  # the step of each numbered state, until its targets are numbered
     terminals: list[SpecRhs] = []
-    rows = []
-    for state in order:  # the list grows while it is walked
-        action, *targets = successors(state)
-        refs = []
-        for target in targets:
-            if target is STOP or target is DEADLOCK:
-                if target not in terminals:
-                    terminals.append(target)
-                refs.append(-1 - terminals.index(target))
-                continue
-            number = index.get(target)
-            if number is None:
-                number = index[target] = len(order) + 1
-                order.append(target)
-            refs.append(number)
-        rows.append((refs[0], action, refs[1]))
-    n = len(order)  # terminal i (from 0) is numbered n + 1 + i, stored as -1 - i
+
+    def number(state) -> int:  # terminal i (from 0) is -1 - i until the branches are counted
+        ref = index.get(state)
+        if ref is None:
+            step = state if state is STOP or state is DEADLOCK else successors(state)
+            if step is STOP or step is DEADLOCK:
+                if step not in terminals:
+                    terminals.append(step)
+                ref = -1 - terminals.index(step)
+            else:
+                rows.append(step)
+                ref = len(rows)
+            index[state] = ref
+        return ref
+
+    number(root)
+    for i, (action, yes, no) in enumerate(rows):  # the list grows while it is walked
+        rows[i] = (number(yes), action, number(no))
+    n = len(rows)
     equations: list[SpecRhs] = [
         BranchRef(yes if yes > 0 else n - yes, action, no if no > 0 else n - no)
         for yes, action, no in rows
     ]
-    equations.extend(terminals)
-    return LinearSpec(tuple(equations), 1)
+    return LinearSpec(tuple(equations + terminals), 1)
+
+
+def _bounded(root, depth: int, successors):
+    """The depth cut of a state space as a state space: its states are
+    (remaining depth, state) pairs, from ``(depth, root)``. A pair with no
+    depth left is deadlock and does not call ``successors``; every other pair
+    steps as its state does, one level down."""
+
+    def bounded(pair):
+        k, state = pair
+        if k <= 0:
+            return DEADLOCK
+        step = state if state is STOP or state is DEADLOCK else successors(state)
+        if step is STOP or step is DEADLOCK:
+            return step
+        action, yes, no = step
+        return action, (k - 1, yes), (k - 1, no)
+
+    return (depth, root), bounded
 
 
 def cut(root, depth: int, successors) -> FiniteThread:
-    """The depth cut of the thread unfolded from ``root``: :func:`explore`'s
-    states and ``successors``, cut ``depth`` branches down, deadlock below.
+    """The depth cut of the thread unfolded from ``root``: the state space
+    ``(root, successors)`` of :func:`explore`, cut ``depth`` branches down,
+    deadlock below.
 
-    Depth 0 (or less) is deadlock and does not call ``successors``.
-    Subtrees are memoized on (remaining depth, state), so the result shares
-    them and ``successors`` runs once per pair; they are finished in
-    preorder, yes before no, on an explicit stack, so any depth is fine.
+    Depth 0 (or less) is deadlock and does not call ``successors``. The
+    tree is built over the (remaining depth, state) pairs of the cut, so it
+    shares their subtrees and ``successors`` runs once per pair; they are
+    finished in preorder, yes before no, on an explicit stack, so any depth
+    is fine.
     """
+    root, successors = _bounded(root, depth, successors)
     memo: dict = {}
-    stack = [(depth, root, None)]
+    stack = [(root, None)]
     while stack:  # a branch comes back, with its step, once both cuts below it exist
-        k, state, step = stack.pop()
+        pair, step = stack.pop()
         if step is not None:
             action, yes, no = step
-            memo[k, state] = Branch(memo[k - 1, yes], action, memo[k - 1, no])
-        elif (k, state) not in memo:
-            step = DEADLOCK if k <= 0 else successors(state)
+            memo[pair] = Branch(memo[yes], action, memo[no])
+        elif pair not in memo:
+            step = successors(pair)
             if step is STOP or step is DEADLOCK:
-                memo[k, state] = step
+                memo[pair] = step
             else:
-                stack.extend(((k, state, step), (k - 1, step[2], None), (k - 1, step[1], None)))
-    return memo[depth, root]
+                stack.extend(((pair, step), (step[2], None), (step[1], None)))
+    return memo[root]
 
 
 def format_spec(spec: LinearSpec) -> str:

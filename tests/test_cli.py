@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgarl
-from pgarl.cli import EXIT_ILL_FORMED, _CliError, _parse_binding, main
+from pgarl.cli import EXIT_ILL_FORMED, _CliError, _parse_binding, _projected, main
 from pgarl.parser import ParseError, _Scanner
-from pgarl.services import DownCounter, FullCounter
+from pgarl.services import BudgetExceeded, DownCounter, FullCounter
 from pgarl.threads import FOCUS
+
+from genprograms import random_pgarl
 
 FIRST = "(3x{;a;b;4x{;c;}x;d;}x;e)^w"
 
@@ -482,6 +486,23 @@ def test_large_loop_count_exhausts_the_product_budget(capsys, monkeypatch):
     assert code == 4 and out == "" and "budget exhausted:" in err and took < 2
 
 
+def test_equiv_answers_a_difference_met_within_the_budget(capsys, monkeypatch):
+    # the two products are compared as they are walked: a pair that differs
+    # before either runs out of states answers, and an equal pair still has
+    # to walk all of them
+    code, out, err = run(capsys, "equiv", "-e", "(b;100000000x{;a;}x)^w", "-e", "(a)^w")
+    assert (code, out, err) == (1, "not equivalent\ndiffers: action b vs action a\n", "")
+    monkeypatch.setattr(pgarl.services, "PRODUCT_STATE_LIMIT", 1000)
+    for program in ("(100000000x{;a;}x)^w", "(100000000x{;a;}x;b)^w"):
+        code, out, err = run(capsys, "equiv", "-e", program, "-e", "(a)^w")
+        assert (code, out) == (4, "") and "budget exhausted:" in err and "1000 states" in err
+    # the budget counts each side's distinct states: 2 and 3 here, in 6 pairs
+    monkeypatch.setattr(pgarl.services, "PRODUCT_STATE_LIMIT", 3)
+    assert run(capsys, "equiv", "-e", "(2x{;a;}x)^w", "-e", "(3x{;a;}x)^w")[0] == 0
+    monkeypatch.setattr(pgarl.services, "PRODUCT_STATE_LIMIT", 2)
+    assert run(capsys, "equiv", "-e", "(2x{;a;}x)^w", "-e", "(3x{;a;}x)^w")[0] == 4
+
+
 def test_bounded_use_budget_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(pgarl.services, "PRODUCT_STATE_LIMIT", 1000)
     argv = ("extract", "-e", "(a;c.inc)^w", "--bind", "c=counter()", "--depth")
@@ -749,6 +770,103 @@ def test_extract_depth_cuts_with_finite_bindings_only(capsys):
     assert out == _pi_text(3, pgarl.apply_use(spec, [("c", DownCounter(1, 2))]))
 
 
+# -- extract --depth and equiv against the paths they replaced ------------------
+
+@pytest.fixture
+def one_parser(monkeypatch):
+    """Build the argument parser once for the many runs of a corpus test."""
+    parser = pgarl.cli.build_parser()
+    monkeypatch.setattr(pgarl.cli, "build_parser", lambda: parser)
+
+
+def _corpus_texts():
+    rng = random.Random(20260808)
+    return [pgarl.format_program(random_pgarl(rng, shape=("omega", "finite", "mixed")[i % 3]))
+            for i in range(500)]
+
+
+def _outcome(build):
+    """What ``main`` returns for the outcome of ``build()``, an exit code
+    and a text, or for the budget it runs out of."""
+    try:
+        code, text = build()
+    except BudgetExceeded as exc:
+        return 4, "", f"budget exhausted: {exc}\n"
+    return code, text + "\n", ""
+
+
+def _tree_then_number(text, binds, depth):
+    """The extract --depth path that numbering the cut's pairs replaced:
+    build the depth-cut tree, then number it."""
+    program, bindings = _projected(pgarl.parse_canonical(text),
+                                   argparse.Namespace(bind=binds, via="defining"))
+    spec = pgarl.extract_pgau(program)
+    finite = [(focus, svc) for focus, svc in bindings if svc.finite]
+    unbounded = [(focus, svc) for focus, svc in bindings if not svc.finite]
+    if finite:
+        spec = pgarl.apply_use(spec, finite)
+    tree = pgarl.apply_use_bounded(spec, unbounded, depth)
+    return 0, pgarl.format_spec(pgarl.thread_to_spec(tree))
+
+
+def test_extract_depth_matches_tree_then_number_on_corpus(capsys, monkeypatch, one_parser):
+    # c and d become counter actions; a short silent run limit stops the
+    # programs that only count
+    monkeypatch.setattr(pgarl.services, "SILENT_RUN_LIMIT", 200)
+    codes = set()
+    for i, text in enumerate(_corpus_texts()):
+        text = re.sub(r"\bd\b", "d.dec", re.sub(r"\bc\b", "c.inc", text))
+        binds = (["c=counter()"], ["c=counter(init=2)", "d=dc(init=1,max=2)"])[i % 2]
+        for depth in (i % 41, 40 - i % 41):
+            outcome = run(capsys, "extract", "-e", text, "--depth", str(depth),
+                          *(arg for bind in binds for arg in ("--bind", bind)))
+            assert outcome == _outcome(lambda: _tree_then_number(text, binds, depth))
+            codes.add(outcome[0])
+    assert codes == {0, 4}
+
+
+def _build_then_compare(threads):
+    """The equiv path that the lazy comparison replaced: build both
+    products, then distinguish them. ``threads`` holds each program's
+    extracted thread and the bindings still to apply to it."""
+    witness = pgarl.distinguish(
+        *(pgarl.apply_use(spec, bindings) if bindings else spec for spec, bindings in threads)
+    )
+    return (0, "equivalent") if witness is None else (1, f"not equivalent\n{witness}")
+
+
+def test_equiv_matches_build_then_compare_on_corpus(capsys, monkeypatch, one_parser):
+    # with a product budget of 8 states an unequal pair may now answer where
+    # the built products ran out; an equal pair runs out as it did. The pure
+    # projection has no product, so it has no budget to run out of.
+    texts = _corpus_texts()
+    projected = {}
+    for i, text in enumerate(texts):
+        for via in ("defining", "pure"):
+            args = argparse.Namespace(via=via)
+            program, bindings = _projected(pgarl.parse_canonical(text), args)
+            projected[i, via] = (pgarl.extract_pgau(program), bindings)
+    answered = 0
+    for i, text in enumerate(texts):
+        for via, j in (("pure", i - 1), ("defining", i - 1), ("defining", i)):
+            argv = ("equiv", "--via", via, "-e", text, "-e", texts[j])
+            pair = (projected[i, via], projected[j % len(texts), via])
+            full = _outcome(lambda: _build_then_compare(pair))
+            assert run(capsys, *argv) == full
+            if via == "pure":
+                continue
+            with monkeypatch.context() as patched:
+                patched.setattr(pgarl.services, "PRODUCT_STATE_LIMIT", 8)
+                built = _outcome(lambda: _build_then_compare(pair))
+                lazy = run(capsys, *argv)
+            if built[0] == 4 and lazy[0] == 1:  # a difference met within the budget
+                assert lazy == full
+                answered += 1
+            else:
+                assert lazy == built
+    assert answered > 0
+
+
 def test_annotate_names_the_form_of_a_straddling_body(capsys):
     code, out, err = run(capsys, "annotate", "-e", "(}x;b;2x{;a)^w")
     assert (code, out) == (3, "")
@@ -789,11 +907,15 @@ class _ReplacedScanner(_Scanner):
         return self.text[start : self.pos]
 
 
+# whitespace inside an action, which is one token: each is a parse error
+_SPACED_ACTIONS = ("c: 1.dec", "+c:1. dec", "c:1.dec: 2", "-c.\tdec")
+
 _SCANNER_TOKENS = st.one_of(
     _TOKENS,
     st.sampled_from(("#\u0663", "#\u00b2", "\u0663x{", "a\u0663", " a ", "2 x{", "2x {",
                      "rlc:5.set:1", "c : 1.dec", "c:1 . dec", "a:1", "#4( 7 , 3 )(9,2)",
-                     "2}x 7", "3 }x2", "u( a ; #2 )", "#" + "9" * 5000, "_a", "a_b2", "A")),
+                     "2}x 7", "3 }x2", "u( a ; #2 )", "#" + "9" * 5000, "_a", "a_b2", "A")
+                    + _SPACED_ACTIONS),
 )
 
 
@@ -812,3 +934,5 @@ def test_scanner_matches_replaced_loops(tokens, separator, repeat):
             except ParseError as exc:
                 outcomes.append((str(exc), exc.line, exc.column))
     assert outcomes[0] == outcomes[1]
+    if any(token in _SPACED_ACTIONS for token in tokens):
+        assert isinstance(outcomes[0], tuple)

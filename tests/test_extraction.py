@@ -215,6 +215,16 @@ def test_jump_zero_equivalent_jump_one_alone():
     assert behav_equiv(parse_canonical("#0"), parse_canonical("#1"))
 
 
+@settings(max_examples=200)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_behav_equiv_walk_matches_comparing_extracted_threads(seed):
+    # the two tables are walked as state spaces; the oracle numbers both first
+    rng = random.Random(seed)
+    p, q = canonical(rng), canonical(rng)
+    for x, y in ((p, q), (q, p), (p, p)):
+        assert behav_equiv(x, y) == thread_equal(extract_pgau(x), extract_pgau(y))
+
+
 def test_equivalence_not_a_congruence():
     left = parse_canonical("#0;a")
     right = parse_canonical("#1;a")

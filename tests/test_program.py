@@ -96,6 +96,9 @@ def test_parse_whitespace_insensitive():
         "3y{",
         "#\u00b2",
         "#\u0663;a",
+        "(+c: 7.dec;!;a)^w",
+        "c:7. dec",
+        "c:7.dec: 3",
     ],
 )
 def test_parse_errors(bad):

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,8 @@ from pgarl import (
     tree_equal,
     validate_spec,
 )
-from pgarl.threads import cut
+from pgarl import extraction, services
+from pgarl.threads import Witness, _first_difference, _spec_states, _tree_states, cut, explore
 
 from genprograms import random_pgarl, random_spec
 
@@ -548,3 +550,185 @@ def test_scripted_run_matches_replaced_loop_on_corpus():
             _check_scripted_run(spec, script, 20)
             statuses.add(simulate_thread(spec, script, 20).status)
     assert statuses == {"S", "D", "cutoff"}
+
+
+# -- the replaced spec-pair walk and numbering, kept as oracles -----------------
+
+def _spec_pair_walk(spec_p, spec_q, deadlock_below):
+    """The pair walk over two built specs that the walk over state spaces
+    replaced: the text of the witness to the first differing pair, or None."""
+    start = (spec_p.root, spec_q.root)
+    parent = {start: None}
+    queue = [start]
+    for pair in queue:
+        x = spec_p.rhs(pair[0])
+        y = spec_q.rhs(pair[1])
+        if isinstance(x, BranchRef):
+            if not isinstance(y, BranchRef) or x.action != y.action:
+                break
+            for reply, nxt in ((True, (x.yes, y.yes)), (False, (x.no, y.no))):
+                if nxt not in parent:
+                    parent[nxt] = (pair, x.action, reply)
+                    queue.append(nxt)
+        elif type(x) is not type(y) and not (deadlock_below and isinstance(x, Deadlock)):
+            break
+    else:
+        return None
+    steps = []
+    link = parent[pair]
+    while link is not None:
+        previous, action, reply = link
+        steps.append((action, reply))
+        link = parent[previous]
+    return str(Witness(tuple(reversed(steps)), f"{_describe(x)} vs {_describe(y)}"))
+
+
+def _replaced_explore(root, successors):
+    """The numbering that called ``successors`` when it took a state from its
+    queue, and knew a terminal only as a target or as the root."""
+    if root is STOP or root is DEADLOCK:
+        return LinearSpec((root,), 1)
+    index = {root: 1}
+    order = [root]
+    terminals = []
+    rows = []
+    for state in order:
+        action, *targets = successors(state)
+        refs = []
+        for target in targets:
+            if target is STOP or target is DEADLOCK:
+                if target not in terminals:
+                    terminals.append(target)
+                refs.append(-1 - terminals.index(target))
+                continue
+            number = index.get(target)
+            if number is None:
+                number = index[target] = len(order) + 1
+                order.append(target)
+            refs.append(number)
+        rows.append((refs[0], action, refs[1]))
+    n = len(order)
+    equations = [
+        BranchRef(yes if yes > 0 else n - yes, action, no if no > 0 else n - no)
+        for yes, action, no in rows
+    ]
+    return LinearSpec(tuple(equations + terminals), 1)
+
+
+def _text(witness):
+    return None if witness is None else str(witness)
+
+
+def _check_against_spec_walk(p, q):
+    for below in (True, False):
+        assert _text(_first_difference(_spec_states(p), _spec_states(q), below)) == (
+            _spec_pair_walk(p, q, below)
+        )
+    assert refines(p, q) == (_spec_pair_walk(p, q, True) is None)
+    assert thread_equal(p, q) == (_spec_pair_walk(p, q, False) is None)
+    assert _text(distinguish(p, q)) == _spec_pair_walk(p, q, False)
+
+
+def _check_trees_against_spec_walk(left, right):
+    # the oracle numbers each tree, then walks the two specs
+    p, q = (_replaced_explore(*_tree_states(t)) for t in (left, right))
+    for below in (True, False):
+        assert _text(_first_difference(_tree_states(left), _tree_states(right), below)) == (
+            _spec_pair_walk(p, q, below)
+        )
+    assert finite_leq(left, right) == (_spec_pair_walk(p, q, True) is None)
+    assert tree_equal(left, right) == (_spec_pair_walk(p, q, False) is None)
+
+
+def _fresh_leaves(tree):
+    """The same tree with every leaf a new Stop() or Deadlock() object;
+    shared branches stay shared."""
+    copies = {}
+
+    def copy(t):
+        if not isinstance(t, Branch):
+            return Stop() if isinstance(t, Stop) else Deadlock()
+        if id(t) not in copies:
+            copies[id(t)] = Branch(copy(t.yes), t.action, copy(t.no))
+        return copies[id(t)]
+
+    return copy(tree)
+
+
+@given(specs, specs)
+def test_state_space_walk_matches_spec_pair_walk(p, q):
+    for x, y in ((p, q), (q, p), (p, p)):
+        _check_against_spec_walk(x, y)
+    for depth in range(5):
+        left = _fresh_leaves(pi(depth, p, p.root))
+        right = pi(depth + 1, q, q.root)
+        for x, y in ((left, right), (right, left), (left, _fresh_leaves(pi(depth, p, p.root)))):
+            _check_trees_against_spec_walk(x, y)
+
+
+def test_state_space_walk_matches_spec_pair_walk_on_corpus():
+    previous = None
+    witnesses = 0
+    for defining, pure in _corpus_specs():
+        for other in (pure, previous):
+            if other is not None:
+                for x, y in ((defining, other), (other, defining)):
+                    _check_against_spec_walk(x, y)
+                    witnesses += distinguish(x, y) is not None
+        _check_trees_against_spec_walk(pi(6, defining, defining.root),
+                                       _fresh_leaves(pi(5, pure, pure.root)))
+        previous = pure
+    assert witnesses > 200
+
+
+def test_pair_walk_steps_each_state_once_per_side():
+    calls = []
+
+    def space(n, side):  # a^w over the numbers below n, in a different order per side
+        def successors(state):
+            calls.append((side, state))
+            return a, (state + 1) % n, (state * 2) % n
+
+        return 0, successors
+
+    assert _first_difference(space(3, "p"), space(5, "q"), deadlock_below=False) is None
+    assert sorted(calls) == [("p", i) for i in range(3)] + [("q", i) for i in range(5)]
+
+
+def test_explore_matches_replaced_numbering():
+    # extraction, the use-operator product and tree spaces, numbered by both
+    rng = random.Random(20260808)
+    for i in range(500):
+        program = random_pgarl(rng, shape=("omega", "finite", "mixed")[i % 3])
+        new = (defining_thread(program), extract_pga(project_pure(program)))
+        with mock.patch.object(extraction, "explore", _replaced_explore), \
+                mock.patch.object(services, "explore", _replaced_explore):
+            assert (defining_thread(program), extract_pga(project_pure(program))) == new
+        tree = _fresh_leaves(pi(6, new[0], new[0].root))
+        assert thread_to_spec(tree) == _replaced_explore(*_tree_states(tree))
+
+
+def test_explore_shares_the_equation_of_the_terminal_a_state_steps_to():
+    states = {0: (a, 1, 2), 1: STOP, 2: (b, 0, 3), 3: DEADLOCK}
+    direct = {0: (a, STOP, 2), 2: (b, 0, DEADLOCK)}
+    expected = LinearSpec((BranchRef(3, a, 2), BranchRef(1, b, 4), STOP, DEADLOCK))
+    assert explore(0, states.get) == explore(0, direct.get) == expected
+    assert explore(1, states.get) == explore(STOP, None) == LinearSpec((STOP,))
+
+
+@given(specs)
+def test_explore_numbers_terminal_states_as_their_terminals(spec):
+    # in a spec's state space each terminal equation is a state that steps to
+    # a singleton; the numbering equals that of the space whose edges lead to
+    # the singleton itself
+    root, successors = _spec_states(spec)
+
+    def leap(state):
+        step = successors(state)
+        return step if step is STOP or step is DEADLOCK else state
+
+    def direct(state):
+        action, yes, no = successors(state)
+        return action, leap(yes), leap(no)
+
+    assert explore(root, successors) == explore(leap(root), direct)

@@ -6,7 +6,9 @@ from the repository root::
 
     python tools/code_lines.py
 
-It prints one ``lines module`` row per module and a ``total`` row.
+It prints one ``lines module`` row per module, a ``total`` row, and an
+``exports`` row: the number of public names the package's ``__init__`` binds
+at its top level, submodules not counted.
 """
 
 from __future__ import annotations
@@ -52,6 +54,20 @@ def code_lines(text: str) -> int:
     return len(lines - _docstring_lines(ast.parse(text)))
 
 
+def exported_names(text: str) -> int:
+    """The number of public names a package's ``__init__`` source binds at
+    its top level with ``import`` statements, assignments and definitions."""
+    names: set[str] = set()
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return len({name for name in names if not name.startswith("_")})
+
+
 def main() -> int:
     total = 0
     for path in sorted(SOURCE.glob("*.py")):
@@ -59,6 +75,7 @@ def main() -> int:
         total += count
         print(f"{count:5d} {path.name}")
     print(f"{total:5d} total")
+    print(f"{exported_names((SOURCE / '__init__.py').read_text()):5d} exports")
     return 0
 
 
