@@ -10,10 +10,8 @@ from .threads import (
     DEADLOCK,
     STOP,
     Action,
-    Branch,
     BranchRef,
     Deadlock,
-    FiniteThread,
     LinearSpec,
     ReplyScript,
     SpecError,
@@ -21,15 +19,10 @@ from .threads import (
     Trace,
     Witness,
     distinguish,
-    finite_leq,
     format_spec,
     pi,
-    pi_thread,
-    prefixed,
     refines,
     thread_equal,
-    thread_to_spec,
-    tree_equal,
     validate_spec,
 )
 from .program import (

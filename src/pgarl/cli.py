@@ -41,8 +41,8 @@ from .services import (
     Service,
     ServiceError,
     _product_states,
-    _unresolved_states,
     apply_use,
+    apply_use_bounded,
     check_foci,
     simulate_with_services,
 )
@@ -52,9 +52,7 @@ from .threads import (
     LinearSpec,
     ReplyScript,
     SpecError,
-    _bounded,
     _first_difference,
-    explore,
     format_spec,
 )
 
@@ -237,9 +235,8 @@ def _cmd_extract(args) -> int:
     if unbounded and args.depth is None:
         raise _CliError("binding a service without a finite enumeration needs --depth",
                         EXIT_ILL_FORMED)
-    if args.depth is not None:  # number the pairs of the cut, as apply_use_bounded cuts them
-        root, successors = _unresolved_states(spec, unbounded, args.depth)
-        spec = explore(*_bounded(root, args.depth, successors))
+    if args.depth is not None:
+        spec = apply_use_bounded(spec, unbounded, args.depth)
     text = format_spec(spec)
     _emit(args, text, _spec_json(spec))
     return EXIT_OK
@@ -360,9 +357,14 @@ def _attach_expr(argv: list[str]) -> list[str]:
     return out
 
 
+_parser = None  # built on the first call of main, so that importing the module stays cheap
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_expr(sys.argv[1:] if argv is None else argv))
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(_attach_expr(sys.argv[1:] if argv is None else argv))
     try:
         code = args.handler(args)
         sys.stdout.flush()

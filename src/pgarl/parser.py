@@ -215,6 +215,8 @@ def _parse_instruction(sc: _Scanner) -> Instruction:
                 raise sc.error(str(exc), mark) from None
         try:
             return Basic(_parse_action(sc, first=name))
+        except ParseError:  # it names its own position
+            raise
         except ValueError as exc:
             raise sc.error(str(exc), mark) from None
     raise sc.error("expected an instruction")

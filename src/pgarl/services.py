@@ -8,20 +8,21 @@ foci pass through, a co-action outside the service's alphabet deadlocks, and
 a cycle of consumed actions that never emits anything is deadlock as well.
 
 Several services are applied together, one per focus, over a tuple of
-service states: the finite product (:func:`apply_use`) numbers every
-reachable pair of a thread state and such a tuple in a single pass, the
-depth-bounded form (:func:`apply_use_bounded`) unfolds them to a visible
-depth with the depth cut that :func:`pgarl.threads.pi` uses, and scripted
-simulation (:func:`simulate_with_services`) walks one path, remembering
-the states it meets when every service is finite;
-:func:`simulate_thread` is that walk with no services bound. All three
-resolve consumed steps with one resolver, which limits each silent run to
-``SILENT_RUN_LIMIT`` steps, and all three reject a list of bindings that
-binds a focus twice. The product may have at most ``PRODUCT_STATE_LIMIT``
-states, and the depth-bounded form may unfold at most as many. Both are
-state spaces in the sense of :mod:`pgarl.threads` (``_product_states``,
-``_unresolved_states``) before they are numbered or cut, so a caller can
-compare a product, or number a depth cut, without building it first.
+service states, and every form returns a :class:`pgarl.threads.LinearSpec`
+or a trace. The finite product (:func:`apply_use`) numbers every reachable
+pair of a thread state and such a tuple in a single pass; the depth-bounded
+form (:func:`apply_use_bounded`) numbers the pairs within a visible depth,
+over the same depth transformer that :func:`pgarl.threads.pi` uses, so its
+result is a finite thread as a spec; and scripted simulation
+(:func:`simulate_with_services`) walks one path, remembering the states it
+meets when every service is finite; :func:`simulate_thread` is that walk
+with no services bound. All three resolve consumed steps with one resolver,
+which limits each silent run to ``SILENT_RUN_LIMIT`` steps, and all three
+reject a list of bindings that binds a focus twice. The product may have at
+most ``PRODUCT_STATE_LIMIT`` states, and the depth-bounded form may unfold
+at most as many. The product is a state space in the sense of
+:mod:`pgarl.threads` (``_product_states``) before it is numbered, so a
+caller can compare two products without building either.
 """
 
 from __future__ import annotations
@@ -39,15 +40,13 @@ from .threads import (
     STATUS_STOP,
     Action,
     Deadlock,
-    FiniteThread,
     LinearSpec,
     ReplyScript,
     Stop,
     Trace,
+    _bounded,
     _require_valid,
-    cut,
     explore,
-    thread_to_spec,
 )
 
 SILENT_RUN_LIMIT = 10**6
@@ -278,11 +277,20 @@ def apply_use_finite(spec: LinearSpec, focus: str, svc: Service) -> LinearSpec:
     return apply_use(spec, ((focus, svc),))
 
 
-def _unresolved_states(spec: LinearSpec, bindings, depth: int):
-    """The state space that :func:`apply_use_bounded` cuts at ``depth``, a
-    natural number: a state is a (thread state, service states) pair before
-    its silent steps are resolved, and it steps as the pair it resolves to.
-    Stepping more than PRODUCT_STATE_LIMIT pairs raises BudgetExceeded."""
+def apply_use_bounded(spec: LinearSpec, bindings, depth: int) -> LinearSpec:
+    """Depth approximation of a thread using the services of ``bindings`` (a
+    sequence of (focus, service) with distinct foci), explored on the fly.
+
+    Works for services without a finite enumeration. Every bound focus is
+    consumed in the same pass, so only the remaining actions count toward
+    the visible ``depth``, a natural number. The cut is numbered as
+    :func:`pgarl.threads.pi` numbers one, over pairs of a remaining depth
+    and a (thread state, service states) pair taken before its silent steps
+    are resolved; such a pair steps as the pair it resolves to. Each silent
+    run between two visible actions may consume at most SILENT_RUN_LIMIT
+    steps; running out raises DivergenceSuspected. Stepping more than
+    PRODUCT_STATE_LIMIT (depth, state) pairs raises BudgetExceeded.
+    """
     if depth < 0:
         raise ValueError(f"depth must be a natural number, got {depth}")
     silent = _SilentSteps(spec, tuple(bindings))
@@ -298,22 +306,7 @@ def _unresolved_states(spec: LinearSpec, bindings, depth: int):
         rhs = spec.rhs(at[0])
         return rhs.action, (rhs.yes, at[1]), (rhs.no, at[1])
 
-    return (spec.root, silent.initial), successors
-
-
-def apply_use_bounded(spec: LinearSpec, bindings, depth: int) -> FiniteThread:
-    """Depth approximation of a thread using the services of ``bindings`` (a
-    sequence of (focus, service) with distinct foci), explored on the fly.
-
-    Works for services without a finite enumeration. Every bound focus is
-    consumed in the same pass, so only the remaining actions count toward
-    the visible ``depth``, a natural number. Each silent run between two
-    visible actions may consume at most SILENT_RUN_LIMIT steps; running out
-    raises DivergenceSuspected. More than PRODUCT_STATE_LIMIT (depth, state)
-    pairs unfolded raise BudgetExceeded.
-    """
-    root, successors = _unresolved_states(spec, bindings, depth)
-    return cut(root, depth, successors)
+    return explore(*_bounded((spec.root, silent.initial), depth, successors))
 
 
 def apply_bindings(projected: ProjectedProgram) -> LinearSpec:
@@ -376,16 +369,9 @@ def simulate_with_services(
     return Trace(tuple(steps), status)
 
 
-def simulate_thread(
-    spec: LinearSpec | FiniteThread, script: ReplyScript, max_steps: int = 1000
-) -> Trace:
+def simulate_thread(spec: LinearSpec, script: ReplyScript, max_steps: int = 1000) -> Trace:
     """Run a thread from its root, consuming one scripted reply per branch
     (true selects the left continuation): scripted simulation with no
     services bound. Ends with status ``S``, ``D``, or ``cutoff`` when the
-    script or the step budget runs out.
-
-    Accepts either a LinearSpec or a finite thread tree.
-    """
-    if not isinstance(spec, LinearSpec):
-        spec = thread_to_spec(spec)
+    script or the step budget runs out."""
     return simulate_with_services(spec, (), script, max_steps)

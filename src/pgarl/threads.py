@@ -6,28 +6,26 @@ boolean reply that selects the continuation) and whose leaves are successful
 termination or deadlock. Threads with finitely many distinct states are
 *regular* and are represented here by a :class:`LinearSpec`, a numbered list
 of equations whose right-hand sides are termination, deadlock, or a single
-branch on an action.
+branch on an action. A finite thread, such as a depth cut, is a regular
+thread whose equations have no cycle, so it is a :class:`LinearSpec` too.
 
 Every walk here reads a thread as a *state space* ``(root, successors)``:
 ``successors(state)`` returns the branch ``(action, yes, no)`` performed in
 a state, or the ``STOP``/``DEADLOCK`` singleton the state ends in, and the
 singletons step to themselves, a rule the walks keep so that no reader has
-to. Specifications (``_spec_states``), finite thread trees read by node
-identity (``_tree_states``), extraction's instruction table
+to. Specifications (``_spec_states``), extraction's instruction table
 (``extraction._table_states``) and the use operator's product
-(``services._product_states``) are all read this way, and three walks read
-any of them:
-:func:`explore` numbers a space breadth first as a :class:`LinearSpec`,
-:func:`cut` unfolds it to a depth as a tree (the approximation operator
-:func:`pi`, :func:`pi_thread` and the use operator's depth-bounded form),
-and ``_first_difference`` walks two spaces in step, stopping at the first
-pair of states that disagrees. That walk decides the refinement order and
-equality (:func:`refines`, :func:`thread_equal`, :func:`finite_leq`,
-:func:`tree_equal`) and finds distinguishing traces (:func:`distinguish`)
-without numbering either side first. Depth is a transformer of spaces
-(``_bounded``, over (remaining depth, state) pairs), so a depth cut can be
-numbered without building its tree. Scripted runs are the use operator's
-with no services bound, so they live in :mod:`pgarl.services`.
+(``services._product_states``) are all read this way. Depth is a
+transformer of spaces (``_bounded``, over (remaining depth, state) pairs),
+and two walks read any of them: :func:`explore` numbers a space breadth
+first as a :class:`LinearSpec`, so the approximation operator :func:`pi`
+and the use operator's depth-bounded form are :func:`explore` over a
+bounded space; and ``_first_difference`` walks two spaces in step, stopping
+at the first pair of states that disagrees. That walk decides the
+refinement order and equality (:func:`refines`, :func:`thread_equal`) and
+finds distinguishing traces (:func:`distinguish`) without numbering either
+side first. Scripted runs are the use operator's with no services bound, so
+they live in :mod:`pgarl.services`.
 """
 
 from __future__ import annotations
@@ -80,12 +78,8 @@ class Action:
         return text
 
 
-class FiniteThread:
-    """Base class for finite thread trees."""
-
-
 @dataclass(frozen=True)
-class Stop(FiniteThread):
+class Stop:
     """Successful termination."""
 
     def __str__(self) -> str:
@@ -93,30 +87,15 @@ class Stop(FiniteThread):
 
 
 @dataclass(frozen=True)
-class Deadlock(FiniteThread):
+class Deadlock:
     """Inaction: no further behavior."""
 
     def __str__(self) -> str:
         return "D"
 
 
-@dataclass(frozen=True)
-class Branch(FiniteThread):
-    """Branch on the reply to ``action``: ``yes`` on true, ``no`` on false."""
-
-    yes: FiniteThread
-    action: Action
-    no: FiniteThread
-
-
 STOP = Stop()
 DEADLOCK = Deadlock()
-
-
-def prefixed(action: Action, thread: FiniteThread) -> Branch:
-    """Action prefixing: perform ``action``, ignore the reply, continue as
-    ``thread``."""
-    return Branch(thread, action, thread)
 
 
 @dataclass(frozen=True)
@@ -177,18 +156,19 @@ def _require_valid(spec: LinearSpec) -> None:
         raise SpecError("; ".join(problems))
 
 
-def pi(n: int, spec: LinearSpec, state: int) -> FiniteThread:
+def pi(n: int, spec: LinearSpec, state: int) -> LinearSpec:
     """Depth approximation: cut the unfolding of equation ``state`` at depth
     ``n``, replacing everything deeper by deadlock. Depth 0 is deadlock;
     termination and deadlock survive any positive depth.
 
-    Subtrees are shared, so the result is a DAG of at most n * len(spec)
-    distinct nodes.
+    The cut is a finite thread, returned as the specification that numbers
+    its (remaining depth, equation) pairs with :func:`explore`: at most
+    n * len(spec) branch equations, and no cycle.
     """
     _, successors = _spec_states(spec)
     if not 1 <= state <= len(spec.equations):
         raise SpecError(f"state {state} out of range 1..{len(spec.equations)}")
-    return cut(state, n, successors)
+    return explore(*_bounded(state, n, successors))
 
 
 def _spec_states(spec: LinearSpec):
@@ -205,56 +185,6 @@ def _spec_states(spec: LinearSpec):
         return STOP if isinstance(rhs, Stop) else DEADLOCK
 
     return spec.root, successors
-
-
-def _tree_states(thread: FiniteThread):
-    """Read a finite thread tree as a state space: returns ``(root,
-    successors)``. A branch node is its id(), kept in a dict so that no node
-    is hashed by value and shared subtrees are one state; a leaf is the
-    singleton of its kind."""
-    nodes: dict[int, Branch] = {}
-
-    def state(t: FiniteThread):
-        if isinstance(t, Branch):
-            nodes[id(t)] = t
-            return id(t)
-        return STOP if isinstance(t, Stop) else DEADLOCK
-
-    def successors(key):
-        t = nodes[key]
-        return t.action, state(t.yes), state(t.no)
-
-    return state(thread), successors
-
-
-def pi_thread(n: int, thread: FiniteThread) -> FiniteThread:
-    """The same depth cut applied directly to a finite thread tree. Its
-    states are the nodes within ``n`` levels, told apart by identity, so
-    shared subtrees stay shared and nothing deeper is read."""
-    root, successors = _tree_states(thread)
-    return cut(root, n, successors)
-
-
-def thread_to_spec(thread: FiniteThread) -> LinearSpec:
-    """Number the nodes of a finite thread tree as a linear specification,
-    the way :func:`explore` numbers every state space: shared subtrees get
-    one equation each, and so does each kind of leaf."""
-    return explore(*_tree_states(thread))
-
-
-def finite_leq(left: FiniteThread, right: FiniteThread) -> bool:
-    """Refinement order on finite threads: deadlock refines everything,
-    termination only termination, and branches must agree on the action and
-    refine componentwise. Decided by the pair walk over the two trees' nodes,
-    so shared (DAG) trees compare in time proportional to the number of
-    distinct node pairs, at any depth."""
-    return _first_difference(_tree_states(left), _tree_states(right), deadlock_below=True) is None
-
-
-def tree_equal(left: FiniteThread, right: FiniteThread) -> bool:
-    """Equality of finite threads: the pair walk of :func:`thread_equal` over
-    the two trees' nodes."""
-    return _first_difference(_tree_states(left), _tree_states(right), deadlock_below=False) is None
 
 
 @dataclass(frozen=True)
@@ -326,7 +256,7 @@ def refines(spec_p: LinearSpec, spec_q: LinearSpec) -> bool:
     depth-n approximations of the two roots are related. That criterion is
     decided here by a synchronized walk over reachable state pairs, assuming
     the relation on revisited pairs; the walk computes the same answer without
-    materializing the approximation trees.
+    building the approximations.
     """
     return _first_difference(_spec_states(spec_p), _spec_states(spec_q), True) is None
 
@@ -442,34 +372,6 @@ def _bounded(root, depth: int, successors):
         return action, (k - 1, yes), (k - 1, no)
 
     return (depth, root), bounded
-
-
-def cut(root, depth: int, successors) -> FiniteThread:
-    """The depth cut of the thread unfolded from ``root``: the state space
-    ``(root, successors)`` of :func:`explore`, cut ``depth`` branches down,
-    deadlock below.
-
-    Depth 0 (or less) is deadlock and does not call ``successors``. The
-    tree is built over the (remaining depth, state) pairs of the cut, so it
-    shares their subtrees and ``successors`` runs once per pair; they are
-    finished in preorder, yes before no, on an explicit stack, so any depth
-    is fine.
-    """
-    root, successors = _bounded(root, depth, successors)
-    memo: dict = {}
-    stack = [(root, None)]
-    while stack:  # a branch comes back, with its step, once both cuts below it exist
-        pair, step = stack.pop()
-        if step is not None:
-            action, yes, no = step
-            memo[pair] = Branch(memo[yes], action, memo[no])
-        elif pair not in memo:
-            step = successors(pair)
-            if step is STOP or step is DEADLOCK:
-                memo[pair] = step
-            else:
-                stack.extend(((pair, step), (step[2], None), (step[1], None)))
-    return memo[root]
 
 
 def format_spec(spec: LinearSpec) -> str:

@@ -19,7 +19,6 @@ from pgarl import (
     DEADLOCK,
     STOP,
     Basic,
-    Branch,
     CanonicalProgram,
     Halt,
     Jump,
@@ -28,6 +27,7 @@ from pgarl import (
     NegTest,
     PosTest,
 )
+from pgarl.threads import _bounded, explore
 
 PERIOD_LIMIT = 8
 
@@ -112,29 +112,30 @@ class _Stream:
             counters = tuple(sorted(values.items()))
 
 
-def stream_pi(program: CanonicalProgram, depth: int):
-    """The depth-``depth`` approximation of the program's stream thread."""
+def stream_states(program: CanonicalProgram):
+    """The program's stream thread as a state space (see
+    ``pgarl.threads.explore``): a state is a (position, counters) pair before
+    its silent steps are run, and it steps as the visible instruction they
+    reach."""
     stream = _Stream(program)
-    memo: dict = {}
 
-    def tree(k: int, p: int, counters: tuple):
-        if k == 0:
-            return DEADLOCK
-        key = (k, p, counters)
-        if key not in memo:
-            at = stream.resolve(p, counters)
-            if at is STOP or at is DEADLOCK:
-                memo[key] = at
-            else:
-                p, counters, ins = at
-                yes = no = p + 1
-                if isinstance(ins, PosTest):
-                    no = p + 2
-                elif isinstance(ins, NegTest):
-                    yes = p + 2
-                memo[key] = Branch(
-                    tree(k - 1, yes, counters), ins.action, tree(k - 1, no, counters)
-                )
-        return memo[key]
+    def successors(state):
+        at = stream.resolve(*state)
+        if at is STOP or at is DEADLOCK:
+            return at
+        p, counters, ins = at
+        yes = no = p + 1
+        if isinstance(ins, PosTest):
+            no = p + 2
+        elif isinstance(ins, NegTest):
+            yes = p + 2
+        return ins.action, (yes, counters), (no, counters)
 
-    return tree(depth, 1, ())
+    return (1, ()), successors
+
+
+def stream_pi(program: CanonicalProgram, depth: int):
+    """The depth-``depth`` approximation of the program's stream thread, as
+    a linear specification."""
+    root, successors = stream_states(program)
+    return explore(*_bounded(root, depth, successors))

@@ -22,6 +22,7 @@ from pgarl.services import BudgetExceeded, DownCounter, FullCounter
 from pgarl.threads import FOCUS
 
 from genprograms import random_pgarl
+from treeoracle import number, tree_apply_use_bounded
 
 FIRST = "(3x{;a;b;4x{;c;}x;d;}x;e)^w"
 
@@ -571,6 +572,40 @@ def test_closed_stdout_exits_quietly():
     assert (done.returncode, done.stderr) == (0, b"")
 
 
+_BACK_TO_BACK = (
+    ("extract", "-e", "(a;c.inc)^w", "--bind", "c=counter()", "--depth", "3"),
+    ("extract", "-e", "(+c.dec;a;b)^w", "--bind", "c=dc(init=1,max=2)"),
+    ("extract", "-e", "(2x{;a;}x;b)^w", "--depth", "2", "--format", "json"),
+    ("extract", "-e", "(a;c.inc)^w", "--bind", "c=counter()"),
+    ("equiv", "-e", "a", "-e", "a"),
+    ("equiv", "--via", "pure", "-e", "(2x{;a;}x)^w", "-e", "(b)^w"),
+    ("simulate", "-e", "(+c.dec;a;b)^w", "--bind", "c=counter(init=1)", "--replies", "TTT"),
+    ("normalize", "-e", "c:.dec"),
+    ("extract", "-e", "a;b"),
+)
+
+
+def test_back_to_back_main_calls_print_what_separate_calls_print(capsys):
+    # each separate call is a fresh interpreter; the in-process calls share
+    # one argument parser, and run in both orders
+    env = dict(os.environ, PYTHONPATH=str(Path(pgarl.__file__).parents[1]))
+    separate = []
+    for argv in _BACK_TO_BACK:
+        done = subprocess.run([sys.executable, "-m", "pgarl.cli", *argv], capture_output=True,
+                              text=True, env=env, timeout=60)
+        separate.append((done.returncode, done.stdout, done.stderr))
+    assert {code for code, _, _ in separate} == {0, 1, 2, 3}
+    assert [run(capsys, *argv) for argv in _BACK_TO_BACK] == separate
+    assert [run(capsys, *argv) for argv in reversed(_BACK_TO_BACK)] == separate[::-1]
+
+
+def test_readme_import_block_runs():
+    # the README's list of library entry points imports
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(from pgarl import \(.*?\))\n```", readme, re.S)
+    exec(block, {})
+
+
 _TOKENS = st.sampled_from(
     ("a", "b", "+a", "-b", "-d.dec", "+d.inc", "!", "#0", "#1", "#2", "#5",
      "2x{", "1x{", "}x", "u(a;#2)", "u(-b;u(a))", "2x{;a;}x", "#1000000000000",
@@ -747,7 +782,7 @@ def test_binding_reader_matches_replaced_reader(drawn):
 
 
 def _pi_text(n, spec):
-    return pgarl.format_spec(pgarl.thread_to_spec(pgarl.pi(n, spec, spec.root))) + "\n"
+    return pgarl.format_spec(pgarl.pi(n, spec, spec.root)) + "\n"
 
 
 def test_extract_depth_cuts_without_bindings(capsys):
@@ -771,13 +806,6 @@ def test_extract_depth_cuts_with_finite_bindings_only(capsys):
 
 
 # -- extract --depth and equiv against the paths they replaced ------------------
-
-@pytest.fixture
-def one_parser(monkeypatch):
-    """Build the argument parser once for the many runs of a corpus test."""
-    parser = pgarl.cli.build_parser()
-    monkeypatch.setattr(pgarl.cli, "build_parser", lambda: parser)
-
 
 def _corpus_texts():
     rng = random.Random(20260808)
@@ -805,11 +833,11 @@ def _tree_then_number(text, binds, depth):
     unbounded = [(focus, svc) for focus, svc in bindings if not svc.finite]
     if finite:
         spec = pgarl.apply_use(spec, finite)
-    tree = pgarl.apply_use_bounded(spec, unbounded, depth)
-    return 0, pgarl.format_spec(pgarl.thread_to_spec(tree))
+    tree = tree_apply_use_bounded(spec, unbounded, depth)
+    return 0, pgarl.format_spec(number(tree))
 
 
-def test_extract_depth_matches_tree_then_number_on_corpus(capsys, monkeypatch, one_parser):
+def test_extract_depth_matches_tree_then_number_on_corpus(capsys, monkeypatch):
     # c and d become counter actions; a short silent run limit stops the
     # programs that only count
     monkeypatch.setattr(pgarl.services, "SILENT_RUN_LIMIT", 200)
@@ -835,7 +863,7 @@ def _build_then_compare(threads):
     return (0, "equivalent") if witness is None else (1, f"not equivalent\n{witness}")
 
 
-def test_equiv_matches_build_then_compare_on_corpus(capsys, monkeypatch, one_parser):
+def test_equiv_matches_build_then_compare_on_corpus(capsys, monkeypatch):
     # with a product budget of 8 states an unequal pair may now answer where
     # the built products ran out; an equal pair runs out as it did. The pure
     # projection has no product, so it has no budget to run out of.

@@ -99,11 +99,15 @@ def test_parse_whitespace_insensitive():
         "(+c: 7.dec;!;a)^w",
         "c:7. dec",
         "c:7.dec: 3",
+        "c:.dec",
+        "c: 7.dec",
+        "+c:.dec",
     ],
 )
 def test_parse_errors(bad):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         parse_program(bad)
+    assert str(info.value).count(" at line ") == 1
 
 
 def test_parse_error_reports_position():

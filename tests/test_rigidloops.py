@@ -41,7 +41,6 @@ from pgarl import (
     project_pure,
     size_report,
     thread_equal,
-    tree_equal,
     validate_pgarl,
 )
 from pgarl.rigidloops import _SKIP, _match_loops, _omega_form, _pure_layout, _unsplit_loops
@@ -545,7 +544,7 @@ def test_projections_agree_with_stream_interpreter():
             canonical = canonicalize(RawProgram((Part(prefix), Part(body, repeated=True))))
             defining = defining_thread(canonical)
             assert thread_equal(defining, extract_pga(project_pure(canonical)))
-            assert tree_equal(pi(10, defining, defining.root), stream_pi(program, 10)), (
+            assert thread_equal(pi(10, defining, defining.root), stream_pi(program, 10)), (
                 format_program(program)
             )
 

@@ -1,4 +1,5 @@
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from pgarl import (
     Action,
-    Branch,
     BranchRef,
     BudgetExceeded,
     CoAction,
@@ -26,6 +26,7 @@ from pgarl import (
     canonicalize,
     down_counter,
     extract_pgau,
+    format_program,
     format_spec,
     full_counter,
     parse_canonical,
@@ -34,14 +35,13 @@ from pgarl import (
     project_counter,
     simulate_with_services,
     thread_equal,
-    thread_to_spec,
-    tree_equal,
 )
 
 from pgarl import services
 from pgarl.services import _SilentSteps
 
 from genprograms import random_pgarl, random_spec
+from treeoracle import Branch, number, tree_apply_use_bounded
 
 a = Action("a")
 b = Action("b")
@@ -174,7 +174,8 @@ def test_bounded_unfolding_has_a_size_budget(monkeypatch):
     monkeypatch.setattr(services, "PRODUCT_STATE_LIMIT", 1000)
     spec = lin(BranchRef(2, a, 2), BranchRef(1, c_inc, 1))
     bindings = (("c", full_counter()),)
-    assert apply_use_bounded(spec, bindings, 1000).action == a
+    cut = apply_use_bounded(spec, bindings, 1000)
+    assert cut.rhs(cut.root).action == a
     with pytest.raises(BudgetExceeded, match="more than 1000 states"):
         apply_use_bounded(spec, bindings, 1001)
 
@@ -191,7 +192,8 @@ def test_product_size_bound():
 # -- use operator, bounded ----------------------------------------------------
 
 def test_bounded_depth_zero_is_deadlock():
-    assert apply_use_bounded(counter_spec(), (("c", full_counter()),), 0) == DEADLOCK
+    cut = apply_use_bounded(counter_spec(), (("c", full_counter()),), 0)
+    assert cut.rhs(cut.root) == DEADLOCK
 
 
 def test_bounded_counter_law_inc():
@@ -206,7 +208,7 @@ def test_bounded_counter_law_inc():
         )
         left = apply_use_bounded(with_inc, (("c", full_counter(n)),), 6)
         right = apply_use_bounded(spec, (("c", full_counter(n + 1)),), 6)
-        assert tree_equal(left, right)
+        assert thread_equal(left, right)
 
 
 FOCI = ("p", "q", "r")
@@ -239,7 +241,7 @@ def test_bounded_matches_finite_product():
         depth = rng.randint(0, 6)
         bounded = apply_use_bounded(spec, (("c", svc),), depth)
         product = apply_use_finite(spec, "c", svc)
-        assert tree_equal(bounded, pi(depth, product, product.root))
+        assert thread_equal(bounded, pi(depth, product, product.root))
     # one to three down counters on the foci the spec requests
     consumed = 0
     for _ in range(300):
@@ -250,7 +252,7 @@ def test_bounded_matches_finite_product():
         depth = rng.randint(0, 6)
         bounded = apply_use_bounded(spec, bindings, depth)
         product = apply_use(spec, bindings)
-        assert tree_equal(bounded, pi(depth, product, product.root))
+        assert thread_equal(bounded, pi(depth, product, product.root))
         consumed += product != spec
     assert consumed > 150
 
@@ -260,7 +262,7 @@ def test_bounded_consumes_every_binding_in_one_pass():
     bindings = (("c", full_counter()), ("d", full_counter()))
     a_loop = lin(BranchRef(1, a, 1))
     for depth in range(5):
-        assert tree_equal(apply_use_bounded(spec, bindings, depth), pi(depth, a_loop, 1))
+        assert thread_equal(apply_use_bounded(spec, bindings, depth), pi(depth, a_loop, 1))
 
 
 def test_bounded_rejects_negative_depth():
@@ -290,7 +292,8 @@ def test_bounded_budget_exhaustion():
 
 def test_bounded_silent_cycle_is_deadlock():
     dec_forever = lin(BranchRef(1, c_dec, 1))
-    assert apply_use_bounded(dec_forever, (("c", down_counter(0, max=1)),), 5) == DEADLOCK
+    cut = apply_use_bounded(dec_forever, (("c", down_counter(0, max=1)),), 5)
+    assert cut.rhs(cut.root) == DEADLOCK
 
 
 # -- the replaced bounded use loop, kept as the oracle ---------------------------
@@ -325,7 +328,7 @@ def _memo_apply_use_bounded(spec, bindings, depth):
         branches[key] = (rhs.action, yes, no)
         stack.append(no)
         stack.append(yes)
-    return memo[root]
+    return number(memo[root])
 
 
 def _outcome(function, *args):
@@ -333,7 +336,7 @@ def _outcome(function, *args):
         thread = function(*args)
     except DivergenceSuspected as exc:
         return str(exc)
-    return thread, format_spec(thread_to_spec(thread))
+    return format_spec(thread)
 
 
 @settings(max_examples=60)
@@ -365,6 +368,53 @@ def test_bounded_divergence_below_the_root_matches_replaced_loop():
         )
 
 
+# -- the tree cut that apply_use_bounded replaced, kept as the oracle ------------
+
+def _cut_outcome(function, *args):
+    try:
+        cut = function(*args)
+    except BudgetExceeded as exc:  # DivergenceSuspected included
+        return type(exc).__name__, str(exc)
+    return format_spec(cut if isinstance(cut, LinearSpec) else number(cut))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_bounded_matches_tree_oracle(seed):
+    rng = random.Random(seed)
+    spec = _focused_spec(rng, methods=("dec", "inc", "set"))
+    counters = (lambda: full_counter(rng.randint(0, 2)), lambda: down_counter(rng.randint(0, 2), 3))
+    bindings = tuple((focus, rng.choice(counters)()) for focus in FOCI[: rng.randint(1, 3)])
+    with mock.patch.object(services, "SILENT_RUN_LIMIT", 20):
+        for depth in range(41):
+            assert _cut_outcome(apply_use_bounded, spec, bindings, depth) == _cut_outcome(
+                tree_apply_use_bounded, spec, bindings, depth
+            )
+
+
+def test_bounded_matches_tree_oracle_on_corpus(monkeypatch):
+    # c and d become counter actions, bound to counter() and dc() next to
+    # the loop counters; a short silent run limit stops the programs that
+    # only count
+    monkeypatch.setattr(services, "SILENT_RUN_LIMIT", 200)
+    rng = random.Random(20260808)
+    outcomes = set()
+    for i in range(500):
+        text = format_program(random_pgarl(rng, shape=("omega", "finite", "mixed")[i % 3]))
+        text = re.sub(r"\bd\b", "d.dec", re.sub(r"\bc\b", "c.inc", text))
+        projected = project_counter(parse_canonical(text))
+        spec = extract_pgau(projected.program)
+        bindings = projected.bindings + (
+            (("c", full_counter()),),
+            (("c", full_counter(2)), ("d", down_counter(1, max=2))),
+        )[i % 2]
+        for depth in (i % 41, 40 - i % 41):
+            outcome = _cut_outcome(apply_use_bounded, spec, bindings, depth)
+            assert outcome == _cut_outcome(tree_apply_use_bounded, spec, bindings, depth)
+            outcomes.add(type(outcome))
+    assert outcomes == {str, tuple}
+
+
 # -- the irregular counter thread ----------------------------------------------
 
 def test_counter_thread_trace_family():
@@ -381,18 +431,13 @@ def test_counter_thread_bounded_tree():
     from pgarl import simulate_thread
 
     thread = apply_use_bounded(counter_spec(), (("c", full_counter()),), 8)
-    script = ReplyScript.from_text("TTFTT")
-    # simulate accepts the finite tree directly and its spec-ified form
-    for shape in (thread, thread_to_spec(thread)):
-        trace = simulate_thread(shape, script)
-        assert [str(act) for act in trace.actions] == ["a", "a", "a", "b", "b"]
-        assert trace.status == "S"
+    trace = simulate_thread(thread, ReplyScript.from_text("TTFTT"))
+    assert [str(act) for act in trace.actions] == ["a", "a", "a", "b", "b"]
+    assert trace.status == "S"
 
 
 def test_counter_law_inc_chain_feeds_dec_loop():
     # after n increments the dec-driven loop emits exactly n b's, then stops
-    from pgarl import STOP as stop_tree, prefixed
-
     for n in range(11):
         inc_chain = [BranchRef(i + 1, c_inc, i + 1) for i in range(1, n + 1)]
         r_at = n + 1
@@ -402,11 +447,9 @@ def test_counter_law_inc_chain_feeds_dec_loop():
             STOP,
         ]
         spec = lin(*eqs)
-        tree = apply_use_bounded(spec, (("c", full_counter()),), n + 2)
-        expected = stop_tree
-        for _ in range(n):
-            expected = prefixed(b, expected)
-        assert tree_equal(tree, expected)
+        cut = apply_use_bounded(spec, (("c", full_counter()),), n + 2)
+        expected = lin(*(BranchRef(i + 2, b, i + 2) for i in range(n)), STOP)
+        assert thread_equal(cut, expected)
 
 
 # -- the replaced simulation walk, kept as the oracle -----------------------------

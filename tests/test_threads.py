@@ -9,7 +9,6 @@ from pgarl import (
     DEADLOCK,
     STOP,
     Action,
-    Branch,
     BranchRef,
     Deadlock,
     LinearSpec,
@@ -21,25 +20,21 @@ from pgarl import (
     distinguish,
     extract_pga,
     extract_pgau,
-    finite_leq,
     full_counter,
     format_spec,
     pi,
-    pi_thread,
     parse_canonical,
-    prefixed,
     project_pure,
     refines,
     simulate_thread,
     thread_equal,
-    thread_to_spec,
-    tree_equal,
     validate_spec,
 )
 from pgarl import extraction, services
-from pgarl.threads import Witness, _first_difference, _spec_states, _tree_states, cut, explore
+from pgarl.threads import Witness, _bounded, _first_difference, _spec_states, explore
 
 from genprograms import random_pgarl, random_spec
+from treeoracle import Branch, cut, number, tree_pi, tree_states
 
 a = Action("a")
 b = Action("b")
@@ -85,17 +80,18 @@ def test_validate_five_equation_counter_spec():
 
 
 def test_pi_zero_is_deadlock():
-    assert pi(0, A_LOOP, 1) == DEADLOCK
-    assert pi(0, LinearSpec((STOP,), 1), 1) == DEADLOCK
+    for spec in (pi(0, A_LOOP, 1), pi(0, LinearSpec((STOP,), 1), 1)):
+        assert spec.rhs(spec.root) == DEADLOCK
 
 
 def test_pi_two_of_a_loop():
-    assert pi(2, A_LOOP, 1) == Branch(prefixed(a, DEADLOCK), a, prefixed(a, DEADLOCK))
+    expected = LinearSpec((BranchRef(2, a, 2), BranchRef(3, a, 3), DEADLOCK))
+    assert pi(2, A_LOOP, 1) == expected
 
 
 def test_pi_three_alternating():
     spec = LinearSpec((BranchRef(2, a, 2), BranchRef(1, b, 1)), 1)
-    expected = prefixed(a, prefixed(b, prefixed(a, DEADLOCK)))
+    expected = LinearSpec((BranchRef(2, a, 2), BranchRef(3, b, 3), BranchRef(4, a, 4), DEADLOCK))
     assert pi(3, spec, 1) == expected
 
 
@@ -174,13 +170,13 @@ def test_thread_equal_reflexive(spec):
 
 @given(specs, st.integers(min_value=0, max_value=8))
 def test_pi_chain_is_monotone(spec, k):
-    assert finite_leq(pi(k, spec, spec.root), pi(k + 1, spec, spec.root))
+    assert refines(pi(k, spec, spec.root), pi(k + 1, spec, spec.root))
 
 
 @given(specs, st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=4))
 def test_recut_deeper_approximation(spec, n, extra):
     deeper = pi(n + extra, spec, spec.root)
-    assert pi_thread(n, deeper) == pi(n, spec, spec.root)
+    assert thread_equal(pi(n, deeper, deeper.root), pi(n, spec, spec.root))
 
 
 @given(specs, specs)
@@ -226,11 +222,15 @@ def test_thread_equal_symmetric_and_transitive(spec, seed):
 
 
 def test_postconditional_monotone():
-    small = prefixed(a, DEADLOCK)
-    large = prefixed(a, STOP)
-    assert finite_leq(small, large)
-    assert finite_leq(Branch(small, b, DEADLOCK), Branch(large, b, STOP))
-    assert not finite_leq(Branch(large, b, STOP), Branch(small, b, STOP))
+    # small = a.D and large = a.S, alone and as the yes branch of b
+    small = LinearSpec((BranchRef(2, a, 2), DEADLOCK))
+    large = LinearSpec((BranchRef(2, a, 2), STOP))
+    assert refines(small, large)
+    small_b = LinearSpec((BranchRef(2, b, 3), BranchRef(3, a, 3), DEADLOCK))
+    large_b = LinearSpec((BranchRef(2, b, 3), BranchRef(3, a, 3), STOP))
+    assert refines(small_b, large_b)
+    small_b_stop = LinearSpec((BranchRef(2, b, 4), BranchRef(3, a, 3), DEADLOCK, STOP))
+    assert not refines(large_b, small_b_stop)
 
 
 # -- the replaced recursive walks, kept as oracles ------------------------------
@@ -261,30 +261,34 @@ def _recursive_finite_leq(left, right):
 
 
 def test_iterative_walks_match_recursive_oracles():
+    # pi, refines and thread_equal on the cuts as specs, against the
+    # recursive cut and order on the same cuts as trees
     rng = random.Random(4242)
     for _ in range(400):
         spec, other = random_spec(rng), random_spec(rng)
         depth = rng.randint(0, 6)
-        left = pi(depth, spec, spec.root)
-        right = pi(rng.randint(0, 6), other, other.root) if rng.random() < 0.5 else pi(
-            rng.randint(depth, 7), spec, spec.root
-        )
-        cut = rng.randint(0, 7)
-        assert pi_thread(cut, left) == _recursive_pi_thread(cut, left)
-        for x, y in ((left, right), (right, left), (left, left)):
-            assert finite_leq(x, y) == _recursive_finite_leq(x, y)
-            assert tree_equal(x, y) == (x == y)
+        left = (depth, spec)
+        right = (rng.randint(0, 6), other) if rng.random() < 0.5 else (rng.randint(depth, 7), spec)
+        recut = rng.randint(0, 7)
+        left_spec = pi(depth, spec, spec.root)
+        assert thread_equal(pi(recut, left_spec, left_spec.root),
+                            number(_recursive_pi_thread(recut, tree_pi(depth, spec, spec.root))))
+        for (m, p), (n, q) in ((left, right), (right, left), (left, left)):
+            x, y = pi(m, p, p.root), pi(n, q, q.root)
+            tx, ty = tree_pi(m, p, p.root), tree_pi(n, q, q.root)
+            assert refines(x, y) == _recursive_finite_leq(tx, ty)
+            assert thread_equal(x, y) == (tx == ty)
 
 
 def test_walks_on_a_thread_3000_deep():
     spec = extract_pgau(parse_canonical("(a;c.inc)^w"))
     thread = apply_use_bounded(spec, (("c", full_counter()),), 3000)
     again = apply_use_bounded(spec, (("c", full_counter()),), 3000)
-    half = pi_thread(1500, thread)
-    assert tree_equal(pi_thread(3000, thread), thread)
-    assert tree_equal(thread, again) and not tree_equal(thread, half)
-    assert finite_leq(half, thread) and not finite_leq(thread, half)
-    assert tree_equal(half, apply_use_bounded(spec, (("c", full_counter()),), 1500))
+    half = pi(1500, thread, thread.root)
+    assert thread_equal(pi(3000, thread, thread.root), thread)
+    assert thread_equal(thread, again) and not thread_equal(thread, half)
+    assert refines(half, thread) and not refines(thread, half)
+    assert thread_equal(half, apply_use_bounded(spec, (("c", full_counter()),), 1500))
 
 
 # -- the replaced depth cuts, kept as oracles ------------------------------------
@@ -304,30 +308,10 @@ def _level_pi(n, spec, state):
     return level[state]
 
 
-def _stack_pi_thread(n, thread):
-    memo = {}
-    stack = [(n, thread, False)]
-    while stack:
-        k, t, expanded = stack.pop()
-        key = (k, id(t))
-        if key in memo:
-            continue
-        if k == 0:
-            memo[key] = DEADLOCK
-        elif not isinstance(t, Branch):
-            memo[key] = t
-        elif expanded:
-            memo[key] = Branch(memo[(k - 1, id(t.yes))], t.action, memo[(k - 1, id(t.no))])
-        else:
-            stack.extend(((k, t, True), (k - 1, t.no, False), (k - 1, t.yes, False)))
-    return memo[(n, id(thread))]
-
-
 def _same_cut(got, expected):
-    """Equal in value, and in sharing as the numbered form shows it."""
-    return got == expected and format_spec(thread_to_spec(got)) == format_spec(
-        thread_to_spec(expected)
-    )
+    """Equal as the numbered form of the expected tree shows it, sharing
+    included."""
+    return got == number(expected)
 
 
 @settings(max_examples=60)
@@ -335,23 +319,38 @@ def _same_cut(got, expected):
 def test_cut_matches_replaced_depth_cuts(spec):
     for state in range(1, len(spec) + 1):
         for depth in range(9):
-            expected = _level_pi(depth, spec, state)
-            assert _same_cut(pi(depth, spec, state), expected)
-        for depth in range(10):
-            assert _same_cut(pi_thread(depth, expected), _stack_pi_thread(depth, expected))
+            assert _same_cut(pi(depth, spec, state), _level_pi(depth, spec, state))
 
 
 def test_cut_maps_fresh_terminals_to_the_singletons():
     spec = LinearSpec((BranchRef(2, a, 3), Stop(), Deadlock(), BranchRef(2, b, 1)), 4)
     for state in range(1, 5):
         for depth in range(6):
-            got = pi(depth, spec, state)
-            assert _same_cut(got, _level_pi(depth, spec, state))
-            assert pi_thread(depth, got) == _stack_pi_thread(depth, got)
-    fresh = Branch(Stop(), a, Branch(Deadlock(), b, Stop()))
-    for depth in range(4):
-        assert pi_thread(depth, fresh) == _stack_pi_thread(depth, fresh)
-    assert pi_thread(2, fresh).yes is STOP
+            assert _same_cut(pi(depth, spec, state), _level_pi(depth, spec, state))
+    terminals = pi(2, spec, 1).equations[1:]
+    assert terminals[0] is STOP and terminals[1] is DEADLOCK
+
+
+# -- the tree cut that pi replaced, kept as the oracle ---------------------------
+
+@settings(max_examples=80)
+@given(specs)
+def test_pi_matches_tree_oracle(spec):
+    # the cut as a spec prints as the tree cut, numbered, prints
+    for state in range(1, len(spec) + 1):
+        for depth in range(13):
+            assert format_spec(pi(depth, spec, state)) == format_spec(
+                number(tree_pi(depth, spec, state))
+            )
+
+
+def test_pi_matches_tree_oracle_on_corpus():
+    for i, (defining, pure) in enumerate(_corpus_specs()):
+        for spec in (defining, pure):
+            for depth in (i % 13, 12 - i % 13):
+                assert format_spec(pi(depth, spec, spec.root)) == format_spec(
+                    number(tree_pi(depth, spec, spec.root))
+                )
 
 
 # -- the replaced preorder numbering of trees, kept as the oracle ---------------
@@ -382,20 +381,18 @@ def _preorder_thread_to_spec(thread):
 
 @settings(max_examples=60)
 @given(specs)
-def test_thread_to_spec_matches_preorder_numbering(spec):
+def test_pi_matches_preorder_numbering(spec):
+    # the cut as a spec, and cut again, against the preorder numbering of
+    # the same cuts built as trees
     for state in range(1, len(spec) + 1):
         for depth in range(8):
-            tree = pi(depth, spec, state)
-            for shape in (tree, pi_thread(depth // 2, tree)):
-                new, old = thread_to_spec(shape), _preorder_thread_to_spec(shape)
-                assert thread_equal(new, old)
-                assert len(new) == len(old)
-
-
-def test_pi_thread_reads_nothing_below_the_cut():
-    # a node that is no thread at all, two levels down, is never looked at
-    thread = Branch(STOP, a, Branch(object(), b, DEADLOCK))
-    assert pi_thread(2, thread) == Branch(STOP, a, Branch(DEADLOCK, b, DEADLOCK))
+            new, tree = pi(depth, spec, state), tree_pi(depth, spec, state)
+            root, successors = tree_states(tree)
+            recut = cut(root, depth // 2, successors)
+            for got, shape in ((new, tree), (pi(depth // 2, new, new.root), recut)):
+                old = _preorder_thread_to_spec(shape)
+                assert thread_equal(got, old)
+                assert len(got) == len(old)
 
 
 def test_cut_calls_successors_once_per_depth_and_state():
@@ -407,19 +404,17 @@ def test_cut_calls_successors_once_per_depth_and_state():
 
     # state i is equation i + 1 of the same thread written as a spec
     spec = LinearSpec(tuple(BranchRef((i + 1) % 5 + 1, a, 2 * i % 5 + 1) for i in range(5)))
-    assert cut(0, 7, successors) == _level_pi(7, spec, 1)
-    # once per (depth, state) pair reached, in preorder, yes before no
-    order = []
-
-    def visit(depth, state):
-        if depth and (depth, state) not in order:
-            order.append((depth, state))
-            visit(depth - 1, (state + 1) % 5)
-            visit(depth - 1, (state * 2) % 5)
-
-    visit(7, 0)
+    assert explore(*_bounded(0, 7, successors)) == pi(7, spec, 1)
+    # once per (depth, state) pair reached with depth left, breadth first,
+    # yes before no
+    order = [(7, 0)]
+    for depth, state in order:  # the list grows while it is walked
+        for nxt in ((depth - 1, (state + 1) % 5), (depth - 1, (state * 2) % 5)):
+            if nxt[0] and nxt not in order:
+                order.append(nxt)
     assert calls == [state for _, state in order]
-    assert cut(0, 0, successors) is DEADLOCK and len(calls) == len(order)
+    assert explore(*_bounded(0, 0, successors)) == LinearSpec((DEADLOCK,))
+    assert len(calls) == len(order)
 
 
 # -- the replaced equality walks and scripted run, kept as oracles ---------------
@@ -477,7 +472,7 @@ def _bfs_distinguish(spec_p, spec_q):
 
 
 def _scripted_run(spec, script, max_steps=1000):
-    current = spec.rhs(spec.root) if isinstance(spec, LinearSpec) else spec
+    current = spec.rhs(spec.root)
     steps = []
     cursor = 0
     while True:
@@ -491,7 +486,7 @@ def _scripted_run(spec, script, max_steps=1000):
         cursor += 1
         steps.append((current.action, reply))
         target = current.yes if reply else current.no
-        current = spec.rhs(target) if isinstance(spec, LinearSpec) else target
+        current = spec.rhs(target)
 
 
 def _check_pair_walks(p, q):
@@ -629,41 +624,40 @@ def _check_against_spec_walk(p, q):
     assert _text(distinguish(p, q)) == _spec_pair_walk(p, q, False)
 
 
-def _check_trees_against_spec_walk(left, right):
-    # the oracle numbers each tree, then walks the two specs
-    p, q = (_replaced_explore(*_tree_states(t)) for t in (left, right))
+def _cut_space(depth, spec):
+    root, successors = _spec_states(spec)
+    return _bounded(root, depth, successors)
+
+
+def _check_cuts_against_spec_walk(m, p, n, q):
+    # the walk over the depth-m cut of p and the depth-n cut of q as
+    # spaces, against the spec walk over the two cuts numbered
+    x, y = pi(m, p, p.root), pi(n, q, q.root)
     for below in (True, False):
-        assert _text(_first_difference(_tree_states(left), _tree_states(right), below)) == (
-            _spec_pair_walk(p, q, below)
+        assert _text(_first_difference(_cut_space(m, p), _cut_space(n, q), below)) == (
+            _spec_pair_walk(x, y, below)
         )
-    assert finite_leq(left, right) == (_spec_pair_walk(p, q, True) is None)
-    assert tree_equal(left, right) == (_spec_pair_walk(p, q, False) is None)
+    _check_against_spec_walk(x, y)
 
 
-def _fresh_leaves(tree):
-    """The same tree with every leaf a new Stop() or Deadlock() object;
-    shared branches stay shared."""
-    copies = {}
-
-    def copy(t):
-        if not isinstance(t, Branch):
-            return Stop() if isinstance(t, Stop) else Deadlock()
-        if id(t) not in copies:
-            copies[id(t)] = Branch(copy(t.yes), t.action, copy(t.no))
-        return copies[id(t)]
-
-    return copy(tree)
+def _fresh_leaves(spec):
+    """The same spec with every terminal equation a new Stop() or
+    Deadlock() object."""
+    return LinearSpec(tuple(
+        Stop() if isinstance(rhs, Stop) else Deadlock() if isinstance(rhs, Deadlock) else rhs
+        for rhs in spec.equations
+    ), spec.root)
 
 
 @given(specs, specs)
 def test_state_space_walk_matches_spec_pair_walk(p, q):
     for x, y in ((p, q), (q, p), (p, p)):
         _check_against_spec_walk(x, y)
+    fresh = _fresh_leaves(p)
     for depth in range(5):
-        left = _fresh_leaves(pi(depth, p, p.root))
-        right = pi(depth + 1, q, q.root)
-        for x, y in ((left, right), (right, left), (left, _fresh_leaves(pi(depth, p, p.root)))):
-            _check_trees_against_spec_walk(x, y)
+        for left, right in (((depth, fresh), (depth + 1, q)), ((depth + 1, q), (depth, fresh)),
+                            ((depth, fresh), (depth, p))):
+            _check_cuts_against_spec_walk(*left, *right)
 
 
 def test_state_space_walk_matches_spec_pair_walk_on_corpus():
@@ -675,8 +669,7 @@ def test_state_space_walk_matches_spec_pair_walk_on_corpus():
                 for x, y in ((defining, other), (other, defining)):
                     _check_against_spec_walk(x, y)
                     witnesses += distinguish(x, y) is not None
-        _check_trees_against_spec_walk(pi(6, defining, defining.root),
-                                       _fresh_leaves(pi(5, pure, pure.root)))
+        _check_cuts_against_spec_walk(6, defining, 5, _fresh_leaves(pure))
         previous = pure
     assert witnesses > 200
 
@@ -696,7 +689,7 @@ def test_pair_walk_steps_each_state_once_per_side():
 
 
 def test_explore_matches_replaced_numbering():
-    # extraction, the use-operator product and tree spaces, numbered by both
+    # extraction and the use-operator product, numbered by both
     rng = random.Random(20260808)
     for i in range(500):
         program = random_pgarl(rng, shape=("omega", "finite", "mixed")[i % 3])
@@ -704,8 +697,6 @@ def test_explore_matches_replaced_numbering():
         with mock.patch.object(extraction, "explore", _replaced_explore), \
                 mock.patch.object(services, "explore", _replaced_explore):
             assert (defining_thread(program), extract_pga(project_pure(program))) == new
-        tree = _fresh_leaves(pi(6, new[0], new[0].root))
-        assert thread_to_spec(tree) == _replaced_explore(*_tree_states(tree))
 
 
 def test_explore_shares_the_equation_of_the_terminal_a_state_steps_to():
