@@ -40,9 +40,8 @@ from .services import (
     FullCounter,
     Service,
     ServiceError,
+    _bounded_use_states,
     _product_states,
-    apply_use,
-    apply_use_bounded,
     check_foci,
     simulate_with_services,
 )
@@ -53,6 +52,7 @@ from .threads import (
     ReplyScript,
     SpecError,
     _first_difference,
+    explore,
     format_spec,
 )
 
@@ -227,16 +227,17 @@ def _cmd_project(args) -> int:
 def _cmd_extract(args) -> int:
     (raw,) = _load_programs(args, 1)
     program, bindings = _projected(canonicalize(raw), args)
-    spec = extract_pgau(program)
+    space = _table_states(program, allow_units=True)
     finite = [(focus, svc) for focus, svc in bindings if svc.finite]
     unbounded = [(focus, svc) for focus, svc in bindings if not svc.finite]
     if finite:
-        spec = apply_use(spec, finite)
+        space = _product_states(space, finite)
     if unbounded and args.depth is None:
         raise _CliError("binding a service without a finite enumeration needs --depth",
                         EXIT_ILL_FORMED)
-    if args.depth is not None:
-        spec = apply_use_bounded(spec, unbounded, args.depth)
+    if args.depth is not None:  # the cut steps only the product states within it
+        space = _bounded_use_states(space, unbounded, args.depth)
+    spec = explore(*space)
     text = format_spec(spec)
     _emit(args, text, _spec_json(spec))
     return EXIT_OK
@@ -246,8 +247,8 @@ def _cmd_equiv(args) -> int:
     spaces = []  # compared as they are walked: neither is built, and a difference ends the walk
     for raw in _load_programs(args, 2):
         program, bindings = _projected(canonicalize(raw), args)
-        spaces.append(_product_states(extract_pgau(program), bindings) if bindings
-                      else _table_states(program, allow_units=True))
+        space = _table_states(program, allow_units=True)
+        spaces.append(_product_states(space, bindings) if bindings else space)
     witness = _first_difference(*spaces, deadlock_below=False)
     if witness is None:
         _emit(args, "equivalent", {"equivalent": True})

@@ -13,7 +13,8 @@ remaining inner instructions individually and then whole outer instructions
 it. Each jump chain is resolved once and remembered; a chain that revisits an
 instruction without performing an action is deadlock. The table is then a
 state space over instruction numbers (see :mod:`pgarl.threads`), which
-extraction numbers and :func:`behav_equiv` compares as it walks it.
+extraction numbers, :func:`behav_equiv` compares as it walks it, and the use
+operator of :mod:`pgarl.services` reads as the thread it applies services to.
 
 Synthesis goes the other way: every regular thread is laid out as a repeated
 program with one test-jump-jump triple per branch equation and one

@@ -206,33 +206,29 @@ def _parse_instruction(sc: _Scanner) -> Instruction:
                 raise sc.error(f"units nested more than {UNIT_NESTING_LIMIT} deep", mark)
             sc.take("(")
             sc.units += 1
-            body = _parse_sequence(sc, stop=")")
+            body = _parse_sequence(sc)
             sc.units -= 1
             sc.take(")")
             try:
                 return Unit(tuple(body))
             except ValueError as exc:
                 raise sc.error(str(exc), mark) from None
-        try:
-            return Basic(_parse_action(sc, first=name))
-        except ParseError:  # it names its own position
-            raise
-        except ValueError as exc:
-            raise sc.error(str(exc), mark) from None
+        return Basic(_parse_action(sc, first=name))
     raise sc.error("expected an instruction")
 
 
-def _parse_sequence(sc: _Scanner, stop: str) -> list[Instruction]:
+def _parse_sequence(sc: _Scanner) -> list[Instruction]:
+    """Read ``seq`` up to, not including, its closing ``)``."""
     items = [_parse_instruction(sc)]
     while True:
         sc.skip_ws()
         if sc.peek() == ";":
             sc.take(";")
             items.append(_parse_instruction(sc))
-        elif sc.peek() == stop or (stop == "" and sc.at_end()):
+        elif sc.peek() == ")":
             return items
         else:
-            raise sc.error(f"expected ';' or {stop!r}" if stop else "expected ';' or end of input")
+            raise sc.error("expected ';' or ')'")
 
 
 def parse_program(text: str) -> RawProgram:
@@ -245,7 +241,7 @@ def parse_program(text: str) -> RawProgram:
         sc.skip_ws()
         if sc.peek() == "(":
             sc.take("(")
-            body = _parse_sequence(sc, stop=")")
+            body = _parse_sequence(sc)
             sc.take(")")
             if not sc.try_take("^w"):
                 raise sc.error("expected '^w' after ')'")
@@ -263,8 +259,6 @@ def parse_program(text: str) -> RawProgram:
             raise sc.error("trailing ';'")
     if current:
         parts.append(Part(tuple(current)))
-    if not parts:
-        raise sc.error("empty program")
     return RawProgram(tuple(parts))
 
 

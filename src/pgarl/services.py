@@ -8,21 +8,28 @@ foci pass through, a co-action outside the service's alphabet deadlocks, and
 a cycle of consumed actions that never emits anything is deadlock as well.
 
 Several services are applied together, one per focus, over a tuple of
-service states, and every form returns a :class:`pgarl.threads.LinearSpec`
-or a trace. The finite product (:func:`apply_use`) numbers every reachable
-pair of a thread state and such a tuple in a single pass; the depth-bounded
-form (:func:`apply_use_bounded`) numbers the pairs within a visible depth,
-over the same depth transformer that :func:`pgarl.threads.pi` uses, so its
-result is a finite thread as a spec; and scripted simulation
-(:func:`simulate_with_services`) walks one path, remembering the states it
-meets when every service is finite; :func:`simulate_thread` is that walk
-with no services bound. All three resolve consumed steps with one resolver,
-which limits each silent run to ``SILENT_RUN_LIMIT`` steps, and all three
-reject a list of bindings that binds a focus twice. The product may have at
-most ``PRODUCT_STATE_LIMIT`` states, and the depth-bounded form may unfold
-at most as many. The product is a state space in the sense of
-:mod:`pgarl.threads` (``_product_states``) before it is numbered, so a
-caller can compare two products without building either.
+service states. The use operator reads a thread as a state space in the
+sense of :mod:`pgarl.threads`, ``(root, successors)``, and one resolver
+(``_SilentSteps``) consumes its silent steps, classifying each thread state
+the first time a run reaches it; so it runs the same over a specification,
+over extraction's table (``extraction._table_states``) or over another
+product. The finite product (``_product_states``) and the depth-bounded
+form (``_bounded_use_states``, over the depth transformer that
+:func:`pgarl.threads.pi` uses) are transformers of spaces, and a caller
+composes them and numbers the result once: :func:`apply_bindings` numbers
+the product of a program's table without numbering the table first. The
+public forms take a :class:`pgarl.threads.LinearSpec` and return one or a
+trace: :func:`apply_use` numbers every reachable pair of a thread state and
+a tuple of service states in a single pass, :func:`apply_use_bounded`
+numbers the pairs within a visible depth, so its result is a finite thread
+as a spec, and scripted simulation (:func:`simulate_with_services`) walks
+one path, remembering the states it meets when every service is finite;
+:func:`simulate_thread` is that walk with no services bound. All of them
+limit each silent run to ``SILENT_RUN_LIMIT`` steps and reject a list of
+bindings that binds a focus twice. The product may step at most
+``PRODUCT_STATE_LIMIT`` states, and the depth-bounded form may unfold at
+most as many; a product under a depth cut steps only the states the cut
+reaches.
 """
 
 from __future__ import annotations
@@ -30,22 +37,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 
-from .extraction import extract_pgau
+from .extraction import _table_states
 from .program import CanonicalProgram
 from .threads import (
     DEADLOCK,
     STOP,
-    STATUS_CUTOFF,
-    STATUS_DEADLOCK,
-    STATUS_STOP,
     Action,
-    Deadlock,
     LinearSpec,
     ReplyScript,
-    Stop,
     Trace,
     _bounded,
-    _require_valid,
+    _spec_states,
     explore,
 )
 
@@ -179,85 +181,116 @@ class ProjectedProgram:
 
 
 class _SilentSteps:
-    """The consumed (silent) steps of a thread under a tuple of bound services.
+    """The consumed (silent) steps of a thread, read as a state space (see
+    :func:`pgarl.threads.explore`), under a tuple of bound services.
 
-    Service states travel as a tuple with one slot per binding. Each equation
-    is classified once: it ends the thread, it performs a visible action, it
-    asks a bound service for a co-action outside that service's alphabet
-    (deadlock), or it is a silent step on one slot.
+    Service states travel as a tuple with one slot per binding. Each thread
+    state is classified the first time a run reaches it, and ``moves`` keeps
+    what it is: the ``STOP`` or ``DEADLOCK`` it ends in, None for a visible
+    branch, which ``visible`` keeps as ``(action, yes, no)``, a silent step
+    ``(slot, step, co-action, yes, no)`` on one slot, or ``DEADLOCK`` when
+    it asks a bound service for a co-action outside that service's alphabet.
     """
 
-    def __init__(self, spec: LinearSpec, bindings) -> None:
-        _require_valid(spec)
+    def __init__(self, space, bindings) -> None:
         check_foci(bindings)
+        self.root, self._successors = space
         self.initial = tuple(svc.initial for _, svc in bindings)
-        slots = {focus: slot for slot, (focus, _) in enumerate(bindings)}
-        moves: list = [None]  # equations count from 1
-        for rhs in spec.equations:
-            if isinstance(rhs, Stop):
-                moves.append(STOP)
-            elif isinstance(rhs, Deadlock):
-                moves.append(DEADLOCK)
-            elif rhs.action.focus not in slots:
-                moves.append(None)
-            else:
-                slot = slots[rhs.action.focus]
-                svc = bindings[slot][1]
-                co = CoAction(rhs.action.method, rhs.action.argument)
-                moves.append(
-                    (slot, svc.step, co, rhs.yes, rhs.no) if svc.accepts(co) else DEADLOCK
-                )
-        self.moves = moves
+        self._bound = {focus: (slot, svc) for slot, (focus, svc) in enumerate(bindings)}
+        self.moves: dict = {STOP: STOP, DEADLOCK: DEADLOCK}
+        self.visible: dict = {}
 
-    def resolve(self, equation: int, states: tuple):
-        """Consume silent steps from ``equation`` until the thread emits a
-        visible action, ends, or revisits an (equation, states) pair; returns
-        STOP, DEADLOCK (a silent cycle is deadlock too) or the pair at the
-        visible action. DivergenceSuspected is raised when a step is due
-        after SILENT_RUN_LIMIT consumed steps."""
+    def _classify(self, state):
+        move = self._successors(state)
+        if move is not STOP and move is not DEADLOCK:
+            action, yes, no = move
+            if action.focus in self._bound:
+                slot, svc = self._bound[action.focus]
+                co = CoAction(action.method, action.argument)
+                move = (slot, svc.step, co, yes, no) if svc.accepts(co) else DEADLOCK
+            else:
+                self.visible[state] = move
+                move = None
+        self.moves[state] = move
+        return move
+
+    def resolve(self, state, states: tuple):
+        """Consume silent steps from ``state`` until the thread emits a
+        visible action, ends, or revisits a (thread state, service states)
+        pair; returns STOP, DEADLOCK (a silent cycle is deadlock too) or the
+        pair at the visible action. DivergenceSuspected is raised when a step
+        is due after SILENT_RUN_LIMIT consumed steps."""
         moves = self.moves
         limit = SILENT_RUN_LIMIT
         seen = set()  # one entry per consumed step
         while True:
-            move = moves[equation]
+            try:
+                move = moves[state]
+            except KeyError:
+                move = self._classify(state)
             if move is None:
-                return equation, states
+                return state, states
             if move is STOP or move is DEADLOCK:
                 return move
-            key = (equation, states)
+            key = (state, states)
             if key in seen:
                 return DEADLOCK
             if len(seen) == limit:
                 raise DivergenceSuspected(f"no visible progress within {limit} consumed steps")
             seen.add(key)
             slot, step, co, yes, no = move
-            reply, state = step(states[slot], co)
-            states = states[:slot] + (state,) + states[slot + 1:]
-            equation = yes if reply else no
+            reply, value = step(states[slot], co)
+            states = states[:slot] + (value,) + states[slot + 1:]
+            state = yes if reply else no
 
 
-def _product_states(spec: LinearSpec, bindings):
-    """The use operator's finite product as a state space (see
-    :func:`pgarl.threads.explore`): a state is a (thread state, service
-    states) pair that performs a visible action, and the silent steps
-    between two such pairs are resolved when a pair is stepped. Stepping
-    more than PRODUCT_STATE_LIMIT pairs raises BudgetExceeded."""
+def _product_states(space, bindings):
+    """The use operator's finite product of the state space ``space`` (see
+    :func:`pgarl.threads.explore`) as a state space: a state is a (thread
+    state, service states) pair that performs a visible action, and the
+    silent steps between two such pairs are resolved when a pair is stepped.
+    Stepping more than PRODUCT_STATE_LIMIT pairs raises BudgetExceeded."""
     if not all(svc.finite for _, svc in bindings):
         raise ServiceError("service has no finite state enumeration; use the bounded form")
-    silent = _SilentSteps(spec, tuple(bindings))
-    resolve = silent.resolve
+    silent = _SilentSteps(space, tuple(bindings))
+    resolve, visible = silent.resolve, silent.visible
     explored = count(1)
     limit = PRODUCT_STATE_LIMIT
 
     def successors(node):
         if next(explored) > limit:
             raise BudgetExceeded(f"the use-operator product has more than {limit} states")
-        equation, states = node
-        rhs = spec.equations[equation - 1]
-        yes = resolve(rhs.yes, states)
-        return rhs.action, yes, yes if rhs.no == rhs.yes else resolve(rhs.no, states)
+        state, states = node
+        action, yes, no = visible[state]
+        at_yes = resolve(yes, states)
+        return action, at_yes, at_yes if no == yes else resolve(no, states)
 
-    return resolve(spec.root, silent.initial), successors
+    return resolve(silent.root, silent.initial), successors
+
+
+def _bounded_use_states(space, bindings, depth: int):
+    """The depth-bounded use operator of the state space ``space`` as a
+    state space: the depth cut (``pgarl.threads._bounded``) of the (thread
+    state, service states) pairs taken before their silent steps are
+    resolved; such a pair steps as the pair it resolves to. Stepping more
+    than PRODUCT_STATE_LIMIT (depth, state) pairs raises BudgetExceeded."""
+    if depth < 0:
+        raise ValueError(f"depth must be a natural number, got {depth}")
+    silent = _SilentSteps(space, tuple(bindings))
+    resolve, visible = silent.resolve, silent.visible
+    explored = count(1)
+    limit = PRODUCT_STATE_LIMIT
+
+    def successors(node):
+        if next(explored) > limit:
+            raise BudgetExceeded(f"the bounded use operator unfolds more than {limit} states")
+        at = resolve(*node)
+        if at is STOP or at is DEADLOCK:
+            return at
+        action, yes, no = visible[at[0]]
+        return action, (yes, at[1]), (no, at[1])
+
+    return _bounded((silent.root, silent.initial), depth, successors)
 
 
 def apply_use(spec: LinearSpec, bindings) -> LinearSpec:
@@ -267,7 +300,7 @@ def apply_use(spec: LinearSpec, bindings) -> LinearSpec:
     performs a visible action, plus shared terminal equations. More than
     PRODUCT_STATE_LIMIT such pairs raise BudgetExceeded, and a silent run
     of more than SILENT_RUN_LIMIT consumed steps DivergenceSuspected."""
-    return explore(*_product_states(spec, bindings))
+    return explore(*_product_states(_spec_states(spec), bindings))
 
 
 def apply_use_finite(spec: LinearSpec, focus: str, svc: Service) -> LinearSpec:
@@ -291,29 +324,15 @@ def apply_use_bounded(spec: LinearSpec, bindings, depth: int) -> LinearSpec:
     steps; running out raises DivergenceSuspected. Stepping more than
     PRODUCT_STATE_LIMIT (depth, state) pairs raises BudgetExceeded.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be a natural number, got {depth}")
-    silent = _SilentSteps(spec, tuple(bindings))
-    explored = count(1)
-    limit = PRODUCT_STATE_LIMIT
-
-    def successors(node):
-        if next(explored) > limit:
-            raise BudgetExceeded(f"the bounded use operator unfolds more than {limit} states")
-        at = silent.resolve(*node)
-        if at is STOP or at is DEADLOCK:
-            return at
-        rhs = spec.rhs(at[0])
-        return rhs.action, (rhs.yes, at[1]), (rhs.no, at[1])
-
-    return explore(*_bounded((spec.root, silent.initial), depth, successors))
+    return explore(*_bounded_use_states(_spec_states(spec), bindings, depth))
 
 
 def apply_bindings(projected: ProjectedProgram) -> LinearSpec:
-    """Extract the program's thread, then apply all bound services in one
-    product pass. All bound services must be finite-state."""
-    spec = extract_pgau(projected.program)
-    return apply_use(spec, projected.bindings) if projected.bindings else spec
+    """The program's thread with all bound services applied: the product
+    of its extraction table, numbered once. All bound services must be
+    finite-state."""
+    space = _table_states(projected.program, allow_units=True)
+    return explore(*_product_states(space, projected.bindings) if projected.bindings else space)
 
 
 def simulate_with_services(
@@ -338,15 +357,17 @@ def simulate_with_services(
     behind an untaken branch is never raised."""
     if max_steps < 0:
         raise ValueError(f"max_steps must be a natural number, got {max_steps}")
-    silent = _SilentSteps(spec, tuple(bindings))
-    at = silent.resolve(spec.root, silent.initial)
+    silent = _SilentSteps(_spec_states(spec), tuple(bindings))
+    resolve, visible = silent.resolve, silent.visible
+    at = resolve(silent.root, silent.initial)
     steps: list[tuple[Action, bool]] = []
     if all(svc.finite for _, svc in bindings):
         table: dict = {STOP: STOP, DEADLOCK: DEADLOCK}  # the terminals stand for themselves
 
-        def entry(at):  # [action, where false leads, where true leads, equation, states]
+        def entry(at):  # [action, where false leads, where true leads, no, yes, states]
             if at not in table:
-                table[at] = [spec.rhs(at[0]).action, None, None, *at]
+                action, yes, no = visible[at[0]]
+                table[at] = [action, None, None, no, yes, at[1]]
             return table[at]
 
         at = entry(at)
@@ -355,17 +376,16 @@ def simulate_with_services(
                 break
             steps.append((at[0], reply))
             if at[1 + reply] is None:
-                rhs = spec.rhs(at[3])
-                at[1 + reply] = entry(silent.resolve(rhs.yes if reply else rhs.no, at[4]))
+                at[1 + reply] = entry(resolve(at[3 + reply], at[5]))
             at = at[1 + reply]
     else:  # an unbounded service seldom meets a state twice: walk without a table
         for reply in script.values[:max_steps]:
             if at is STOP or at is DEADLOCK:
                 break
-            rhs = spec.rhs(at[0])
-            steps.append((rhs.action, reply))
-            at = silent.resolve(rhs.yes if reply else rhs.no, at[1])
-    status = STATUS_STOP if at is STOP else STATUS_DEADLOCK if at is DEADLOCK else STATUS_CUTOFF
+            action, yes, no = visible[at[0]]
+            steps.append((action, reply))
+            at = resolve(yes if reply else no, at[1])
+    status = str(at) if at is STOP or at is DEADLOCK else "cutoff"
     return Trace(tuple(steps), status)
 
 

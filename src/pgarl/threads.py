@@ -13,9 +13,11 @@ Every walk here reads a thread as a *state space* ``(root, successors)``:
 ``successors(state)`` returns the branch ``(action, yes, no)`` performed in
 a state, or the ``STOP``/``DEADLOCK`` singleton the state ends in, and the
 singletons step to themselves, a rule the walks keep so that no reader has
-to. Specifications (``_spec_states``), extraction's instruction table
-(``extraction._table_states``) and the use operator's product
-(``services._product_states``) are all read this way. Depth is a
+to. Specifications (``_spec_states``, the only reader of a spec's
+equations besides :func:`format_spec` and ``extraction.synthesize``) and
+extraction's instruction table (``extraction._table_states``) are read
+this way; the use operator's product and its depth-bounded form
+(:mod:`pgarl.services`) read a space and are spaces again. Depth is a
 transformer of spaces (``_bounded``, over (remaining depth, state) pairs),
 and two walks read any of them: :func:`explore` numbers a space breadth
 first as a :class:`LinearSpec`, so the approximation operator :func:`pi`
@@ -40,10 +42,6 @@ from typing import Union
 NAME = re.compile(r"[a-z][a-z0-9_]*")
 NAT = re.compile(r"[0-9]+")
 FOCUS = re.compile(rf"{NAME.pattern}(:(0|[1-9][0-9]*))?")
-
-STATUS_STOP = "S"
-STATUS_DEADLOCK = "D"
-STATUS_CUTOFF = "cutoff"
 
 
 class SpecError(ValueError):

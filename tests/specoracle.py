@@ -1,0 +1,103 @@
+"""The use operator as it read linear specifications before it read state
+spaces, kept as the oracle for ``services._SilentSteps`` and
+``services._product_states``.
+
+:class:`SpecSilentSteps` classifies every equation of a specification up
+front and resolves silent runs over (equation, service states) pairs; the
+budgets are read from :mod:`pgarl.services` when a run is resolved, so that
+a test that patches them patches the oracle too. :func:`spec_apply_use`
+numbers the finite product over those pairs, as ``apply_use`` did.
+"""
+
+from __future__ import annotations
+
+from itertools import count
+
+from pgarl import DEADLOCK, STOP, Deadlock, LinearSpec, Stop, services
+from pgarl.threads import _require_valid, explore
+
+
+class SpecSilentSteps:
+    """The consumed (silent) steps of a thread under a tuple of bound services.
+
+    Service states travel as a tuple with one slot per binding. Each equation
+    is classified once: it ends the thread, it performs a visible action, it
+    asks a bound service for a co-action outside that service's alphabet
+    (deadlock), or it is a silent step on one slot.
+    """
+
+    def __init__(self, spec: LinearSpec, bindings) -> None:
+        _require_valid(spec)
+        services.check_foci(bindings)
+        self.initial = tuple(svc.initial for _, svc in bindings)
+        slots = {focus: slot for slot, (focus, _) in enumerate(bindings)}
+        moves: list = [None]  # equations count from 1
+        for rhs in spec.equations:
+            if isinstance(rhs, Stop):
+                moves.append(STOP)
+            elif isinstance(rhs, Deadlock):
+                moves.append(DEADLOCK)
+            elif rhs.action.focus not in slots:
+                moves.append(None)
+            else:
+                slot = slots[rhs.action.focus]
+                svc = bindings[slot][1]
+                co = services.CoAction(rhs.action.method, rhs.action.argument)
+                moves.append(
+                    (slot, svc.step, co, rhs.yes, rhs.no) if svc.accepts(co) else DEADLOCK
+                )
+        self.moves = moves
+
+    def resolve(self, equation: int, states: tuple):
+        """Consume silent steps from ``equation`` until the thread emits a
+        visible action, ends, or revisits an (equation, states) pair; returns
+        STOP, DEADLOCK (a silent cycle is deadlock too) or the pair at the
+        visible action. DivergenceSuspected is raised when a step is due
+        after SILENT_RUN_LIMIT consumed steps."""
+        moves = self.moves
+        limit = services.SILENT_RUN_LIMIT
+        seen = set()  # one entry per consumed step
+        while True:
+            move = moves[equation]
+            if move is None:
+                return equation, states
+            if move is STOP or move is DEADLOCK:
+                return move
+            key = (equation, states)
+            if key in seen:
+                return DEADLOCK
+            if len(seen) == limit:
+                raise services.DivergenceSuspected(
+                    f"no visible progress within {limit} consumed steps")
+            seen.add(key)
+            slot, step, co, yes, no = move
+            reply, state = step(states[slot], co)
+            states = states[:slot] + (state,) + states[slot + 1:]
+            equation = yes if reply else no
+
+
+def spec_product_states(spec: LinearSpec, bindings):
+    """The finite product over (equation, service states) pairs as a state
+    space, under the same budgets as ``services._product_states``."""
+    if not all(svc.finite for _, svc in bindings):
+        raise services.ServiceError(
+            "service has no finite state enumeration; use the bounded form")
+    silent = SpecSilentSteps(spec, tuple(bindings))
+    explored = count(1)
+    limit = services.PRODUCT_STATE_LIMIT
+
+    def successors(node):
+        if next(explored) > limit:
+            raise services.BudgetExceeded(
+                f"the use-operator product has more than {limit} states")
+        equation, states = node
+        rhs = spec.equations[equation - 1]
+        yes = silent.resolve(rhs.yes, states)
+        return rhs.action, yes, yes if rhs.no == rhs.yes else silent.resolve(rhs.no, states)
+
+    return silent.resolve(spec.root, silent.initial), successors
+
+
+def spec_apply_use(spec: LinearSpec, bindings) -> LinearSpec:
+    """The finite product numbered as one specification."""
+    return explore(*spec_product_states(spec, bindings))

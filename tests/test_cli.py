@@ -354,6 +354,28 @@ def test_missing_program_reports_error(capsys):
     assert code == 2 and "expected 2" in err
 
 
+def test_unreadable_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "missing.pga"
+    code, out, err = run(capsys, "extract", str(path))
+    assert (code, out) == (2, "") and err.startswith(f"cannot read {path}: ")
+
+
+def test_argument_after_double_dash_is_a_path(tmp_path, capsys, monkeypatch):
+    # -a would be an unknown option; after -- it names a file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-a").write_text("a;b\n")
+    assert run(capsys, "normalize", "--", "-a") == (0, "a;b\n", "")
+
+
+def test_simulate_reply_script_characters(capsys):
+    # a comma between replies is skipped; any other stray character is an
+    # input error
+    code, out, _ = run(capsys, "simulate", "-e", "(+a;b)^w", "--replies", "T,F")
+    assert (code, out.splitlines()) == (0, ["a true", "b false", "cutoff"])
+    assert run(capsys, "simulate", "-e", "(+a;b)^w", "--replies", "TX") == (
+        3, "", "error: bad reply character 'X'\n")
+
+
 def test_project_then_extract_matches_defining_pipeline(capsys):
     # extracting the printed counter projection under its printed bindings
     # gives byte-identical output to extracting the source directly
@@ -823,17 +845,21 @@ def _outcome(build):
     return code, text + "\n", ""
 
 
-def _tree_then_number(text, binds, depth):
-    """The extract --depth path that numbering the cut's pairs replaced:
-    build the depth-cut tree, then number it."""
+def _product_first(text, binds):
+    """The extracted thread of ``text`` with its finite bindings applied as
+    one numbered spec, and the unbounded bindings still to apply."""
     program, bindings = _projected(pgarl.parse_canonical(text),
                                    argparse.Namespace(bind=binds, via="defining"))
     spec = pgarl.extract_pgau(program)
     finite = [(focus, svc) for focus, svc in bindings if svc.finite]
     unbounded = [(focus, svc) for focus, svc in bindings if not svc.finite]
-    if finite:
-        spec = pgarl.apply_use(spec, finite)
-    tree = tree_apply_use_bounded(spec, unbounded, depth)
+    return (pgarl.apply_use(spec, finite) if finite else spec), unbounded
+
+
+def _tree_then_number(text, binds, depth):
+    """The extract --depth path that numbering the cut's pairs replaced:
+    build the depth-cut tree, then number it."""
+    tree = tree_apply_use_bounded(*_product_first(text, binds), depth)
     return 0, pgarl.format_spec(number(tree))
 
 
@@ -851,6 +877,51 @@ def test_extract_depth_matches_tree_then_number_on_corpus(capsys, monkeypatch):
             assert outcome == _outcome(lambda: _tree_then_number(text, binds, depth))
             codes.add(outcome[0])
     assert codes == {0, 4}
+
+
+def _product_then_cut(text, binds, depth):
+    """The extract --depth path over specs that composing state spaces
+    replaced: number the finite product, then cut it."""
+    return 0, pgarl.format_spec(pgarl.apply_use_bounded(*_product_first(text, binds), depth))
+
+
+def test_extract_depth_matches_product_then_cut_on_corpus(capsys, monkeypatch):
+    # wherever numbering the finite product first answers, the cut over the
+    # composed spaces prints the same; with a product budget of 6 states it
+    # may answer where the product ran out, and then prints what the product
+    # printed within the full budget
+    monkeypatch.setattr(pgarl.services, "SILENT_RUN_LIMIT", 200)
+    cut_first = 0
+    for i, text in enumerate(_corpus_texts()):
+        text = re.sub(r"\bd\b", "d.dec", re.sub(r"\bc\b", "c.inc", text))
+        binds = (["d=dc(init=3,max=5)"], ["c=counter(init=1)", "d=dc(init=3,max=5)"])[i % 2]
+        for depth in (i % 41, 40 - i % 41):
+            argv = ("extract", "-e", text, "--depth", str(depth),
+                    *(arg for bind in binds for arg in ("--bind", bind)))
+            full = _outcome(lambda: _product_then_cut(text, binds, depth))
+            for limit in (pgarl.services.PRODUCT_STATE_LIMIT, 6):
+                with monkeypatch.context() as patched:
+                    patched.setattr(pgarl.services, "PRODUCT_STATE_LIMIT", limit)
+                    composed = _outcome(lambda: _product_then_cut(text, binds, depth))
+                    lazy = run(capsys, *argv)
+                if composed[0] == 0:
+                    assert lazy == composed
+                elif lazy[0] == 0:
+                    assert full[0] != 0 or lazy == full
+                    cut_first += 1
+                else:
+                    assert lazy[0] == 4
+    assert cut_first > 0
+
+
+def test_extract_depth_steps_only_the_product_states_within_the_cut(capsys):
+    # the finite product has two million states, more than its budget; the
+    # cut at depth 3 meets four of them
+    code, out, err = run(capsys, "extract", "-e", "(+d.dec;a;b)^w",
+                         "--bind", "d=dc(init=1000000,max=1000000)", "--depth", "3")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["root 1", "X1 = X2 <a> X2", "X2 = X3 <b> X3",
+                                "X3 = X4 <a> X4", "X4 = D"]
 
 
 def _build_then_compare(threads):

@@ -81,6 +81,14 @@ def test_parse_whitespace_insensitive():
     assert parse_program(" +a ; #2 ; ! ") == parse_program("+a;#2;!")
 
 
+# the messages of parse errors that no other test reaches
+PINNED_PARSE_ERRORS = {
+    "a;}y": "expected 'x' after '}' at line 1, column 4",
+    "a;3}y2": "expected 'x' after '}' at line 1, column 5",
+    "a;": "trailing ';' at line 1, column 3",
+}
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -102,12 +110,17 @@ def test_parse_whitespace_insensitive():
         "c:.dec",
         "c: 7.dec",
         "+c:.dec",
+        "a;}y",
+        "a;3}y2",
+        "a;",
     ],
 )
 def test_parse_errors(bad):
     with pytest.raises(ParseError) as info:
         parse_program(bad)
     assert str(info.value).count(" at line ") == 1
+    if bad in PINNED_PARSE_ERRORS:
+        assert str(info.value) == PINNED_PARSE_ERRORS[bad]
 
 
 def test_parse_error_reports_position():

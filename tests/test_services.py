@@ -13,6 +13,7 @@ from pgarl import (
     CoAction,
     DEADLOCK,
     DivergenceSuspected,
+    FullCounter,
     LinearSpec,
     ProjectedProgram,
     ReplyScript,
@@ -38,9 +39,12 @@ from pgarl import (
 )
 
 from pgarl import services
-from pgarl.services import _SilentSteps
+from pgarl.extraction import _table_states
+from pgarl.services import _SilentSteps, _product_states
+from pgarl.threads import _spec_states, explore
 
 from genprograms import random_pgarl, random_spec
+from specoracle import SpecSilentSteps, spec_apply_use
 from treeoracle import Branch, number, tree_apply_use_bounded
 
 a = Action("a")
@@ -94,6 +98,11 @@ def test_down_counter_alphabet_excludes_large_set():
 def test_down_counter_initial_above_max_rejected():
     with pytest.raises(ValueError):
         down_counter(7, max=3)
+
+
+def test_full_counter_negative_initial_rejected():
+    with pytest.raises(ValueError, match="natural number"):
+        FullCounter(-1)
 
 
 def test_full_counter_sequence():
@@ -275,7 +284,7 @@ def test_silent_run_limit_counts_consumed_steps():
     # reach it, a limit of 2 stops the run before its third step
     spec = lin(BranchRef(2, c_inc, 2), BranchRef(3, c_inc, 3), BranchRef(4, c_inc, 4),
                BranchRef(4, a, 4))
-    silent = _SilentSteps(spec, (("c", full_counter()),))
+    silent = _SilentSteps(_spec_states(spec), (("c", full_counter()),))
     with mock.patch.object(services, "SILENT_RUN_LIMIT", 3):
         assert silent.resolve(spec.root, silent.initial) == (4, (3,))
     assert silent.resolve(spec.root, silent.initial) == (4, (3,))
@@ -299,7 +308,7 @@ def test_bounded_silent_cycle_is_deadlock():
 # -- the replaced bounded use loop, kept as the oracle ---------------------------
 
 def _memo_apply_use_bounded(spec, bindings, depth):
-    silent = _SilentSteps(spec, tuple(bindings))
+    silent = SpecSilentSteps(spec, tuple(bindings))
     memo = {}
     branches = {}
     root = (spec.root, silent.initial, depth)
@@ -392,17 +401,23 @@ def test_bounded_matches_tree_oracle(seed):
             )
 
 
+def _counting_corpus():
+    """The soundness corpus with c and d turned into counter actions: each
+    program's counter projection, numbered from 0."""
+    rng = random.Random(20260808)
+    for i in range(500):
+        text = format_program(random_pgarl(rng, shape=("omega", "finite", "mixed")[i % 3]))
+        text = re.sub(r"\bd\b", "d.dec", re.sub(r"\bc\b", "c.inc", text))
+        yield i, project_counter(parse_canonical(text))
+
+
 def test_bounded_matches_tree_oracle_on_corpus(monkeypatch):
     # c and d become counter actions, bound to counter() and dc() next to
     # the loop counters; a short silent run limit stops the programs that
     # only count
     monkeypatch.setattr(services, "SILENT_RUN_LIMIT", 200)
-    rng = random.Random(20260808)
     outcomes = set()
-    for i in range(500):
-        text = format_program(random_pgarl(rng, shape=("omega", "finite", "mixed")[i % 3]))
-        text = re.sub(r"\bd\b", "d.dec", re.sub(r"\bc\b", "c.inc", text))
-        projected = project_counter(parse_canonical(text))
+    for i, projected in _counting_corpus():
         spec = extract_pgau(projected.program)
         bindings = projected.bindings + (
             (("c", full_counter()),),
@@ -413,6 +428,63 @@ def test_bounded_matches_tree_oracle_on_corpus(monkeypatch):
             assert outcome == _cut_outcome(tree_apply_use_bounded, spec, bindings, depth)
             outcomes.add(type(outcome))
     assert outcomes == {str, tuple}
+
+
+# -- the spec-reading resolver and product, kept as the oracle ------------------
+
+def _resolved(silent, state, states):
+    try:
+        return silent.resolve(state, states)
+    except DivergenceSuspected as exc:
+        return str(exc)
+
+
+def test_resolve_matches_spec_reading_resolver_on_corpus(monkeypatch):
+    # every equation, from the initial service states and from three drawn
+    # ones, under the loop counters and counter()/dc() bindings of c and d
+    monkeypatch.setattr(services, "SILENT_RUN_LIMIT", 200)
+    rng = random.Random(7)
+    kinds = set()
+    for i, projected in _counting_corpus():
+        spec = extract_pgau(projected.program)
+        bindings = projected.bindings + (
+            (("c", full_counter()),),
+            (("c", full_counter(2)), ("d", down_counter(1, max=2))),
+        )[i % 2]
+        silent = _SilentSteps(_spec_states(spec), bindings)
+        oracle = SpecSilentSteps(spec, bindings)
+        assert silent.initial == oracle.initial
+        drawn = [tuple(rng.randint(0, getattr(svc, "limit", 3)) for _, svc in bindings)
+                 for _ in range(3)]
+        for equation in range(1, len(spec) + 1):
+            for states in (silent.initial, *drawn):
+                outcome = _resolved(silent, equation, states)
+                assert outcome == _resolved(oracle, equation, states)
+                kinds.add(outcome if outcome is STOP or outcome is DEADLOCK else type(outcome))
+    assert kinds == {STOP, DEADLOCK, tuple, str}
+
+
+def test_product_of_the_table_matches_spec_reading_product_on_corpus(monkeypatch):
+    # the product composed over extraction's table numbers what the product
+    # of the extracted spec numbered, and runs out of a small budget where
+    # it ran out; c.inc is outside a down counter's alphabet
+    monkeypatch.setattr(services, "SILENT_RUN_LIMIT", 200)
+    answered = exhausted = 0
+    for i, projected in _counting_corpus():
+        program = projected.program
+        bindings = projected.bindings + (
+            (("d", down_counter(1, max=2)),),
+            (("c", down_counter(2, max=3)), ("d", down_counter(0, max=1))),
+        )[i % 2]
+        for limit in (services.PRODUCT_STATE_LIMIT, 4):
+            with mock.patch.object(services, "PRODUCT_STATE_LIMIT", limit):
+                outcome = _cut_outcome(
+                    lambda: explore(*_product_states(_table_states(program, True), bindings)))
+                assert outcome == _cut_outcome(apply_use, extract_pgau(program), bindings)
+                assert outcome == _cut_outcome(spec_apply_use, extract_pgau(program), bindings)
+            answered += isinstance(outcome, str)
+            exhausted += not isinstance(outcome, str)
+    assert answered > 800 and exhausted > 50
 
 
 # -- the irregular counter thread ----------------------------------------------
@@ -457,7 +529,7 @@ def test_counter_law_inc_chain_feeds_dec_loop():
 def _walk_simulate(spec, bindings, script, max_steps=1000):
     """The walk simulate_with_services replaced: every visible step resolves
     the silent steps that follow it afresh, with no table."""
-    silent = _SilentSteps(spec, tuple(bindings))
+    silent = SpecSilentSteps(spec, tuple(bindings))
     equation, states = spec.root, silent.initial
     steps = []
     while True:  # one scripted reply per visible step
@@ -552,8 +624,10 @@ def test_simulation_table_resolves_each_state_once(monkeypatch):
     rng = random.Random(5)
     script = ReplyScript(tuple(rng.random() < 0.5 for _ in range(600)))
     calls = []
-    resolve = _SilentSteps.resolve
-    monkeypatch.setattr(_SilentSteps, "resolve", lambda *args: calls.append(1) or resolve(*args))
+    for resolver in (SpecSilentSteps, _SilentSteps):
+        resolve = resolver.resolve
+        monkeypatch.setattr(resolver, "resolve",
+                            lambda *args, resolve=resolve: calls.append(1) or resolve(*args))
     steps, status = _simulated(_walk_simulate, spec, projected.bindings, script)
     walked = len(calls)
     assert _simulated(simulate_with_services, spec, projected.bindings, script) == (steps, status)

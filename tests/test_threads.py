@@ -64,6 +64,15 @@ def test_validate_root_out_of_range():
     assert problems == ["root 4 out of range 1..1"]
 
 
+def test_validate_spec_without_equations():
+    assert validate_spec(LinearSpec((), 1)) == ["specification has no equations"]
+
+
+def test_validate_unrecognized_right_hand_side():
+    spec = LinearSpec((STOP, "X1"), 1)
+    assert validate_spec(spec) == ["equation 2 has an unrecognized right-hand side"]
+
+
 def test_validate_five_equation_counter_spec():
     # Q = (c.inc . Q) <a> R ; R = (b . R) <c.dec> S, linearized in 5 equations
     spec = LinearSpec(

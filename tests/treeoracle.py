@@ -20,6 +20,8 @@ from pgarl import DEADLOCK, STOP, Action, LinearSpec, Stop
 from pgarl import services
 from pgarl.threads import _bounded, _spec_states, explore
 
+from specoracle import SpecSilentSteps
+
 
 @dataclass(frozen=True)
 class Branch:
@@ -86,10 +88,11 @@ def tree_pi(n: int, spec: LinearSpec, state: int):
 def tree_apply_use_bounded(spec: LinearSpec, bindings, depth: int):
     """The depth-bounded use operator as a tree: the unresolved (thread
     state, service states) pairs, cut at the visible ``depth``, under the
-    same budgets as ``apply_use_bounded``."""
+    same budgets as ``apply_use_bounded``, resolving silent runs with the
+    spec-reading resolver of ``specoracle``."""
     if depth < 0:
         raise ValueError(f"depth must be a natural number, got {depth}")
-    silent = services._SilentSteps(spec, tuple(bindings))
+    silent = SpecSilentSteps(spec, tuple(bindings))
     explored = count(1)
     limit = services.PRODUCT_STATE_LIMIT
 
