@@ -70,10 +70,8 @@ from .services import (
     ProjectedProgram,
     Service,
     ServiceError,
-    apply_bindings,
     apply_use,
     apply_use_bounded,
-    apply_use_finite,
     down_counter,
     full_counter,
     simulate_thread,

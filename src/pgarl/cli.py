@@ -2,7 +2,16 @@
 
 Exit codes: 0 success (or: equivalent), 1 not equivalent, 2 parse error,
 3 well-formedness error, 4 internal budget exhaustion. A reader that closes
-standard output early (``| head -1``) ends the command quietly with 0.
+standard output early (``| head -1``) ends the command quietly with 0, and a
+program with code after its repetition gets one ``warning:`` line on
+standard error, whatever Python's warning filters say.
+
+``extract``, ``equiv`` and ``simulate`` reach a program's behaviour through
+the library's one path: :func:`pgarl.rigidloops.project`, then
+:func:`pgarl.services.bound_states`, numbered with
+:func:`pgarl.threads.explore` or compared with
+:func:`pgarl.threads.first_difference`; this module only reads the
+arguments and prints.
 """
 
 from __future__ import annotations
@@ -12,23 +21,23 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 
-from .extraction import _table_states, extract_pgau
+from .extraction import extract_pgau
 from .parser import ParseError, _Scanner, parse_program
 from .program import (
-    CanonicalProgram,
     ProgramError,
     RawProgram,
     canonicalize,
     format_instruction,
     format_program,
     format_sequence,
-    has_rigid,
 )
 from .rigidloops import (
     WellFormednessError,
     _unsplit_loops,
     annotate,
+    project,
     project_counter,
     project_pure,
     require_well_formed,
@@ -40,9 +49,7 @@ from .services import (
     FullCounter,
     Service,
     ServiceError,
-    _bounded_use_states,
-    _product_states,
-    check_foci,
+    bound_states,
     simulate_with_services,
 )
 from .threads import (
@@ -51,8 +58,8 @@ from .threads import (
     LinearSpec,
     ReplyScript,
     SpecError,
-    _first_difference,
     explore,
+    first_difference,
     format_spec,
 )
 
@@ -145,20 +152,9 @@ def _emit(args, text: str, payload: dict) -> None:
         print(text)
 
 
-def _projected(program: CanonicalProgram, args) -> tuple[CanonicalProgram, list]:
-    """A program, projected as ``--via`` says when it has rigid loops, and
-    the (focus, service) bindings still to apply to its thread: the loop
-    counters of the counter projection, then the ``--bind`` services."""
-    bindings = [_parse_binding(text) for text in getattr(args, "bind", None) or []]
-    via = getattr(args, "via", "defining") if has_rigid(program) else None
-    if via == "defining":
-        projected = project_counter(program)
-        program = projected.program
-        bindings = list(projected.bindings) + bindings
-    check_foci(bindings)
-    if via == "pure":
-        program = project_pure(program)
-    return program, bindings
+def _bindings(args) -> list[tuple[str, Service]]:
+    """The ``--bind`` services, read before the program is projected."""
+    return [_parse_binding(text) for text in args.bind or []]
 
 
 def _cmd_parse(args) -> int:
@@ -226,30 +222,20 @@ def _cmd_project(args) -> int:
 
 def _cmd_extract(args) -> int:
     (raw,) = _load_programs(args, 1)
-    program, bindings = _projected(canonicalize(raw), args)
-    space = _table_states(program, allow_units=True)
-    finite = [(focus, svc) for focus, svc in bindings if svc.finite]
-    unbounded = [(focus, svc) for focus, svc in bindings if not svc.finite]
-    if finite:
-        space = _product_states(space, finite)
-    if unbounded and args.depth is None:
+    projected = project(canonicalize(raw), args.via, _bindings(args))
+    if args.depth is None and not all(svc.finite for _, svc in projected.bindings):
         raise _CliError("binding a service without a finite enumeration needs --depth",
                         EXIT_ILL_FORMED)
-    if args.depth is not None:  # the cut steps only the product states within it
-        space = _bounded_use_states(space, unbounded, args.depth)
-    spec = explore(*space)
+    spec = explore(*bound_states(projected, args.depth))
     text = format_spec(spec)
     _emit(args, text, _spec_json(spec))
     return EXIT_OK
 
 
 def _cmd_equiv(args) -> int:
-    spaces = []  # compared as they are walked: neither is built, and a difference ends the walk
-    for raw in _load_programs(args, 2):
-        program, bindings = _projected(canonicalize(raw), args)
-        space = _table_states(program, allow_units=True)
-        spaces.append(_product_states(space, bindings) if bindings else space)
-    witness = _first_difference(*spaces, deadlock_below=False)
+    # compared as they are walked: neither is built, and a difference ends the walk
+    spaces = [bound_states(project(canonicalize(raw), args.via)) for raw in _load_programs(args, 2)]
+    witness = first_difference(*spaces, deadlock_below=False)
     if witness is None:
         _emit(args, "equivalent", {"equivalent": True})
         return EXIT_OK
@@ -263,9 +249,10 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_simulate(args) -> int:
     (raw,) = _load_programs(args, 1)
-    program, bindings = _projected(canonicalize(raw), args)
+    projected = project(canonicalize(raw), bindings=_bindings(args))
     script = ReplyScript.from_text(args.replies or "")
-    trace = simulate_with_services(extract_pgau(program), tuple(bindings), script, args.max_steps)
+    trace = simulate_with_services(extract_pgau(projected.program), projected.bindings, script,
+                                   args.max_steps)
     _emit(
         args,
         str(trace),
@@ -367,7 +354,11 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(_attach_expr(sys.argv[1:] if argv is None else argv))
     try:
-        code = args.handler(args)
+        # whatever the filters say, a warning is one line, once per run and place
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            code = args.handler(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -47,9 +47,9 @@ from .threads import (
     Deadlock,
     LinearSpec,
     Stop,
-    _first_difference,
     _require_valid,
     explore,
+    first_difference,
 )
 
 _RIGID = (LoopHeader, LoopClose, AnnClose, AnnJump)
@@ -195,7 +195,7 @@ def synthesize(spec: LinearSpec) -> CanonicalProgram:
 def behav_equiv(p: CanonicalProgram, q: CanonicalProgram) -> bool:
     """Behavioral equivalence: both programs extract to equal threads,
     compared as the two tables are walked, without numbering either."""
-    return _first_difference(_table_states(p, True), _table_states(q, True), False) is None
+    return first_difference(_table_states(p, True), _table_states(q, True), False) is None
 
 
 def pgau2pga(program: CanonicalProgram) -> CanonicalProgram:

@@ -8,6 +8,8 @@ unit driving a dedicated down counter, packs counter resets onto jumps that
 leave a loop, and binds one counter service per closure position. The pure
 projection instead unrolls every loop into plain instructions, which is
 behaviorally equivalent but blows the program up combinatorially.
+:func:`project` picks one of the two, the first step from a program to its
+behaviour.
 
 Both projections read the repeated body with normalized jumps, and with the
 repetition boundary moved forward past every loop that has its header in the
@@ -39,7 +41,7 @@ from .program import (
     normalize_jumps,
     program_instructions,
 )
-from .services import BudgetExceeded, ProjectedProgram, apply_bindings, down_counter
+from .services import BudgetExceeded, ProjectedProgram, apply_bindings, check_foci, down_counter
 from .threads import Action, LinearSpec
 
 PURE_LENGTH_LIMIT = 10**7
@@ -313,9 +315,9 @@ def project_counter(program: CanonicalProgram, xi_tail: str = "derived") -> Proj
     """
     if xi_tail != "derived":
         raise ValueError(f"unknown wrap-back tail {xi_tail!r}; the only one is 'derived'")
-    require_well_formed(program)
-    if not has_rigid(program):
+    if not has_rigid(program):  # then nothing is ill-formed: every error needs a rigid instruction
         return ProjectedProgram(program, ())
+    require_well_formed(program)
     # no jump of the omega form reaches past its end, so normalizing it changes
     # nothing: with k the prefix length and m the body length, body jumps are
     # normalized and then raised by at most k + 2, the head jump at i is folded
@@ -339,8 +341,28 @@ def project_counter(program: CanonicalProgram, xi_tail: str = "derived") -> Proj
 
 def defining_thread(program: CanonicalProgram, xi_tail: str = "derived") -> LinearSpec:
     """The meaning of a rigid-loop program: project with counters, then apply
-    the counter services. ``xi_tail`` is as in :func:`project_counter`."""
+    the counter services (:func:`pgarl.services.apply_bindings`). ``xi_tail``
+    is as in :func:`project_counter`."""
     return apply_bindings(project_counter(program, xi_tail))
+
+
+def project(program: CanonicalProgram, via: str = "defining", bindings=()) -> ProjectedProgram:
+    """The program whose thread, under its bindings, is the behaviour of
+    ``program``: the first step of every path from a program to its
+    behaviour, before :func:`pgarl.services.bound_states`. ``"defining"``
+    gives the counter projection, bound to its loop counters and then to
+    ``bindings`` (a sequence of (focus, service)); ``"pure"`` gives the pure
+    projection of a program with rigid loops, or the program itself, bound
+    to ``bindings``. The counter projection checks the program before the
+    foci are checked, and the pure projection after."""
+    bindings = tuple(bindings)
+    if via == "defining":
+        counted = project_counter(program)
+        return ProjectedProgram(counted.program, counted.bindings + bindings)
+    if via != "pure":
+        raise ValueError(f"unknown projection {via!r}; expected 'defining' or 'pure'")
+    check_foci(bindings)
+    return ProjectedProgram(project_pure(program) if has_rigid(program) else program, bindings)
 
 
 _SKIP = Jump(1)

@@ -15,12 +15,16 @@ the first time a run reaches it; so it runs the same over a specification,
 over extraction's table (``extraction._table_states``) or over another
 product. The finite product (``_product_states``) and the depth-bounded
 form (``_bounded_use_states``, over the depth transformer that
-:func:`pgarl.threads.pi` uses) are transformers of spaces, and a caller
-composes them and numbers the result once: :func:`apply_bindings` numbers
-the product of a program's table without numbering the table first. The
-public forms take a :class:`pgarl.threads.LinearSpec` and return one or a
-trace: :func:`apply_use` numbers every reachable pair of a thread state and
-a tuple of service states in a single pass, :func:`apply_use_bounded`
+:func:`pgarl.threads.pi` uses) are transformers of spaces, and
+:func:`bound_states` is the one place that composes them: a projected
+program's behaviour is its extraction table, then the finite product over
+its finite bindings, then one depth cut over the unbounded ones, and a
+caller numbers that space (:func:`apply_bindings`, ``pgarl extract``) or
+compares it (``pgarl equiv``) in one walk, so the table is never numbered
+only to be read by the product. The public forms take a
+:class:`pgarl.threads.LinearSpec` and return one or a trace:
+:func:`apply_use` numbers every reachable pair of a thread state and a
+tuple of service states in a single pass, :func:`apply_use_bounded`
 numbers the pairs within a visible depth, so its result is a finite thread
 as a spec, and scripted simulation (:func:`simulate_with_services`) walks
 one path, remembering the states it meets when every service is finite;
@@ -274,10 +278,6 @@ def _bounded_use_states(space, bindings, depth: int):
     state, service states) pairs taken before their silent steps are
     resolved; such a pair steps as the pair it resolves to. Stepping more
     than PRODUCT_STATE_LIMIT (depth, state) pairs raises BudgetExceeded."""
-    if depth < 0:
-        raise ValueError(f"depth must be a natural number, got {depth}")
-    silent = _SilentSteps(space, tuple(bindings))
-    resolve, visible = silent.resolve, silent.visible
     explored = count(1)
     limit = PRODUCT_STATE_LIMIT
 
@@ -290,7 +290,28 @@ def _bounded_use_states(space, bindings, depth: int):
         action, yes, no = visible[at[0]]
         return action, (yes, at[1]), (no, at[1])
 
-    return _bounded((silent.root, silent.initial), depth, successors)
+    _, bounded = _bounded(None, depth, successors)  # checks the depth before the bindings
+    silent = _SilentSteps(space, tuple(bindings))
+    resolve, visible = silent.resolve, silent.visible
+    return (depth, (silent.root, silent.initial)), bounded
+
+
+def bound_states(projected: ProjectedProgram, depth: int | None = None):
+    """The behaviour of a projected program (see
+    :func:`pgarl.rigidloops.project`) as a state space: extraction's table,
+    then the finite product over its finite bindings, then, when ``depth``
+    is given, one depth cut over the unbounded ones. Without a depth every
+    binding must be finite, or ServiceError is raised before anything is
+    stepped. The result is walked once, by :func:`pgarl.threads.explore` or
+    :func:`pgarl.threads.first_difference`."""
+    space = _table_states(projected.program, allow_units=True)
+    if depth is None:
+        return _product_states(space, projected.bindings) if projected.bindings else space
+    finite = [(focus, svc) for focus, svc in projected.bindings if svc.finite]
+    if finite:
+        space = _product_states(space, finite)
+    unbounded = [(focus, svc) for focus, svc in projected.bindings if not svc.finite]
+    return _bounded_use_states(space, unbounded, depth)  # steps only the states within the cut
 
 
 def apply_use(spec: LinearSpec, bindings) -> LinearSpec:
@@ -328,11 +349,10 @@ def apply_use_bounded(spec: LinearSpec, bindings, depth: int) -> LinearSpec:
 
 
 def apply_bindings(projected: ProjectedProgram) -> LinearSpec:
-    """The program's thread with all bound services applied: the product
-    of its extraction table, numbered once. All bound services must be
-    finite-state."""
-    space = _table_states(projected.program, allow_units=True)
-    return explore(*_product_states(space, projected.bindings) if projected.bindings else space)
+    """The program's thread with all bound services applied:
+    :func:`bound_states` with no depth, numbered once. All bound services
+    must be finite-state."""
+    return explore(*bound_states(projected))
 
 
 def simulate_with_services(

@@ -22,7 +22,7 @@ transformer of spaces (``_bounded``, over (remaining depth, state) pairs),
 and two walks read any of them: :func:`explore` numbers a space breadth
 first as a :class:`LinearSpec`, so the approximation operator :func:`pi`
 and the use operator's depth-bounded form are :func:`explore` over a
-bounded space; and ``_first_difference`` walks two spaces in step, stopping
+bounded space; and :func:`first_difference` walks two spaces in step, stopping
 at the first pair of states that disagrees. That walk decides the
 refinement order and equality (:func:`refines`, :func:`thread_equal`) and
 finds distinguishing traces (:func:`distinguish`) without numbering either
@@ -156,8 +156,8 @@ def _require_valid(spec: LinearSpec) -> None:
 
 def pi(n: int, spec: LinearSpec, state: int) -> LinearSpec:
     """Depth approximation: cut the unfolding of equation ``state`` at depth
-    ``n``, replacing everything deeper by deadlock. Depth 0 is deadlock;
-    termination and deadlock survive any positive depth.
+    ``n``, a natural number, replacing everything deeper by deadlock. Depth
+    0 is deadlock; termination and deadlock survive any positive depth.
 
     The cut is a finite thread, returned as the specification that numbers
     its (remaining depth, equation) pairs with :func:`explore`: at most
@@ -199,7 +199,7 @@ class Witness:
         return "\n".join(lines)
 
 
-def _first_difference(space_p, space_q, deadlock_below: bool) -> Witness | None:
+def first_difference(space_p, space_q, deadlock_below: bool) -> Witness | None:
     """Walk the reachable state pairs of two state spaces (see
     :func:`explore`) in step, breadth first with yes before no, and return a
     shortest trace to the first pair that disagrees, or None when no
@@ -256,20 +256,20 @@ def refines(spec_p: LinearSpec, spec_q: LinearSpec) -> bool:
     the relation on revisited pairs; the walk computes the same answer without
     building the approximations.
     """
-    return _first_difference(_spec_states(spec_p), _spec_states(spec_q), True) is None
+    return first_difference(_spec_states(spec_p), _spec_states(spec_q), True) is None
 
 
 def thread_equal(spec_p: LinearSpec, spec_q: LinearSpec) -> bool:
     """Equality of the root threads: one synchronized walk in which every
     reachable pair of states agrees in kind and action (refinement in both
     directions, decided in a single pass)."""
-    return _first_difference(_spec_states(spec_p), _spec_states(spec_q), False) is None
+    return first_difference(_spec_states(spec_p), _spec_states(spec_q), False) is None
 
 
 def distinguish(spec_p: LinearSpec, spec_q: LinearSpec) -> Witness | None:
     """Search for a shortest distinguishing trace; None when the root threads
     are equal."""
-    return _first_difference(_spec_states(spec_p), _spec_states(spec_q), False)
+    return first_difference(_spec_states(spec_p), _spec_states(spec_q), False)
 
 
 @dataclass(frozen=True)
@@ -357,7 +357,10 @@ def _bounded(root, depth: int, successors):
     """The depth cut of a state space as a state space: its states are
     (remaining depth, state) pairs, from ``(depth, root)``. A pair with no
     depth left is deadlock and does not call ``successors``; every other pair
-    steps as its state does, one level down."""
+    steps as its state does, one level down. A negative ``depth`` raises
+    ValueError."""
+    if depth < 0:
+        raise ValueError(f"depth must be a natural number, got {depth}")
 
     def bounded(pair):
         k, state = pair

@@ -1,4 +1,4 @@
-import argparse
+import ast
 import contextlib
 import io
 import json
@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -16,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgarl
-from pgarl.cli import EXIT_ILL_FORMED, _CliError, _parse_binding, _projected, main
+from pgarl.cli import EXIT_ILL_FORMED, _CliError, _parse_binding, main
 from pgarl.parser import ParseError, _Scanner
+from pgarl.rigidloops import project
 from pgarl.services import BudgetExceeded, DownCounter, FullCounter
 from pgarl.threads import FOCUS
 
@@ -621,6 +623,70 @@ def test_back_to_back_main_calls_print_what_separate_calls_print(capsys):
     assert [run(capsys, *argv) for argv in reversed(_BACK_TO_BACK)] == separate[::-1]
 
 
+DROPPED = "warning: instructions after a repetition are unreachable and were dropped\n"
+CLOSURE_AFTER_TEST = ("well-formedness error: error at 3: "
+                      "loop closure directly preceded by a test instruction")
+
+
+def test_dead_code_warning_is_one_line_whatever_the_filters():
+    # turned into an error, the warning used to end an equal pair with a
+    # traceback and exit code 1
+    env = dict(os.environ, PYTHONPATH=str(Path(pgarl.__file__).parents[1]),
+               PYTHONWARNINGS="error")
+    done = subprocess.run([sys.executable, "-m", "pgarl.cli", "equiv", "-e", "(a)^w;b", "-e",
+                           "(a)^w"], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "equivalent\n", DROPPED)
+
+
+def test_dead_code_warning_on_every_call(capsys):
+    for _ in range(2):
+        assert run(capsys, "extract", "-e", "(a)^w;b") == (0, "root 1\nX1 = X1 <a> X1\n", DROPPED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(capsys, "equiv", "-e", "(a)^w;b", "-e", "(a)^w;c") == (0, "equivalent\n",
+                                                                          DROPPED)
+    assert run(capsys, "extract", "-e", "(2x{;+a;}x)^w;b") == (
+        3, "", DROPPED + CLOSURE_AFTER_TEST + "\n")
+    assert run(capsys, "parse", "-e", "(a)^w;b")[2] == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("-e", "(2x{;+a;}x)^w", "--bind", "rlc:3=dc(max=1)"), CLOSURE_AFTER_TEST),
+    (("--via", "pure", "-e", "(2x{;+a;}x)^w", "--bind", "c=dc(max=1)", "--bind", "c=dc(max=1)"),
+     "error: focus c is bound more than once"),
+    (("-e", "(2x{;+a;}x)^w", "--bind", "c=dc(max=x)"),
+     "bad binding 'c=dc(max=x)': expected a number at line 1, column 10"),
+    (("-e", "(2x{;+a;}x)^w", "--bind", "c=counter()"), CLOSURE_AFTER_TEST),
+    (("-e", "(2x{;a;}x)^w", "--bind", "rlc:3=counter()"),
+     "error: focus rlc:3 is bound more than once"),
+])
+def test_error_order_when_an_input_has_two_faults(capsys, argv, message):
+    # the bindings are read first, the counter projection checks the program
+    # before the foci are checked, the pure projection after
+    assert run(capsys, "extract", *argv) == (3, "", message + "\n")
+
+
+def test_missing_depth_is_reported_before_any_silent_step(capsys):
+    # the loop counter's silent run would take a million steps and run out
+    # of its budget before the program's first action
+    assert run(capsys, "extract", "-e", "(1000000000000x{;}x;a)^w", "--bind", "c=counter()") == (
+        3, "", "binding a service without a finite enumeration needs --depth\n")
+
+
+def test_cli_imports_no_private_name_of_another_module_but_two():
+    # the binding reader shares the program scanner, and annotate names the
+    # form both projections read; everything else goes through the library
+    tree = ast.parse(Path(pgarl.cli.__file__).read_text(encoding="utf-8"))
+    private = {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("pgarl"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert private == {("parser", "_Scanner"), ("rigidloops", "_unsplit_loops")}
+
+
 def test_readme_import_block_runs():
     # the README's list of library entry points imports
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -848,11 +914,10 @@ def _outcome(build):
 def _product_first(text, binds):
     """The extracted thread of ``text`` with its finite bindings applied as
     one numbered spec, and the unbounded bindings still to apply."""
-    program, bindings = _projected(pgarl.parse_canonical(text),
-                                   argparse.Namespace(bind=binds, via="defining"))
-    spec = pgarl.extract_pgau(program)
-    finite = [(focus, svc) for focus, svc in bindings if svc.finite]
-    unbounded = [(focus, svc) for focus, svc in bindings if not svc.finite]
+    projected = project(pgarl.parse_canonical(text), "defining", map(_parse_binding, binds))
+    spec = pgarl.extract_pgau(projected.program)
+    finite = [(focus, svc) for focus, svc in projected.bindings if svc.finite]
+    unbounded = [(focus, svc) for focus, svc in projected.bindings if not svc.finite]
     return (pgarl.apply_use(spec, finite) if finite else spec), unbounded
 
 
@@ -942,9 +1007,8 @@ def test_equiv_matches_build_then_compare_on_corpus(capsys, monkeypatch):
     projected = {}
     for i, text in enumerate(texts):
         for via in ("defining", "pure"):
-            args = argparse.Namespace(via=via)
-            program, bindings = _projected(pgarl.parse_canonical(text), args)
-            projected[i, via] = (pgarl.extract_pgau(program), bindings)
+            p = project(pgarl.parse_canonical(text), via)
+            projected[i, via] = (pgarl.extract_pgau(p.program), p.bindings)
     answered = 0
     for i, text in enumerate(texts):
         for via, j in (("pure", i - 1), ("defining", i - 1), ("defining", i)):

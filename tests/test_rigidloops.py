@@ -26,7 +26,6 @@ from pgarl import (
     RawProgram,
     WellFormednessError,
     annotate,
-    apply_bindings,
     canonicalize,
     defining_thread,
     extract_pga,
@@ -44,6 +43,7 @@ from pgarl import (
     validate_pgarl,
 )
 from pgarl.rigidloops import _SKIP, _match_loops, _omega_form, _pure_layout, _unsplit_loops
+from pgarl.services import apply_bindings
 
 from genprograms import random_pgarl
 from streamsemantics import stream_pi
@@ -292,7 +292,8 @@ def test_closure_unit_in_isolation():
     # The five-instruction closure unit, checked on its own against a
     # two-state reading: a successful decrement resumes the loop body start,
     # a failed one resets the counter and falls out of the unit.
-    from pgarl import apply_use_finite, down_counter, extract_pgau, parse_program, canonicalize
+    from pgarl import down_counter, extract_pgau, parse_program, canonicalize
+    from pgarl.services import apply_use_finite
 
     for n in range(3):
         unit = f"u(+t:1.dec;#3;t:1.set:{n};#2;#3)"

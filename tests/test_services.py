@@ -20,10 +20,8 @@ from pgarl import (
     STOP,
     ServiceError,
     Trace,
-    apply_bindings,
     apply_use,
     apply_use_bounded,
-    apply_use_finite,
     canonicalize,
     down_counter,
     extract_pgau,
@@ -40,7 +38,14 @@ from pgarl import (
 
 from pgarl import services
 from pgarl.extraction import _table_states
-from pgarl.services import _SilentSteps, _product_states
+from pgarl.rigidloops import project, project_pure
+from pgarl.services import (
+    _SilentSteps,
+    _product_states,
+    apply_bindings,
+    apply_use_finite,
+    bound_states,
+)
 from pgarl.threads import _spec_states, explore
 
 from genprograms import random_pgarl, random_spec
@@ -277,6 +282,9 @@ def test_bounded_consumes_every_binding_in_one_pass():
 def test_bounded_rejects_negative_depth():
     with pytest.raises(ValueError, match="natural number"):
         apply_use_bounded(counter_spec(), (("c", full_counter()),), -1)
+    twice = (("c", full_counter()), ("c", full_counter()))  # the depth is checked first
+    with pytest.raises(ValueError, match="^depth must be a natural number, got -1$"):
+        apply_use_bounded(counter_spec(), twice, -1)
 
 
 def test_silent_run_limit_counts_consumed_steps():
@@ -675,6 +683,36 @@ def test_apply_bindings_disjoint_foci_commute():
     one = ProjectedProgram(program, (("p:1", down_counter(1, max=1)), ("q:1", down_counter(1, max=2))))
     two = ProjectedProgram(program, (("q:1", down_counter(1, max=2)), ("p:1", down_counter(1, max=1))))
     assert thread_equal(apply_bindings(one), apply_bindings(two))
+
+
+def test_bound_states_composes_table_product_and_cut():
+    # a finite and an unbounded binding: the product, then one cut
+    program = parse_canonical("(+d.dec;a;c.inc;b)^w")
+    bindings = (("d", down_counter(1, max=1)), ("c", full_counter()))
+    projected = ProjectedProgram(program, bindings)
+    spec = extract_pgau(program)
+    product = apply_use(spec, bindings[:1])
+    for depth in range(6):
+        assert explore(*bound_states(projected, depth)) == apply_use_bounded(
+            product, bindings[1:], depth)
+    assert explore(*bound_states(ProjectedProgram(program, bindings[:1]))) == product
+    for build in (bound_states, apply_bindings):
+        with pytest.raises(ServiceError, match="no finite state enumeration"):
+            build(projected)
+
+
+def test_project_picks_the_projection_and_keeps_the_bindings_last():
+    bind = (("c", full_counter()),)
+    loop = parse_canonical("(2x{;a;}x;c.inc)^w")
+    counter = project_counter(loop)
+    assert project(loop, "defining", bind) == ProjectedProgram(
+        counter.program, counter.bindings + bind)
+    assert project(loop, "pure", bind) == ProjectedProgram(project_pure(loop), bind)
+    plain = parse_canonical("(a;c.inc)^w")
+    assert project(plain, "pure", bind) == project(plain, "defining", bind) == ProjectedProgram(
+        plain, bind)
+    with pytest.raises(ValueError, match="unknown projection 'counter'"):
+        project(loop, "counter")
 
 
 def _reference_use_finite(spec, focus, svc):

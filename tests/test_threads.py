@@ -31,7 +31,7 @@ from pgarl import (
     validate_spec,
 )
 from pgarl import extraction, services
-from pgarl.threads import Witness, _bounded, _first_difference, _spec_states, explore
+from pgarl.threads import Witness, _bounded, _spec_states, explore, first_difference
 
 from genprograms import random_pgarl, random_spec
 from treeoracle import Branch, cut, number, tree_pi, tree_states
@@ -102,6 +102,11 @@ def test_pi_three_alternating():
     spec = LinearSpec((BranchRef(2, a, 2), BranchRef(1, b, 1)), 1)
     expected = LinearSpec((BranchRef(2, a, 2), BranchRef(3, b, 3), BranchRef(4, a, 4), DEADLOCK))
     assert pi(3, spec, 1) == expected
+
+
+def test_pi_rejects_negative_depth():
+    with pytest.raises(ValueError, match="^depth must be a natural number, got -1$"):
+        pi(-1, A_LOOP, 1)
 
 
 def test_pi_rejects_bad_state():
@@ -625,7 +630,7 @@ def _text(witness):
 
 def _check_against_spec_walk(p, q):
     for below in (True, False):
-        assert _text(_first_difference(_spec_states(p), _spec_states(q), below)) == (
+        assert _text(first_difference(_spec_states(p), _spec_states(q), below)) == (
             _spec_pair_walk(p, q, below)
         )
     assert refines(p, q) == (_spec_pair_walk(p, q, True) is None)
@@ -643,7 +648,7 @@ def _check_cuts_against_spec_walk(m, p, n, q):
     # spaces, against the spec walk over the two cuts numbered
     x, y = pi(m, p, p.root), pi(n, q, q.root)
     for below in (True, False):
-        assert _text(_first_difference(_cut_space(m, p), _cut_space(n, q), below)) == (
+        assert _text(first_difference(_cut_space(m, p), _cut_space(n, q), below)) == (
             _spec_pair_walk(x, y, below)
         )
     _check_against_spec_walk(x, y)
@@ -693,7 +698,7 @@ def test_pair_walk_steps_each_state_once_per_side():
 
         return 0, successors
 
-    assert _first_difference(space(3, "p"), space(5, "q"), deadlock_below=False) is None
+    assert first_difference(space(3, "p"), space(5, "q"), deadlock_below=False) is None
     assert sorted(calls) == [("p", i) for i in range(3)] + [("q", i) for i in range(5)]
 
 
