@@ -10,7 +10,8 @@ standard error, whatever Python's warning filters say.
 the library's one path: :func:`pgarl.rigidloops.project`, then
 :func:`pgarl.services.bound_states`, numbered with
 :func:`pgarl.threads.explore` or compared with
-:func:`pgarl.threads.first_difference`; this module only reads the
+:func:`pgarl.threads.first_difference`, or walked one scripted reply at a
+time by :func:`pgarl.services.simulate`; this module only reads the
 arguments and prints.
 """
 
@@ -23,7 +24,6 @@ import os
 import sys
 import warnings
 
-from .extraction import extract_pgau
 from .parser import ParseError, _Scanner, parse_program
 from .program import (
     ProgramError,
@@ -50,7 +50,7 @@ from .services import (
     Service,
     ServiceError,
     bound_states,
-    simulate_with_services,
+    simulate,
 )
 from .threads import (
     FOCUS,
@@ -251,8 +251,7 @@ def _cmd_simulate(args) -> int:
     (raw,) = _load_programs(args, 1)
     projected = project(canonicalize(raw), bindings=_bindings(args))
     script = ReplyScript.from_text(args.replies or "")
-    trace = simulate_with_services(extract_pgau(projected.program), projected.bindings, script,
-                                   args.max_steps)
+    trace = simulate(projected, script, args.max_steps)
     _emit(
         args,
         str(trace),

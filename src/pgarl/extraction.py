@@ -2,19 +2,25 @@
 
 Extraction first lays a canonical program out as a flat table: its
 executable instructions numbered 0..n-1 in program order, descending into
-units, each with its unit level and its slot there, and each level with its
-length and its slot in the level above. One pass builds the table and rejects
-rigid-loop and annotated instructions. Halts map to termination, falling off
-the end or an unreachable jump target to deadlock, tests to branches. Units
-count as a single instruction for outside jump counting; execution enters a
-unit at its first instruction, a jump issued inside a unit counts the
-remaining inner instructions individually and then whole outer instructions
-(climbing the level records), and falling off a unit's end continues after
-it. Each jump chain is resolved once and remembered; a chain that revisits an
-instruction without performing an action is deadlock. The table is then a
-state space over instruction numbers (see :mod:`pgarl.threads`), which
-extraction numbers, :func:`behav_equiv` compares as it walks it, and the use
-operator of :mod:`pgarl.services` reads as the thread it applies services to.
+units, in int lists that give each entry its unit level, its slot there and
+where its jump chain ends, and each level its slot starts and its slot in
+the level above. One pass builds the table, dispatching on each
+instruction's exact type, and rejects rigid-loop and annotated
+instructions. Halts map to termination, falling off the end or an
+unreachable jump target to deadlock, tests to branches. Units count as a
+single instruction for outside jump counting; execution enters a unit at its
+first instruction, a jump issued inside a unit counts the remaining inner
+instructions individually and then whole outer instructions (climbing the
+level records), and falling off a unit's end continues after it. Units are
+nonempty and laid out contiguously, so the instruction after entry i is
+entry i + 1, or past the last entry the body's first: an action's
+fall-through and a ``#1`` cost an addition, and only skips and longer jumps
+climb the levels. Each jump chain is resolved the first time a walk reaches
+it and remembered; a chain that revisits an instruction without performing
+an action is deadlock. The table is then a state space over instruction
+numbers (see :mod:`pgarl.threads`), which extraction numbers,
+:func:`behav_equiv` compares as it walks it, and the use operator of
+:mod:`pgarl.services` reads as the thread it applies services to.
 
 Synthesis goes the other way: every regular thread is laid out as a repeated
 program with one test-jump-jump triple per branch equation and one
@@ -24,16 +30,12 @@ instruction per terminal equation.
 from __future__ import annotations
 
 from .program import (
-    AnnClose,
-    AnnJump,
     Basic,
     CanonicalProgram,
     Halt,
     HALT,
     Instruction,
     Jump,
-    LoopClose,
-    LoopHeader,
     NegTest,
     PosTest,
     ProgramError,
@@ -52,56 +54,66 @@ from .threads import (
     first_difference,
 )
 
-_RIGID = (LoopHeader, LoopClose, AnnClose, AnnJump)
-
 
 def _table_states(program: CanonicalProgram, allow_units: bool):
     """Lay ``program`` out as its flat table and return the table as a
     state space ``(root, successors)``, whose states are the numbers of its
-    action instructions."""
-    # The flat table: ``table[i]`` is the i-th executable instruction in
-    # program order, units descended into, and ``where[i]`` its (level, slot).
-    # Level 0 is the outer sequence; ``levels[v]`` is (the first instruction
-    # of each slot, the parent level, the slot the unit takes in it).
+    action instructions. ``successors`` resolves the jump chains after an
+    action only when a walk first steps it, so a walk that stops early
+    resolves little of a large table."""
+    # Entry i of the table is the i-th executable instruction in program
+    # order, units descended into: ``table[i]``, at slot ``slot_of[i]`` of unit
+    # level ``level_of[i]``. Level 0 is the outer sequence; ``levels[v]`` is
+    # (the first entry of each slot, the parent level, the slot the unit takes
+    # in it). Units are nonempty and laid out contiguously, so the entry after
+    # i is i + 1, or past the end the body's first entry. ``resolved[i]`` is
+    # where the jump chain from i ends: STOP for a halt, i itself for an
+    # action, DEADLOCK for #0, and for any other jump None until a walk
+    # first reaches it.
     outer = program.prefix + (program.body or ())
     plen, blen = len(program.prefix), len(outer) - len(program.prefix)
     table: list[Instruction] = []
-    where: list[tuple[int, int]] = []
+    level_of: list[int] = []
+    slot_of: list[int] = []
+    resolved: list = []
     levels = [([0] * len(outer), 0, 0)]
-    # resolved jump chains, seeded with the instructions that end one
-    resolved: dict[int, object] = {}
     stack = [(0, iter(enumerate(outer)))]  # explicit, so the table has no cycle
     while stack:
         level, items = stack[-1]
+        starts = levels[level][0]
         for slot, ins in items:
-            levels[level][0][slot] = len(table)
-            if isinstance(ins, Unit):
+            starts[slot] = len(table)
+            kind = type(ins)
+            if kind is Jump:
+                resolved.append(None if ins.distance else DEADLOCK)
+            elif kind is Basic or kind is PosTest or kind is NegTest:
+                resolved.append(len(table))
+            elif kind is Halt:
+                resolved.append(STOP)
+            elif kind is Unit:
                 levels.append(([0] * len(ins.body), level, slot))
                 stack.append((len(levels) - 1, iter(enumerate(ins.body))))
                 break
-            if isinstance(ins, _RIGID):
+            else:
                 raise ProgramError(
                     "cannot extract a program containing rigid loop or annotated "
                     "instructions; project it first"
                 )
-            if isinstance(ins, Halt):
-                resolved[len(table)] = STOP
-            elif not isinstance(ins, Jump):
-                resolved[len(table)] = len(table)
-            elif not ins.distance:
-                resolved[len(table)] = DEADLOCK
             table.append(ins)
-            where.append((level, slot))
+            level_of.append(level)
+            slot_of.append(slot)
         else:
             stack.pop()
     if not allow_units and len(levels) > 1:
         raise ProgramError("program contains unit instructions; use the unit-aware extraction")
+    last = len(table) - 1
+    first = levels[0][0][plen] if blen else None  # where falling off the end continues
 
     def advance(i: int, distance: int) -> int | None:
         """The instruction ``distance`` slots after i, or None past the end.
         Inside a unit the remaining inner slots count one by one, then the
         unit's own slot in the level above counts as one."""
-        level, slot = where[i]
+        level, slot = level_of[i], slot_of[i]
         while level:
             starts, up, up_slot = levels[level]
             if slot + distance < len(starts):
@@ -119,26 +131,30 @@ def _table_states(program: CanonicalProgram, allow_units: bool):
         """STOP, DEADLOCK or the action instruction the jump chain from i
         reaches; a chain that revisits an instruction is deadlock."""
         chain = []
-        while i is not None and i not in resolved:
+        while i is not None:
+            end = resolved[i]
+            if end is not None:
+                break
             resolved[i] = DEADLOCK  # until the chain ends: a revisit is a cycle
             chain.append(i)
-            i = advance(i, table[i].distance)  # type: ignore[attr-defined]
-        end = DEADLOCK if i is None else resolved[i]
+            distance = table[i].distance  # type: ignore[attr-defined]
+            i = (i + 1 if i < last else first) if distance == 1 else advance(i, distance)
+        else:
+            end = DEADLOCK
         for j in chain:
             resolved[j] = end
         return end
 
     def successors(i: int):
         ins = table[i]
-        after = resolve(advance(i, 1))
-        if isinstance(ins, Basic):
+        after = resolve(i + 1 if i < last else first)
+        kind = type(ins)
+        if kind is Basic:
             return ins.action, after, after
         skip = resolve(advance(i, 2))
-        if isinstance(ins, PosTest):
+        if kind is PosTest:
             return ins.action, after, skip
-        if isinstance(ins, NegTest):
-            return ins.action, skip, after
-        raise AssertionError(f"unresolved instruction {ins!r}")
+        return ins.action, skip, after
 
     return resolve(0) if table else DEADLOCK, successors
 

@@ -28,7 +28,9 @@ tuple of service states in a single pass, :func:`apply_use_bounded`
 numbers the pairs within a visible depth, so its result is a finite thread
 as a spec, and scripted simulation (:func:`simulate_with_services`) walks
 one path, remembering the states it meets when every service is finite;
-:func:`simulate_thread` is that walk with no services bound. All of them
+:func:`simulate_thread` is that walk with no services bound, and
+:func:`simulate` the same walk over a projected program's extraction
+table, which it steps only where the run goes. All of them
 limit each silent run to ``SILENT_RUN_LIMIT`` steps and reject a list of
 bindings that binds a focus twice. The product may step at most
 ``PRODUCT_STATE_LIMIT`` states, and the depth-bounded form may unfold at
@@ -355,18 +357,10 @@ def apply_bindings(projected: ProjectedProgram) -> LinearSpec:
     return explore(*bound_states(projected))
 
 
-def simulate_with_services(
-    spec: LinearSpec,
-    bindings: tuple[tuple[str, Service], ...],
-    script: ReplyScript,
-    max_steps: int = 1000,
-) -> Trace:
-    """Scripted simulation with live services: actions on bound foci are
-    answered by their service and do not appear in the trace or consume the
-    script; every other action consumes one scripted reply, for at most
-    ``max_steps`` (a natural number) visible steps. Works for services with
-    or without a finite enumeration. Each silent run between two visible
-    steps may consume at most SILENT_RUN_LIMIT steps.
+def _simulate(space, bindings, script: ReplyScript, max_steps: int) -> Trace:
+    """The scripted walk of the state space ``space`` (see
+    :func:`pgarl.threads.explore`) under live services, for
+    :func:`simulate_with_services` and :func:`simulate`.
 
     When every bound service is finite, the product has finitely many
     visible states and a scripted run keeps returning to them, so the walk
@@ -377,7 +371,7 @@ def simulate_with_services(
     behind an untaken branch is never raised."""
     if max_steps < 0:
         raise ValueError(f"max_steps must be a natural number, got {max_steps}")
-    silent = _SilentSteps(_spec_states(spec), tuple(bindings))
+    silent = _SilentSteps(space, tuple(bindings))
     resolve, visible = silent.resolve, silent.visible
     at = resolve(silent.root, silent.initial)
     steps: list[tuple[Action, bool]] = []
@@ -407,6 +401,29 @@ def simulate_with_services(
             at = resolve(yes if reply else no, at[1])
     status = str(at) if at is STOP or at is DEADLOCK else "cutoff"
     return Trace(tuple(steps), status)
+
+
+def simulate_with_services(
+    spec: LinearSpec,
+    bindings: tuple[tuple[str, Service], ...],
+    script: ReplyScript,
+    max_steps: int = 1000,
+) -> Trace:
+    """Scripted simulation with live services: actions on bound foci are
+    answered by their service and do not appear in the trace or consume the
+    script; every other action consumes one scripted reply, for at most
+    ``max_steps`` (a natural number) visible steps. Works for services with
+    or without a finite enumeration. Each silent run between two visible
+    steps may consume at most SILENT_RUN_LIMIT steps."""
+    return _simulate(_spec_states(spec), bindings, script, max_steps)
+
+
+def simulate(projected: ProjectedProgram, script: ReplyScript, max_steps: int = 1000) -> Trace:
+    """:func:`simulate_with_services` of a projected program (see
+    :func:`pgarl.rigidloops.project`) under its bindings, walking its
+    extraction table, so only the states the run reaches are ever stepped."""
+    return _simulate(_table_states(projected.program, allow_units=True), projected.bindings,
+                     script, max_steps)
 
 
 def simulate_thread(spec: LinearSpec, script: ReplyScript, max_steps: int = 1000) -> Trace:

@@ -40,7 +40,8 @@ from pgarl import (
 )
 from pgarl.parser import UNIT_NESTING_LIMIT
 from pgarl.program import program_instructions
-from pgarl.threads import explore
+from pgarl.extraction import _table_states
+from pgarl.threads import _spec_states, explore, first_difference
 
 from genprograms import random_pga, random_pgarl, random_spec
 
@@ -405,6 +406,21 @@ class _OracleWalker:
             return pos
 
 
+def _oracle_step(walker, pos):
+    """The branch the action instruction at ``pos`` performs, its targets
+    resolved by the walker."""
+    ins = walker.at(pos)
+    after = walker.resolve(walker.advance(pos, 1))
+    if isinstance(ins, Basic):
+        return ins.action, after, after
+    skip = walker.resolve(walker.advance(pos, 2))
+    if isinstance(ins, PosTest):
+        return ins.action, after, skip
+    if isinstance(ins, NegTest):
+        return ins.action, skip, after
+    raise AssertionError(f"unresolved instruction {ins!r}")
+
+
 def _oracle_extract(program, allow_units):
     _oracle_reject_rigid(program)
     if not allow_units and has_units(program):
@@ -412,20 +428,7 @@ def _oracle_extract(program, allow_units):
     if len(program) == 0:
         return LinearSpec((DEADLOCK,), 1)
     walker = _OracleWalker(program)
-
-    def successors(pos):
-        ins = walker.at(pos)
-        after = walker.resolve(walker.advance(pos, 1))
-        if isinstance(ins, Basic):
-            return ins.action, after, after
-        skip = walker.resolve(walker.advance(pos, 2))
-        if isinstance(ins, PosTest):
-            return ins.action, after, skip
-        if isinstance(ins, NegTest):
-            return ins.action, skip, after
-        raise AssertionError(f"unresolved instruction {ins!r}")
-
-    return explore(walker.resolve(walker.start()), successors)
+    return explore(walker.resolve(walker.start()), lambda pos: _oracle_step(walker, pos))
 
 
 def _outcome(extract, program):
@@ -518,6 +521,101 @@ def _unit_programs(draw):
 @given(_unit_programs())
 def test_flat_table_matches_walker_on_nested_units(program):
     _assert_matches_walker(program)
+
+
+def _program_order(walker):
+    """The walker position of every executable instruction, in program
+    order with units descended into: the table's entry numbers."""
+    positions = []
+
+    def descend(outer, path, ins):
+        if isinstance(ins, Unit):
+            for offset, inner in enumerate(ins.body, 1):
+                descend(outer, path + (offset,), inner)
+        else:
+            positions.append((outer, path))
+
+    for outer in range(1, walker.plen + walker.blen + 1):
+        descend(outer, (), walker.outer_instruction(outer))
+    return positions
+
+
+def _assert_steps_match_walker(program, rng):
+    """Every action entry's step in the table, unreachable ones too, taken
+    in a random order, equals the walker's step at its position."""
+    try:
+        _oracle_reject_rigid(program)
+    except ProgramError:
+        with pytest.raises(ProgramError):
+            _table_states(program, allow_units=True)
+        return
+    walker = _OracleWalker(program)
+    positions = _program_order(walker)
+    entry = {pos: i for i, pos in enumerate(positions)}
+
+    def number(target):
+        return target if target is STOP or target is DEADLOCK else entry[target]
+
+    root, successors = _table_states(program, allow_units=True)
+    start = walker.start()
+    assert root == (DEADLOCK if start is None else number(walker.resolve(start)))
+    actions = [i for i, pos in enumerate(positions)
+               if isinstance(walker.at(pos), (Basic, PosTest, NegTest))]
+    rng.shuffle(actions)
+    for i in actions:
+        action, yes, no = _oracle_step(walker, positions[i])
+        assert successors(i) == (action, number(yes), number(no)), (format_program(program), i)
+
+
+# jumps into a unit (landing on its slot), out of one and of several nested
+# ones, across them, and back round a repeated body through them
+_UNIT_JUMP_PROGRAMS = (
+    "#2;a;u(+b;c);d;!",
+    "+a;#2;u(b;u(c;#3;d);e);f;!",
+    "u(-a;#4;u(#2;b;u(c;#6)));d;e;!",
+    "#3;u(a;u(b;c));u(d);e",
+    "(+a;u(#2;b;u(c;#5));d;#2;e)^w",
+    "u(#3;u(a;#9);b);(c;u(#4;d;u(+e;#2));f)^w",
+)
+
+
+def test_table_steps_match_walker_on_soundness_corpus():
+    rng = random.Random(20260808)
+    shapes = ("omega", "finite", "mixed")
+    for i in range(500):
+        program = random_pgarl(rng, shape=shapes[i % 3])
+        _assert_steps_match_walker(project_counter(program).program, rng)
+        _assert_steps_match_walker(project_pure(program), rng)
+
+
+def test_table_steps_match_walker_on_jumps_through_units():
+    rng = random.Random(7)
+    for text in _UNIT_JUMP_PROGRAMS:
+        _assert_steps_match_walker(parse_canonical(text), rng)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unit_programs(), st.randoms(use_true_random=False))
+def test_table_steps_match_walker_on_nested_units(program, rng):
+    _assert_steps_match_walker(program, rng)
+
+
+def test_table_is_stepped_only_where_a_walk_goes():
+    # an unequal pair stops at its first difference, having stepped only the
+    # table states on the way there, out of about 120000 entries
+    program = project_pure(parse_canonical("(200x{;200x{;a;}x;c;}x)^w"))
+    for k in (0, 3, 10):
+        reference = lin(*(BranchRef(i + 2, a, i + 2) for i in range(k)), BranchRef(k + 1, b, k + 1))
+        root, successors = _table_states(program, allow_units=True)
+        stepped = []
+
+        def counted(i, successors=successors):
+            stepped.append(i)
+            return successors(i)
+
+        witness = first_difference((root, counted), _spec_states(reference), False)
+        assert witness is not None and len(witness.steps) == k
+        assert len(stepped) == k + 1
 
 
 def test_extraction_leaves_no_garbage_cycles():

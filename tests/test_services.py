@@ -45,6 +45,7 @@ from pgarl.services import (
     apply_bindings,
     apply_use_finite,
     bound_states,
+    simulate,
 )
 from pgarl.threads import _spec_states, explore
 
@@ -570,6 +571,7 @@ def _same_walk(spec, bindings, script, max_steps=1000):
 
 
 def test_simulation_matches_replaced_walk_on_the_corpus():
+    # simulate walks the projected program's table, the others its numbered thread
     rng = random.Random(20260808)
     corpus = [random_pgarl(rng, shape=("omega", "finite", "mixed")[i % 3]) for i in range(500)]
     ends = set()
@@ -578,7 +580,9 @@ def test_simulation_matches_replaced_walk_on_the_corpus():
         spec = extract_pgau(projected.program)
         for _ in range(3):
             script = ReplyScript(tuple(rng.random() < 0.5 for _ in range(rng.randint(0, 60))))
-            steps, status = _same_walk(spec, projected.bindings, script, rng.randint(0, 70))
+            max_steps = rng.randint(0, 70)
+            steps, status = _same_walk(spec, projected.bindings, script, max_steps)
+            assert _simulated(simulate, projected, script, max_steps) == (steps, status)
             ends.add(status)
     assert ends == {"S", "D", "cutoff"}
 
