@@ -128,7 +128,7 @@ def _load_programs(args, expected: int) -> list[RawProgram]:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 sources.append(handle.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _CliError(f"cannot read {path}: {exc}", EXIT_PARSE_ERROR) from None
     if len(sources) != expected:
         raise _CliError(

@@ -55,7 +55,7 @@ from .threads import (
 )
 
 
-def _table_states(program: CanonicalProgram, allow_units: bool):
+def _table_states(program: CanonicalProgram):
     """Lay ``program`` out as its flat table and return the table as a
     state space ``(root, successors)``, whose states are the numbers of its
     action instructions. ``successors`` resolves the jump chains after an
@@ -104,8 +104,6 @@ def _table_states(program: CanonicalProgram, allow_units: bool):
             slot_of.append(slot)
         else:
             stack.pop()
-    if not allow_units and len(levels) > 1:
-        raise ProgramError("program contains unit instructions; use the unit-aware extraction")
     last = len(table) - 1
     first = levels[0][0][plen] if blen else None  # where falling off the end continues
 
@@ -160,13 +158,17 @@ def _table_states(program: CanonicalProgram, allow_units: bool):
 
 
 def extract_pga(program: CanonicalProgram) -> LinearSpec:
-    """Thread extraction for unit-free programs."""
-    return explore(*_table_states(program, allow_units=False))
+    """Thread extraction for unit-free programs. A rigid-loop instruction is
+    reported before a unit."""
+    space = _table_states(program)
+    if has_units(program):
+        raise ProgramError("program contains unit instructions; use the unit-aware extraction")
+    return explore(*space)
 
 
 def extract_pgau(program: CanonicalProgram) -> LinearSpec:
     """Thread extraction with unit instructions allowed."""
-    return explore(*_table_states(program, allow_units=True))
+    return explore(*_table_states(program))
 
 
 def synthesize(spec: LinearSpec) -> CanonicalProgram:
@@ -211,7 +213,7 @@ def synthesize(spec: LinearSpec) -> CanonicalProgram:
 def behav_equiv(p: CanonicalProgram, q: CanonicalProgram) -> bool:
     """Behavioral equivalence: both programs extract to equal threads,
     compared as the two tables are walked, without numbering either."""
-    return first_difference(_table_states(p, True), _table_states(q, True), False) is None
+    return first_difference(_table_states(p), _table_states(q), False) is None
 
 
 def pgau2pga(program: CanonicalProgram) -> CanonicalProgram:

@@ -1,6 +1,6 @@
 """Concrete syntax for instruction sequences.
 
-The grammar is ASCII and whitespace-insensitive between tokens::
+The grammar is ASCII::
 
     program := part (';' part)*
     part    := instr | '(' seq ')^w'
@@ -10,6 +10,9 @@ The grammar is ASCII and whitespace-insensitive between tokens::
     annots  := ('(' NAT ',' NAT ')')+
     action  := IDENT | focus '.' IDENT (':' NAT)?     (one token)
     focus   := IDENT (':' NAT)?
+
+Whitespace may come before any token, but never inside one: not inside an
+action, ``}x``, ``x{``, ``)^w`` or ``u(``.
 
 IDENT, NAT and a focus are the patterns ``threads.NAME``, ``threads.NAT``
 and ``threads.FOCUS`` (``[a-z][a-z0-9_]*``, ``[0-9]+``), which ``Action``
@@ -67,29 +70,27 @@ class _Scanner:
         column = at - (self.text.rfind("\n", 0, at) + 1) + 1
         return ParseError(message, line, column)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+    def skip_ws(self) -> str:
+        """Skip whitespace; return the next character, or "" at the end."""
+        while self.text[self.pos : self.pos + 1].isspace():
             self.pos += 1
+        return self.text[self.pos : self.pos + 1]
 
     def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+        return not self.skip_ws()
 
-    def peek(self, offset: int = 0) -> str:
-        at = self.pos + offset
-        return self.text[at] if at < len(self.text) else ""
+    def peek(self) -> str:
+        return self.text[self.pos : self.pos + 1]
+
+    def expect(self, expected: str, message: str | None = None) -> None:
+        """Take ``expected`` at the cursor, with no whitespace before it."""
+        if not self.text.startswith(expected, self.pos):
+            raise self.error(message or f"expected {expected!r}")
+        self.pos += len(expected)
 
     def take(self, expected: str) -> None:
         self.skip_ws()
-        if not self.text.startswith(expected, self.pos):
-            raise self.error(f"expected {expected!r}")
-        self.pos += len(expected)
-
-    def try_take(self, expected: str) -> bool:
-        if self.text.startswith(expected, self.pos):
-            self.pos += len(expected)
-            return True
-        return False
+        self.expect(expected)
 
     def take_match(self, pattern: re.Pattern, what: str) -> str:
         """Skip whitespace, then take the text ``pattern`` matches at the cursor."""
@@ -111,29 +112,24 @@ class _Scanner:
         return self.take_match(NAME, "an identifier")
 
 
-def _parse_action(sc: _Scanner, first: str | None = None) -> Action:
-    """Read ``NAME[:NAT][.NAME[:NAT]]`` (``first`` is the NAME, when the
-    caller has taken it). An action is one token: whitespace may come before
-    it, but not inside it."""
-    name = sc.take_ident() if first is None else first
+def _parse_action(sc: _Scanner, name: str) -> Action:
+    """Read the rest of ``NAME[:NAT][.NAME[:NAT]]``, whose NAME the caller
+    has taken. An action is one token, so whitespace inside it is an error."""
     start = sc.pos - len(name)
-    focus = None
+    focus = name
     if sc.peek() == ":":
         mark = sc.pos
-        sc.take(":")
-        number = sc.take_nat()
+        sc.expect(":")
+        focus += f":{sc.take_nat()}"
         if sc.peek() != ".":
             raise sc.error("an action argument requires a focus.method action", mark)
-        focus = f"{name}:{number}"
-    elif sc.peek() == ".":
-        focus = name
-    if focus is None:
+    elif sc.peek() != ".":
         return Action(name)
-    sc.take(".")
+    sc.expect(".")
     method = sc.take_ident()
     argument = None
     if sc.peek() == ":":
-        sc.take(":")
+        sc.expect(":")
         argument = sc.take_nat()
     gap = _SPACE.search(sc.text, start, sc.pos)
     if gap:
@@ -141,94 +137,68 @@ def _parse_action(sc: _Scanner, first: str | None = None) -> Action:
     return Action(method, focus=focus, argument=argument)
 
 
-def _parse_annots(sc: _Scanner) -> tuple[tuple[int, int], ...]:
-    resets = []
-    while True:
-        sc.skip_ws()
-        if sc.peek() != "(":
-            break
-        sc.take("(")
-        position = sc.take_nat()
-        sc.take(",")
-        value = sc.take_nat()
-        sc.take(")")
-        resets.append((position, value))
-    return tuple(resets)
-
-
 def _parse_instruction(sc: _Scanner) -> Instruction:
-    sc.skip_ws()
-    ch = sc.peek()
+    ch = sc.skip_ws()
+    mark = sc.pos
     if ch == "!":
-        sc.take("!")
+        sc.expect("!")
         return HALT
     if ch == "#":
-        sc.take("#")
+        sc.expect("#")
         distance = sc.take_nat()
-        resets = _parse_annots(sc)
-        return AnnJump(distance, resets) if resets else Jump(distance)
-    if ch == "+":
-        sc.take("+")
-        return PosTest(_parse_action(sc))
-    if ch == "-":
-        sc.take("-")
-        return NegTest(_parse_action(sc))
+        resets = []
+        while sc.skip_ws() == "(":
+            sc.expect("(")
+            position = sc.take_nat()
+            sc.take(",")
+            resets.append((position, sc.take_nat()))
+            sc.take(")")
+        return AnnJump(distance, tuple(resets)) if resets else Jump(distance)
+    if ch in ("+", "-"):
+        sc.expect(ch)
+        test = PosTest if ch == "+" else NegTest
+        return test(_parse_action(sc, sc.take_ident()))
     if ch == "}":
-        sc.take("}")
-        if sc.peek() != "x":
-            raise sc.error("expected 'x' after '}'")
-        sc.take("x")
+        sc.expect("}")
+        sc.expect("x", "expected 'x' after '}'")
         return CLOSE
     if NAT.match(ch):
-        mark = sc.pos
         number = sc.take_nat()
-        sc.skip_ws()
-        if sc.peek() == "}":
-            sc.take("}")
-            if sc.peek() != "x":
-                raise sc.error("expected 'x' after '}'")
-            sc.take("x")
-            size = sc.take_nat()
-            return AnnClose(number, size)
-        if NAME.match(sc.peek()):
-            word = sc.take_ident()
-            if word == "x" and sc.peek() == "{":
-                sc.take("{")
-                if number < 1:
-                    raise sc.error("loop count must be positive", mark)
-                return LoopHeader(number)
-        raise sc.error("expected 'x{' or '}x' after a number", mark)
+        if sc.skip_ws() == "}":
+            sc.expect("}")
+            sc.expect("x", "expected 'x' after '}'")
+            return AnnClose(number, sc.take_nat())
+        if not sc.text.startswith("x{", sc.pos):
+            raise sc.error("expected 'x{' or '}x' after a number", mark)
+        sc.expect("x{")
+        if number < 1:
+            raise sc.error("loop count must be positive", mark)
+        return LoopHeader(number)
     if NAME.match(ch):
-        mark = sc.pos
         name = sc.take_ident()
-        if name == "u" and sc.peek() == "(":
-            if sc.units == UNIT_NESTING_LIMIT:
-                raise sc.error(f"units nested more than {UNIT_NESTING_LIMIT} deep", mark)
-            sc.take("(")
-            sc.units += 1
-            body = _parse_sequence(sc)
-            sc.units -= 1
-            sc.take(")")
-            try:
-                return Unit(tuple(body))
-            except ValueError as exc:
-                raise sc.error(str(exc), mark) from None
-        return Basic(_parse_action(sc, first=name))
+        if name != "u" or sc.peek() != "(":
+            return Basic(_parse_action(sc, name))
+        if sc.units == UNIT_NESTING_LIMIT:
+            raise sc.error(f"units nested more than {UNIT_NESTING_LIMIT} deep", mark)
+        sc.expect("(")
+        sc.units += 1
+        body = _parse_sequence(sc)
+        sc.units -= 1
+        try:
+            return Unit(body)
+        except ValueError as exc:
+            raise sc.error(str(exc), mark) from None
     raise sc.error("expected an instruction")
 
 
-def _parse_sequence(sc: _Scanner) -> list[Instruction]:
-    """Read ``seq`` up to, not including, its closing ``)``."""
+def _parse_sequence(sc: _Scanner) -> tuple[Instruction, ...]:
+    """Read ``seq`` and its closing ``)``."""
     items = [_parse_instruction(sc)]
-    while True:
-        sc.skip_ws()
-        if sc.peek() == ";":
-            sc.take(";")
-            items.append(_parse_instruction(sc))
-        elif sc.peek() == ")":
-            return items
-        else:
-            raise sc.error("expected ';' or ')'")
+    while sc.skip_ws() == ";":
+        sc.expect(";")
+        items.append(_parse_instruction(sc))
+    sc.expect(")", "expected ';' or ')'")
+    return tuple(items)
 
 
 def parse_program(text: str) -> RawProgram:
@@ -237,25 +207,22 @@ def parse_program(text: str) -> RawProgram:
     sc = _Scanner(text)
     parts: list[Part] = []
     current: list[Instruction] = []
+    ch = sc.skip_ws()
     while True:
-        sc.skip_ws()
-        if sc.peek() == "(":
-            sc.take("(")
+        if ch == "(":
+            sc.expect("(")
             body = _parse_sequence(sc)
-            sc.take(")")
-            if not sc.try_take("^w"):
-                raise sc.error("expected '^w' after ')'")
+            sc.expect("^w", "expected '^w' after ')'")
             if current:
                 parts.append(Part(tuple(current)))
                 current = []
-            parts.append(Part(tuple(body), repeated=True))
+            parts.append(Part(body, repeated=True))
         else:
             current.append(_parse_instruction(sc))
-        sc.skip_ws()
-        if sc.at_end():
+        if not sc.skip_ws():
             break
-        sc.take(";")
-        if sc.at_end():
+        sc.expect(";")
+        if not (ch := sc.skip_ws()):
             raise sc.error("trailing ';'")
     if current:
         parts.append(Part(tuple(current)))
@@ -270,8 +237,7 @@ def parse_canonical(text: str) -> CanonicalProgram:
 def parse_action(text: str) -> Action:
     """Parse a single action, e.g. ``rlc:5.set:1``."""
     sc = _Scanner(text)
-    sc.skip_ws()
-    action = _parse_action(sc)
+    action = _parse_action(sc, sc.take_ident())
     if not sc.at_end():
         raise sc.error("unexpected input after action")
     return action

@@ -306,7 +306,7 @@ def bound_states(projected: ProjectedProgram, depth: int | None = None):
     binding must be finite, or ServiceError is raised before anything is
     stepped. The result is walked once, by :func:`pgarl.threads.explore` or
     :func:`pgarl.threads.first_difference`."""
-    space = _table_states(projected.program, allow_units=True)
+    space = _table_states(projected.program)
     if depth is None:
         return _product_states(space, projected.bindings) if projected.bindings else space
     finite = [(focus, svc) for focus, svc in projected.bindings if svc.finite]
@@ -422,7 +422,7 @@ def simulate(projected: ProjectedProgram, script: ReplyScript, max_steps: int = 
     """:func:`simulate_with_services` of a projected program (see
     :func:`pgarl.rigidloops.project`) under its bindings, walking its
     extraction table, so only the states the run reaches are ever stepped."""
-    return _simulate(_table_states(projected.program, allow_units=True), projected.bindings,
+    return _simulate(_table_states(projected.program), projected.bindings,
                      script, max_steps)
 
 

@@ -6,14 +6,16 @@ spaces, kept as the oracle for ``services._SilentSteps`` and
 front and resolves silent runs over (equation, service states) pairs; the
 budgets are read from :mod:`pgarl.services` when a run is resolved, so that
 a test that patches them patches the oracle too. :func:`spec_apply_use`
-numbers the finite product over those pairs, as ``apply_use`` did.
+numbers the finite product over those pairs, as ``apply_use`` did, and
+:func:`walk_simulate` is scripted simulation as it walked a spec, the oracle
+for ``services._simulate`` with services bound and without.
 """
 
 from __future__ import annotations
 
 from itertools import count
 
-from pgarl import DEADLOCK, STOP, Deadlock, LinearSpec, Stop, services
+from pgarl import DEADLOCK, STOP, Deadlock, LinearSpec, Stop, Trace, services
 from pgarl.threads import _require_valid, explore
 
 
@@ -101,3 +103,24 @@ def spec_product_states(spec: LinearSpec, bindings):
 def spec_apply_use(spec: LinearSpec, bindings) -> LinearSpec:
     """The finite product numbered as one specification."""
     return explore(*spec_product_states(spec, bindings))
+
+
+def walk_simulate(spec: LinearSpec, bindings, script, max_steps: int = 1000) -> Trace:
+    """The walk simulate_with_services replaced: every visible step resolves
+    the silent steps that follow it afresh, with no table."""
+    silent = SpecSilentSteps(spec, tuple(bindings))
+    equation, states = spec.root, silent.initial
+    steps = []
+    while True:  # one scripted reply per visible step
+        at = silent.resolve(equation, states)
+        if at is STOP:
+            return Trace(tuple(steps), "S")
+        if at is DEADLOCK:
+            return Trace(tuple(steps), "D")
+        if len(steps) >= max_steps or len(steps) >= len(script.values):
+            return Trace(tuple(steps), "cutoff")
+        equation, states = at
+        rhs = spec.rhs(equation)
+        reply = script.values[len(steps)]
+        steps.append((rhs.action, reply))
+        equation = rhs.yes if reply else rhs.no

@@ -357,9 +357,10 @@ def test_missing_program_reports_error(capsys):
 
 
 def test_unreadable_file_is_an_input_error(tmp_path, capsys):
-    path = tmp_path / "missing.pga"
-    code, out, err = run(capsys, "extract", str(path))
-    assert (code, out) == (2, "") and err.startswith(f"cannot read {path}: ")
+    (tmp_path / "latin1.pga").write_bytes(b"\xff")
+    for path in (tmp_path / "missing.pga", tmp_path / "latin1.pga"):
+        code, out, err = run(capsys, "extract", str(path))
+        assert (code, out) == (2, "") and err.startswith(f"cannot read {path}: ")
 
 
 def test_argument_after_double_dash_is_a_path(tmp_path, capsys, monkeypatch):

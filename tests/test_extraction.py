@@ -547,7 +547,7 @@ def _assert_steps_match_walker(program, rng):
         _oracle_reject_rigid(program)
     except ProgramError:
         with pytest.raises(ProgramError):
-            _table_states(program, allow_units=True)
+            _table_states(program)
         return
     walker = _OracleWalker(program)
     positions = _program_order(walker)
@@ -556,7 +556,7 @@ def _assert_steps_match_walker(program, rng):
     def number(target):
         return target if target is STOP or target is DEADLOCK else entry[target]
 
-    root, successors = _table_states(program, allow_units=True)
+    root, successors = _table_states(program)
     start = walker.start()
     assert root == (DEADLOCK if start is None else number(walker.resolve(start)))
     actions = [i for i, pos in enumerate(positions)
@@ -606,7 +606,7 @@ def test_table_is_stepped_only_where_a_walk_goes():
     program = project_pure(parse_canonical("(200x{;200x{;a;}x;c;}x)^w"))
     for k in (0, 3, 10):
         reference = lin(*(BranchRef(i + 2, a, i + 2) for i in range(k)), BranchRef(k + 1, b, k + 1))
-        root, successors = _table_states(program, allow_units=True)
+        root, successors = _table_states(program)
         stepped = []
 
         def counted(i, successors=successors):

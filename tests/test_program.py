@@ -123,6 +123,39 @@ def test_parse_errors(bad):
         assert str(info.value) == PINNED_PARSE_ERRORS[bad]
 
 
+# one input for each message the parser can raise, with its line and column
+# (the last entry is read by parse_action, every other by parse_program)
+EVERY_PARSE_ERROR = [
+    ("#2(1", "expected ',' at line 1, column 5"),
+    ("#2(1,3", "expected ')' at line 1, column 7"),
+    ("a b", "expected ';' at line 1, column 3"),
+    ("3}x", "expected a number at line 1, column 4"),
+    ("+3", "expected an identifier at line 1, column 2"),
+    ("#" + "9" * 5000, "number too long at line 1, column 2"),
+    ("set:1", "an action argument requires a focus.method action at line 1, column 4"),
+    ("c: 1.dec", "whitespace inside an action at line 1, column 3"),
+    ("a;\n }", "expected 'x' after '}' at line 2, column 3"),
+    ("a;\n0x{", "loop count must be positive at line 2, column 1"),
+    ("2 x {", "expected 'x{' or '}x' after a number at line 1, column 1"),
+    ("u(" * 101 + "a" + ")" * 101, "units nested more than 100 deep at line 1, column 201"),
+    ("u(2x{;a;}x)", "rigid loop instructions are not allowed inside a unit at line 1, column 1"),
+    ("u()", "expected an instruction at line 1, column 3"),
+    ("(a b)^w", "expected ';' or ')' at line 1, column 4"),
+    ("(a) ^w", "expected '^w' after ')' at line 1, column 4"),
+    ("a;\n", "trailing ';' at line 2, column 1"),
+    (" a b", "unexpected input after action at line 1, column 4"),
+]
+
+
+@pytest.mark.parametrize("text, message", EVERY_PARSE_ERROR,
+                         ids=[message.split(" at line")[0] for _, message in EVERY_PARSE_ERROR])
+def test_every_parse_error_message(text, message):
+    parse = parse_action if message.startswith("unexpected input after action") else parse_program
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
 def test_parse_error_reports_position():
     with pytest.raises(ParseError) as info:
         parse_program("a;\n0x{")

@@ -19,7 +19,6 @@ from pgarl import (
     ReplyScript,
     STOP,
     ServiceError,
-    Trace,
     apply_use,
     apply_use_bounded,
     canonicalize,
@@ -50,7 +49,7 @@ from pgarl.services import (
 from pgarl.threads import _spec_states, explore
 
 from genprograms import random_pgarl, random_spec
-from specoracle import SpecSilentSteps, spec_apply_use
+from specoracle import SpecSilentSteps, spec_apply_use, walk_simulate
 from treeoracle import Branch, number, tree_apply_use_bounded
 
 a = Action("a")
@@ -488,7 +487,7 @@ def test_product_of_the_table_matches_spec_reading_product_on_corpus(monkeypatch
         for limit in (services.PRODUCT_STATE_LIMIT, 4):
             with mock.patch.object(services, "PRODUCT_STATE_LIMIT", limit):
                 outcome = _cut_outcome(
-                    lambda: explore(*_product_states(_table_states(program, True), bindings)))
+                    lambda: explore(*_product_states(_table_states(program), bindings)))
                 assert outcome == _cut_outcome(apply_use, extract_pgau(program), bindings)
                 assert outcome == _cut_outcome(spec_apply_use, extract_pgau(program), bindings)
             answered += isinstance(outcome, str)
@@ -533,28 +532,7 @@ def test_counter_law_inc_chain_feeds_dec_loop():
         assert thread_equal(cut, expected)
 
 
-# -- the replaced simulation walk, kept as the oracle -----------------------------
-
-def _walk_simulate(spec, bindings, script, max_steps=1000):
-    """The walk simulate_with_services replaced: every visible step resolves
-    the silent steps that follow it afresh, with no table."""
-    silent = SpecSilentSteps(spec, tuple(bindings))
-    equation, states = spec.root, silent.initial
-    steps = []
-    while True:  # one scripted reply per visible step
-        at = silent.resolve(equation, states)
-        if at is STOP:
-            return Trace(tuple(steps), "S")
-        if at is DEADLOCK:
-            return Trace(tuple(steps), "D")
-        if len(steps) >= max_steps or len(steps) >= len(script.values):
-            return Trace(tuple(steps), "cutoff")
-        equation, states = at
-        rhs = spec.rhs(equation)
-        reply = script.values[len(steps)]
-        steps.append((rhs.action, reply))
-        equation = rhs.yes if reply else rhs.no
-
+# -- simulation against the replaced walk ----------------------------------------
 
 def _simulated(function, *args):
     try:
@@ -566,7 +544,7 @@ def _simulated(function, *args):
 
 def _same_walk(spec, bindings, script, max_steps=1000):
     outcome = _simulated(simulate_with_services, spec, bindings, script, max_steps)
-    assert outcome == _simulated(_walk_simulate, spec, bindings, script, max_steps)
+    assert outcome == _simulated(walk_simulate, spec, bindings, script, max_steps)
     return outcome
 
 
@@ -640,7 +618,7 @@ def test_simulation_table_resolves_each_state_once(monkeypatch):
         resolve = resolver.resolve
         monkeypatch.setattr(resolver, "resolve",
                             lambda *args, resolve=resolve: calls.append(1) or resolve(*args))
-    steps, status = _simulated(_walk_simulate, spec, projected.bindings, script)
+    steps, status = _simulated(walk_simulate, spec, projected.bindings, script)
     walked = len(calls)
     assert _simulated(simulate_with_services, spec, projected.bindings, script) == (steps, status)
     assert status == "cutoff" and walked == len(steps) + 1 == 601

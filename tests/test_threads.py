@@ -34,6 +34,7 @@ from pgarl import extraction, services
 from pgarl.threads import Witness, _bounded, _spec_states, explore, first_difference
 
 from genprograms import random_pgarl, random_spec
+from specoracle import walk_simulate
 from treeoracle import Branch, cut, number, tree_pi, tree_states
 
 a = Action("a")
@@ -431,91 +432,7 @@ def test_cut_calls_successors_once_per_depth_and_state():
     assert len(calls) == len(order)
 
 
-# -- the replaced equality walks and scripted run, kept as oracles ---------------
-
-def _synchronized_walk(spec_p, spec_q, deadlock_below):
-    seen = set()
-    stack = [(spec_p.root, spec_q.root)]
-    while stack:
-        pair = stack.pop()
-        if pair in seen:
-            continue
-        seen.add(pair)
-        x = spec_p.rhs(pair[0])
-        y = spec_q.rhs(pair[1])
-        if isinstance(x, BranchRef):
-            if not isinstance(y, BranchRef) or x.action != y.action:
-                return False
-            stack.append((x.yes, y.yes))
-            stack.append((x.no, y.no))
-        elif type(x) is not type(y) and not (deadlock_below and x == DEADLOCK):
-            return False
-    return True
-
-
-def _describe(rhs):
-    return "S" if rhs == STOP else "D" if rhs == DEADLOCK else f"action {rhs.action}"
-
-
-def _bfs_distinguish(spec_p, spec_q):
-    start = (spec_p.root, spec_q.root)
-    parent = {start: None}
-    queue = [start]
-    for pair in queue:
-        x = spec_p.rhs(pair[0])
-        y = spec_q.rhs(pair[1])
-        same_kind = (
-            (x == STOP and y == STOP)
-            or (x == DEADLOCK and y == DEADLOCK)
-            or (isinstance(x, BranchRef) and isinstance(y, BranchRef) and x.action == y.action)
-        )
-        if not same_kind:
-            steps = []
-            link = parent[pair]
-            while link is not None:
-                prev, action, reply = link
-                steps.append((action, reply))
-                link = parent[prev]
-            return tuple(reversed(steps)), f"{_describe(x)} vs {_describe(y)}"
-        if isinstance(x, BranchRef):
-            for reply, nxt in ((True, (x.yes, y.yes)), (False, (x.no, y.no))):
-                if nxt not in parent:
-                    parent[nxt] = (pair, x.action, reply)
-                    queue.append(nxt)
-    return None
-
-
-def _scripted_run(spec, script, max_steps=1000):
-    current = spec.rhs(spec.root)
-    steps = []
-    cursor = 0
-    while True:
-        if current == STOP:
-            return steps, "S"
-        if current == DEADLOCK:
-            return steps, "D"
-        if len(steps) >= max_steps or cursor >= len(script.values):
-            return steps, "cutoff"
-        reply = script.values[cursor]
-        cursor += 1
-        steps.append((current.action, reply))
-        target = current.yes if reply else current.no
-        current = spec.rhs(target)
-
-
-def _check_pair_walks(p, q):
-    assert refines(p, q) == _synchronized_walk(p, q, deadlock_below=True)
-    assert thread_equal(p, q) == _synchronized_walk(p, q, deadlock_below=False)
-    witness = distinguish(p, q)
-    expected = _bfs_distinguish(p, q)
-    assert (None if witness is None else (witness.steps, witness.reason)) == expected
-
-
-@given(specs, specs)
-def test_pair_walk_matches_replaced_walks(p, q):
-    for x, y in ((p, q), (q, p), (p, p)):
-        _check_pair_walks(x, y)
-
+# -- scripted runs against the replaced walk (specoracle.walk_simulate) ---------
 
 def _corpus_specs():
     rng = random.Random(20260808)
@@ -524,22 +441,8 @@ def _corpus_specs():
         yield defining_thread(program), extract_pga(project_pure(program))
 
 
-def test_pair_walk_matches_replaced_walks_on_corpus():
-    previous = None
-    outcomes = set()
-    for defining, pure in _corpus_specs():
-        for other in (pure, previous):
-            if other is not None:
-                for x, y in ((defining, other), (other, defining)):
-                    _check_pair_walks(x, y)
-                    outcomes.add((refines(x, y), thread_equal(x, y)))
-        previous = pure
-    assert outcomes == {(True, True), (True, False), (False, False)}
-
-
 def _check_scripted_run(spec, script, max_steps):
-    trace = simulate_thread(spec, script, max_steps)
-    assert (list(trace.steps), trace.status) == _scripted_run(spec, script, max_steps)
+    assert simulate_thread(spec, script, max_steps) == walk_simulate(spec, (), script, max_steps)
 
 
 @given(specs, st.lists(st.booleans(), max_size=12), st.integers(min_value=0, max_value=3),
@@ -562,6 +465,10 @@ def test_scripted_run_matches_replaced_loop_on_corpus():
 
 
 # -- the replaced spec-pair walk and numbering, kept as oracles -----------------
+
+def _describe(rhs):
+    return "S" if rhs == STOP else "D" if rhs == DEADLOCK else f"action {rhs.action}"
+
 
 def _spec_pair_walk(spec_p, spec_q, deadlock_below):
     """The pair walk over two built specs that the walk over state spaces
@@ -677,15 +584,18 @@ def test_state_space_walk_matches_spec_pair_walk(p, q):
 def test_state_space_walk_matches_spec_pair_walk_on_corpus():
     previous = None
     witnesses = 0
+    outcomes = set()
     for defining, pure in _corpus_specs():
         for other in (pure, previous):
             if other is not None:
                 for x, y in ((defining, other), (other, defining)):
                     _check_against_spec_walk(x, y)
                     witnesses += distinguish(x, y) is not None
+                    outcomes.add((refines(x, y), thread_equal(x, y)))
         _check_cuts_against_spec_walk(6, defining, 5, _fresh_leaves(pure))
         previous = pure
     assert witnesses > 200
+    assert outcomes == {(True, True), (True, False), (False, False)}
 
 
 def test_pair_walk_steps_each_state_once_per_side():
