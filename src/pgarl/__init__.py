@@ -26,7 +26,6 @@ from .threads import (
     validate_spec,
 )
 from .program import (
-    CLOSE,
     HALT,
     AnnClose,
     AnnJump,
@@ -34,7 +33,6 @@ from .program import (
     CanonicalProgram,
     DeadCodeWarning,
     Halt,
-    Instruction,
     Jump,
     LoopClose,
     LoopHeader,
@@ -46,7 +44,6 @@ from .program import (
     Unit,
     canonicalize,
     congruent,
-    format_instruction,
     format_program,
     format_sequence,
     has_rigid,
@@ -74,7 +71,6 @@ from .services import (
     apply_use_bounded,
     down_counter,
     full_counter,
-    simulate_thread,
     simulate_with_services,
 )
 from .rigidloops import (

@@ -6,8 +6,10 @@ standard output early (``| head -1``) ends the command quietly with 0, and a
 program with code after its repetition gets one ``warning:`` line on
 standard error, whatever Python's warning filters say.
 
-``extract``, ``equiv`` and ``simulate`` reach a program's behaviour through
-the library's one path: :func:`pgarl.rigidloops.project`, then
+``project`` prints :func:`pgarl.rigidloops.project`'s program (``--mode
+counter`` is the defining projection) and, for the counter projection, its
+bindings. ``extract``, ``equiv`` and ``simulate`` reach a program's
+behaviour through the library's one path: that projection, then
 :func:`pgarl.services.bound_states`, numbered with
 :func:`pgarl.threads.explore` or compared with
 :func:`pgarl.threads.first_difference`, or walked one scripted reply at a
@@ -38,8 +40,6 @@ from .rigidloops import (
     _unsplit_loops,
     annotate,
     project,
-    project_counter,
-    project_pure,
     require_well_formed,
     size_report,
 )
@@ -202,21 +202,16 @@ def _cmd_annotate(args) -> int:
 
 def _cmd_project(args) -> int:
     (raw,) = _load_programs(args, 1)
-    program = canonicalize(raw)
+    projected = project(canonicalize(raw), "pure" if args.mode == "pure" else "defining")
+    text = format_program(projected.program)
     if args.mode == "pure":
-        text = format_program(project_pure(program))
         _emit(args, text, {"program": text})
         return EXIT_OK
-    projected = project_counter(program)
     bind_lines = [  # the loop counters are down counters
         f"{focus}=dc(init={svc.initial},max={svc.limit})" for focus, svc in projected.bindings
     ]
-    text = "\n".join([format_program(projected.program)] + [f"bind {b}" for b in bind_lines])
-    _emit(
-        args,
-        text,
-        {"program": format_program(projected.program), "bindings": bind_lines},
-    )
+    _emit(args, "\n".join([text] + [f"bind {b}" for b in bind_lines]),
+          {"program": text, "bindings": bind_lines})
     return EXIT_OK
 
 

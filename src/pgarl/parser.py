@@ -48,7 +48,6 @@ from .program import (
 from .threads import NAME, NAT, Action
 
 UNIT_NESTING_LIMIT = 100
-_SPACE = re.compile(r"\s")
 
 
 class ParseError(ValueError):
@@ -112,28 +111,33 @@ class _Scanner:
         return self.take_match(NAME, "an identifier")
 
 
+def _glue(sc: _Scanner, separator: str) -> None:
+    """Take ``separator`` inside an action and check that the action goes on
+    right after it: an action is one token, so whitespace inside it is an
+    error where it stands."""
+    sc.expect(separator)
+    if sc.peek().isspace():
+        raise sc.error("whitespace inside an action")
+
+
 def _parse_action(sc: _Scanner, name: str) -> Action:
     """Read the rest of ``NAME[:NAT][.NAME[:NAT]]``, whose NAME the caller
-    has taken. An action is one token, so whitespace inside it is an error."""
-    start = sc.pos - len(name)
+    has taken, each part glued to the one before it."""
     focus = name
     if sc.peek() == ":":
         mark = sc.pos
-        sc.expect(":")
+        _glue(sc, ":")
         focus += f":{sc.take_nat()}"
         if sc.peek() != ".":
             raise sc.error("an action argument requires a focus.method action", mark)
     elif sc.peek() != ".":
         return Action(name)
-    sc.expect(".")
+    _glue(sc, ".")
     method = sc.take_ident()
     argument = None
     if sc.peek() == ":":
-        sc.expect(":")
+        _glue(sc, ":")
         argument = sc.take_nat()
-    gap = _SPACE.search(sc.text, start, sc.pos)
-    if gap:
-        raise sc.error("whitespace inside an action", gap.start())
     return Action(method, focus=focus, argument=argument)
 
 

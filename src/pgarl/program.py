@@ -259,10 +259,13 @@ def canonicalize(program: RawProgram) -> CanonicalProgram:
     if body is None:
         return CanonicalProgram(tuple(prefix), None)
     body = _minimal_period(body)
-    while prefix and prefix[-1] == body[-1]:
-        prefix.pop()
-        body = [body[-1]] + body[:-1]
-    return CanonicalProgram(tuple(prefix), tuple(body))
+    # after k one-step rotations the body ends with its instruction k places
+    # (mod m) before the last: count the absorbed instructions, then rotate once
+    m, k = len(body), 0
+    while k < len(prefix) and prefix[-1 - k] == body[-1 - k % m]:
+        k += 1
+    turn = m - k % m
+    return CanonicalProgram(tuple(prefix[: len(prefix) - k]), tuple(body[turn:] + body[:turn]))
 
 
 def congruent(p: RawProgram, q: RawProgram) -> bool:

@@ -23,6 +23,7 @@ jumps that leave it, one block per iteration.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .program import (
@@ -225,16 +226,20 @@ def annotate(instructions, cyclic: bool = False) -> tuple[Instruction, ...]:
     for pos in lonely_closures:
         items[pos - 1] = AnnClose(0, 0)
     closures = [(j, ins.remaining) for j, ins in enumerate(items, 1) if isinstance(ins, AnnClose)]
+    positions = [j for j, _ in closures]
+
+    def between(low: int, high: int) -> list[tuple[int, int]]:
+        """The closures at low < j < high, found by bisection."""
+        return closures[bisect_right(positions, low) : bisect_left(positions, high)]
+
     for pos, ins in enumerate(items, 1):
         if not isinstance(ins, Jump):
             continue
-        crossed = tuple(
-            (j, left)
-            for j, left in closures
-            if (0 < (j - pos) % n < ins.distance if cyclic else pos < j < pos + ins.distance)
-        )
+        crossed = between(pos, pos + ins.distance)
+        if cyclic:  # the wrapped part of the path, at 0 < j - pos + n < distance
+            crossed = between(0, min(pos, pos + ins.distance - n)) + crossed
         if crossed:
-            items[pos - 1] = AnnJump(ins.distance, crossed)
+            items[pos - 1] = AnnJump(ins.distance, tuple(crossed))
     return tuple(items)
 
 
@@ -352,9 +357,10 @@ def project(program: CanonicalProgram, via: str = "defining", bindings=()) -> Pr
     behaviour, before :func:`pgarl.services.bound_states`. ``"defining"``
     gives the counter projection, bound to its loop counters and then to
     ``bindings`` (a sequence of (focus, service)); ``"pure"`` gives the pure
-    projection of a program with rigid loops, or the program itself, bound
-    to ``bindings``. The counter projection checks the program before the
-    foci are checked, and the pure projection after."""
+    projection (:func:`project_pure`, which also normalizes the jumps of a
+    program with no rigid loops), bound to ``bindings``. The counter
+    projection checks the program before the foci are checked, and the pure
+    projection after."""
     bindings = tuple(bindings)
     if via == "defining":
         counted = project_counter(program)
@@ -362,7 +368,7 @@ def project(program: CanonicalProgram, via: str = "defining", bindings=()) -> Pr
     if via != "pure":
         raise ValueError(f"unknown projection {via!r}; expected 'defining' or 'pure'")
     check_foci(bindings)
-    return ProjectedProgram(project_pure(program) if has_rigid(program) else program, bindings)
+    return ProjectedProgram(project_pure(program), bindings)
 
 
 _SKIP = Jump(1)

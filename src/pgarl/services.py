@@ -28,8 +28,7 @@ tuple of service states in a single pass, :func:`apply_use_bounded`
 numbers the pairs within a visible depth, so its result is a finite thread
 as a spec, and scripted simulation (:func:`simulate_with_services`) walks
 one path, remembering the states it meets when every service is finite;
-:func:`simulate_thread` is that walk with no services bound, and
-:func:`simulate` the same walk over a projected program's extraction
+:func:`simulate` is the same walk over a projected program's extraction
 table, which it steps only where the run goes. All of them
 limit each silent run to ``SILENT_RUN_LIMIT`` steps and reject a list of
 bindings that binds a focus twice. The product may step at most
@@ -424,11 +423,3 @@ def simulate(projected: ProjectedProgram, script: ReplyScript, max_steps: int = 
     extraction table, so only the states the run reaches are ever stepped."""
     return _simulate(_table_states(projected.program), projected.bindings,
                      script, max_steps)
-
-
-def simulate_thread(spec: LinearSpec, script: ReplyScript, max_steps: int = 1000) -> Trace:
-    """Run a thread from its root, consuming one scripted reply per branch
-    (true selects the left continuation): scripted simulation with no
-    services bound. Ends with status ``S``, ``D``, or ``cutoff`` when the
-    script or the step budget runs out."""
-    return simulate_with_services(spec, (), script, max_steps)

@@ -87,6 +87,18 @@ def test_project_pure_output(capsys):
     assert code == 0 and out.strip() == "b;#1;a;#1;c"
 
 
+def test_project_prints_the_program_via_reads(capsys):
+    # one pure projection: a program without rigid loops gets its body's jumps
+    # normalized on both paths, and the CLI imports no projection but project
+    assert run(capsys, "project", "--mode=pure", "-e", "(a;#5)^w") == (0, "(a;#1)^w\n", "")
+    pure = project(pgarl.parse_canonical("(a;#5)^w"), "pure").program
+    assert pure == pgarl.parse_canonical("(a;#1)^w")
+    tree = ast.parse(Path(pgarl.cli.__file__).read_text(encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    assert "project" in names and not names & {"project_counter", "project_pure"}
+
+
 def test_extract_plain(capsys):
     code, out, _ = run(capsys, "extract", "--expr=-a;b;c")
     assert code == 0
@@ -500,6 +512,13 @@ def test_long_jumps_take_no_time(capsys):
     assert (code, out, err) == (0, "(2x{;a;1}x1;#1000000000000(3,1))^w\n", "") and took < 2
     (code, out, err), took = timed(capsys, "project", "-e", "#1000000000000;2x{;a;}x;(b)^w")
     assert code == 0 and err == "" and took < 2
+
+
+def test_many_loops_with_jumps_take_no_time(capsys):
+    # each jump finds the closures it crosses by bisection, not by a scan of all 8000
+    expr = "(" + ";".join(f"2x{{;+a_{i};#2;b;}}x" for i in range(8000)) + ")^w"
+    (code, out, err), took = timed(capsys, "project", "-e", expr)
+    assert code == 0 and err == "" and out.count("\nbind rlc:") == 8000 and took < 2
 
 
 def test_large_loop_count_exhausts_the_product_budget(capsys, monkeypatch):

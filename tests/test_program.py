@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +9,13 @@ from pgarl import (
     AnnClose,
     AnnJump,
     Basic,
+    BranchRef,
     CanonicalProgram,
     DeadCodeWarning,
     HALT,
     Action,
     Jump,
+    LinearSpec,
     LoopHeader,
     LoopClose,
     ParseError,
@@ -20,6 +23,7 @@ from pgarl import (
     PosTest,
     ProgramError,
     RawProgram,
+    SpecError,
     Unit,
     canonicalize,
     congruent,
@@ -29,8 +33,11 @@ from pgarl import (
     parse_action,
     parse_canonical,
     parse_program,
+    pi,
+    refines,
     thread_equal,
 )
+from pgarl.program import Instruction, format_instruction
 
 from genprograms import random_pga, rewrite_with_axioms
 
@@ -156,6 +163,15 @@ def test_every_parse_error_message(text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("parse", [parse_program, parse_action])
+@pytest.mark.parametrize("text", ["c: 7.dec", "c: x", "c. 7", "c: 7 x", "c:7.dec: "])
+def test_whitespace_inside_an_action_is_reported_where_it_stands(parse, text):
+    # whatever follows the whitespace
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == f"whitespace inside an action at line 1, column {text.index(' ') + 1}"
+
+
 def test_parse_error_reports_position():
     with pytest.raises(ParseError) as info:
         parse_program("a;\n0x{")
@@ -184,6 +200,39 @@ def test_rotation_absorption():
     assert parse_canonical("a;(b;a)^w") == CanonicalProgram((), seq("a", "b"))
 
 
+def _absorb_one_by_one(raw):
+    """The rotation rule one step at a time: while the prefix's last
+    instruction equals the body's last, drop it and rotate the body right."""
+    prefix = [ins for part in raw.parts[:-1] for ins in part.instructions]
+    body = list(canonicalize(RawProgram(raw.parts[-1:])).body)
+    while prefix and prefix[-1] == body[-1]:
+        prefix.pop()
+        body = [body[-1]] + body[:-1]
+    return CanonicalProgram(tuple(prefix), tuple(body))
+
+
+def test_absorption_matches_one_step_rotations():
+    rng = random.Random(20260808)
+    names = ("a", "b", "c")
+    for _ in range(5000):
+        period = [Basic(Action(rng.choice(names))) for _ in range(rng.randint(1, 5))]
+        body = period * rng.randint(1, 3)
+        tail = (period * 4)[rng.randint(0, 4 * len(period)):]
+        prefix = [Basic(Action(rng.choice(names))) for _ in range(rng.randint(0, 3))] + tail
+        raw = RawProgram((Part(tuple(prefix)), Part(tuple(body), repeated=True)))
+        assert canonicalize(raw) == _absorb_one_by_one(raw)
+
+
+def test_long_absorption_takes_no_time():
+    # X;(X)^w with 100000 distinct instructions is absorbed whole, one rotation at most
+    x = tuple(Basic(Action(f"a{i}")) for i in range(100000))
+    raw = RawProgram((Part(x), Part(x, repeated=True)))
+    start = time.perf_counter()
+    form = canonicalize(raw)
+    took = time.perf_counter() - start
+    assert form == CanonicalProgram((), x) and took < 2
+
+
 def test_canonical_finite_program_unchanged():
     assert parse_canonical("+a;#2;!") == CanonicalProgram((PosTest(a), Jump(2), HALT), None)
 
@@ -198,6 +247,36 @@ def test_congruent_distinguishes_instructions():
 
 def test_congruent_rotated_bodies_differ():
     assert not congruent(parse_program("(a;b)^w"), parse_program("(b;a)^w"))
+
+
+# -- guards -------------------------------------------------------------------
+
+_DANGLING = LinearSpec((BranchRef(1, a, 2),), 1)
+
+# each check that rejects a value no parsed program can carry
+GUARDS = {
+    "jump": (lambda: Jump(-1), ValueError, "jump distance must be a natural number"),
+    "header": (lambda: LoopHeader(0), ValueError, "loop count must be positive"),
+    "closure": (lambda: AnnClose(-1, 0), ValueError, "closure annotations must be natural"),
+    "annotated jump": (lambda: AnnJump(-1, ()), ValueError, "jump distance must be a natural"),
+    "unit": (lambda: Unit(()), ValueError, "unit body must be nonempty"),
+    "body": (lambda: CanonicalProgram((), ()), ValueError, "repeated body must be nonempty"),
+    "method": (lambda: Action("Set"), ValueError, "bad method identifier 'Set'"),
+    "focus": (lambda: Action("set", focus="c:01"), ValueError, "bad focus identifier 'c:01'"),
+    "argument": (lambda: Action("set", focus="c", argument=-1), ValueError,
+                 "action argument must be a natural number"),
+    "unfocused argument": (lambda: Action("set", argument=1), ValueError,
+                           "an action argument requires a focus.method action"),
+    "format": (lambda: format_instruction(Instruction()), TypeError, "not an instruction"),
+    "pi": (lambda: pi(1, _DANGLING, 1), SpecError, "dangling index 2 in equation 1"),
+    "refines": (lambda: refines(_DANGLING, _DANGLING), SpecError, "dangling index 2 in equation 1"),
+}
+
+
+@pytest.mark.parametrize("make, error, message", GUARDS.values(), ids=GUARDS.keys())
+def test_guards_reject_bad_values(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
 
 
 # -- jump normalization -------------------------------------------------------

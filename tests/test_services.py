@@ -508,10 +508,8 @@ def test_counter_thread_trace_family():
 
 
 def test_counter_thread_bounded_tree():
-    from pgarl import simulate_thread
-
     thread = apply_use_bounded(counter_spec(), (("c", full_counter()),), 8)
-    trace = simulate_thread(thread, ReplyScript.from_text("TTFTT"))
+    trace = simulate_with_services(thread, (), ReplyScript.from_text("TTFTT"))
     assert [str(act) for act in trace.actions] == ["a", "a", "a", "b", "b"]
     assert trace.status == "S"
 

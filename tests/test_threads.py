@@ -26,7 +26,7 @@ from pgarl import (
     parse_canonical,
     project_pure,
     refines,
-    simulate_thread,
+    simulate_with_services,
     thread_equal,
     validate_spec,
 )
@@ -140,23 +140,23 @@ def test_distinguish_none_when_equal():
 
 
 def test_simulate_empty_script_on_stop():
-    trace = simulate_thread(LinearSpec((STOP,), 1), ReplyScript())
+    trace = simulate_with_services(LinearSpec((STOP,), 1), (), ReplyScript())
     assert trace.steps == () and trace.status == "S"
 
 
 def test_simulate_script_exhaustion():
-    trace = simulate_thread(A_LOOP, ReplyScript.from_text("TT"), max_steps=10)
+    trace = simulate_with_services(A_LOOP, (), ReplyScript.from_text("TT"), max_steps=10)
     assert len(trace.steps) == 2 and trace.status == "cutoff"
 
 
 def test_simulate_max_steps():
-    trace = simulate_thread(A_LOOP, ReplyScript((True,) * 50), max_steps=5)
+    trace = simulate_with_services(A_LOOP, (), ReplyScript((True,) * 50), max_steps=5)
     assert len(trace.steps) == 5 and trace.status == "cutoff"
 
 
 def test_simulate_follows_replies():
     spec = LinearSpec((BranchRef(2, a, 3), STOP, BranchRef(1, b, 1)), 1)
-    trace = simulate_thread(spec, ReplyScript.from_text("FTT"))
+    trace = simulate_with_services(spec, (), ReplyScript.from_text("FTT"))
     assert [str(act) for act in trace.actions] == ["a", "b", "a"]
     assert trace.status == "S"
 
@@ -442,7 +442,8 @@ def _corpus_specs():
 
 
 def _check_scripted_run(spec, script, max_steps):
-    assert simulate_thread(spec, script, max_steps) == walk_simulate(spec, (), script, max_steps)
+    trace = simulate_with_services(spec, (), script, max_steps)
+    assert trace == walk_simulate(spec, (), script, max_steps)
 
 
 @given(specs, st.lists(st.booleans(), max_size=12), st.integers(min_value=0, max_value=3),
@@ -460,7 +461,7 @@ def test_scripted_run_matches_replaced_loop_on_corpus():
         script = ReplyScript(tuple(rng.random() < 0.5 for _ in range(rng.randint(0, 30))))
         for spec in (defining, pure, pi(8, pure, pure.root)):
             _check_scripted_run(spec, script, 20)
-            statuses.add(simulate_thread(spec, script, 20).status)
+            statuses.add(simulate_with_services(spec, (), script, 20).status)
     assert statuses == {"S", "D", "cutoff"}
 
 
