@@ -69,8 +69,6 @@ from .services import (
     ServiceError,
     apply_use,
     apply_use_bounded,
-    down_counter,
-    full_counter,
     simulate_with_services,
 )
 from .rigidloops import (

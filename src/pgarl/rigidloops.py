@@ -110,8 +110,8 @@ def _unsplit_loops(program: CanonicalProgram) -> CanonicalProgram:
     such drop closes the innermost loop open at the start of its period, and
     every boundary up to the drop (in the first period) or up to the drop
     less one period (in the second) splits that loop too, so the boundary
-    jumps there. A boundary past ``UNSPLIT_LENGTH_LIMIT`` raises
-    BudgetExceeded.
+    jumps there. A boundary more than ``UNSPLIT_LENGTH_LIMIT`` instructions
+    past the written one raises BudgetExceeded.
     """
     prefix, body = program.prefix, program.body
     if not body:
@@ -121,8 +121,10 @@ def _unsplit_loops(program: CanonicalProgram) -> CanonicalProgram:
     moved = p
     while moved is not None:
         boundary = moved
-        if boundary > UNSPLIT_LENGTH_LIMIT:
-            raise BudgetExceeded(f"the unsplit prefix would exceed {UNSPLIT_LENGTH_LIMIT} instructions")
+        if boundary - p > UNSPLIT_LENGTH_LIMIT:
+            raise BudgetExceeded(
+                f"unsplitting would exceed {UNSPLIT_LENGTH_LIMIT} instructions moved to the prefix"
+            )
         for pos in range(len(depths), boundary + 2 * m + 1):
             ins = prefix[pos - 1] if pos <= p else body[(pos - p - 1) % m]
             d = depths[-1]

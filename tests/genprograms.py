@@ -1,7 +1,9 @@
-"""Seeded random program generators shared by the test modules."""
+"""Seeded random program generators shared by the test modules, the
+soundness corpus built once from them, and two small spec builders."""
 
 from __future__ import annotations
 
+import functools
 import random
 
 from pgarl import (
@@ -23,6 +25,17 @@ from pgarl import (
 )
 
 ACTIONS = tuple(Action(name) for name in ("a", "b", "c", "d"))
+SOUNDNESS_SEED = 20260808
+
+
+def lin(*eqs, root=1) -> LinearSpec:
+    return LinearSpec(tuple(eqs), root)
+
+
+def cycle_of(names) -> LinearSpec:
+    """The infinite thread repeating the given action names."""
+    n = len(names)
+    return lin(*[BranchRef(i % n + 1, Action(x), i % n + 1) for i, x in enumerate(names, 1)])
 
 
 def random_spec(rng: random.Random, max_equations: int = 8) -> LinearSpec:
@@ -110,6 +123,27 @@ def random_pgarl(rng: random.Random, shape: str | None = None) -> CanonicalProgr
     if isinstance(prefix[-1], (PosTest, NegTest)) and isinstance(body[0], LoopClose):
         prefix[-1] = Basic(prefix[-1].action)
     return CanonicalProgram(tuple(prefix), tuple(body))
+
+
+@functools.cache
+def _soundness_draw():
+    rng = random.Random(SOUNDNESS_SEED)
+    shapes = ("omega", "finite", "mixed")
+    return tuple(random_pgarl(rng, shape=shapes[i % 3]) for i in range(500)), rng.getstate()
+
+
+def soundness_corpus() -> tuple[CanonicalProgram, ...]:
+    """The 500 programs of acceptance criterion 4: ``random_pgarl`` from
+    seed 20260808, with the shapes omega, finite and mixed in turn. Drawn
+    once per session; the programs are frozen, so callers share them."""
+    return _soundness_draw()[0]
+
+
+def after_soundness_corpus() -> random.Random:
+    """A generator in the state that drawing the corpus left its own in."""
+    rng = random.Random()
+    rng.setstate(_soundness_draw()[1])
+    return rng
 
 
 def random_pga(rng: random.Random, max_len: int = 8) -> RawProgram:

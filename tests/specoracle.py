@@ -1,14 +1,14 @@
-"""The use operator as it read linear specifications before it read state
-spaces, kept as the oracle for ``services._SilentSteps`` and
-``services._product_states``.
+"""The use operator read off a linear specification, equation by equation:
+the normative oracle for ``services._SilentSteps``, ``services._product_states``
+and scripted simulation.
 
 :class:`SpecSilentSteps` classifies every equation of a specification up
 front and resolves silent runs over (equation, service states) pairs; the
 budgets are read from :mod:`pgarl.services` when a run is resolved, so that
 a test that patches them patches the oracle too. :func:`spec_apply_use`
-numbers the finite product over those pairs, as ``apply_use`` did, and
-:func:`walk_simulate` is scripted simulation as it walked a spec, the oracle
-for ``services._simulate`` with services bound and without.
+numbers the finite product over those pairs, and :func:`walk_simulate` walks
+a spec under a reply script, the oracle for ``services._simulate`` with
+services bound and without.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def spec_apply_use(spec: LinearSpec, bindings) -> LinearSpec:
 
 
 def walk_simulate(spec: LinearSpec, bindings, script, max_steps: int = 1000) -> Trace:
-    """The walk simulate_with_services replaced: every visible step resolves
+    """Scripted simulation by its definition: every visible step resolves
     the silent steps that follow it afresh, with no table."""
     silent = SpecSilentSteps(spec, tuple(bindings))
     equation, states = spec.root, silent.initial

@@ -15,7 +15,7 @@ from pgarl import (
     BranchRef,
     DEADLOCK,
     Deadlock,
-    LinearSpec,
+    FullCounter,
     ReplyScript,
     STOP,
     Stop,
@@ -24,7 +24,6 @@ from pgarl import (
     defining_thread,
     extract_pga,
     format_program,
-    full_counter,
     parse_canonical,
     project_pure,
     refines,
@@ -33,7 +32,9 @@ from pgarl import (
     thread_equal,
 )
 
-from genprograms import random_pga, random_pgarl, random_spec, rewrite_with_axioms
+from genprograms import (
+    cycle_of, lin, random_pga, random_spec, rewrite_with_axioms, soundness_corpus,
+)
 
 SEED = 20260808
 
@@ -41,15 +42,6 @@ SEED = 20260808
 def report(number, ok, detail=""):
     print(f"{'PASS' if ok else 'FAIL'} criterion {number}{': ' + detail if detail else ''}")
     assert ok, f"criterion {number} failed: {detail}"
-
-
-def lin(*eqs, root=1):
-    return LinearSpec(tuple(eqs), root)
-
-
-def cycle_of(names):
-    n = len(names)
-    return lin(*[BranchRef(i % n + 1, Action(x), i % n + 1) for i, x in enumerate(names, 1)])
 
 
 def test_criterion_1_first_worked_example():
@@ -88,12 +80,9 @@ def test_criterion_3_annotation_golden():
 
 
 def test_criterion_4_soundness_at_desk_scale():
-    rng = random.Random(SEED)
     started = time.perf_counter()
     failures = []
-    shapes = ("omega", "finite", "mixed")
-    for i in range(500):
-        program = random_pgarl(rng, shape=shapes[i % 3])
+    for program in soundness_corpus():
         if not thread_equal(defining_thread(program), extract_pga(project_pure(program))):
             failures.append(format_program(program))
     elapsed = time.perf_counter() - started
@@ -178,7 +167,7 @@ def test_criterion_8_counter_trace_family():
     ok = True
     for n in range(51):
         script = ReplyScript(tuple([True] * n + [False] + [True] * n))
-        trace = simulate_with_services(spec, (("c", full_counter()),), script, max_steps=200)
+        trace = simulate_with_services(spec, (("c", FullCounter()),), script, max_steps=200)
         names = [str(action) for action in trace.actions]
         if names != ["a"] * (n + 1) + ["b"] * n or trace.status != "S":
             ok = False

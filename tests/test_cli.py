@@ -3,7 +3,6 @@ import contextlib
 import io
 import json
 import os
-import random
 import re
 import subprocess
 import sys
@@ -17,13 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgarl
-from pgarl.cli import EXIT_ILL_FORMED, _CliError, _parse_binding, main
-from pgarl.parser import ParseError, _Scanner
+from pgarl.cli import _parse_binding, main
 from pgarl.rigidloops import project
 from pgarl.services import BudgetExceeded, DownCounter, FullCounter
-from pgarl.threads import FOCUS
 
-from genprograms import random_pgarl
+from genprograms import soundness_corpus
 from treeoracle import number, tree_apply_use_bounded
 
 FIRST = "(3x{;a;b;4x{;c;}x;d;}x;e)^w"
@@ -791,7 +788,8 @@ PROBE = "(+c.dec;a;b)^w"
     "binding",
     ["c=dc(init=\u0661,max=\u0663)", "X Y=dc(max=1)", "c.d=dc()", "c=dc(max=1,max=2)",
      "c=dc(max=x)", "c=dc(max=" + "9" * 5000 + ")", "c=dc(init=3,max=1)", "c=spin()",
-     "c=counter(max=1)", "c=dc(init=1", "c=dc(init=1)x", "c=dc(init=1,)", "c=dc(init=+1)"],
+     "c=counter(max=1)", "c=dc(init=1", "c=dc(init=1)x", "c=dc(init=1,)", "c=dc(init=+1)",
+     "c=dc(init=1 max=2)", "c=counter()x"],
 )
 def test_malformed_binding_is_one_error(capsys, binding):
     code, out, err = run(capsys, "extract", "-e", PROBE, "--bind", binding)
@@ -813,80 +811,6 @@ def test_valid_bindings(capsys, binding, expected):
     code, out, err = run(capsys, "extract", "-e", "(+c:1.dec;a;b)^w", "--bind", binding,
                          "--depth", "2")
     assert code == 0 and err == ""
-
-
-def _replaced_parse_binding(text: str):
-    """The binding reader that _parse_binding replaced, kept as its oracle."""
-    focus, _, rest = text.partition("=")
-    focus = focus.strip()
-    rest = rest.strip()
-    if not focus or not rest:
-        raise _CliError(f"bad binding {text!r}; expected focus=dc(...) or focus=counter()",
-                        EXIT_ILL_FORMED)
-    if rest.startswith("dc(") and rest.endswith(")"):
-        init, limit = 0, 0
-        fields = rest[3:-1].strip()
-        if fields:
-            for field in fields.split(","):
-                key, _, value = field.partition("=")
-                key = key.strip()
-                if key == "init":
-                    init = int(value)
-                elif key == "max":
-                    limit = int(value)
-                else:
-                    raise _CliError(f"unknown dc() field {key!r}", EXIT_ILL_FORMED)
-        try:
-            return focus, DownCounter(init, limit)
-        except ValueError as exc:
-            raise _CliError(str(exc), EXIT_ILL_FORMED) from None
-    if rest.startswith("counter(") and rest.endswith(")"):
-        fields = rest[8:-1].strip()
-        init = 0
-        if fields:
-            key, _, value = fields.partition("=")
-            if key.strip() != "init":
-                raise _CliError(f"unknown counter() field {key.strip()!r}", EXIT_ILL_FORMED)
-            init = int(value)
-        return focus, FullCounter(init)
-    raise _CliError(f"bad service spec {rest!r}", EXIT_ILL_FORMED)
-
-
-_SPACES = st.sampled_from(("", "", " ", "  "))
-_DIGITS = st.text(alphabet="0123456789\u0663\u00b2", max_size=3)
-
-
-@st.composite
-def _binding_texts(draw):
-    """A binding text and the names of its fields."""
-    def sp():
-        return draw(_SPACES)
-
-    names = draw(st.lists(st.sampled_from(("init", "max", "foo", "")), max_size=3))
-    fields = ",".join(f"{sp()}{name}{sp()}={sp()}{draw(_DIGITS)}{sp()}" for name in names)
-    focus = draw(st.sampled_from(("c", "c:1", "rlc:5", "c:007", "d_2", "X Y", "c.d", "c:", "",
-                                  "9c", "C")))
-    kind = draw(st.sampled_from(("dc", "counter", "spin", "")))
-    closing = draw(st.sampled_from((")", ")", ")", "", ")x", ",)")))
-    return f"{sp()}{focus}{sp()}={sp()}{kind}{sp()}({sp()}{fields}{sp()}{closing}{sp()}", names
-
-
-@settings(max_examples=400, deadline=None)
-@given(_binding_texts())
-def test_binding_reader_matches_replaced_reader(drawn):
-    text, names = drawn
-    try:  # the replaced reader took no space between the kind and its parenthesis
-        expected = _replaced_parse_binding(re.sub(r"(dc|counter)\s+\(", r"\1(", text))
-    except (ValueError, _CliError):  # ValueError: int() on a field that is not a number
-        expected = None
-    digits = {ch for ch in text if ch.isdigit()}
-    if (expected is not None and digits <= set("0123456789") and FOCUS.fullmatch(expected[0])
-            and len(set(names)) == len(names)):
-        assert _parse_binding(text) == expected
-    else:
-        with pytest.raises(_CliError) as info:
-            _parse_binding(text)
-        assert info.value.code == 3 and str(info.value).startswith(f"bad binding {text!r}: ")
 
 
 def _pi_text(n, spec):
@@ -913,12 +837,10 @@ def test_extract_depth_cuts_with_finite_bindings_only(capsys):
     assert out == _pi_text(3, pgarl.apply_use(spec, [("c", DownCounter(1, 2))]))
 
 
-# -- extract --depth and equiv against the paths they replaced ------------------
+# -- extract --depth and equiv against the tree cut and built products ---------
 
 def _corpus_texts():
-    rng = random.Random(20260808)
-    return [pgarl.format_program(random_pgarl(rng, shape=("omega", "finite", "mixed")[i % 3]))
-            for i in range(500)]
+    return [pgarl.format_program(program) for program in soundness_corpus()]
 
 
 def _outcome(build):
@@ -942,8 +864,8 @@ def _product_first(text, binds):
 
 
 def _tree_then_number(text, binds, depth):
-    """The extract --depth path that numbering the cut's pairs replaced:
-    build the depth-cut tree, then number it."""
+    """extract --depth by the tree oracle: build the depth-cut tree of the
+    use operator, then number it."""
     tree = tree_apply_use_bounded(*_product_first(text, binds), depth)
     return 0, pgarl.format_spec(number(tree))
 
@@ -964,41 +886,6 @@ def test_extract_depth_matches_tree_then_number_on_corpus(capsys, monkeypatch):
     assert codes == {0, 4}
 
 
-def _product_then_cut(text, binds, depth):
-    """The extract --depth path over specs that composing state spaces
-    replaced: number the finite product, then cut it."""
-    return 0, pgarl.format_spec(pgarl.apply_use_bounded(*_product_first(text, binds), depth))
-
-
-def test_extract_depth_matches_product_then_cut_on_corpus(capsys, monkeypatch):
-    # wherever numbering the finite product first answers, the cut over the
-    # composed spaces prints the same; with a product budget of 6 states it
-    # may answer where the product ran out, and then prints what the product
-    # printed within the full budget
-    monkeypatch.setattr(pgarl.services, "SILENT_RUN_LIMIT", 200)
-    cut_first = 0
-    for i, text in enumerate(_corpus_texts()):
-        text = re.sub(r"\bd\b", "d.dec", re.sub(r"\bc\b", "c.inc", text))
-        binds = (["d=dc(init=3,max=5)"], ["c=counter(init=1)", "d=dc(init=3,max=5)"])[i % 2]
-        for depth in (i % 41, 40 - i % 41):
-            argv = ("extract", "-e", text, "--depth", str(depth),
-                    *(arg for bind in binds for arg in ("--bind", bind)))
-            full = _outcome(lambda: _product_then_cut(text, binds, depth))
-            for limit in (pgarl.services.PRODUCT_STATE_LIMIT, 6):
-                with monkeypatch.context() as patched:
-                    patched.setattr(pgarl.services, "PRODUCT_STATE_LIMIT", limit)
-                    composed = _outcome(lambda: _product_then_cut(text, binds, depth))
-                    lazy = run(capsys, *argv)
-                if composed[0] == 0:
-                    assert lazy == composed
-                elif lazy[0] == 0:
-                    assert full[0] != 0 or lazy == full
-                    cut_first += 1
-                else:
-                    assert lazy[0] == 4
-    assert cut_first > 0
-
-
 def test_extract_depth_steps_only_the_product_states_within_the_cut(capsys):
     # the finite product has two million states, more than its budget; the
     # cut at depth 3 meets four of them
@@ -1010,9 +897,9 @@ def test_extract_depth_steps_only_the_product_states_within_the_cut(capsys):
 
 
 def _build_then_compare(threads):
-    """The equiv path that the lazy comparison replaced: build both
-    products, then distinguish them. ``threads`` holds each program's
-    extracted thread and the bindings still to apply to it."""
+    """equiv by its definition: build both products, then distinguish
+    them. ``threads`` holds each program's extracted thread and the
+    bindings still to apply to it."""
     witness = pgarl.distinguish(
         *(pgarl.apply_use(spec, bindings) if bindings else spec for spec, bindings in threads)
     )
@@ -1055,67 +942,3 @@ def test_annotate_names_the_form_of_a_straddling_body(capsys):
     assert (code, out) == (3, "")
     assert err == ("annotate expects a repetition-free or fully repeating program; "
                    "this one reads as }x;(b;2x{;a;}x)^w\n")
-
-
-# -- the scanner against the character loops it replaced ----------------------
-
-class _ReplacedScanner(_Scanner):
-    """The scanner with the character loops that the shared name and number
-    patterns replaced, kept as their oracle."""
-
-    def take_nat(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while "0" <= self.peek() <= "9":
-            self.pos += 1
-        if start == self.pos:
-            raise self.error("expected a number")
-        try:
-            return int(self.text[start : self.pos])
-        except ValueError:  # past the interpreter's limit on integer digits
-            raise self.error("number too long", start) from None
-
-    def take_ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        ch = self.peek()
-        if not ("a" <= ch <= "z"):
-            raise self.error("expected an identifier")
-        while True:
-            ch = self.peek()
-            if ("a" <= ch <= "z") or ("0" <= ch <= "9") or ch == "_":
-                self.pos += 1
-            else:
-                break
-        return self.text[start : self.pos]
-
-
-# whitespace inside an action, which is one token: each is a parse error
-_SPACED_ACTIONS = ("c: 1.dec", "+c:1. dec", "c:1.dec: 2", "-c.\tdec")
-
-_SCANNER_TOKENS = st.one_of(
-    _TOKENS,
-    st.sampled_from(("#\u0663", "#\u00b2", "\u0663x{", "a\u0663", " a ", "2 x{", "2x {",
-                     "rlc:5.set:1", "c : 1.dec", "c:1 . dec", "a:1", "#4( 7 , 3 )(9,2)",
-                     "2}x 7", "3 }x2", "u( a ; #2 )", "#" + "9" * 5000, "_a", "a_b2", "A")
-                    + _SPACED_ACTIONS),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_SCANNER_TOKENS, max_size=6), st.sampled_from((";", " ; ", ";\n")),
-       st.booleans())
-def test_scanner_matches_replaced_loops(tokens, separator, repeat):
-    text = separator.join(tokens)
-    if repeat:
-        text = f"( {text} )^w"
-    outcomes = []
-    for scanner in (_Scanner, _ReplacedScanner):
-        with mock.patch.object(pgarl.parser, "_Scanner", scanner):
-            try:
-                outcomes.append(pgarl.parse_program(text))
-            except ParseError as exc:
-                outcomes.append((str(exc), exc.line, exc.column))
-    assert outcomes[0] == outcomes[1]
-    if any(token in _SPACED_ACTIONS for token in tokens):
-        assert isinstance(outcomes[0], tuple)

@@ -43,13 +43,9 @@ from pgarl.program import program_instructions
 from pgarl.extraction import _table_states
 from pgarl.threads import _spec_states, explore, first_difference
 
-from genprograms import random_pga, random_pgarl, random_spec
+from genprograms import lin, random_pga, random_spec, soundness_corpus
 
 a, b, c, d, e = (Action(n) for n in "abcde")
-
-
-def lin(*eqs, root=1):
-    return LinearSpec(tuple(eqs), root)
 
 
 # -- thread extraction conformance (the four worked examples) ------------------
@@ -309,7 +305,7 @@ def test_unit_inlining_coherence(seed):
     assert thread_equal(extract_pgau(with_unit), extract_pga(spliced))
 
 
-# -- the flat table against the position walker it replaced -------------------
+# -- the flat table against the position walker, its normative oracle ----------
 
 def _oracle_reject_rigid(program):
     for ins in program_instructions(program):
@@ -449,10 +445,7 @@ def _assert_matches_walker(program):
 
 
 def test_flat_table_matches_walker_on_soundness_corpus():
-    rng = random.Random(20260808)
-    shapes = ("omega", "finite", "mixed")
-    for i in range(500):
-        program = random_pgarl(rng, shape=shapes[i % 3])
+    for program in soundness_corpus():
         _assert_matches_walker(program)
         _assert_matches_walker(project_counter(program).program)
         _assert_matches_walker(project_pure(program))
@@ -580,10 +573,8 @@ _UNIT_JUMP_PROGRAMS = (
 
 
 def test_table_steps_match_walker_on_soundness_corpus():
-    rng = random.Random(20260808)
-    shapes = ("omega", "finite", "mixed")
-    for i in range(500):
-        program = random_pgarl(rng, shape=shapes[i % 3])
+    rng = random.Random(20260808)  # the order in which each program's steps are checked
+    for program in soundness_corpus():
         _assert_steps_match_walker(project_counter(program).program, rng)
         _assert_steps_match_walker(project_pure(program), rng)
 

@@ -120,6 +120,9 @@ PINNED_PARSE_ERRORS = {
         "a;}y",
         "a;3}y2",
         "a;",
+        "-c.\tdec",
+        "_a",
+        "c._d",
     ],
 )
 def test_parse_errors(bad):

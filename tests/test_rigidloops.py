@@ -16,7 +16,6 @@ from pgarl import (
     DownCounter,
     HALT,
     Jump,
-    LinearSpec,
     LoopClose,
     LoopHeader,
     NegTest,
@@ -42,23 +41,14 @@ from pgarl import (
     thread_equal,
     validate_pgarl,
 )
-from pgarl.rigidloops import _SKIP, _match_loops, _omega_form, _pure_layout, _unsplit_loops
+from pgarl import rigidloops
+from pgarl.rigidloops import _match_loops, _omega_form, _unsplit_loops, project
 from pgarl.services import apply_bindings
 
-from genprograms import random_pgarl
+from genprograms import cycle_of, lin, random_pgarl, soundness_corpus
 from streamsemantics import stream_pi
 
 a = Action("a")
-
-
-def lin(*eqs, root=1):
-    return LinearSpec(tuple(eqs), root)
-
-
-def cycle_of(names):
-    """The infinite thread repeating the given action names."""
-    n = len(names)
-    return lin(*[BranchRef(i % n + 1, Action(x), i % n + 1) for i, x in enumerate(names, 1)])
 
 
 FIRST = "(3x{;a;b;4x{;c;}x;d;}x;e)^w"
@@ -212,6 +202,15 @@ def test_counter_projection_loop_free_identity():
     assert projected.program == program and projected.bindings == ()
 
 
+def test_omega_form_folds_prefix_jumps_into_the_first_period():
+    # k = 2 prefix instructions and m = 3 in the body: a jump from position i
+    # longer than k - i + m lands in a later period and is shortened by whole
+    # periods, so #5 from position 1 lands where #2 does
+    folded = [_omega_form(parse_canonical(f"#{d};#9;(a;b;c)^w"))[:2] for d in range(1, 11)]
+    distances = [1, 2, 3, 4, 2, 3, 4, 2, 3, 4]
+    assert folded == [(Jump(d), Jump(3)) for d in distances]
+
+
 def test_defining_thread_first_example():
     spec = defining_thread(parse_canonical(FIRST))
     expected = cycle_of((["a", "b"] + ["c"] * 4 + ["d"]) * 3 + ["e"])
@@ -292,13 +291,12 @@ def test_closure_unit_in_isolation():
     # The five-instruction closure unit, checked on its own against a
     # two-state reading: a successful decrement resumes the loop body start,
     # a failed one resets the counter and falls out of the unit.
-    from pgarl import down_counter, extract_pgau, parse_program, canonicalize
     from pgarl.services import apply_use_finite
 
     for n in range(3):
         unit = f"u(+t:1.dec;#3;t:1.set:{n};#2;#3)"
         program = canonicalize(parse_program(f"(a;b;{unit};c)^w"))
-        spec = apply_use_finite(extract_pgau(program), "t:1", down_counter(n, max=n))
+        spec = apply_use_finite(extract_pgau(program), "t:1", DownCounter(n, n))
         expected = cycle_of(["a"] + ["b"] * (n + 1) + ["c"])
         assert thread_equal(spec, expected)
 
@@ -363,7 +361,25 @@ def test_pure_length_budget():
         project_pure(program)
 
 
-# -- the replaced unrolling, kept as the oracle for project_pure ----------------
+def test_unsplit_budget_counts_the_moved_instructions(monkeypatch):
+    # a written prefix longer than the limit moves nothing, so every reader
+    # takes it; the boundary of 2x{;2x{;(}x;a;…)^w moves one period and one
+    # instruction, 10 for a body of 9 and 11 for a body of 10
+    monkeypatch.setattr(rigidloops, "UNSPLIT_LENGTH_LIMIT", 10)
+    for text in ("a;" * 12 + "(b;#0)^w", "a;" * 12 + "2x{;c;}x;(b;#0)^w"):
+        program = parse_canonical(text)
+        assert validate_pgarl(program) == []
+        assert project(program, "pure").program == project_pure(program)
+        assert thread_equal(defining_thread(program), extract_pgau(project_pure(program)))
+    within, past = (parse_canonical("2x{;2x{;(}x;" + "a;" * n + "a)^w") for n in (7, 8))
+    assert len(_unsplit_loops(within).prefix) == 2 + 10
+    assert thread_equal(defining_thread(within), extract_pgau(project_pure(within)))
+    for reader in (validate_pgarl, project_pure, defining_thread, lambda p: project(p, "pure")):
+        with pytest.raises(BudgetExceeded, match="would exceed 10 instructions"):
+            reader(past)
+
+
+# -- the pure projection by expansion equations, its normative oracle ----------
 
 def _gap_crossings(lo: int, hi: int, first_gap: int, period: int | None) -> int:
     """How many insertion gaps (at first_gap, first_gap+period, ...) lie in
@@ -461,13 +477,6 @@ def _unrolled(program):
     return CanonicalProgram(tuple(prefix), tuple(body) if body else None)
 
 
-def _soundness_corpus():
-    """The 500 programs of acceptance criterion 4."""
-    rng = random.Random(20260808)
-    shapes = ("omega", "finite", "mixed")
-    return [random_pgarl(rng, shape=shapes[i % 3]) for i in range(500)]
-
-
 def _stretched(rng, program, body_limit):
     """The program with every jump distance drawn again: prefix jumps up to
     three times the program length, body jumps up to ``body_limit``."""
@@ -484,7 +493,7 @@ def test_written_and_canonical_forms_share_one_meaning():
     # canonicalize can split a loop across the repetition boundary; the form
     # as written, its canonical form and the canonical form's pure projection
     # still give one thread
-    for program in _soundness_corpus():
+    for program in soundness_corpus():
         canonical = canonicalize(parse_program(format_program(program)))
         expected = defining_thread(program)
         assert thread_equal(defining_thread(canonical), expected), format_program(program)
@@ -492,7 +501,7 @@ def test_written_and_canonical_forms_share_one_meaning():
 
 
 def test_written_and_canonical_forms_share_one_loop_product():
-    for program in _soundness_corpus():
+    for program in soundness_corpus():
         canonical = canonicalize(parse_program(format_program(program)))
         assert size_report(canonical).loop_product == size_report(program).loop_product
 
@@ -501,19 +510,6 @@ def _sequences(alphabet, longest, shortest=1):
     return [
         seq for n in range(shortest, longest + 1) for seq in itertools.product(alphabet, repeat=n)
     ]
-
-
-def _unsplit_one_move_at_a_time(program):
-    """The replaced walk, kept as an oracle: rematch the whole window of two
-    periods after every move of the boundary, until no pair crosses the
-    boundary or the end of the first period."""
-    prefix, body = program.prefix, program.body
-    while True:
-        pairs, _, _ = _match_loops(prefix + body + body)
-        ends = (len(prefix), len(prefix) + len(body))
-        if not any(h <= end < c for c, h in pairs.items() for end in ends):
-            return CanonicalProgram(prefix, body)
-        prefix, body = prefix + body[:1], body[1:] + body[:1]
 
 
 def test_unsplit_moves_are_bounded():
@@ -525,7 +521,6 @@ def test_unsplit_moves_are_bounded():
         for body in _sequences(alphabet, 4):
             program = CanonicalProgram(prefix, body)
             unsplit = _unsplit_loops(program)
-            assert unsplit == _unsplit_one_move_at_a_time(program), format_program(program)
             moves = len(unsplit.prefix) - len(prefix)
             assert moves <= len(body) * (headers + 1), format_program(program)
             pairs, _, _ = _match_loops(unsplit.prefix + unsplit.body)
@@ -551,7 +546,7 @@ def test_projections_agree_with_stream_interpreter():
 
 
 def test_pure_matches_unrolling_oracle_on_soundness_corpus():
-    for program in _soundness_corpus():
+    for program in soundness_corpus():
         expected = format_program(_unrolled(program))
         assert format_program(project_pure(program)) == expected, format_program(program)
 
@@ -590,12 +585,11 @@ def test_pure_agrees_with_defining_thread_on_long_jumps():
         ), format_program(program)
 
 
-# -- the replaced walks, kept as oracles for annotate, _omega_form and the
-# -- emission pass of project_pure
+# -- annotate by stepping along every jump's path, its normative oracle --------
 
 def _annotate_by_stepping(instructions, cyclic=False):
-    """The replaced annotate: a jump collects the closures it crosses by
-    stepping through every position on its path."""
+    """Annotation by its definition: a jump collects the closures it crosses
+    by stepping through every position on its path."""
     items = list(instructions)
     n = len(items)
     pairs, _, lonely_closures = _match_loops(items)
@@ -621,76 +615,6 @@ def _annotate_by_stepping(instructions, cyclic=False):
             if crossed:
                 items[pos - 1] = AnnJump(ins.distance, tuple(sorted(crossed.items())))
     return tuple(items)
-
-
-def _omega_prefix_by_subtraction(program):
-    """The replaced prefix fold of _omega_form: a jump that lands past the
-    first period is shortened by one period at a time."""
-    k, m = len(program.prefix), len(program.body)
-    head = []
-    for i, ins in enumerate(program.prefix, 1):
-        if isinstance(ins, Jump):
-            distance = ins.distance
-            while distance > k - i + m:
-                distance -= m
-            ins = Jump(distance)
-        head.append(ins)
-    return tuple(head)
-
-
-def _pure_by_counting_left_loops(program):
-    """The replaced emission pass of project_pure: each jump counts the
-    enclosing loops it leaves, and each loop hands the count less one on to
-    the loop around it."""
-    layout = _pure_layout(program)
-    source, plen, first = layout.source, layout.prefix_len, layout.first
-    closes = {h: c for c, h in _match_loops(source)[0].items()}
-    n = len(source)
-    period = first[-1] - first[plen + 1]
-
-    def target(q):
-        if q <= n:
-            return first[q]
-        if not program.body:
-            return first[-1] + q - n - 1
-        periods, offset = divmod(q - plen - 1, n - plen)
-        return first[plen + 1 + offset] + periods * period
-
-    out = []
-    frames = []
-    for pos, ins in enumerate(source, 1):
-        if isinstance(ins, LoopHeader):
-            frames.append((closes[pos], ins.count, len(out), []))
-            out.append(_SKIP)
-        elif isinstance(ins, LoopClose):
-            out.append(_SKIP)
-            _, count, start, leaving = frames.pop()
-            block = out[start:]
-            size = len(block)
-            out.extend(block * (count - 1))
-            for i in range(1, count):
-                for index, _ in leaving:
-                    at = index + i * size
-                    out[at] = Jump(out[at].distance - i * size)
-            if frames:
-                frames[-1][3].extend(
-                    (index + i * size, more - 1)
-                    for i in range(count)
-                    for index, more in leaving
-                    if more
-                )
-        elif isinstance(ins, Jump) and ins.distance:
-            q = pos + ins.distance
-            out.append(Jump(target(q) - first[pos]))
-            left = 0
-            while left < len(frames) and frames[-1 - left][0] < q:
-                left += 1
-            if left:
-                frames[-1][3].append((len(out) - 1, left - 1))
-        else:
-            out.append(ins)
-    cut = first[plen + 1] - 1
-    return CanonicalProgram(tuple(out[:cut]), tuple(out[cut:]) if program.body else None)
 
 
 def _deep_segment(rng, budget, depth=0):
@@ -736,12 +660,8 @@ def _deep_programs(count, seed):
     return programs
 
 
-def _oracle_programs():
-    return _soundness_corpus() + _deep_programs(400, 1059)
-
-
 def test_annotate_matches_stepping_oracle():
-    for program in _oracle_programs():
+    for program in soundness_corpus() + tuple(_deep_programs(400, 1059)):
         for part, cyclic in ((program.prefix, False), (program.body, True)):
             if part:
                 assert annotate(part, cyclic) == _annotate_by_stepping(part, cyclic), (
@@ -749,22 +669,8 @@ def test_annotate_matches_stepping_oracle():
                 )
 
 
-def test_omega_form_matches_subtraction_oracle():
-    for program in _oracle_programs():
-        if program.prefix and program.body:
-            expected = _omega_prefix_by_subtraction(program)
-            assert _omega_form(program)[: len(program.prefix)] == expected, format_program(program)
-
-
-def test_pure_emission_matches_counting_oracle():
-    for program in _oracle_programs():
-        assert format_program(project_pure(program)) == format_program(
-            _pure_by_counting_left_loops(program)
-        ), format_program(program)
-
-
 def test_size_report_pure_len_is_closed_form():
-    for program in _soundness_corpus():
+    for program in soundness_corpus():
         assert size_report(program).pure_len == len(project_pure(program))
 
 

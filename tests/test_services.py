@@ -13,6 +13,7 @@ from pgarl import (
     CoAction,
     DEADLOCK,
     DivergenceSuspected,
+    DownCounter,
     FullCounter,
     LinearSpec,
     ProjectedProgram,
@@ -22,11 +23,9 @@ from pgarl import (
     apply_use,
     apply_use_bounded,
     canonicalize,
-    down_counter,
     extract_pgau,
     format_program,
     format_spec,
-    full_counter,
     parse_canonical,
     parse_program,
     pi,
@@ -48,7 +47,7 @@ from pgarl.services import (
 )
 from pgarl.threads import _spec_states, explore
 
-from genprograms import random_pgarl, random_spec
+from genprograms import after_soundness_corpus, lin, random_spec, soundness_corpus
 from specoracle import SpecSilentSteps, spec_apply_use, walk_simulate
 from treeoracle import Branch, number, tree_apply_use_bounded
 
@@ -56,10 +55,6 @@ a = Action("a")
 b = Action("b")
 c_dec = Action("dec", focus="c")
 c_inc = Action("inc", focus="c")
-
-
-def lin(*eqs, root=1):
-    return LinearSpec(tuple(eqs), root)
 
 
 def counter_spec():
@@ -76,25 +71,25 @@ def counter_spec():
 # -- counters -----------------------------------------------------------------
 
 def test_down_counter_reply_discipline():
-    dc = down_counter(1, max=3)
+    dc = DownCounter(1, 3)
     reply, state = dc.step(dc.initial, CoAction("dec"))
     assert (reply, state) == (True, 0)
     assert dc.step(state, CoAction("dec")) == (False, 0)
 
 
 def test_down_counter_set():
-    dc = down_counter(0, max=5)
+    dc = DownCounter(0, 5)
     assert dc.step(0, CoAction("set", 5)) == (True, 5)
 
 
 def test_down_counter_fresh_is_zero():
-    dc = down_counter(max=4)
+    dc = DownCounter(0, 4)
     assert dc.initial == 0
     assert dc.step(dc.initial, CoAction("dec"))[0] is False
 
 
 def test_down_counter_alphabet_excludes_large_set():
-    dc = down_counter(0, max=3)
+    dc = DownCounter(0, 3)
     assert dc.accepts(CoAction("set", 3))
     assert not dc.accepts(CoAction("set", 4))
     assert not dc.accepts(CoAction("inc"))
@@ -102,7 +97,7 @@ def test_down_counter_alphabet_excludes_large_set():
 
 def test_down_counter_initial_above_max_rejected():
     with pytest.raises(ValueError):
-        down_counter(7, max=3)
+        DownCounter(7, 3)
 
 
 def test_full_counter_negative_initial_rejected():
@@ -111,7 +106,7 @@ def test_full_counter_negative_initial_rejected():
 
 
 def test_full_counter_sequence():
-    fc = full_counter()
+    fc = FullCounter()
     replies = []
     state = fc.initial
     for name in ("inc", "inc", "dec", "dec", "dec"):
@@ -121,7 +116,7 @@ def test_full_counter_sequence():
 
 
 def test_full_counter_fresh_dec_false():
-    fc = full_counter()
+    fc = FullCounter()
     assert fc.step(fc.initial, CoAction("dec")) == (False, 0)
 
 
@@ -129,13 +124,13 @@ def test_full_counter_fresh_dec_false():
 
 def test_use_dec_on_zero_terminates():
     spec = lin(BranchRef(1, c_dec, 2), STOP)  # P <c.dec> S with P looping
-    assert thread_equal(apply_use_finite(spec, "c", down_counter(0, max=3)), lin(STOP))
+    assert thread_equal(apply_use_finite(spec, "c", DownCounter(0, 3)), lin(STOP))
 
 
 def test_use_dec_counts_down():
     # (P <c.dec> S) with P = b-prefixed restart, counter at 2: two b's then S
     spec = lin(BranchRef(2, c_dec, 3), BranchRef(1, b, 1), STOP)
-    used = apply_use_finite(spec, "c", down_counter(2, max=2))
+    used = apply_use_finite(spec, "c", DownCounter(2, 2))
     expected = lin(BranchRef(2, b, 2), BranchRef(3, b, 3), STOP)
     assert thread_equal(used, expected)
 
@@ -144,30 +139,30 @@ def test_use_pass_through_when_focus_absent():
     rng = random.Random(5)
     for _ in range(50):
         spec = random_spec(rng)
-        used = apply_use_finite(spec, "c", down_counter(0, max=2))
+        used = apply_use_finite(spec, "c", DownCounter(0, 2))
         assert thread_equal(used, spec)
 
 
 def test_use_foreign_co_action_deadlocks():
     spec = lin(BranchRef(2, Action("frobnicate", focus="c"), 2), STOP)
-    assert thread_equal(apply_use_finite(spec, "c", down_counter(0, max=1)), lin(DEADLOCK))
+    assert thread_equal(apply_use_finite(spec, "c", DownCounter(0, 1)), lin(DEADLOCK))
 
 
 def test_use_silent_cycle_deadlocks():
     spec = lin(BranchRef(1, c_dec, 1))  # consumes dec forever
-    assert thread_equal(apply_use_finite(spec, "c", down_counter(0, max=2)), lin(DEADLOCK))
+    assert thread_equal(apply_use_finite(spec, "c", DownCounter(0, 2)), lin(DEADLOCK))
 
 
 def test_use_requires_enumeration():
     with pytest.raises(ServiceError):
-        apply_use_finite(counter_spec(), "c", full_counter())
+        apply_use_finite(counter_spec(), "c", FullCounter())
 
 
 def test_finiteness_is_a_flag_not_a_state_list():
     # a down counter's states 0..limit are never listed, however large
-    assert down_counter(0, max=10**12).finite and not full_counter().finite
+    assert DownCounter(0, 10**12).finite and not FullCounter().finite
     spec = lin(BranchRef(2, c_dec, 2), BranchRef(2, a, 2))
-    used = apply_use_finite(spec, "c", down_counter(10**12, max=10**12))
+    used = apply_use_finite(spec, "c", DownCounter(10**12, 10**12))
     assert thread_equal(used, lin(BranchRef(1, a, 1)))
 
 
@@ -175,7 +170,7 @@ def test_product_silent_runs_are_bounded(monkeypatch):
     # 30 decrements before the count runs out; the product resolves silent
     # runs with the same per-run budget as the bounded form and simulation
     spec = lin(BranchRef(1, c_dec, 2), BranchRef(2, a, 2))
-    svc = down_counter(30, max=30)
+    svc = DownCounter(30, 30)
     assert thread_equal(apply_use_finite(spec, "c", svc), lin(BranchRef(1, a, 1)))
     monkeypatch.setattr(services, "SILENT_RUN_LIMIT", 20)
     with pytest.raises(DivergenceSuspected, match="within 20 consumed steps"):
@@ -187,7 +182,7 @@ def test_bounded_unfolding_has_a_size_budget(monkeypatch):
     # n (depth, state) pairs
     monkeypatch.setattr(services, "PRODUCT_STATE_LIMIT", 1000)
     spec = lin(BranchRef(2, a, 2), BranchRef(1, c_inc, 1))
-    bindings = (("c", full_counter()),)
+    bindings = (("c", FullCounter()),)
     cut = apply_use_bounded(spec, bindings, 1000)
     assert cut.rhs(cut.root).action == a
     with pytest.raises(BudgetExceeded, match="more than 1000 states"):
@@ -198,7 +193,7 @@ def test_product_size_bound():
     rng = random.Random(11)
     for _ in range(100):
         spec = random_spec(rng)
-        svc = down_counter(0, max=2)
+        svc = DownCounter(0, 2)
         used = apply_use_finite(spec, "c", svc)
         assert len(used.equations) <= len(spec.equations) * (svc.limit + 1) + 2
 
@@ -206,7 +201,7 @@ def test_product_size_bound():
 # -- use operator, bounded ----------------------------------------------------
 
 def test_bounded_depth_zero_is_deadlock():
-    cut = apply_use_bounded(counter_spec(), (("c", full_counter()),), 0)
+    cut = apply_use_bounded(counter_spec(), (("c", FullCounter()),), 0)
     assert cut.rhs(cut.root) == DEADLOCK
 
 
@@ -220,8 +215,8 @@ def test_bounded_counter_law_inc():
                 for e in spec.equations
             ]
         )
-        left = apply_use_bounded(with_inc, (("c", full_counter(n)),), 6)
-        right = apply_use_bounded(spec, (("c", full_counter(n + 1)),), 6)
+        left = apply_use_bounded(with_inc, (("c", FullCounter(n)),), 6)
+        right = apply_use_bounded(spec, (("c", FullCounter(n + 1)),), 6)
         assert thread_equal(left, right)
 
 
@@ -251,7 +246,7 @@ def test_bounded_matches_finite_product():
     rng = random.Random(23)
     for _ in range(300):
         spec = random_spec(rng)
-        svc = down_counter(rng.randint(0, 2), max=2)
+        svc = DownCounter(rng.randint(0, 2), 2)
         depth = rng.randint(0, 6)
         bounded = apply_use_bounded(spec, (("c", svc),), depth)
         product = apply_use_finite(spec, "c", svc)
@@ -261,7 +256,7 @@ def test_bounded_matches_finite_product():
     for _ in range(300):
         spec = _focused_spec(rng)
         bindings = tuple(
-            (focus, down_counter(rng.randint(0, 2), max=2)) for focus in FOCI[: rng.randint(1, 3)]
+            (focus, DownCounter(rng.randint(0, 2), 2)) for focus in FOCI[: rng.randint(1, 3)]
         )
         depth = rng.randint(0, 6)
         bounded = apply_use_bounded(spec, bindings, depth)
@@ -273,7 +268,7 @@ def test_bounded_matches_finite_product():
 
 def test_bounded_consumes_every_binding_in_one_pass():
     spec = extract_pgau(parse_canonical("(a;c.inc;d.inc)^w"))
-    bindings = (("c", full_counter()), ("d", full_counter()))
+    bindings = (("c", FullCounter()), ("d", FullCounter()))
     a_loop = lin(BranchRef(1, a, 1))
     for depth in range(5):
         assert thread_equal(apply_use_bounded(spec, bindings, depth), pi(depth, a_loop, 1))
@@ -281,8 +276,8 @@ def test_bounded_consumes_every_binding_in_one_pass():
 
 def test_bounded_rejects_negative_depth():
     with pytest.raises(ValueError, match="natural number"):
-        apply_use_bounded(counter_spec(), (("c", full_counter()),), -1)
-    twice = (("c", full_counter()), ("c", full_counter()))  # the depth is checked first
+        apply_use_bounded(counter_spec(), (("c", FullCounter()),), -1)
+    twice = (("c", FullCounter()), ("c", FullCounter()))  # the depth is checked first
     with pytest.raises(ValueError, match="^depth must be a natural number, got -1$"):
         apply_use_bounded(counter_spec(), twice, -1)
 
@@ -292,7 +287,7 @@ def test_silent_run_limit_counts_consumed_steps():
     # reach it, a limit of 2 stops the run before its third step
     spec = lin(BranchRef(2, c_inc, 2), BranchRef(3, c_inc, 3), BranchRef(4, c_inc, 4),
                BranchRef(4, a, 4))
-    silent = _SilentSteps(_spec_states(spec), (("c", full_counter()),))
+    silent = _SilentSteps(_spec_states(spec), (("c", FullCounter()),))
     with mock.patch.object(services, "SILENT_RUN_LIMIT", 3):
         assert silent.resolve(spec.root, silent.initial) == (4, (3,))
     assert silent.resolve(spec.root, silent.initial) == (4, (3,))
@@ -304,88 +299,16 @@ def test_silent_run_limit_counts_consumed_steps():
 def test_bounded_budget_exhaustion():
     inc_forever = lin(BranchRef(1, c_inc, 1))
     with pytest.raises(DivergenceSuspected):
-        apply_use_bounded(inc_forever, (("c", full_counter()),), 1)
+        apply_use_bounded(inc_forever, (("c", FullCounter()),), 1)
 
 
 def test_bounded_silent_cycle_is_deadlock():
     dec_forever = lin(BranchRef(1, c_dec, 1))
-    cut = apply_use_bounded(dec_forever, (("c", down_counter(0, max=1)),), 5)
+    cut = apply_use_bounded(dec_forever, (("c", DownCounter(0, 1)),), 5)
     assert cut.rhs(cut.root) == DEADLOCK
 
 
-# -- the replaced bounded use loop, kept as the oracle ---------------------------
-
-def _memo_apply_use_bounded(spec, bindings, depth):
-    silent = SpecSilentSteps(spec, tuple(bindings))
-    memo = {}
-    branches = {}
-    root = (spec.root, silent.initial, depth)
-    stack = [root]
-    while stack:
-        key = stack[-1]
-        if key in memo:
-            stack.pop()
-            continue
-        pending = branches.pop(key, None)
-        if pending is not None:
-            action, yes, no = pending
-            memo[key] = Branch(memo[yes], action, memo[no])
-            stack.pop()
-            continue
-        equation, states, remaining = key
-        outcome = DEADLOCK if remaining == 0 else silent.resolve(equation, states)
-        if outcome is STOP or outcome is DEADLOCK:
-            memo[key] = outcome
-            stack.pop()
-            continue
-        at_equation, at_states = outcome
-        rhs = spec.rhs(at_equation)
-        yes = (rhs.yes, at_states, remaining - 1)
-        no = (rhs.no, at_states, remaining - 1)
-        branches[key] = (rhs.action, yes, no)
-        stack.append(no)
-        stack.append(yes)
-    return number(memo[root])
-
-
-def _outcome(function, *args):
-    try:
-        thread = function(*args)
-    except DivergenceSuspected as exc:
-        return str(exc)
-    return format_spec(thread)
-
-
-@settings(max_examples=60)
-@given(st.integers(min_value=0, max_value=2**32))
-def test_bounded_matches_replaced_loop(seed):
-    # full and down counters on the foci the spec requests; a small silent
-    # run limit makes increment loops stop with DivergenceSuspected at once
-    rng = random.Random(seed)
-    spec = _focused_spec(rng, methods=("dec", "inc", "set"))
-    counters = (lambda: full_counter(rng.randint(0, 2)), lambda: down_counter(rng.randint(0, 2), 3))
-    bindings = tuple((focus, rng.choice(counters)()) for focus in FOCI[: rng.randint(1, 3)])
-    with mock.patch.object(services, "SILENT_RUN_LIMIT", 20):
-        for depth in range(9):
-            assert _outcome(apply_use_bounded, spec, bindings, depth) == _outcome(
-                _memo_apply_use_bounded, spec, bindings, depth
-            )
-
-
-def test_bounded_divergence_below_the_root_matches_replaced_loop():
-    spec = lin(BranchRef(2, a, 1), BranchRef(2, c_inc, 2))
-    bindings = (("c", full_counter()),)
-    with mock.patch.object(services, "SILENT_RUN_LIMIT", 20):
-        for depth in range(4):
-            assert _outcome(apply_use_bounded, spec, bindings, depth) == _outcome(
-                _memo_apply_use_bounded, spec, bindings, depth
-            )
-        assert _outcome(apply_use_bounded, spec, bindings, 2) == (
-            "no visible progress within 20 consumed steps"
-        )
-
-
-# -- the tree cut that apply_use_bounded replaced, kept as the oracle ------------
+# -- the bounded use operator as a tree cut, its normative oracle --------------
 
 def _cut_outcome(function, *args):
     try:
@@ -395,12 +318,25 @@ def _cut_outcome(function, *args):
     return format_spec(cut if isinstance(cut, LinearSpec) else number(cut))
 
 
+def test_bounded_divergence_below_the_root_matches_replaced_loop():
+    spec = lin(BranchRef(2, a, 1), BranchRef(2, c_inc, 2))
+    bindings = (("c", FullCounter()),)
+    with mock.patch.object(services, "SILENT_RUN_LIMIT", 20):
+        for depth in range(4):
+            assert _cut_outcome(apply_use_bounded, spec, bindings, depth) == _cut_outcome(
+                tree_apply_use_bounded, spec, bindings, depth
+            )
+        assert _cut_outcome(apply_use_bounded, spec, bindings, 2) == (
+            "DivergenceSuspected", "no visible progress within 20 consumed steps"
+        )
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32))
 def test_bounded_matches_tree_oracle(seed):
     rng = random.Random(seed)
     spec = _focused_spec(rng, methods=("dec", "inc", "set"))
-    counters = (lambda: full_counter(rng.randint(0, 2)), lambda: down_counter(rng.randint(0, 2), 3))
+    counters = (lambda: FullCounter(rng.randint(0, 2)), lambda: DownCounter(rng.randint(0, 2), 3))
     bindings = tuple((focus, rng.choice(counters)()) for focus in FOCI[: rng.randint(1, 3)])
     with mock.patch.object(services, "SILENT_RUN_LIMIT", 20):
         for depth in range(41):
@@ -412,9 +348,8 @@ def test_bounded_matches_tree_oracle(seed):
 def _counting_corpus():
     """The soundness corpus with c and d turned into counter actions: each
     program's counter projection, numbered from 0."""
-    rng = random.Random(20260808)
-    for i in range(500):
-        text = format_program(random_pgarl(rng, shape=("omega", "finite", "mixed")[i % 3]))
+    for i, program in enumerate(soundness_corpus()):
+        text = format_program(program)
         text = re.sub(r"\bd\b", "d.dec", re.sub(r"\bc\b", "c.inc", text))
         yield i, project_counter(parse_canonical(text))
 
@@ -428,8 +363,8 @@ def test_bounded_matches_tree_oracle_on_corpus(monkeypatch):
     for i, projected in _counting_corpus():
         spec = extract_pgau(projected.program)
         bindings = projected.bindings + (
-            (("c", full_counter()),),
-            (("c", full_counter(2)), ("d", down_counter(1, max=2))),
+            (("c", FullCounter()),),
+            (("c", FullCounter(2)), ("d", DownCounter(1, 2))),
         )[i % 2]
         for depth in (i % 41, 40 - i % 41):
             outcome = _cut_outcome(apply_use_bounded, spec, bindings, depth)
@@ -438,7 +373,7 @@ def test_bounded_matches_tree_oracle_on_corpus(monkeypatch):
     assert outcomes == {str, tuple}
 
 
-# -- the spec-reading resolver and product, kept as the oracle ------------------
+# -- the spec-reading resolver and product, normative oracles ------------------
 
 def _resolved(silent, state, states):
     try:
@@ -456,8 +391,8 @@ def test_resolve_matches_spec_reading_resolver_on_corpus(monkeypatch):
     for i, projected in _counting_corpus():
         spec = extract_pgau(projected.program)
         bindings = projected.bindings + (
-            (("c", full_counter()),),
-            (("c", full_counter(2)), ("d", down_counter(1, max=2))),
+            (("c", FullCounter()),),
+            (("c", FullCounter(2)), ("d", DownCounter(1, 2))),
         )[i % 2]
         silent = _SilentSteps(_spec_states(spec), bindings)
         oracle = SpecSilentSteps(spec, bindings)
@@ -481,8 +416,8 @@ def test_product_of_the_table_matches_spec_reading_product_on_corpus(monkeypatch
     for i, projected in _counting_corpus():
         program = projected.program
         bindings = projected.bindings + (
-            (("d", down_counter(1, max=2)),),
-            (("c", down_counter(2, max=3)), ("d", down_counter(0, max=1))),
+            (("d", DownCounter(1, 2)),),
+            (("c", DownCounter(2, 3)), ("d", DownCounter(0, 1))),
         )[i % 2]
         for limit in (services.PRODUCT_STATE_LIMIT, 4):
             with mock.patch.object(services, "PRODUCT_STATE_LIMIT", limit):
@@ -501,14 +436,14 @@ def test_counter_thread_trace_family():
     spec = counter_spec()
     for n in range(6):
         script = ReplyScript(tuple([True] * n + [False] + [True] * n))
-        trace = simulate_with_services(spec, (("c", full_counter()),), script, max_steps=100)
+        trace = simulate_with_services(spec, (("c", FullCounter()),), script, max_steps=100)
         names = [str(action) for action in trace.actions]
         assert names == ["a"] * (n + 1) + ["b"] * n
         assert trace.status == "S"
 
 
 def test_counter_thread_bounded_tree():
-    thread = apply_use_bounded(counter_spec(), (("c", full_counter()),), 8)
+    thread = apply_use_bounded(counter_spec(), (("c", FullCounter()),), 8)
     trace = simulate_with_services(thread, (), ReplyScript.from_text("TTFTT"))
     assert [str(act) for act in trace.actions] == ["a", "a", "a", "b", "b"]
     assert trace.status == "S"
@@ -525,12 +460,12 @@ def test_counter_law_inc_chain_feeds_dec_loop():
             STOP,
         ]
         spec = lin(*eqs)
-        cut = apply_use_bounded(spec, (("c", full_counter()),), n + 2)
+        cut = apply_use_bounded(spec, (("c", FullCounter()),), n + 2)
         expected = lin(*(BranchRef(i + 2, b, i + 2) for i in range(n)), STOP)
         assert thread_equal(cut, expected)
 
 
-# -- simulation against the replaced walk ----------------------------------------
+# -- simulation against the spec-reading walk (specoracle.walk_simulate) -------
 
 def _simulated(function, *args):
     try:
@@ -548,10 +483,9 @@ def _same_walk(spec, bindings, script, max_steps=1000):
 
 def test_simulation_matches_replaced_walk_on_the_corpus():
     # simulate walks the projected program's table, the others its numbered thread
-    rng = random.Random(20260808)
-    corpus = [random_pgarl(rng, shape=("omega", "finite", "mixed")[i % 3]) for i in range(500)]
+    rng = after_soundness_corpus()
     ends = set()
-    for program in corpus:
+    for program in soundness_corpus():
         projected = project_counter(program)
         spec = extract_pgau(projected.program)
         for _ in range(3):
@@ -583,9 +517,9 @@ def _c_specs(draw):
 
 _C_SERVICES = st.one_of(
     st.integers(min_value=0, max_value=3).flatmap(
-        lambda top: st.builds(down_counter, st.integers(min_value=0, max_value=top), st.just(top))
+        lambda top: st.builds(DownCounter, st.integers(min_value=0, max_value=top), st.just(top))
     ),
-    st.builds(full_counter, st.integers(min_value=0, max_value=2)),
+    st.builds(FullCounter, st.integers(min_value=0, max_value=2)),
 )
 
 
@@ -626,7 +560,7 @@ def test_simulation_table_resolves_each_state_once(monkeypatch):
 def test_simulation_leaves_an_untaken_divergence_unresolved():
     # X1 = X1 <+a> X2, and X2 consumes steps forever: replies T never go
     # there, a reply F does and runs out of silent steps
-    for svc, endless in ((full_counter(), c_inc), (down_counter(100, max=100), c_dec)):
+    for svc, endless in ((FullCounter(), c_inc), (DownCounter(100, 100), c_dec)):
         spec = lin(BranchRef(1, a, 2), BranchRef(2, endless, 2))
         with mock.patch.object(services, "SILENT_RUN_LIMIT", 20):
             assert _same_walk(spec, (("c", svc),), ReplyScript((True,) * 50)) == (
@@ -644,7 +578,7 @@ def test_simulation_rejects_negative_max_steps():
 
 def test_simulation_silent_dec_cycle_is_deadlock():
     spec = lin(BranchRef(2, a, 2), BranchRef(2, c_dec, 2))
-    for svc in (down_counter(2, max=3), full_counter(2)):
+    for svc in (DownCounter(2, 3), FullCounter(2)):
         assert _same_walk(spec, (("c", svc),), ReplyScript((True, False))) == (
             ((a, True),), "D"
         )
@@ -660,15 +594,15 @@ def test_apply_bindings_empty_is_plain_extraction():
 
 def test_apply_bindings_disjoint_foci_commute():
     program = parse_canonical("p:1.dec;a;(q:1.dec;b)^w")
-    one = ProjectedProgram(program, (("p:1", down_counter(1, max=1)), ("q:1", down_counter(1, max=2))))
-    two = ProjectedProgram(program, (("q:1", down_counter(1, max=2)), ("p:1", down_counter(1, max=1))))
+    one = ProjectedProgram(program, (("p:1", DownCounter(1, 1)), ("q:1", DownCounter(1, 2))))
+    two = ProjectedProgram(program, (("q:1", DownCounter(1, 2)), ("p:1", DownCounter(1, 1))))
     assert thread_equal(apply_bindings(one), apply_bindings(two))
 
 
 def test_bound_states_composes_table_product_and_cut():
     # a finite and an unbounded binding: the product, then one cut
     program = parse_canonical("(+d.dec;a;c.inc;b)^w")
-    bindings = (("d", down_counter(1, max=1)), ("c", full_counter()))
+    bindings = (("d", DownCounter(1, 1)), ("c", FullCounter()))
     projected = ProjectedProgram(program, bindings)
     spec = extract_pgau(program)
     product = apply_use(spec, bindings[:1])
@@ -682,7 +616,7 @@ def test_bound_states_composes_table_product_and_cut():
 
 
 def test_project_picks_the_projection_and_keeps_the_bindings_last():
-    bind = (("c", full_counter()),)
+    bind = (("c", FullCounter()),)
     loop = parse_canonical("(2x{;a;}x;c.inc)^w")
     counter = project_counter(loop)
     assert project(loop, "defining", bind) == ProjectedProgram(
@@ -695,52 +629,6 @@ def test_project_picks_the_projection_and_keeps_the_bindings_last():
         project(loop, "counter")
 
 
-def _reference_use_finite(spec, focus, svc):
-    """The single-focus product the one-pass operator replaced, kept as the
-    oracle: explore (thread state, service state) pairs breadth-first from
-    the root, resolving consumed steps of ``focus`` along the way."""
-
-    def resolve(equation, state):
-        seen = set()
-        while (equation, state) not in seen:
-            seen.add((equation, state))
-            rhs = spec.rhs(equation)
-            if rhs in (STOP, DEADLOCK):
-                return rhs
-            if rhs.action.focus != focus:
-                return (equation, state)
-            co = CoAction(rhs.action.method, rhs.action.argument)
-            if not svc.accepts(co):
-                return DEADLOCK
-            reply, state = svc.step(state, co)
-            equation = rhs.yes if reply else rhs.no
-        return DEADLOCK
-
-    root = resolve(spec.root, svc.initial)
-    if root in (STOP, DEADLOCK):
-        return LinearSpec((root,), 1)
-    order, index, rows, terminals = [root], {root: 1}, [], []
-    for equation, state in order:
-        rhs = spec.rhs(equation)
-        targets = (resolve(rhs.yes, state), resolve(rhs.no, state))
-        for target in targets:
-            if target in (STOP, DEADLOCK):
-                if target not in terminals:
-                    terminals.append(target)
-            elif target not in index:
-                index[target] = len(order) + 1
-                order.append(target)
-        rows.append((rhs.action, targets))
-
-    def ref(target):
-        if target in (STOP, DEADLOCK):
-            return len(order) + terminals.index(target) + 1
-        return index[target]
-
-    equations = [BranchRef(ref(yes), action, ref(no)) for action, (yes, no) in rows]
-    return LinearSpec(tuple(equations + terminals), 1)
-
-
 def _chain_family(k):
     rng = random.Random(k)
     loops = [
@@ -750,19 +638,16 @@ def _chain_family(k):
 
 
 def test_one_pass_product_equals_chained_passes():
-    rng = random.Random(20260808)
-    corpus = [random_pgarl(rng, shape=("omega", "finite", "mixed")[i % 3]) for i in range(500)]
-    family = [_chain_family(k) for k in range(1, 41)]
+    family = tuple(_chain_family(k) for k in range(1, 41))
     multi = 0
-    for program in corpus + family:
+    for program in soundness_corpus() + family:
         projected = project_counter(program)
         extracted = extract_pgau(projected.program)
-        chained = reference = extracted
+        chained = extracted
         for focus, svc in projected.bindings:
             chained = apply_use_finite(chained, focus, svc)
-            reference = _reference_use_finite(reference, focus, svc)
-            assert chained == reference
-        assert apply_use(extracted, projected.bindings) == reference
+        assert apply_use(extracted, projected.bindings) == chained == spec_apply_use(
+            extracted, projected.bindings)
         multi += len(projected.bindings) > 1
     assert multi > 200
 
@@ -771,7 +656,7 @@ def test_binding_foci_must_be_distinct():
     with pytest.raises(ValueError):
         ProjectedProgram(
             parse_canonical("a"),
-            (("c", down_counter(max=1)), ("c", down_counter(max=2))),
+            (("c", DownCounter(0, 1)), ("c", DownCounter(0, 2))),
         )
 
 
@@ -785,5 +670,5 @@ specs = st.integers(min_value=0, max_value=2**32).map(
 @settings(max_examples=60)
 @given(specs, st.integers(min_value=0, max_value=3))
 def test_use_stop_and_deadlock_fixed(spec, initial):
-    used = apply_use_finite(spec, "zz", down_counter(initial, max=3))
+    used = apply_use_finite(spec, "zz", DownCounter(initial, 3))
     assert thread_equal(used, spec)

@@ -11,6 +11,7 @@ from pgarl import (
     Action,
     BranchRef,
     Deadlock,
+    FullCounter,
     LinearSpec,
     ReplyScript,
     SpecError,
@@ -20,7 +21,6 @@ from pgarl import (
     distinguish,
     extract_pga,
     extract_pgau,
-    full_counter,
     format_spec,
     pi,
     parse_canonical,
@@ -33,9 +33,9 @@ from pgarl import (
 from pgarl import extraction, services
 from pgarl.threads import Witness, _bounded, _spec_states, explore, first_difference
 
-from genprograms import random_pgarl, random_spec
+from genprograms import random_spec, soundness_corpus
 from specoracle import walk_simulate
-from treeoracle import Branch, cut, number, tree_pi, tree_states
+from treeoracle import number, tree_pi
 
 a = Action("a")
 b = Action("b")
@@ -203,11 +203,9 @@ def test_equal_specs_refine_each_other(p, q):
 def test_thread_equal_walk_matches_two_refinements_on_corpus():
     # defining thread against the pure projection of the same program (equal)
     # and of the previous program (mostly unequal, often in kind only)
-    rng = random.Random(20260808)
     verdicts = []
     previous = None
-    for i in range(500):
-        program = random_pgarl(rng, shape=("omega", "finite", "mixed")[i % 3])
+    for program in soundness_corpus():
         defining = defining_thread(program)
         pure = extract_pga(project_pure(program))
         for other in (pure, previous):
@@ -248,105 +246,27 @@ def test_postconditional_monotone():
     assert not refines(large_b, small_b_stop)
 
 
-# -- the replaced recursive walks, kept as oracles ------------------------------
-
-def _recursive_pi_thread(n, thread):
-    if n == 0:
-        return DEADLOCK
-    if not isinstance(thread, Branch):
-        return thread
-    return Branch(
-        _recursive_pi_thread(n - 1, thread.yes),
-        thread.action,
-        _recursive_pi_thread(n - 1, thread.no),
-    )
-
-
-def _recursive_finite_leq(left, right):
-    if left == DEADLOCK:
-        return True
-    if left == STOP:
-        return right == STOP
-    return (
-        isinstance(right, Branch)
-        and left.action == right.action
-        and _recursive_finite_leq(left.yes, right.yes)
-        and _recursive_finite_leq(left.no, right.no)
-    )
-
-
-def test_iterative_walks_match_recursive_oracles():
-    # pi, refines and thread_equal on the cuts as specs, against the
-    # recursive cut and order on the same cuts as trees
-    rng = random.Random(4242)
-    for _ in range(400):
-        spec, other = random_spec(rng), random_spec(rng)
-        depth = rng.randint(0, 6)
-        left = (depth, spec)
-        right = (rng.randint(0, 6), other) if rng.random() < 0.5 else (rng.randint(depth, 7), spec)
-        recut = rng.randint(0, 7)
-        left_spec = pi(depth, spec, spec.root)
-        assert thread_equal(pi(recut, left_spec, left_spec.root),
-                            number(_recursive_pi_thread(recut, tree_pi(depth, spec, spec.root))))
-        for (m, p), (n, q) in ((left, right), (right, left), (left, left)):
-            x, y = pi(m, p, p.root), pi(n, q, q.root)
-            tx, ty = tree_pi(m, p, p.root), tree_pi(n, q, q.root)
-            assert refines(x, y) == _recursive_finite_leq(tx, ty)
-            assert thread_equal(x, y) == (tx == ty)
-
-
 def test_walks_on_a_thread_3000_deep():
     spec = extract_pgau(parse_canonical("(a;c.inc)^w"))
-    thread = apply_use_bounded(spec, (("c", full_counter()),), 3000)
-    again = apply_use_bounded(spec, (("c", full_counter()),), 3000)
+    thread = apply_use_bounded(spec, (("c", FullCounter()),), 3000)
+    again = apply_use_bounded(spec, (("c", FullCounter()),), 3000)
     half = pi(1500, thread, thread.root)
     assert thread_equal(pi(3000, thread, thread.root), thread)
     assert thread_equal(thread, again) and not thread_equal(thread, half)
     assert refines(half, thread) and not refines(thread, half)
-    assert thread_equal(half, apply_use_bounded(spec, (("c", full_counter()),), 1500))
+    assert thread_equal(half, apply_use_bounded(spec, (("c", FullCounter()),), 1500))
 
 
-# -- the replaced depth cuts, kept as oracles ------------------------------------
-
-def _level_pi(n, spec, state):
-    level = {i: DEADLOCK for i in range(1, len(spec.equations) + 1)}
-    for _ in range(n):
-        nxt = {}
-        for i, rhs in enumerate(spec.equations, 1):
-            if isinstance(rhs, Stop):
-                nxt[i] = STOP
-            elif isinstance(rhs, Deadlock):
-                nxt[i] = DEADLOCK
-            else:
-                nxt[i] = Branch(level[rhs.yes], rhs.action, level[rhs.no])
-        level = nxt
-    return level[state]
-
-
-def _same_cut(got, expected):
-    """Equal as the numbered form of the expected tree shows it, sharing
-    included."""
-    return got == number(expected)
-
-
-@settings(max_examples=60)
-@given(specs)
-def test_cut_matches_replaced_depth_cuts(spec):
-    for state in range(1, len(spec) + 1):
-        for depth in range(9):
-            assert _same_cut(pi(depth, spec, state), _level_pi(depth, spec, state))
-
+# -- pi against the tree cut, its normative oracle -----------------------------
 
 def test_cut_maps_fresh_terminals_to_the_singletons():
     spec = LinearSpec((BranchRef(2, a, 3), Stop(), Deadlock(), BranchRef(2, b, 1)), 4)
     for state in range(1, 5):
         for depth in range(6):
-            assert _same_cut(pi(depth, spec, state), _level_pi(depth, spec, state))
+            assert pi(depth, spec, state) == number(tree_pi(depth, spec, state))
     terminals = pi(2, spec, 1).equations[1:]
     assert terminals[0] is STOP and terminals[1] is DEADLOCK
 
-
-# -- the tree cut that pi replaced, kept as the oracle ---------------------------
 
 @settings(max_examples=80)
 @given(specs)
@@ -366,48 +286,6 @@ def test_pi_matches_tree_oracle_on_corpus():
                 assert format_spec(pi(depth, spec, spec.root)) == format_spec(
                     number(tree_pi(depth, spec, spec.root))
                 )
-
-
-# -- the replaced preorder numbering of trees, kept as the oracle ---------------
-
-def _preorder_thread_to_spec(thread):
-    index = {}
-    order = []
-    stack = [thread]
-    while stack:  # preorder, yes before no
-        t = stack.pop()
-        if id(t) in index:
-            continue
-        index[id(t)] = len(order) + 1
-        order.append(t)
-        if isinstance(t, Branch):
-            stack.append(t.no)
-            stack.append(t.yes)
-    equations = []
-    for t in order:
-        if isinstance(t, Stop):
-            equations.append(STOP)
-        elif isinstance(t, Deadlock):
-            equations.append(DEADLOCK)
-        else:
-            equations.append(BranchRef(index[id(t.yes)], t.action, index[id(t.no)]))
-    return LinearSpec(tuple(equations), 1)
-
-
-@settings(max_examples=60)
-@given(specs)
-def test_pi_matches_preorder_numbering(spec):
-    # the cut as a spec, and cut again, against the preorder numbering of
-    # the same cuts built as trees
-    for state in range(1, len(spec) + 1):
-        for depth in range(8):
-            new, tree = pi(depth, spec, state), tree_pi(depth, spec, state)
-            root, successors = tree_states(tree)
-            recut = cut(root, depth // 2, successors)
-            for got, shape in ((new, tree), (pi(depth // 2, new, new.root), recut)):
-                old = _preorder_thread_to_spec(shape)
-                assert thread_equal(got, old)
-                assert len(got) == len(old)
 
 
 def test_cut_calls_successors_once_per_depth_and_state():
@@ -432,12 +310,10 @@ def test_cut_calls_successors_once_per_depth_and_state():
     assert len(calls) == len(order)
 
 
-# -- scripted runs against the replaced walk (specoracle.walk_simulate) ---------
+# -- scripted runs against the spec-reading walk (specoracle.walk_simulate) ----
 
 def _corpus_specs():
-    rng = random.Random(20260808)
-    for i in range(500):
-        program = random_pgarl(rng, shape=("omega", "finite", "mixed")[i % 3])
+    for program in soundness_corpus():
         yield defining_thread(program), extract_pga(project_pure(program))
 
 
@@ -465,15 +341,15 @@ def test_scripted_run_matches_replaced_loop_on_corpus():
     assert statuses == {"S", "D", "cutoff"}
 
 
-# -- the replaced spec-pair walk and numbering, kept as oracles -----------------
+# -- the spec pair walk and the queue numbering, normative oracles -------------
 
 def _describe(rhs):
     return "S" if rhs == STOP else "D" if rhs == DEADLOCK else f"action {rhs.action}"
 
 
 def _spec_pair_walk(spec_p, spec_q, deadlock_below):
-    """The pair walk over two built specs that the walk over state spaces
-    replaced: the text of the witness to the first differing pair, or None."""
+    """The pair walk over two built specs: the text of the witness to the
+    first differing pair, or None."""
     start = (spec_p.root, spec_q.root)
     parent = {start: None}
     queue = [start]
@@ -501,8 +377,9 @@ def _spec_pair_walk(spec_p, spec_q, deadlock_below):
 
 
 def _replaced_explore(root, successors):
-    """The numbering that called ``successors`` when it took a state from its
-    queue, and knew a terminal only as a target or as the root."""
+    """Breadth-first numbering that calls ``successors`` when it takes a
+    state from its queue, and knows a terminal only as a target or as the
+    root; it shares no code with ``explore``."""
     if root is STOP or root is DEADLOCK:
         return LinearSpec((root,), 1)
     index = {root: 1}
@@ -615,9 +492,7 @@ def test_pair_walk_steps_each_state_once_per_side():
 
 def test_explore_matches_replaced_numbering():
     # extraction and the use-operator product, numbered by both
-    rng = random.Random(20260808)
-    for i in range(500):
-        program = random_pgarl(rng, shape=("omega", "finite", "mixed")[i % 3])
+    for program in soundness_corpus():
         new = (defining_thread(program), extract_pga(project_pure(program)))
         with mock.patch.object(extraction, "explore", _replaced_explore), \
                 mock.patch.object(services, "explore", _replaced_explore):

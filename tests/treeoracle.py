@@ -1,14 +1,16 @@
-"""Finite threads as trees: the representation that linear specifications
-replaced, kept as the oracle for the depth cuts ``pi`` and
-``apply_use_bounded``.
+"""Finite threads as trees: the normative oracle for the depth cuts ``pi``
+and ``apply_use_bounded``, and the check of ``threads._bounded`` that shares
+no code with it.
 
 A tree is a :class:`Branch` node or one of the leaves ``Stop()`` and
 ``Deadlock()``. :func:`cut` unfolds a state space (see
-``pgarl.threads.explore``) to a depth as a tree, sharing the subtree of each
-(remaining depth, state) pair; :func:`tree_states` reads a tree back as a
-state space, one state per node told apart by identity; and :func:`number`
-numbers a tree as a linear specification. So ``number(tree_pi(n, spec,
-state))`` is what ``pi`` returned when it built the tree first.
+``pgarl.threads.explore``) to a depth as a tree, the definition of π_n: no
+depth left is deadlock, a leaf stays a leaf, and a branch cuts both its
+replies one level shallower. It shares the subtree of each (remaining depth,
+state) pair. :func:`tree_states` reads a tree back as a state space, one
+state per node told apart by identity, and :func:`number` numbers a tree as
+a linear specification with ``explore``. So ``number(tree_pi(n, spec,
+state))`` is ``pi(n, spec, state)``.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 
-from pgarl import DEADLOCK, STOP, Action, LinearSpec, Stop
+from pgarl import DEADLOCK, STOP, Action, BranchRef, LinearSpec, Stop
 from pgarl import services
-from pgarl.threads import _bounded, _spec_states, explore
+from pgarl.threads import explore
 
 from specoracle import SpecSilentSteps
 
@@ -34,24 +36,27 @@ class Branch:
 
 def cut(root, depth: int, successors):
     """The depth cut of the state space ``(root, successors)`` as a tree,
-    built over the (remaining depth, state) pairs of ``_bounded`` in
-    preorder, yes before no, on an explicit stack; each pair's subtree is
-    built once and shared."""
-    root, successors = _bounded(root, depth, successors)
+    built over (remaining depth, state) pairs in preorder, yes before no, on
+    an explicit stack; each pair's subtree is built once and shared, and a
+    pair with no depth left is deadlock without calling ``successors``."""
     memo: dict = {}
-    stack = [(root, None)]
+    stack = [((depth, root), None)]
     while stack:  # a branch comes back, with its step, once both cuts below it exist
         pair, step = stack.pop()
         if step is not None:
             action, yes, no = step
             memo[pair] = Branch(memo[yes], action, memo[no])
         elif pair not in memo:
-            step = successors(pair)
+            left, state = pair
+            terminal = state is STOP or state is DEADLOCK
+            step = DEADLOCK if left == 0 else state if terminal else successors(state)
             if step is STOP or step is DEADLOCK:
                 memo[pair] = step
             else:
-                stack.extend(((pair, step), (step[2], None), (step[1], None)))
-    return memo[root]
+                action, yes, no = step
+                below = (left - 1, yes), (left - 1, no)
+                stack.extend(((pair, (action, *below)), (below[1], None), (below[0], None)))
+    return memo[depth, root]
 
 
 def tree_states(thread):
@@ -81,7 +86,13 @@ def number(thread) -> LinearSpec:
 
 def tree_pi(n: int, spec: LinearSpec, state: int):
     """The depth-``n`` cut of equation ``state`` of ``spec`` as a tree."""
-    _, successors = _spec_states(spec)
+
+    def successors(i):
+        rhs = spec.rhs(i)
+        if isinstance(rhs, BranchRef):
+            return rhs.action, rhs.yes, rhs.no
+        return STOP if isinstance(rhs, Stop) else DEADLOCK
+
     return cut(state, n, successors)
 
 

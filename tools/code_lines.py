@@ -1,4 +1,4 @@
-"""Count the code lines of every module under ``src/pgarl``.
+"""Count the code lines of every module under ``src/pgarl``, and of the tests.
 
 A code line holds at least one token that is neither a comment nor part of a
 docstring; blank lines, comment lines and docstring lines do not count. Run
@@ -6,9 +6,10 @@ from the repository root::
 
     python tools/code_lines.py
 
-It prints one ``lines module`` row per module, a ``total`` row, and an
+It prints one ``lines module`` row per module, a ``total`` row, an
 ``exports`` row: the number of public names the package's ``__init__`` binds
-at its top level, submodules not counted.
+at its top level, submodules not counted, and a ``tests`` row: the code lines
+of ``tests/*.py`` together, counted by the same rule.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import sys
 import tokenize
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "pgarl"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "pgarl"
 _NOT_CODE = {
     tokenize.COMMENT,
     tokenize.NL,
@@ -76,6 +78,8 @@ def main() -> int:
         print(f"{count:5d} {path.name}")
     print(f"{total:5d} total")
     print(f"{exported_names((SOURCE / '__init__.py').read_text()):5d} exports")
+    tests = sum(code_lines(path.read_text()) for path in (ROOT / "tests").glob("*.py"))
+    print(f"{tests:5d} tests")
     return 0
 
 
