@@ -54,6 +54,7 @@ from .services import (
 )
 from .threads import (
     FOCUS,
+    NAME,
     NAT,
     LinearSpec,
     ReplyScript,
@@ -85,28 +86,28 @@ def _parse_binding(text: str) -> tuple[str, Service]:
     of the kind's fields may appear at most once and is 0 when left out."""
     sc = _Scanner(text)
     try:
-        focus = sc.take_match(FOCUS, "a focus")
-        if NAT.match(sc.peek()):  # only a leading zero ends a focus before a digit
-            raise sc.error("a focus number has no leading zeros", sc.pos - len(focus))
-        sc.take("=")
-        kind = sc.take_ident()
-        if kind not in _SERVICES:
-            raise sc.error("expected 'dc' or 'counter'", sc.pos - len(kind))
-        make, names = _SERVICES[kind]
+        focus = sc.prefix(FOCUS, "a focus")
+        if NAT.match(text, focus.end()):  # only a leading zero ends a focus before a digit
+            raise sc.error("a focus number has no leading zeros", focus.start())
+        sc.expect("=")
+        kind = sc.prefix(NAME, "an identifier")
+        if kind[0] not in _SERVICES:
+            raise sc.error("expected 'dc' or 'counter'", kind.start())
+        make, names = _SERVICES[kind[0]]
         values: dict[str, int] = {}
-        sc.take("(")
-        while not sc.at_end() and sc.peek() != ")":
+        sc.expect("(")
+        while sc.token and not sc.token.startswith(")"):
             if values:
-                sc.take(",")
-            name = sc.take_ident()
-            if name not in names or name in values:
-                raise sc.error(f"{kind}() takes {', '.join(names)}, once each", sc.pos - len(name))
-            sc.take("=")
-            values[name] = sc.take_nat()
-        sc.take(")")
-        if not sc.at_end():
+                sc.expect(",")
+            name = sc.prefix(NAME, "an identifier")
+            if name[0] not in names or name[0] in values:
+                raise sc.error(f"{kind[0]}() takes {', '.join(names)}, once each", name.start())
+            sc.expect("=")
+            values[name[0]] = sc.nat()
+        sc.expect(")")
+        if sc.token:
             raise sc.error("unexpected input after ')'")
-        return focus, make(*(values.get(name, 0) for name in names))
+        return focus[0], make(*(values.get(name, 0) for name in names))
     except ValueError as exc:  # a ParseError, or a value the service rejects
         raise _CliError(f"bad binding {text!r}: {exc}", EXIT_ILL_FORMED) from None
 
@@ -162,16 +163,10 @@ def _cmd_parse(args) -> int:
     lines = []
     parts_payload = []
     for number, part in enumerate(raw.parts, 1):
-        label = f"part {number} repeated" if part.repeated else f"part {number}"
-        lines.append(label)
-        for pos, ins in enumerate(part.instructions, 1):
-            lines.append(f"  {pos} {format_instruction(ins)}")
-        parts_payload.append(
-            {
-                "repeated": part.repeated,
-                "instructions": [format_instruction(i) for i in part.instructions],
-            }
-        )
+        texts = [format_instruction(i) for i in part.instructions]
+        lines.append(f"part {number} repeated" if part.repeated else f"part {number}")
+        lines += [f"  {pos} {text}" for pos, text in enumerate(texts, 1)]
+        parts_payload.append({"repeated": part.repeated, "instructions": texts})
     _emit(args, "\n".join(lines), {"parts": parts_payload})
     return EXIT_OK
 

@@ -42,7 +42,7 @@ from .program import (
     normalize_jumps,
     program_instructions,
 )
-from .services import BudgetExceeded, ProjectedProgram, apply_bindings, check_foci, down_counter
+from .services import BudgetExceeded, DownCounter, ProjectedProgram, apply_bindings, check_foci
 from .threads import Action, LinearSpec
 
 PURE_LENGTH_LIMIT = 10**7
@@ -307,6 +307,7 @@ def _omega_form(program: CanonicalProgram) -> tuple[Instruction, ...]:
     return tuple(head) + tuple(mid) + (Jump(k + 2), Jump(k + 2))
 
 
+# xi_tail is kept only because bench/workloads.py passes it; it leaves with ROADMAP item 1
 def project_counter(program: CanonicalProgram, xi_tail: str = "derived") -> ProjectedProgram:
     """The counter-service projection.
 
@@ -340,12 +341,11 @@ def project_counter(program: CanonicalProgram, xi_tail: str = "derived") -> Proj
         for pos, value in closures
     )
     mapped = tuple(_psi(ins, pos, body_len) for pos, ins in enumerate(annotated, 1))
-    bindings = tuple(
-        (_counter_focus(pos), down_counter(0, max=value)) for pos, value in closures
-    )
+    bindings = tuple((_counter_focus(pos), DownCounter(0, value)) for pos, value in closures)
     return ProjectedProgram(CanonicalProgram(prefix, mapped), bindings)
 
 
+# xi_tail is kept only because bench/workloads.py passes it; it leaves with ROADMAP item 1
 def defining_thread(program: CanonicalProgram, xi_tail: str = "derived") -> LinearSpec:
     """The meaning of a rigid-loop program: project with counters, then apply
     the counter services (:func:`pgarl.services.apply_bindings`). ``xi_tail``

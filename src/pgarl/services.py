@@ -155,11 +155,7 @@ class FullCounter(Service):
         return True, co.argument
 
 
-def down_counter(initial: int = 0, max: int = 0) -> DownCounter:
-    """A down counter holding values 0..max; fresh counters start at zero."""
-    return DownCounter(initial, max)
-
-
+# kept only because bench/workloads.py calls it; it leaves with ROADMAP item 1
 def full_counter(initial: int = 0) -> FullCounter:
     """An unbounded counter; the optional initial value defaults to zero."""
     return FullCounter(initial)
@@ -325,6 +321,7 @@ def apply_use(spec: LinearSpec, bindings) -> LinearSpec:
     return explore(*_product_states(_spec_states(spec), bindings))
 
 
+# kept only because bench/tracing.py traces it; it leaves with ROADMAP item 1
 def apply_use_finite(spec: LinearSpec, focus: str, svc: Service) -> LinearSpec:
     """Product construction of a thread with one finite-state service. The
     result has at most len(spec) * (svc.limit + 1) branch equations for a

@@ -18,6 +18,7 @@ from pgarl import (
     LinearSpec,
     LoopHeader,
     LoopClose,
+    NegTest,
     ParseError,
     Part,
     PosTest,
@@ -236,6 +237,17 @@ def test_long_absorption_takes_no_time():
     assert form == CanonicalProgram((), x) and took < 2
 
 
+def test_long_program_parses_in_no_time_into_one_object_per_instruction():
+    # the three distinct instructions of 200001 are three objects
+    text = "+a;b;" * 100000 + "!"
+    start = time.perf_counter()
+    raw = parse_program(text)
+    took = time.perf_counter() - start
+    (part,) = raw.parts
+    assert len(part.instructions) == 200001 and took < 2
+    assert len({id(ins) for ins in part.instructions}) == 3
+
+
 def test_canonical_finite_program_unchanged():
     assert parse_canonical("+a;#2;!") == CanonicalProgram((PosTest(a), Jump(2), HALT), None)
 
@@ -317,6 +329,82 @@ programs = st.integers(min_value=0, max_value=2**32).map(
 @given(programs)
 def test_print_parse_round_trip(raw):
     assert parse_program(format_program(raw)) == raw
+
+
+# The token rule, stated over generated programs: whitespace may come before
+# any token, but never inside one. The strategy's programs have one-letter
+# actions and no loops or units, so each is first given longer actions,
+# annotated jumps, units and rigid loop instructions: every kind of token.
+_GLUED = ("x{", "}x", ")^w", "u(")
+_LONG_ACTIONS = (Action("x"), Action("u"), Action("ab_1"), Action("dec", focus="c"),
+                 Action("set", focus="rlc:5", argument=1), Action("inc", focus="c:0"))
+_RIGID = (LoopHeader(2), LoopClose(), AnnClose(3, 5))
+_WHITESPACE = ("", "", " ", "\t", "\n", " \n\t ")
+
+
+def _with_every_token(raw, rng):
+    def varied(ins):
+        if isinstance(ins, (Basic, PosTest, NegTest)) and rng.random() < 0.5:
+            ins = type(ins)(rng.choice(_LONG_ACTIONS))
+        if isinstance(ins, Jump) and rng.random() < 0.3:
+            ins = AnnJump(ins.distance, ((1, 2), (3, 40))[: rng.randint(1, 2)])
+        return Unit((ins,)) if rng.random() < 0.2 else ins
+
+    def instructions(part):
+        for ins in part.instructions:
+            if rng.random() < 0.2:
+                yield rng.choice(_RIGID)
+            yield varied(ins)
+
+    return RawProgram(tuple(Part(tuple(instructions(part)), part.repeated) for part in raw.parts))
+
+
+def _instruction_tokens(ins):
+    if isinstance(ins, (Basic, PosTest, NegTest)):
+        return {Basic: [], PosTest: ["+"], NegTest: ["-"]}[type(ins)] + [str(ins.action)]
+    if isinstance(ins, Jump):
+        return ["#", str(ins.distance)]
+    if isinstance(ins, AnnJump):
+        resets = [t for j, n in ins.resets for t in ("(", str(j), ",", str(n), ")")]
+        return ["#", str(ins.distance), *resets]
+    if isinstance(ins, LoopHeader):
+        return [str(ins.count), "x{"]
+    if isinstance(ins, AnnClose):
+        return [str(ins.remaining), "}x", str(ins.body_size)]
+    if isinstance(ins, Unit):
+        return ["u(", *_sequence_tokens(ins.body), ")"]
+    return {HALT: ["!"], LoopClose(): ["}x"]}[ins]
+
+
+def _sequence_tokens(instructions):
+    tokens = []
+    for ins in instructions:
+        tokens += [";"] * bool(tokens) + _instruction_tokens(ins)
+    return tokens
+
+
+def _program_tokens(raw):
+    tokens = []
+    for part in raw.parts:
+        body = _sequence_tokens(part.instructions)
+        tokens += [";"] * bool(tokens) + (["(", *body, ")^w"] if part.repeated else body)
+    return tokens
+
+
+@given(programs, st.integers(min_value=0, max_value=2**32))
+def test_whitespace_before_any_token_never_inside_one(raw, seed):
+    rng = random.Random(seed)
+    raw = _with_every_token(raw, rng)
+    tokens = _program_tokens(raw)
+    assert "".join(tokens) == format_program(raw)
+    spaced = "".join(rng.choice(_WHITESPACE) + token for token in tokens) + rng.choice(_WHITESPACE)
+    assert parse_program(spaced) == raw
+    for i, token in enumerate(tokens):
+        if token in _GLUED or token[0].isalpha() and len(token) > 1:
+            cut = rng.randint(1, len(token) - 1)
+            inside = token[:cut] + rng.choice(" \t\n") + token[cut:]
+            with pytest.raises(ParseError):
+                parse_program("".join(tokens[:i] + [inside] + tokens[i + 1:]))
 
 
 @given(programs)
