@@ -47,6 +47,8 @@ from .threads import Action, LinearSpec
 
 PURE_LENGTH_LIMIT = 10**7
 UNSPLIT_LENGTH_LIMIT = 10**6
+RESET_LIMIT = 10**7
+_SKIP = Jump(1)
 
 
 class WellFormednessError(ValueError):
@@ -218,7 +220,9 @@ def annotate(instructions, cyclic: bool = False) -> tuple[Instruction, ...]:
     an annotated jump listing those closure positions (in increasing order)
     with their left annotations. A jump of distance d at p crosses the
     closures at p < j < p + d; with ``cyclic`` the path wraps, so it crosses
-    those with 0 < (j - p) mod n < d, where n is the body length.
+    those with 0 < (j - p) mod n < d, where n is the body length. The
+    resets of all jumps are counted from the bisection bounds before any is
+    listed, and more than ``RESET_LIMIT`` of them raise BudgetExceeded.
     """
     items = list(instructions)
     n = len(items)
@@ -230,18 +234,27 @@ def annotate(instructions, cyclic: bool = False) -> tuple[Instruction, ...]:
     closures = [(j, ins.remaining) for j, ins in enumerate(items, 1) if isinstance(ins, AnnClose)]
     positions = [j for j, _ in closures]
 
-    def between(low: int, high: int) -> list[tuple[int, int]]:
-        """The closures at low < j < high, found by bisection."""
-        return closures[bisect_right(positions, low) : bisect_left(positions, high)]
+    def between(low: int, high: int) -> range:
+        """The indices in ``closures`` of those at low < j < high, by bisection."""
+        return range(bisect_right(positions, low), bisect_left(positions, high))
 
-    for pos, ins in enumerate(items, 1):
-        if not isinstance(ins, Jump):
-            continue
-        crossed = between(pos, pos + ins.distance)
-        if cyclic:  # the wrapped part of the path, at 0 < j - pos + n < distance
-            crossed = between(0, min(pos, pos + ins.distance - n)) + crossed
+    crossings = {  # jump position -> the closures its path crosses, wrapped part first
+        pos: (
+            between(0, min(pos, pos + ins.distance - n)) if cyclic else range(0),
+            between(pos, pos + ins.distance),
+        )
+        for pos, ins in enumerate(items, 1)
+        if isinstance(ins, Jump)
+    }
+    resets = sum(len(wrapped) + len(ahead) for wrapped, ahead in crossings.values())
+    if resets > RESET_LIMIT:
+        raise BudgetExceeded(
+            f"annotation would list {resets} counter resets, over the limit of {RESET_LIMIT}"
+        )
+    for pos, (wrapped, ahead) in crossings.items():
+        crossed = closures[wrapped.start : wrapped.stop] + closures[ahead.start : ahead.stop]
         if crossed:
-            items[pos - 1] = AnnJump(ins.distance, tuple(crossed))
+            items[pos - 1] = AnnJump(items[pos - 1].distance, tuple(crossed))
     return tuple(items)
 
 
@@ -249,26 +262,17 @@ def _counter_focus(position: int) -> str:
     return f"rlc:{position}"
 
 
-def _psi(ins: Instruction, position: int, body_len: int) -> Instruction:
+def _psi(ins: Instruction, position: int, body_len: int, sets: dict[int, Basic]) -> Instruction:
+    """The counter projection of one annotated instruction, with ``sets``
+    the counter initialization of each closure position."""
     if isinstance(ins, LoopHeader):
-        return Jump(1)
+        return _SKIP
     if isinstance(ins, AnnJump):
-        resets = tuple(
-            Basic(Action("set", focus=_counter_focus(j), argument=value))
-            for j, value in ins.resets
-        )
-        return Unit(resets + (Jump(ins.distance),))
+        return Unit(tuple(sets[j] for j, _ in ins.resets) + (Jump(ins.distance),))
     if isinstance(ins, AnnClose):
-        focus = _counter_focus(position)
-        return Unit(
-            (
-                PosTest(Action("dec", focus=focus)),
-                Jump(3),
-                Basic(Action("set", focus=focus, argument=ins.remaining)),
-                Jump(2),
-                Jump(body_len - ins.body_size),
-            )
-        )
+        init = sets[position]
+        dec = PosTest(Action("dec", focus=init.action.focus))
+        return Unit((dec, Jump(3), init, Jump(2), Jump(body_len - ins.body_size)))
     return ins
 
 
@@ -332,17 +336,17 @@ def project_counter(program: CanonicalProgram, xi_tail: str = "derived") -> Proj
     # to at most k - i + m, and a prefix-only jump at i is capped at k + 2 - i
     body = _omega_form(_unsplit_loops(program))
     annotated = annotate(body, cyclic=True)
-    closures = [
-        (pos, ins.remaining) for pos, ins in enumerate(annotated, 1) if isinstance(ins, AnnClose)
-    ]
-    body_len = len(body)
-    prefix = tuple(
-        Basic(Action("set", focus=_counter_focus(pos), argument=value))
-        for pos, value in closures
+    # one initialization per counter: the prefix, the closure and every reset share it
+    sets = {
+        pos: Basic(Action("set", focus=_counter_focus(pos), argument=ins.remaining))
+        for pos, ins in enumerate(annotated, 1)
+        if isinstance(ins, AnnClose)
+    }
+    mapped = tuple(_psi(ins, pos, len(body), sets) for pos, ins in enumerate(annotated, 1))
+    bindings = tuple(
+        (init.action.focus, DownCounter(0, init.action.argument)) for init in sets.values()
     )
-    mapped = tuple(_psi(ins, pos, body_len) for pos, ins in enumerate(annotated, 1))
-    bindings = tuple((_counter_focus(pos), DownCounter(0, value)) for pos, value in closures)
-    return ProjectedProgram(CanonicalProgram(prefix, mapped), bindings)
+    return ProjectedProgram(CanonicalProgram(tuple(sets.values()), mapped), bindings)
 
 
 # xi_tail is kept only because bench/workloads.py passes it; it leaves with ROADMAP item 1
@@ -371,9 +375,6 @@ def project(program: CanonicalProgram, via: str = "defining", bindings=()) -> Pr
         raise ValueError(f"unknown projection {via!r}; expected 'defining' or 'pure'")
     check_foci(bindings)
     return ProjectedProgram(project_pure(program), bindings)
-
-
-_SKIP = Jump(1)
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,14 @@ def after_soundness_corpus() -> random.Random:
     return rng
 
 
+def nested_exits(n: int) -> str:
+    """n nested two-count loops, each header followed by a jump to the final
+    ``b``: ``(2x{;#3n;2x{;#3n-2;...;a;}x;...;b)^w``. Every jump's path
+    crosses all n closures, so the counter projection lists n * n resets."""
+    heads = ";".join(f"2x{{;#{3 * n + 2 - 2 * i}" for i in range(1, n + 1))
+    return f"({heads};a;{'}x;' * n}b)^w"
+
+
 def random_pga(rng: random.Random, max_len: int = 8) -> RawProgram:
     """A loop-free random program in raw (parts) form."""
     def instructions(count: int, length_hint: int) -> tuple:

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -20,7 +21,7 @@ from pgarl.cli import _parse_binding, main
 from pgarl.rigidloops import project
 from pgarl.services import BudgetExceeded, DownCounter, FullCounter
 
-from genprograms import soundness_corpus
+from genprograms import nested_exits, soundness_corpus
 from treeoracle import number, tree_apply_use_bounded
 
 FIRST = "(3x{;a;b;4x{;c;}x;d;}x;e)^w"
@@ -497,6 +498,30 @@ def test_unsplitting_many_prefix_loops(capsys, monkeypatch):
     assert code == 4 and out == "" and "would exceed 30000 instructions" in err
 
 
+def test_reset_budget(capsys, monkeypatch):
+    # each of the three jumps crosses all three closures: 9 resets
+    expr = nested_exits(3)
+    monkeypatch.setattr(pgarl.rigidloops, "RESET_LIMIT", 9)
+    code, out, err = run(capsys, "annotate", "-e", expr)
+    assert (code, err) == (0, "") and out == (
+        "(2x{;#9(8,1)(9,1)(10,1);2x{;#7(8,1)(9,1)(10,1);2x{;#5(8,1)(9,1)(10,1);"
+        "a;1}x2;1}x5;1}x8;b)^w\n"
+    )
+    monkeypatch.setattr(pgarl.rigidloops, "RESET_LIMIT", 8)
+    for command, *rest in (("annotate",), ("project",), ("extract",), ("stats",),
+                           ("simulate", "--replies", "T"), ("equiv", "-e", "(b)^w")):
+        code, out, err = run(capsys, command, "-e", expr, *rest)
+        assert (code, out) == (4, "") and "9 counter resets, over the limit of 8" in err, command
+
+
+def test_project_lists_every_reset(capsys):
+    # 200 jumps, each resetting all 200 counters: 40000 resets that share 200
+    # initializations print exactly as 40000 separately built ones
+    code, out, err = run(capsys, "project", "-e", nested_exits(200))
+    assert (code, err, len(out)) == (0, "", 579172)
+    assert hashlib.sha1(out.encode()).hexdigest() == "6fa4b1fb35a49ec5a3b78e97857aad8e63ab43d6"
+
+
 def timed(capsys, *argv):
     start = time.perf_counter()
     outcome = run(capsys, *argv)
@@ -608,6 +633,19 @@ def test_closed_stdout_exits_quietly():
             [sys.executable, "-m", "pgarl.cli", "parse", "-e", NEGATIVE_FIRST],
             stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
         )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
+def test_code_lines_tool_exits_quietly_on_a_closed_stdout():
+    # as above: the reader is gone before the tool prints its first row
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    tool = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+    try:
+        done = subprocess.run([sys.executable, str(tool)], stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=60)
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (0, b"")

@@ -1,9 +1,15 @@
 import dataclasses
 import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pgarl
 from pgarl import (
     Action,
     AnnClose,
@@ -42,10 +48,11 @@ from pgarl import (
     validate_pgarl,
 )
 from pgarl import rigidloops
+from pgarl.program import program_instructions
 from pgarl.rigidloops import _match_loops, _omega_form, _unsplit_loops, project
 from pgarl.services import apply_bindings
 
-from genprograms import cycle_of, lin, random_pgarl, soundness_corpus
+from genprograms import cycle_of, lin, nested_exits, random_pgarl, soundness_corpus
 from streamsemantics import stream_pi
 
 a = Action("a")
@@ -194,6 +201,32 @@ def test_counter_projection_second_example():
         "u(+rlc:5.dec;#3;rlc:5.set:1;#2;#5);c;d)^w"
     )
     assert projected.bindings == (("rlc:5", DownCounter(0, 1)),)
+
+
+def _set_objects(program: CanonicalProgram) -> list[Basic]:
+    return [
+        ins for ins in program_instructions(program)
+        if isinstance(ins, Basic) and ins.action.method == "set"
+    ]
+
+
+def test_counter_projection_shares_one_set_per_counter():
+    # each of the three counters is started in the prefix, restarted by its
+    # closure and reset by all three jumps, five uses of one object
+    projected = project_counter(parse_canonical(nested_exits(3)))
+    assert format_program(projected.program) == (
+        "rlc:8.set:1;rlc:9.set:1;rlc:10.set:1;("
+        "#1;u(rlc:8.set:1;rlc:9.set:1;rlc:10.set:1;#9);"
+        "#1;u(rlc:8.set:1;rlc:9.set:1;rlc:10.set:1;#7);"
+        "#1;u(rlc:8.set:1;rlc:9.set:1;rlc:10.set:1;#5);a;"
+        "u(+rlc:8.dec;#3;rlc:8.set:1;#2;#9);u(+rlc:9.dec;#3;rlc:9.set:1;#2;#6);"
+        "u(+rlc:10.dec;#3;rlc:10.set:1;#2;#3);b)^w"
+    )
+    sets = _set_objects(projected.program)
+    assert len(sets) == 3 * 5 and len({id(ins) for ins in sets}) == 3
+    for program in soundness_corpus():
+        projected = project_counter(program)
+        assert len({id(ins) for ins in _set_objects(projected.program)}) == len(projected.bindings)
 
 
 def test_counter_projection_loop_free_identity():
@@ -359,6 +392,52 @@ def test_pure_length_budget():
     assert size_report(program).pure_len == 3000002000000
     with pytest.raises(BudgetExceeded, match="3000002000000 instructions.*10000000"):
         project_pure(program)
+
+
+_RESET_BUDGET_CHILD = """
+import time
+from pgarl import BudgetExceeded, parse_canonical, project_counter
+from genprograms import nested_exits
+program = parse_canonical(nested_exits(4500))
+start = time.perf_counter()
+try:
+    project_counter(program)
+except BudgetExceeded as exc:
+    print(f"{time.perf_counter() - start:.3f} {exc}")
+"""
+
+
+def test_reset_budget_stops_before_listing():
+    # 4500 jumps, each crossing all 4500 closures: counted from the bisection
+    # bounds, so the budget stops it before any reset is listed. The child
+    # gets 1 GB of address space, far less than listing them would take.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        (str(Path(pgarl.__file__).parents[1]), str(Path(__file__).parent))))
+    done = subprocess.run(
+        [sys.executable, "-c", _RESET_BUDGET_CHILD], capture_output=True, text=True, env=env,
+        timeout=60, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+    assert done.returncode == 0, done.stderr[-500:]
+    took, message = done.stdout.split(" ", 1)
+    assert float(took) < 0.5
+    assert message == (
+        "annotation would list 20250000 counter resets, over the limit of 10000000\n"
+    )
+
+
+def test_reset_budget_counts_every_jump(monkeypatch):
+    # 3 jumps of 3 resets each; a wrapping jump counts both parts of its path
+    body = parse_canonical(nested_exits(3)).body
+    monkeypatch.setattr(rigidloops, "RESET_LIMIT", 9)
+    assert sum(len(ins.resets) for ins in annotate(body, cyclic=True)
+               if isinstance(ins, AnnJump)) == 9
+    wrapping = parse_canonical("(1x{;a;}x;b;#7;1x{;c;}x)^w").body
+    assert annotate(wrapping, cyclic=True)[4].resets == ((3, 0), (8, 0))
+    monkeypatch.setattr(rigidloops, "RESET_LIMIT", 1)
+    for instructions, cyclic in ((body, True), (body, False), (wrapping, True)):
+        with pytest.raises(BudgetExceeded, match="counter resets, over the limit of 1"):
+            annotate(instructions, cyclic=cyclic)
+    assert annotate(wrapping, cyclic=False)[4].resets == ((8, 0),)
 
 
 def test_unsplit_budget_counts_the_moved_instructions(monkeypatch):
