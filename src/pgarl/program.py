@@ -138,6 +138,10 @@ class Part:
     instructions: tuple[Instruction, ...]
     repeated: bool = False
 
+    def __post_init__(self) -> None:
+        if self.repeated and not self.instructions:
+            raise ValueError("repeated part must be nonempty")
+
 
 @dataclass(frozen=True)
 class RawProgram:
@@ -232,11 +236,10 @@ def format_program(program: RawProgram | CanonicalProgram) -> str:
 
 
 def _minimal_period(body: list[Instruction]) -> list[Instruction]:
-    n = len(body)
+    n = len(body)  # nonempty, so d = n at the latest returns
     for d in range(1, n + 1):
         if n % d == 0 and body == body[:d] * (n // d):
             return body[:d]
-    return body
 
 
 def canonicalize(program: RawProgram) -> CanonicalProgram:

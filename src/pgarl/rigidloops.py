@@ -18,7 +18,8 @@ time linear in its output by two passes over the source: a layout pass that
 places the first instance of every instruction and so gives the output
 length in closed form (``size_report`` uses it without building anything),
 and an emission pass that repeats each loop's finished block and shortens the
-jumps that leave it, one block per iteration.
+jumps that leave it, one block per iteration. A jump leaves a loop when it
+lands past the loop's block.
 """
 
 from __future__ import annotations
@@ -377,31 +378,19 @@ def project(program: CanonicalProgram, via: str = "defining", bindings=()) -> Pr
     return ProjectedProgram(project_pure(program), bindings)
 
 
-@dataclass(frozen=True)
-class _PureLayout:
-    """Where each source instruction lands in the pure projection.
+def _pure_layout(program: CanonicalProgram) -> tuple[list[Instruction], int, list[int]]:
+    """The layout pass: check the program, then walk it once. Returns the
+    program as one source list (the prefix, then the repeated body with
+    normalized jumps), lonely brackets already turned into skips; the prefix
+    length; and ``first``.
 
-    ``source`` is the program as one list (the prefix, then the repeated body
-    with normalized jumps), lonely brackets already turned into skips. An
-    output instruction is a source position together with the iteration
+    An output instruction is a source position together with the iteration
     of each loop enclosing it; ``first[p]`` is the output position of p in
     the first iteration of all of them, and ``first[-1]`` is one past the
-    last output position.
-    """
-
-    source: list[Instruction]
-    prefix_len: int
-    first: list[int]
-
-    @property
-    def length(self) -> int:
-        return self.first[-1] - 1
-
-
-def _pure_layout(program: CanonicalProgram) -> _PureLayout:
-    """The layout pass: check the program, then walk it once. A loop of count
-    c whose body expands to L instructions takes c blocks of L + 2 (one skip
-    per bracket), and its iteration i sits i blocks after the first."""
+    last output position, so the output length is ``first[-1] - 1``. A loop
+    of count c whose body expands to L instructions takes c blocks of L + 2
+    (one skip per bracket), and its iteration i sits i blocks after the
+    first."""
     require_well_formed(program)
     program = _unsplit_loops(program)
     source = list(program.prefix)
@@ -421,7 +410,7 @@ def _pure_layout(program: CanonicalProgram) -> _PureLayout:
             block = end - first[header] + 1
             end = first[header] - 1 + source[header - 1].count * block
     first[-1] = end + 1
-    return _PureLayout(source, plen, first)
+    return source, plen, first
 
 
 def project_pure(program: CanonicalProgram) -> CanonicalProgram:
@@ -440,16 +429,18 @@ def project_pure(program: CanonicalProgram) -> CanonicalProgram:
     iteration of every loop enclosing both it and its target and enters every
     other loop in its first iteration, so its distance is fixed by the layout
     except for the loops it leaves: in iteration i of such a loop it is i
-    blocks shorter. A jump past the end of the repeated body lands in a later
-    period, each one body's output length further on.
+    blocks shorter. A jump leaves a loop when it lands past the loop's first
+    block, because its target's first instance comes after all of the loop's
+    blocks. A jump past the end of the repeated body lands in a later period,
+    each one body's output length further on.
     """
-    layout = _pure_layout(program)
-    if layout.length > PURE_LENGTH_LIMIT:
+    source, plen, first = _pure_layout(program)
+    length = first[-1] - 1
+    if length > PURE_LENGTH_LIMIT:
         raise BudgetExceeded(
-            f"the pure projection would have {layout.length} instructions, "
+            f"the pure projection would have {length} instructions, "
             f"over the limit of {PURE_LENGTH_LIMIT}"
         )
-    source, plen, first = layout.source, layout.prefix_len, layout.first
     n = len(source)
     period = first[-1] - first[plen + 1]  # output length of one repeated body
 
@@ -464,8 +455,8 @@ def project_pure(program: CanonicalProgram) -> CanonicalProgram:
 
     out: list[Instruction] = []
     # per open loop: its count, where its first block starts in ``out``, and
-    # the jumps in that block, each with its target's stream position
-    frames: list[tuple[int, int, list[tuple[int, int]]]] = []
+    # the indices in ``out`` of the jumps in that block
+    frames: list[tuple[int, int, list[int]]] = []
     for pos, ins in enumerate(source, 1):
         if isinstance(ins, LoopHeader):
             frames.append((ins.count, len(out), []))
@@ -473,23 +464,19 @@ def project_pure(program: CanonicalProgram) -> CanonicalProgram:
         elif isinstance(ins, LoopClose):
             out.append(_SKIP)
             count, start, jumps = frames.pop()
-            leaving = [(index, q) for index, q in jumps if q > pos]
             block = out[start:]
             size = len(block)
+            leaving = [at for at in jumps if at + out[at].distance >= len(out)]
             out.extend(block * (count - 1))
             for i in range(1, count):
-                for index, _ in leaving:
-                    at = index + i * size
-                    out[at] = Jump(out[at].distance - i * size)
+                for at in leaving:
+                    out[at + i * size] = Jump(out[at].distance - i * size)
             if frames:
-                frames[-1][2].extend(
-                    (index + i * size, q) for i in range(count) for index, q in leaving
-                )
+                frames[-1][2].extend(at + i * size for i in range(count) for at in leaving)
         elif isinstance(ins, Jump) and ins.distance:
-            q = pos + ins.distance
-            out.append(Jump(target(q) - first[pos]))
+            out.append(Jump(target(pos + ins.distance) - first[pos]))
             if frames:
-                frames[-1][2].append((len(out) - 1, q))
+                frames[-1][2].append(len(out) - 1)
         else:
             out.append(ins)
     cut = first[plen + 1] - 1
@@ -511,11 +498,11 @@ class SizeReport:
     loop_product: int
 
 
-def _loop_product(layout: _PureLayout) -> int:
+def _loop_product(source: list[Instruction]) -> int:
     """Read from the layout's source, where every bracket left is matched."""
     products = [1]  # one per open loop: the product of its count and the enclosing ones
     best = 1
-    for ins in layout.source:
+    for ins in source:
         if isinstance(ins, LoopHeader):
             products.append(products[-1] * ins.count)
             best = max(best, products[-1])
@@ -528,13 +515,13 @@ def size_report(program: CanonicalProgram) -> SizeReport:
     """Measure the source against both projections. The pure length comes
     from the layout pass alone, so the pure program is never built."""
     counter = project_counter(program).program
-    layout = _pure_layout(program)
+    source, _, first = _pure_layout(program)
     return SizeReport(
         source_len=len(program),
-        pure_len=layout.length,
+        pure_len=first[-1] - 1,
         counter_len=len(counter),
         counter_len_expanded=sum(
             not isinstance(ins, Unit) for ins in program_instructions(counter)
         ),
-        loop_product=_loop_product(layout),
+        loop_product=_loop_product(source),
     )

@@ -227,6 +227,12 @@ def test_simulate_with_counter_service(capsys):
     assert lines[-1] == "S"
 
 
+def test_simulate_method_outside_the_counter_alphabet_deadlocks(capsys):
+    assert run(
+        capsys, "simulate", "-e", "(c.foo;a)^w", "--bind", "c=counter()", "--replies", "TT"
+    ) == (0, "D\n", "")
+
+
 @pytest.mark.parametrize("command", ["extract", "simulate"])
 def test_duplicate_binding_focus_rejected(capsys, command):
     code, out, err = run(

@@ -276,6 +276,7 @@ GUARDS = {
     "annotated jump": (lambda: AnnJump(-1, ()), ValueError, "jump distance must be a natural"),
     "unit": (lambda: Unit(()), ValueError, "unit body must be nonempty"),
     "body": (lambda: CanonicalProgram((), ()), ValueError, "repeated body must be nonempty"),
+    "part": (lambda: Part((), repeated=True), ValueError, "repeated part must be nonempty"),
     "method": (lambda: Action("Set"), ValueError, "bad method identifier 'Set'"),
     "focus": (lambda: Action("set", focus="c:01"), ValueError, "bad focus identifier 'c:01'"),
     "argument": (lambda: Action("set", focus="c", argument=-1), ValueError,

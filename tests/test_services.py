@@ -95,6 +95,12 @@ def test_down_counter_alphabet_excludes_large_set():
     assert not dc.accepts(CoAction("inc"))
 
 
+def test_full_counter_alphabet_excludes_other_methods():
+    fc = FullCounter()
+    assert not fc.accepts(CoAction("foo"))
+    assert not fc.accepts(CoAction("set"))
+
+
 def test_down_counter_initial_above_max_rejected():
     with pytest.raises(ValueError):
         DownCounter(7, 3)
