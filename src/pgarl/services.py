@@ -7,8 +7,11 @@ the bound focus silently, branching on the service's reply; actions on other
 foci pass through, a co-action outside the service's alphabet deadlocks, and
 a cycle of consumed actions that never emits anything is deadlock as well.
 
-Several services are applied together, one per focus, over a tuple of
-service states. The use operator reads a thread as a state space in the
+Several services are applied together, one per focus. When every bound
+service is finite, their states travel as one int in mixed radix, each
+service's slot as wide as its state count (``Service.size``); with an
+unbounded service bound they travel as a tuple with one slot per binding.
+The use operator reads a thread as a state space in the
 sense of :mod:`pgarl.threads`, ``(root, successors)``, and one resolver
 (``_SilentSteps``) consumes its silent steps, classifying each thread state
 the first time a run reaches it; so it runs the same over a specification,
@@ -23,8 +26,8 @@ caller numbers that space (:func:`apply_bindings`, ``pgarl extract``) or
 compares it (``pgarl equiv``) in one walk, so the table is never numbered
 only to be read by the product. The public forms take a
 :class:`pgarl.threads.LinearSpec` and return one or a trace:
-:func:`apply_use` numbers every reachable pair of a thread state and a
-tuple of service states in a single pass, :func:`apply_use_bounded`
+:func:`apply_use` numbers every reachable pair of a thread state and its
+service states in a single pass, :func:`apply_use_bounded`
 numbers the pairs within a visible depth, so its result is a finite thread
 as a spec, and scripted simulation (:func:`simulate_with_services`) walks
 one path, remembering the states it meets when every service is finite;
@@ -40,7 +43,8 @@ reaches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import accumulate, count
+from operator import mul
 
 from .extraction import _table_states
 from .program import CanonicalProgram
@@ -86,13 +90,17 @@ class CoAction:
 class Service:
     """Interface: an initial state, a reply function, and an alphabet test.
 
-    ``finite`` tells whether the service has finitely many states, so that
-    the finite product (:func:`apply_use`) can take it. States are immutable
-    snapshots; ``step`` returns the successor rather than mutating.
+    A service with finitely many states states how many, ``size``, and its
+    states are then the ints ``0..size - 1``; ``size`` is None for one
+    without a finite enumeration. ``finite`` is read off ``size``: the
+    finite product (:func:`apply_use`) takes only finite services. States
+    are immutable snapshots; ``step`` returns the successor rather than
+    mutating.
     """
 
     initial: object
-    finite = False
+    size: int | None = None
+    finite = property(lambda self: self.size is not None)
 
     def accepts(self, co: CoAction) -> bool:
         raise NotImplementedError
@@ -106,11 +114,11 @@ class DownCounter(Service):
     """Bounded counter: ``dec`` replies true and decrements while positive,
     false at zero (leaving it at zero); ``set:n`` replies true and loads n.
     Values above ``limit`` are outside the alphabet, so its states are
-    0..limit."""
+    0..limit, ``limit + 1`` of them."""
 
     initial: int = 0
     limit: int = 0
-    finite = True
+    size = property(lambda self: self.limit + 1)
 
     def __post_init__(self) -> None:
         if not 0 <= self.initial <= self.limit:
@@ -183,21 +191,30 @@ class ProjectedProgram:
 
 class _SilentSteps:
     """The consumed (silent) steps of a thread, read as a state space (see
-    :func:`pgarl.threads.explore`), under a tuple of bound services.
+    :func:`pgarl.threads.explore`), under a list of bound services.
 
-    Service states travel as a tuple with one slot per binding. Each thread
-    state is classified the first time a run reaches it, and ``moves`` keeps
-    what it is: the ``STOP`` or ``DEADLOCK`` it ends in, None for a visible
-    branch, which ``visible`` keeps as ``(action, yes, no)``, a silent step
-    ``(slot, step, co-action, yes, no)`` on one slot, or ``DEADLOCK`` when
-    it asks a bound service for a co-action outside that service's alphabet.
+    The form of the service states is chosen once, from the bindings. When
+    every binding is finite they are one int in mixed radix: slot i holds
+    its value times the product of the sizes of the slots below it, its
+    weight, and a step rewrites one slot by arithmetic. Otherwise they are
+    a tuple with one slot per binding. Each thread state is classified the
+    first time a run reaches it, and ``moves`` keeps what it is: the
+    ``STOP`` or ``DEADLOCK`` it ends in, None for a visible branch, which
+    ``visible`` keeps as ``(action, yes, no)``, a silent step ``(slot,
+    size, step, co-action, yes, no)`` on one slot (its weight and size in
+    the int, its index in the tuple), or ``DEADLOCK`` when it asks a bound
+    service for a co-action outside that service's alphabet.
     """
 
     def __init__(self, space, bindings) -> None:
         check_foci(bindings)
         self.root, self._successors = space
-        self.initial = tuple(svc.initial for _, svc in bindings)
-        self._bound = {focus: (slot, svc) for slot, (focus, svc) in enumerate(bindings)}
+        sizes = [svc.size for _, svc in bindings]
+        initial = tuple(svc.initial for _, svc in bindings)
+        self.packed = None not in sizes
+        weights = list(accumulate(sizes, mul, initial=1)) if self.packed else range(len(sizes))
+        self.initial = sum(map(mul, weights, initial)) if self.packed else initial
+        self._bound = {f: (slot, size, svc) for slot, size, (f, svc) in zip(weights, sizes, bindings)}
         self.moves: dict = {STOP: STOP, DEADLOCK: DEADLOCK}
         self.visible: dict = {}
 
@@ -206,43 +223,50 @@ class _SilentSteps:
         if move is not STOP and move is not DEADLOCK:
             action, yes, no = move
             if action.focus in self._bound:
-                slot, svc = self._bound[action.focus]
+                slot, size, svc = self._bound[action.focus]
                 co = CoAction(action.method, action.argument)
-                move = (slot, svc.step, co, yes, no) if svc.accepts(co) else DEADLOCK
+                move = (slot, size, svc.step, co, yes, no) if svc.accepts(co) else DEADLOCK
             else:
                 self.visible[state] = move
                 move = None
         self.moves[state] = move
         return move
 
-    def resolve(self, state, states: tuple):
+    def resolve(self, state, states):
         """Consume silent steps from ``state`` until the thread emits a
         visible action, ends, or revisits a (thread state, service states)
         pair; returns STOP, DEADLOCK (a silent cycle is deadlock too) or the
         pair at the visible action. DivergenceSuspected is raised when a step
-        is due after SILENT_RUN_LIMIT consumed steps."""
+        is due after SILENT_RUN_LIMIT consumed steps. Most runs consume one
+        step, so the pairs met are kept in a set from the second step on."""
         moves = self.moves
-        limit = SILENT_RUN_LIMIT
-        seen = set()  # one entry per consumed step
+        packed = self.packed
+        first = key = (state, states)
+        consumed = 0
         while True:
             try:
                 move = moves[state]
             except KeyError:
                 move = self._classify(state)
             if move is None:
-                return state, states
+                return key
             if move is STOP or move is DEADLOCK:
                 return move
-            key = (state, states)
-            if key in seen:
-                return DEADLOCK
-            if len(seen) == limit:
-                raise DivergenceSuspected(f"no visible progress within {limit} consumed steps")
-            seen.add(key)
-            slot, step, co, yes, no = move
-            reply, value = step(states[slot], co)
-            states = states[:slot] + (value,) + states[slot + 1:]
+            if consumed:  # no set for a run of one step
+                seen = {first} if consumed == 1 else seen
+                if key in seen:
+                    return DEADLOCK
+                seen.add(key)
+            if consumed == SILENT_RUN_LIMIT:
+                raise DivergenceSuspected(f"no visible progress within {consumed} consumed steps")
+            consumed += 1
+            slot, size, step, co, yes, no = move
+            old = states // slot % size if packed else states[slot]
+            reply, value = step(old, co)
+            states = (states + (value - old) * slot if packed
+                      else states[:slot] + (value,) + states[slot + 1:])
             state = yes if reply else no
+            key = (state, states)
 
 
 def _product_states(space, bindings):
@@ -324,8 +348,7 @@ def apply_use(spec: LinearSpec, bindings) -> LinearSpec:
 # kept only because bench/tracing.py traces it; it leaves with ROADMAP item 1
 def apply_use_finite(spec: LinearSpec, focus: str, svc: Service) -> LinearSpec:
     """Product construction of a thread with one finite-state service. The
-    result has at most len(spec) * (svc.limit + 1) branch equations for a
-    down counter."""
+    result has at most len(spec) * svc.size branch equations."""
     return apply_use(spec, ((focus, svc),))
 
 
@@ -371,7 +394,7 @@ def _simulate(space, bindings, script: ReplyScript, max_steps: int) -> Trace:
     resolve, visible = silent.resolve, silent.visible
     at = resolve(silent.root, silent.initial)
     steps: list[tuple[Action, bool]] = []
-    if all(svc.finite for _, svc in bindings):
+    if silent.packed:
         table: dict = {STOP: STOP, DEADLOCK: DEADLOCK}  # the terminals stand for themselves
 
         def entry(at):  # [action, where false leads, where true leads, no, yes, states]

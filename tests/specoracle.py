@@ -8,7 +8,9 @@ budgets are read from :mod:`pgarl.services` when a run is resolved, so that
 a test that patches them patches the oracle too. :func:`spec_apply_use`
 numbers the finite product over those pairs, and :func:`walk_simulate` walks
 a spec under a reply script, the oracle for ``services._simulate`` with
-services bound and without.
+services bound and without. :func:`packed` and :func:`unpacked` translate
+between this module's tuples of service states and the one int that
+``services._SilentSteps`` carries when every binding is finite.
 """
 
 from __future__ import annotations
@@ -17,6 +19,28 @@ from itertools import count
 
 from pgarl import DEADLOCK, STOP, Deadlock, LinearSpec, Stop, Trace, services
 from pgarl.threads import _require_valid, explore
+
+
+def packed(bindings, states: tuple) -> int:
+    """The mixed-radix code of a tuple of service states: slot i holds its
+    value times the product of the state counts of the slots below it."""
+    code, weight = 0, 1
+    for (_, svc), value in zip(bindings, states):
+        code += value * weight
+        weight *= svc.size
+    return code
+
+
+def unpacked(bindings, states):
+    """The tuple of service states that ``states`` stands for: a code is
+    decoded slot by slot, a tuple is already one."""
+    if isinstance(states, tuple):
+        return states
+    values = []
+    for _, svc in bindings:
+        states, value = divmod(states, svc.size)
+        values.append(value)
+    return tuple(values)
 
 
 class SpecSilentSteps:

@@ -940,6 +940,18 @@ def test_extract_depth_steps_only_the_product_states_within_the_cut(capsys):
                                 "X3 = X4 <a> X4", "X4 = D"]
 
 
+def test_a_down_counter_costs_nothing_until_the_product_reaches_its_values(capsys):
+    # 10^12 + 1 states, next to a loop counter in the same code: neither
+    # is listed, so the cut is as quick as for a limit of 3
+    for text in ("(+d.dec;a;b)^w", "(2x{;+d.dec;a;}x;b)^w"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "extract", "-e", text, "--depth", "3",
+                             "--bind", "d=dc(init=1000000000000,max=1000000000000)")
+        assert time.perf_counter() - start < 1
+        small = run(capsys, "extract", "-e", text, "--depth", "3", "--bind", "d=dc(init=3,max=3)")
+        assert (code, out, err) == small and code == 0 and len(out.splitlines()) == 5
+
+
 def _build_then_compare(threads):
     """equiv by its definition: build both products, then distinguish
     them. ``threads`` holds each program's extracted thread and the

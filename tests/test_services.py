@@ -48,7 +48,7 @@ from pgarl.services import (
 from pgarl.threads import _spec_states, explore
 
 from genprograms import after_soundness_corpus, lin, random_spec, soundness_corpus
-from specoracle import SpecSilentSteps, spec_apply_use, walk_simulate
+from specoracle import SpecSilentSteps, packed, spec_apply_use, unpacked, walk_simulate
 from treeoracle import Branch, number, tree_apply_use_bounded
 
 a = Action("a")
@@ -302,6 +302,41 @@ def test_silent_run_limit_counts_consumed_steps():
         silent.resolve(spec.root, silent.initial)
 
 
+def test_silent_run_limit_boundary_in_both_forms():
+    # runs of 0-3 consumed steps on c and d, then a visible a, and silent
+    # cycles of length 1 and 2; a run of k steps needs a limit of k, and a
+    # cycle of length n is deadlock under a limit of n, whether the service
+    # states are one code (every binding finite) or a tuple (a counter())
+    c_set, d_set, d_dec = (Action("set", focus="c", argument=3),
+                           Action("set", focus="d", argument=1), Action("dec", focus="d"))
+    runs = [
+        (lin(BranchRef(1, a, 1)), 0, (3, 1)),
+        (lin(BranchRef(2, c_dec, 2), BranchRef(2, a, 2)), 1, (2, 1)),
+        (lin(BranchRef(2, c_dec, 2), BranchRef(3, d_dec, 3), BranchRef(3, a, 3)), 2, (2, 0)),
+        (lin(BranchRef(2, c_dec, 2), BranchRef(3, d_dec, 3), BranchRef(4, c_dec, 4),
+             BranchRef(4, a, 4)), 3, (1, 0)),
+    ]
+    cycles = [(lin(BranchRef(1, c_set, 1)), 1),
+              (lin(BranchRef(2, c_set, 2), BranchRef(1, d_set, 1)), 2)]
+    for bindings in ((("c", DownCounter(3, 3)), ("d", DownCounter(1, 2))),
+                     (("c", DownCounter(3, 3)), ("d", FullCounter(1)))):
+        for limit in range(4):
+            with mock.patch.object(services, "SILENT_RUN_LIMIT", limit):
+                for spec, steps, states in runs:
+                    silent = _SilentSteps(_spec_states(spec), bindings)
+                    outcome = _resolved(silent, spec.root, silent.initial)
+                    if steps <= limit:
+                        assert (outcome[0], unpacked(bindings, outcome[1])) == (
+                            steps + 1, states)
+                    else:
+                        assert outcome == f"no visible progress within {limit} consumed steps"
+                for spec, length in cycles:
+                    silent = _SilentSteps(_spec_states(spec), bindings)
+                    outcome = _resolved(silent, spec.root, silent.initial)
+                    assert outcome == (DEADLOCK if length <= limit else
+                                       f"no visible progress within {limit} consumed steps")
+
+
 def test_bounded_budget_exhaustion():
     inc_forever = lin(BranchRef(1, c_inc, 1))
     with pytest.raises(DivergenceSuspected):
@@ -411,6 +446,62 @@ def test_resolve_matches_spec_reading_resolver_on_corpus(monkeypatch):
                 assert outcome == _resolved(oracle, equation, states)
                 kinds.add(outcome if outcome is STOP or outcome is DEADLOCK else type(outcome))
     assert kinds == {STOP, DEADLOCK, tuple, str}
+
+
+def test_packed_resolve_matches_spec_reading_resolver_on_corpus(monkeypatch):
+    # finite bindings only, so the resolver carries one code: the loop
+    # counters, and dc() on d in every other program; every equation from
+    # the initial states and from three drawn ones, encoded, and every
+    # outcome decoded
+    monkeypatch.setattr(services, "SILENT_RUN_LIMIT", 200)
+    rng = random.Random(7)
+    kinds = set()
+    for i, projected in _counting_corpus():
+        spec = extract_pgau(projected.program)
+        bindings = projected.bindings + ((("d", DownCounter(1, 2)),) if i % 2 else ())
+        silent = _SilentSteps(_spec_states(spec), bindings)
+        oracle = SpecSilentSteps(spec, bindings)
+        assert type(silent.initial) is int and unpacked(bindings, silent.initial) == oracle.initial
+        drawn = [tuple(rng.randint(0, svc.limit) for _, svc in bindings) for _ in range(3)]
+        for equation in range(1, len(spec) + 1):
+            for states in (oracle.initial, *drawn):
+                outcome = _resolved(silent, equation, packed(bindings, states))
+                if type(outcome) is tuple:
+                    assert type(outcome[1]) is int
+                    outcome = outcome[0], unpacked(bindings, outcome[1])
+                assert outcome == _resolved(oracle, equation, states)
+                kinds.add(outcome if outcome is STOP or outcome is DEADLOCK else type(outcome))
+    assert kinds == {STOP, DEADLOCK, tuple}
+
+
+def _product_nodes(space):
+    """Every state of ``space`` that a walk from its root reaches."""
+    root, successors = space
+    nodes, queue = {root}, [root]
+    for node in queue:
+        move = successors(node)
+        if move is not STOP and move is not DEADLOCK:
+            fresh = {move[1], move[2]} - nodes
+            nodes |= fresh
+            queue += fresh
+    return nodes - {STOP, DEADLOCK}
+
+
+def test_packed_product_of_long_chains_matches_spec_reading_product():
+    # 20, 41 and 62 loop counters and a down counter of 10^12 + 1 states:
+    # the codes pass 64 bits, and the product is the oracle's, equation by
+    # equation
+    for k in (20, 41, 62):
+        rng = random.Random(k)
+        loops = ";".join(f"{rng.randint(2, 6)}x{{;a{i};t;}}x" for i in range(k))
+        projected = project_counter(canonicalize(parse_program(f"(+e.dec;b;{loops})^w")))
+        bindings = (("e", DownCounter(5, 10**12)),) + projected.bindings
+        with_big = ProjectedProgram(projected.program, bindings)
+        codes = [states for _, states in _product_nodes(bound_states(with_big))]
+        assert all(type(code) is int for code in codes) and max(codes).bit_length() > 64
+        spec = apply_bindings(with_big)
+        assert spec == spec_apply_use(extract_pgau(projected.program), bindings)
+        assert len(spec) > 6 * k
 
 
 def test_product_of_the_table_matches_spec_reading_product_on_corpus(monkeypatch):
