@@ -8,13 +8,18 @@ termination or deadlock. Threads with finitely many distinct states are
 of equations whose right-hand sides are termination, deadlock, or a single
 branch on an action. A finite thread, such as a depth cut, is a regular
 thread whose equations have no cycle, so it is a :class:`LinearSpec` too.
+An :class:`Action` and a branch right-hand side (:class:`BranchRef`) are
+tuples of their fields: each compares equal to the plain tuple of its fields
+and orders like it, and only :class:`Action` checks its fields when built.
+A plain tuple is still no equation: :func:`validate_spec` rejects one.
 
 Every walk here reads a thread as a *state space* ``(root, successors)``:
 ``successors(state)`` returns the branch ``(action, yes, no)`` performed in
 a state, or the ``STOP``/``DEADLOCK`` singleton the state ends in, and the
 singletons step to themselves, a rule the walks keep so that no reader has
-to. Specifications (``_spec_states``, the only reader of a spec's
-equations besides :func:`format_spec` and ``extraction.synthesize``) and
+to. Specifications (``_spec_states``, which lays out the steps of a
+spec's equations in one pass, the only reader of them besides
+:func:`format_spec` and ``extraction.synthesize``) and
 extraction's instruction table (``extraction._table_states``) are read
 this way; the use operator's product and its depth-bounded form
 (:mod:`pgarl.services`) read a space and are spaces again. Depth is a
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 # The lexical rules every text is read by: program text, actions and the
 # foci of service bindings. Only ASCII letters and digits count. A focus has
@@ -48,26 +53,32 @@ class SpecError(ValueError):
     """An operation was applied to an invalid specification or state index."""
 
 
-@dataclass(frozen=True)
-class Action:
-    """One action: an optional focus (channel), a method name, and an
-    optional natural-number argument (only meaningful with a focus, as in
-    ``rlc:6.set:3``)."""
-
+class _ActionFields(NamedTuple):
     method: str
     focus: str | None = None
     argument: int | None = None
 
-    def __post_init__(self) -> None:
-        if not NAME.fullmatch(self.method):
-            raise ValueError(f"bad method identifier {self.method!r}")
-        if self.focus is not None and not FOCUS.fullmatch(self.focus):
-            raise ValueError(f"bad focus identifier {self.focus!r}")
-        if self.argument is not None:
-            if self.argument < 0:
+
+class Action(_ActionFields):
+    """One action: an optional focus (channel), a method name, and an
+    optional natural-number argument (only meaningful with a focus, as in
+    ``rlc:6.set:3``). A tuple of its three fields, checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, method: str, focus: str | None = None, argument: int | None = None):
+        if not NAME.fullmatch(method):
+            raise ValueError(f"bad method identifier {method!r}")
+        if focus is not None and not FOCUS.fullmatch(focus):
+            raise ValueError(f"bad focus identifier {focus!r}")
+        if argument is not None:
+            if argument < 0:
                 raise ValueError("action argument must be a natural number")
-            if self.focus is None:
+            if focus is None:
                 raise ValueError("an action argument requires a focus.method action")
+        return tuple.__new__(cls, (method, focus, argument))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
     def __str__(self) -> str:
         text = self.method if self.focus is None else f"{self.focus}.{self.method}"
@@ -96,8 +107,7 @@ STOP = Stop()
 DEADLOCK = Deadlock()
 
 
-@dataclass(frozen=True)
-class BranchRef:
+class BranchRef(NamedTuple):
     """Right-hand side of a linear equation: branch on ``action`` to the
     equations numbered ``yes`` / ``no``."""
 
@@ -172,17 +182,20 @@ def pi(n: int, spec: LinearSpec, state: int) -> LinearSpec:
 def _spec_states(spec: LinearSpec):
     """Read a specification as a state space: returns ``(root, successors)``.
     A state is an equation number, and a terminal equation steps to the
-    singleton of its kind. Raises SpecError on an invalid spec."""
-    _require_valid(spec)
-    equations = spec.equations
-
-    def successors(i: int):
-        rhs = equations[i - 1]
-        if isinstance(rhs, BranchRef):
-            return rhs.action, rhs.yes, rhs.no
-        return STOP if isinstance(rhs, Stop) else DEADLOCK
-
-    return spec.root, successors
+    singleton of its kind. One pass lays out the step of every equation;
+    on an invalid spec it raises SpecError, naming every problem."""
+    n = len(spec.equations)
+    steps: list = [DEADLOCK]  # entry 0 is no equation's
+    for rhs in spec.equations:
+        if isinstance(rhs, BranchRef) and 0 < rhs.yes <= n and 0 < rhs.no <= n:
+            steps.append((rhs.action, rhs.yes, rhs.no))
+        elif isinstance(rhs, (Stop, Deadlock)):
+            steps.append(STOP if isinstance(rhs, Stop) else DEADLOCK)
+        else:
+            _require_valid(spec)
+    if not 0 < spec.root <= n:
+        _require_valid(spec)
+    return spec.root, steps.__getitem__
 
 
 @dataclass(frozen=True)
@@ -225,13 +238,17 @@ def first_difference(space_p, space_q, deadlock_below: bool) -> Witness | None:
         b = steps_q.get(y)
         if b is None:
             b = steps_q[y] = y if y is STOP or y is DEADLOCK else next_q(y)
-        if isinstance(a, tuple):
-            if not isinstance(b, tuple) or a[0] != b[0]:
+        if type(a) is tuple:
+            if type(b) is not tuple or a[0] != b[0]:
                 break
-            for reply, nxt in ((True, (a[1], b[1])), (False, (a[2], b[2]))):
-                if nxt not in parent:
-                    parent[nxt] = (pair, a[0], reply)
-                    queue.append(nxt)
+            nxt = a[1], b[1]
+            if nxt not in parent:
+                parent[nxt] = (pair, a[0], True)
+                queue.append(nxt)
+            nxt = a[2], b[2]
+            if nxt not in parent:
+                parent[nxt] = (pair, a[0], False)
+                queue.append(nxt)
         elif a is not b and not (deadlock_below and a is DEADLOCK):
             break
     else:
@@ -343,8 +360,9 @@ def explore(root, successors) -> LinearSpec:
         return ref
 
     number(root)
+    get = index.get
     for i, (action, yes, no) in enumerate(rows):  # the list grows while it is walked
-        rows[i] = (number(yes), action, number(no))
+        rows[i] = (get(yes) or number(yes), action, get(no) or number(no))
     n = len(rows)
     equations: list[SpecRhs] = [
         BranchRef(yes if yes > 0 else n - yes, action, no if no > 0 else n - no)

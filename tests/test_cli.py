@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -193,6 +194,24 @@ def test_simulate_plain(capsys):
     code, out, _ = run(capsys, "simulate", "-e", "(+a;!;b)^w", "--replies", "FT")
     assert code == 0
     assert out.splitlines() == ["a false", "b true", "cutoff"]
+
+
+# actions are tuples, so json.dumps would write one as a list: every action
+# the CLI puts in JSON goes through str(), and these bytes pin that
+ACTION_TEXT = "(+c.dec;q:6.set:3;b)^w"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("simulate", "-e", ACTION_TEXT, "--replies", "TFT"),
+     (0, '{"status": "cutoff", "steps": [["c.dec", true], ["q:6.set:3", false], '
+         '["b", true]]}\n')),
+    (("equiv", "-e", ACTION_TEXT, "-e", "(+c.dec;q:6.set:4;b)^w"),
+     (1, '{"equivalent": false, "witness": ["c.dec true", '
+         '"differs: action q:6.set:3 vs action q:6.set:4"]}\n')),
+])
+def test_actions_in_json_are_their_text_golden(capsys, argv, expected):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, out, err) == (*expected, "")
 
 
 def test_simulate_to_termination(capsys):
@@ -656,6 +675,26 @@ def test_code_lines_tool_exits_quietly_on_a_closed_stdout():
         os.close(write_end)
     assert (done.returncode, done.stderr) == (0, b"")
 
+
+
+def test_code_lines_tool_prints_the_change_against_a_git_ref():
+    root = Path(__file__).resolve().parents[1]
+    if shutil.which("git") is None or not (root / ".git").exists():
+        pytest.skip("needs a git checkout")
+    tool = [sys.executable, str(root / "tools" / "code_lines.py")]
+    plain = subprocess.run(tool, capture_output=True, text=True, timeout=60, check=True)
+    delta = subprocess.run(tool + ["--base", "HEAD"], capture_output=True, text=True,
+                           timeout=60, check=True)
+    now = {}
+    for line in delta.stdout.splitlines():
+        change, new, old, name = line.split()
+        assert int(change) == int(new) - int(old)
+        now[name] = int(new)
+    assert now == {name: int(count) for count, name in map(str.split, plain.stdout.splitlines())}
+    assert list(now)[-3:] == ["total", "exports", "tests"]
+    bad = subprocess.run(tool + ["--base", "no-such-ref"], capture_output=True, text=True,
+                         timeout=60)
+    assert bad.returncode == 2 and bad.stderr.startswith("cannot read no-such-ref: ")
 
 _BACK_TO_BACK = (
     ("extract", "-e", "(a;c.inc)^w", "--bind", "c=counter()", "--depth", "3"),

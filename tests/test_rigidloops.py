@@ -50,7 +50,8 @@ from pgarl import (
 from pgarl import rigidloops
 from pgarl.program import program_instructions
 from pgarl.rigidloops import _match_loops, _omega_form, _unsplit_loops, project
-from pgarl.services import apply_bindings
+from pgarl.services import apply_bindings, bound_states
+from pgarl.threads import explore
 
 from genprograms import cycle_of, lin, nested_exits, random_pgarl, soundness_corpus
 from streamsemantics import stream_pi
@@ -814,3 +815,26 @@ def test_soundness_random_mini_corpus():
         assert thread_equal(
             defining_thread(program), extract_pga(project_pure(program))
         ), format_program(program)
+
+
+# -- the spec-identity law: both routes number one spec, equation for equation --
+
+def _check_one_spec(program):
+    pure_route = explore(*bound_states(project(program, "pure")))
+    assert defining_thread(program) == pure_route, format_program(program)
+
+
+def test_routes_number_one_spec_on_soundness_corpus():
+    for program in soundness_corpus():
+        _check_one_spec(program)
+
+
+def test_routes_number_one_spec_on_random_programs():
+    rng = random.Random(11)
+    for _ in range(400):
+        _check_one_spec(random_pgarl(rng))
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_routes_number_one_spec_on_nests(n):
+    _check_one_spec(parse_canonical(f"({n}x{{;{n}x{{;a;}}x;b;}}x)^w"))

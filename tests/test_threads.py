@@ -1,3 +1,4 @@
+import itertools
 import random
 from unittest import mock
 
@@ -16,6 +17,7 @@ from pgarl import (
     ReplyScript,
     SpecError,
     Stop,
+    apply_use,
     apply_use_bounded,
     defining_thread,
     distinguish,
@@ -31,8 +33,9 @@ from pgarl import (
     validate_spec,
 )
 from pgarl import extraction, services
-from pgarl.threads import Witness, _bounded, _spec_states, explore, first_difference
+from pgarl.threads import FOCUS, NAME, Witness, _bounded, _spec_states, explore, first_difference
 
+import valueoracle
 from genprograms import random_spec, soundness_corpus
 from specoracle import walk_simulate
 from treeoracle import number, tree_pi
@@ -87,6 +90,153 @@ def test_validate_five_equation_counter_spec():
         1,
     )
     assert validate_spec(spec) == []
+
+
+# -- invalid specs through every public reader ----------------------------------
+
+# each reader validates the spec before it steps anything, and names every
+# problem in one SpecError
+INVALID_SPECS = {
+    "dangling index": (LinearSpec((BranchRef(2, a, 1),)), "dangling index 2 in equation 1"),
+    "root out of range": (LinearSpec((STOP,), 2), "root 2 out of range 1..1"),
+    "plain tuple": (LinearSpec(((2, a, 1), STOP)),
+                    "equation 1 has an unrecognized right-hand side"),
+    "every problem": (
+        LinearSpec(((2, a, 1), BranchRef(3, a, 0)), 5),
+        "root 5 out of range 1..2; equation 1 has an unrecognized right-hand side; "
+        "dangling index 3 in equation 2; dangling index 0 in equation 2",
+    ),
+}
+
+SPEC_READERS = {
+    "distinguish left": lambda spec: distinguish(spec, A_LOOP),
+    "distinguish right": lambda spec: distinguish(A_LOOP, spec),
+    "refines left": lambda spec: refines(spec, A_LOOP),
+    "refines right": lambda spec: refines(A_LOOP, spec),
+    "thread_equal left": lambda spec: thread_equal(spec, A_LOOP),
+    "thread_equal right": lambda spec: thread_equal(A_LOOP, spec),
+    "pi": lambda spec: pi(3, spec, 1),
+    "apply_use": lambda spec: apply_use(spec, ()),
+    "simulate_with_services": lambda spec: simulate_with_services(spec, (), ReplyScript()),
+}
+
+
+@pytest.mark.parametrize("reader", SPEC_READERS)
+@pytest.mark.parametrize("case", INVALID_SPECS)
+def test_every_reader_rejects_an_invalid_spec_with_one_text(case, reader):
+    spec, text = INVALID_SPECS[case]
+    with pytest.raises(SpecError) as info:
+        SPEC_READERS[reader](spec)
+    assert str(info.value) == text
+
+
+def test_fresh_terminals_walk_like_the_singletons():
+    def spec(stop, deadlock):  # X1 = X2 <a> X3, X2 = X1 <b> X4, X3 = S, X4 = D
+        return LinearSpec((BranchRef(2, a, 3), BranchRef(1, b, 4), stop, deadlock))
+
+    singletons, fresh = spec(STOP, DEADLOCK), spec(Stop(), Deadlock())
+    _, successors = _spec_states(fresh)
+    assert successors(3) is STOP and successors(4) is DEADLOCK
+    assert explore(*_spec_states(fresh)) == explore(*_spec_states(singletons)) == singletons
+    assert pi(4, fresh, 1) == pi(4, singletons, 1)
+    assert apply_use(fresh, ()) == apply_use(singletons, ())
+    assert thread_equal(fresh, singletons) and refines(fresh, singletons)
+    assert refines(singletons, fresh)
+    assert str(distinguish(fresh, A_LOOP)) == str(distinguish(singletons, A_LOOP))
+    for text, status in (("F", "S"), ("TF", "D"), ("TT", "cutoff")):
+        script = ReplyScript.from_text(text)
+        trace = simulate_with_services(fresh, (), script, 2)
+        assert trace == simulate_with_services(singletons, (), script, 2)
+        assert trace.status == status
+
+
+# -- the tuple value types against the dataclasses they replaced (valueoracle) --
+
+FIELDS = ("method", "focus", "argument")
+_methods = st.sampled_from(["a", "b", "dec", "set", "x_1", "", "A", "1a", "a.b"]) | st.from_regex(
+    NAME, fullmatch=True
+)
+_foci = st.none() | st.sampled_from(["c", "rlc:6", "c:0", "c:06", "C", "c:", "c.d"]) | (
+    st.from_regex(FOCUS, fullmatch=True)
+)
+_arguments = st.none() | st.sampled_from([0, 3, -1]) | st.integers(-3, 10**6)
+_fields = st.tuples(_methods, _foci, _arguments, st.integers(1, 3), st.booleans())
+
+
+def _built(kind, fields):
+    """``kind`` built from the first ``count`` fields, by position or by
+    keyword, and the ValueError text if it refuses them."""
+    *values, count, by_keyword = fields
+    try:
+        if by_keyword:
+            return kind(**dict(zip(FIELDS, values[:count]))), None
+        return kind(*values[:count]), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def _same_relations(new, old):
+    # equality and equal hashes relate each pair of values as the oracle's do
+    for (x, y), (u, v) in zip(zip(new, new[1:]), zip(old, old[1:])):
+        assert (x == y) == (u == v)
+        assert (hash(x) == hash(y)) == (hash(u) == hash(v))
+
+
+def _check_values(fields, refs):
+    actions, old_actions = [], []
+    for one in fields:
+        action, error = _built(Action, one)
+        old_action, old_error = _built(valueoracle.Action, one)
+        assert error == old_error
+        if action is not None:
+            assert (str(action), repr(action)) == (str(old_action), repr(old_action))
+            actions.append(action)
+            old_actions.append(old_action)
+    _same_relations(actions, old_actions)
+    branches = [BranchRef(yes, x, no) for yes, x, no in zip(refs, actions, refs[1:])]
+    old_branches = [
+        valueoracle.BranchRef(yes, x, no) for yes, x, no in zip(refs, old_actions, refs[1:])
+    ]
+    assert list(map(repr, branches)) == list(map(repr, old_branches))
+    _same_relations(branches, old_branches)
+
+
+@given(st.lists(_fields, min_size=2, max_size=4), st.lists(st.integers(1, 3), min_size=4))
+def test_tuple_values_match_dataclass_oracle(fields, refs):
+    _check_values(fields, refs)
+
+
+def test_tuple_values_match_dataclass_oracle_on_every_check():
+    # each field check passed and failed, by position and by keyword
+    grid = list(itertools.product(
+        ["a", "A", ""], [None, "c", "c:6", "C", "c:06"], [None, 0, 3, -1], [1, 2, 3], [False, True]
+    ))
+    _check_values(grid, [1, 2, 3] * len(grid))
+
+
+def test_actions_and_branches_are_tuples_of_their_fields():
+    assert Action("set", "rlc:6", 3) == ("set", "rlc:6", 3)
+    assert BranchRef(2, a, 1) == (2, ("a", None, None), 1)
+    assert validate_spec(LinearSpec(((1, a, 1),))) == [  # but a plain tuple is no equation
+        "equation 1 has an unrecognized right-hand side"
+    ]
+    assert sorted([b, a]) == [a, b] and Action("dec", "c") < Action("dec", "d")
+    assert BranchRef(1, b, 2) < BranchRef(2, a, 1)
+    assert Action("set", "c", 2)._replace(argument=3) == Action("set", "c", 3)
+    with pytest.raises(ValueError, match="^bad method identifier 'A'$"):
+        a._replace(method="A")
+
+
+def test_step_list_matches_closure_oracle_on_corpus():
+    for pair in _corpus_specs():
+        for spec in pair + tuple(map(_fresh_leaves, pair)):
+            root, successors = _spec_states(spec)
+            old_root, old_successors = valueoracle.spec_states(spec)
+            assert root == old_root
+            for i in range(1, len(spec) + 1):
+                step, expected = successors(i), old_successors(i)
+                assert type(step) is type(expected) and step == expected
+                assert step is expected or type(step) is tuple
 
 
 def test_pi_zero_is_deadlock():

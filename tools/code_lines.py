@@ -9,14 +9,22 @@ from the repository root::
 It prints one ``lines module`` row per module, a ``total`` row, an
 ``exports`` row: the number of public names the package's ``__init__`` binds
 at its top level, submodules not counted, and a ``tests`` row: the code lines
-of ``tests/*.py`` together, counted by the same rule.
+of ``tests/*.py`` together, counted by the same rule. ::
+
+    python tools/code_lines.py --base REF
+
+prints the same rows with the change against the git ref ``REF`` in front:
+``delta now base name``, a module that one side lacks counting 0 there. It is
+the "net lines removed" of a change, read from the two trees.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import os
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -71,16 +79,54 @@ def exported_names(text: str) -> int:
     return len({name for name in names if not name.startswith("_")})
 
 
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ("git", *args), cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout
+
+
+def _sources(base: str | None) -> dict[str, str]:
+    """Every counted file's text, by its path from the repository root: the
+    working tree's, or the tree of the git ref ``base``."""
+    if base is None:
+        paths = [*SOURCE.glob("*.py"), *(ROOT / "tests").glob("*.py")]
+        return {path.relative_to(ROOT).as_posix(): path.read_text() for path in paths}
+    listed = _git("ls-tree", "--name-only", base, "src/pgarl/", "tests/").split()
+    return {path: _git("show", f"{base}:{path}") for path in listed if path.endswith(".py")}
+
+
+def _rows(sources: dict[str, str]) -> dict[str, int]:
+    """The printed rows, by name: one per module, then the totals."""
+    modules = {Path(path).name: code_lines(text) for path, text in sorted(sources.items())
+               if path.startswith("src/")}
+    init = sources.get("src/pgarl/__init__.py")
+    return {
+        **modules,
+        "total": sum(modules.values()),
+        "exports": exported_names(init) if init is not None else 0,
+        "tests": sum(code_lines(text) for path, text in sources.items()
+                     if path.startswith("tests/")),
+    }
+
+
 def main() -> int:
-    total = 0
-    for path in sorted(SOURCE.glob("*.py")):
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{count:5d} {path.name}")
-    print(f"{total:5d} total")
-    print(f"{exported_names((SOURCE / '__init__.py').read_text()):5d} exports")
-    tests = sum(code_lines(path.read_text()) for path in (ROOT / "tests").glob("*.py"))
-    print(f"{tests:5d} tests")
+    parser = argparse.ArgumentParser(description="Count the code lines of src/pgarl and tests.")
+    parser.add_argument("--base", metavar="REF", help="also print the change against this git ref")
+    args = parser.parse_args()
+    now = _rows(_sources(None))
+    if args.base is None:
+        for name, count in now.items():
+            print(f"{count:5d} {name}")
+        return 0
+    try:
+        base = _rows(_sources(args.base))
+    except subprocess.CalledProcessError as exc:
+        print(f"cannot read {args.base}: {exc.stderr.strip()}", file=sys.stderr)
+        return 2
+    totals = ["total", "exports", "tests"]
+    for name in sorted((now.keys() | base.keys()) - set(totals)) + totals:
+        new, old = now.get(name, 0), base.get(name, 0)
+        print(f"{new - old:+6d} {new:5d} {old:5d} {name}")
     return 0
 
 
