@@ -60,7 +60,6 @@ from .extraction import (
 )
 from .services import (
     BudgetExceeded,
-    CoAction,
     DivergenceSuspected,
     DownCounter,
     FullCounter,

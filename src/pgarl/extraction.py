@@ -49,7 +49,7 @@ from .threads import (
     Deadlock,
     LinearSpec,
     Stop,
-    _require_valid,
+    _spec_states,
     explore,
     first_difference,
 )
@@ -180,7 +180,7 @@ def synthesize(spec: LinearSpec) -> CanonicalProgram:
     other than the first equation is reached through a one-jump prefix; a spec
     whose root is already terminal collapses to ``!`` or ``#0``.
     """
-    _require_valid(spec)
+    _spec_states(spec)  # raises SpecError on an invalid spec
     root_rhs = spec.rhs(spec.root)
     if isinstance(root_rhs, Stop):
         return CanonicalProgram((HALT,), None)

@@ -18,8 +18,9 @@ time linear in its output by two passes over the source: a layout pass that
 places the first instance of every instruction and so gives the output
 length in closed form (``size_report`` uses it without building anything),
 and an emission pass that repeats each loop's finished block and shortens the
-jumps that leave it, one block per iteration. A jump leaves a loop when it
-lands past the loop's block.
+jumps that leave it, one block per iteration. Those jumps are read off the
+finished block, closing skip included: a jump in it leaves the loop when it
+lands at or past the block's end.
 """
 
 from __future__ import annotations
@@ -149,15 +150,23 @@ def _unsplit_loops(program: CanonicalProgram) -> CanonicalProgram:
 
 def _errors(program: CanonicalProgram) -> list[Diagnostic]:
     """The diagnostics that block projection: annotated instructions, then
-    loop closures directly preceded by a test (wrapping within the body)."""
+    units in a program with a loop bracket (a rigid-loop program is PGA
+    plus loop instructions, and neither projection reads the jumps inside a
+    unit), then loop closures directly preceded by a test (wrapping within
+    the body)."""
     flat = list(program.prefix) + list(program.body or ())
     before = [[]] + [[ins] for ins in flat[:-1]]  # what can run right before each position
     if program.body:
         before[len(program.prefix)].append(flat[-1])  # the body wraps around
+    bracketed = any(isinstance(ins, (LoopHeader, LoopClose)) for ins in flat)
     return [
         Diagnostic("error", pos, "annotated instruction in a source program")
         for pos, ins in enumerate(flat, 1)
         if isinstance(ins, (AnnClose, AnnJump))
+    ] + [
+        Diagnostic("error", pos, "unit instruction in a rigid-loop program")
+        for pos, ins in enumerate(flat, 1)
+        if bracketed and isinstance(ins, Unit)
     ] + [
         Diagnostic("error", pos, "loop closure directly preceded by a test instruction")
         for pos, (ins, preds) in enumerate(zip(flat, before), 1)
@@ -425,7 +434,8 @@ def project_pure(program: CanonicalProgram) -> CanonicalProgram:
     places the first instance of every source instruction and gives the
     output length, which is checked against ``PURE_LENGTH_LIMIT`` before
     anything is built. The emission pass then walks the source once and
-    repeats each loop's finished block count - 1 times. A jump keeps the
+    repeats each loop's finished block count - 1 times, with the jumps that
+    leave the loop read off that block. A jump keeps the
     iteration of every loop enclosing both it and its target and enters every
     other loop in its first iteration, so its distance is fixed by the layout
     except for the loops it leaves: in iteration i of such a loop it is i
@@ -454,29 +464,23 @@ def project_pure(program: CanonicalProgram) -> CanonicalProgram:
         return first[plen + 1 + offset] + periods * period
 
     out: list[Instruction] = []
-    # per open loop: its count, where its first block starts in ``out``, and
-    # the indices in ``out`` of the jumps in that block
-    frames: list[tuple[int, int, list[int]]] = []
+    frames: list[tuple[int, int]] = []  # per open loop: its count, where its block starts
     for pos, ins in enumerate(source, 1):
         if isinstance(ins, LoopHeader):
-            frames.append((ins.count, len(out), []))
+            frames.append((ins.count, len(out)))
             out.append(_SKIP)
         elif isinstance(ins, LoopClose):
             out.append(_SKIP)
-            count, start, jumps = frames.pop()
-            block = out[start:]
-            size = len(block)
-            leaving = [at for at in jumps if at + out[at].distance >= len(out)]
-            out.extend(block * (count - 1))
+            count, start = frames.pop()
+            end, size = len(out), len(out) - start
+            leaving = [at for at, jump in enumerate(out[start:-1], start)
+                       if type(jump) is Jump and at + jump.distance >= end]
+            out.extend(out[start:] * (count - 1))
             for i in range(1, count):
                 for at in leaving:
                     out[at + i * size] = Jump(out[at].distance - i * size)
-            if frames:
-                frames[-1][2].extend(at + i * size for i in range(count) for at in leaving)
         elif isinstance(ins, Jump) and ins.distance:
             out.append(Jump(target(pos + ins.distance) - first[pos]))
-            if frames:
-                frames[-1][2].append(len(out) - 1)
         else:
             out.append(ins)
     cut = first[plen + 1] - 1

@@ -1,10 +1,12 @@
 """Stateful reply services and the use operator.
 
-A service answers co-actions addressed to it through a focus: each step maps
-the current state and a co-action to a boolean reply and a successor state.
+A service answers the actions addressed to it through a focus: each step
+maps the current state and the action itself to a boolean reply and a
+successor state. The binding has already chosen the service by the
+action's focus, so a service reads only the method and the argument.
 Applying a service to a thread (the use operator) consumes every action on
 the bound focus silently, branching on the service's reply; actions on other
-foci pass through, a co-action outside the service's alphabet deadlocks, and
+foci pass through, an action outside the service's alphabet deadlocks, and
 a cycle of consumed actions that never emits anything is deadlock as well.
 
 Several services are applied together, one per focus. When every bound
@@ -76,19 +78,10 @@ class DivergenceSuspected(BudgetExceeded):
     """The silent-step budget ran out before the thread produced anything."""
 
 
-@dataclass(frozen=True)
-class CoAction:
-    """A method request as seen by a service: name plus optional argument."""
-
-    method: str
-    argument: int | None = None
-
-    def __str__(self) -> str:
-        return self.method if self.argument is None else f"{self.method}:{self.argument}"
-
-
 class Service:
-    """Interface: an initial state, a reply function, and an alphabet test.
+    """Interface: an initial state, a reply function, and an alphabet test,
+    both asked the thread's :class:`pgarl.threads.Action` on the bound focus
+    and reading its ``method`` and ``argument``.
 
     A service with finitely many states states how many, ``size``, and its
     states are then the ints ``0..size - 1``; ``size`` is None for one
@@ -102,10 +95,10 @@ class Service:
     size: int | None = None
     finite = property(lambda self: self.size is not None)
 
-    def accepts(self, co: CoAction) -> bool:
+    def accepts(self, action: Action) -> bool:
         raise NotImplementedError
 
-    def step(self, state, co: CoAction) -> tuple[bool, object]:
+    def step(self, state, action: Action) -> tuple[bool, object]:
         raise NotImplementedError
 
 
@@ -124,17 +117,17 @@ class DownCounter(Service):
         if not 0 <= self.initial <= self.limit:
             raise ValueError("initial counter value must lie within 0..limit")
 
-    def accepts(self, co: CoAction) -> bool:
-        if co.method == "dec":
-            return co.argument is None
-        if co.method == "set":
-            return co.argument is not None and 0 <= co.argument <= self.limit
+    def accepts(self, action: Action) -> bool:
+        if action.method == "dec":
+            return action.argument is None
+        if action.method == "set":
+            return action.argument is not None and 0 <= action.argument <= self.limit
         return False
 
-    def step(self, state: int, co: CoAction) -> tuple[bool, int]:
-        if co.method == "dec":
+    def step(self, state: int, action: Action) -> tuple[bool, int]:
+        if action.method == "dec":
             return (True, state - 1) if state > 0 else (False, 0)
-        return True, co.argument
+        return True, action.argument
 
 
 @dataclass(frozen=True)
@@ -148,19 +141,19 @@ class FullCounter(Service):
         if self.initial < 0:
             raise ValueError("counter value must be a natural number")
 
-    def accepts(self, co: CoAction) -> bool:
-        if co.method in ("dec", "inc"):
-            return co.argument is None
-        if co.method == "set":
-            return co.argument is not None and co.argument >= 0
+    def accepts(self, action: Action) -> bool:
+        if action.method in ("dec", "inc"):
+            return action.argument is None
+        if action.method == "set":
+            return action.argument is not None and action.argument >= 0
         return False
 
-    def step(self, state: int, co: CoAction) -> tuple[bool, int]:
-        if co.method == "inc":
+    def step(self, state: int, action: Action) -> tuple[bool, int]:
+        if action.method == "inc":
             return True, state + 1
-        if co.method == "dec":
+        if action.method == "dec":
             return (True, state - 1) if state > 0 else (False, 0)
-        return True, co.argument
+        return True, action.argument
 
 
 # kept only because bench/workloads.py calls it; it leaves with ROADMAP item 1
@@ -201,9 +194,9 @@ class _SilentSteps:
     first time a run reaches it, and ``moves`` keeps what it is: the
     ``STOP`` or ``DEADLOCK`` it ends in, None for a visible branch, which
     ``visible`` keeps as ``(action, yes, no)``, a silent step ``(slot,
-    size, step, co-action, yes, no)`` on one slot (its weight and size in
+    size, step, action, yes, no)`` on one slot (its weight and size in
     the int, its index in the tuple), or ``DEADLOCK`` when it asks a bound
-    service for a co-action outside that service's alphabet.
+    service for an action outside that service's alphabet.
     """
 
     def __init__(self, space, bindings) -> None:
@@ -224,8 +217,7 @@ class _SilentSteps:
             action, yes, no = move
             if action.focus in self._bound:
                 slot, size, svc = self._bound[action.focus]
-                co = CoAction(action.method, action.argument)
-                move = (slot, size, svc.step, co, yes, no) if svc.accepts(co) else DEADLOCK
+                move = (slot, size, svc.step, action, yes, no) if svc.accepts(action) else DEADLOCK
             else:
                 self.visible[state] = move
                 move = None
@@ -260,9 +252,9 @@ class _SilentSteps:
             if consumed == SILENT_RUN_LIMIT:
                 raise DivergenceSuspected(f"no visible progress within {consumed} consumed steps")
             consumed += 1
-            slot, size, step, co, yes, no = move
+            slot, size, step, action, yes, no = move
             old = states // slot % size if packed else states[slot]
-            reply, value = step(old, co)
+            reply, value = step(old, action)
             states = (states + (value - old) * slot if packed
                       else states[:slot] + (value,) + states[slot + 1:])
             state = yes if reply else no

@@ -17,9 +17,7 @@ Every walk here reads a thread as a *state space* ``(root, successors)``:
 ``successors(state)`` returns the branch ``(action, yes, no)`` performed in
 a state, or the ``STOP``/``DEADLOCK`` singleton the state ends in, and the
 singletons step to themselves, a rule the walks keep so that no reader has
-to. Specifications (``_spec_states``, which lays out the steps of a
-spec's equations in one pass, the only reader of them besides
-:func:`format_spec` and ``extraction.synthesize``) and
+to. Specifications (``_spec_states``) and
 extraction's instruction table (``extraction._table_states``) are read
 this way; the use operator's product and its depth-bounded form
 (:mod:`pgarl.services`) read a space and are spaces again. Depth is a
@@ -33,6 +31,12 @@ refinement order and equality (:func:`refines`, :func:`thread_equal`) and
 finds distinguishing traces (:func:`distinguish`) without numbering either
 side first. Scripted runs are the use operator's with no services bound, so
 they live in :mod:`pgarl.services`.
+
+A specification is read in one pass, by ``_read_spec``: it lays out the
+step of every equation and lists every invariant violation, so
+:func:`validate_spec` (the list) and ``_spec_states`` (the steps, or a
+SpecError naming the list) state one rule. It is the only reader of a
+spec's equations besides :func:`format_spec` and ``extraction.synthesize``.
 """
 
 from __future__ import annotations
@@ -139,29 +143,34 @@ class LinearSpec:
         return len(self.equations)
 
 
-def validate_spec(spec: LinearSpec) -> list[str]:
-    """Report every invariant violation; an empty list means the spec is
-    well formed. Never raises."""
-    problems = []
+def _read_spec(spec: LinearSpec) -> tuple[list, list[str]]:
+    """Read a specification in one pass: returns ``(steps, problems)``.
+    ``steps[i]`` is the step of equation i, ``(action, yes, no)`` or the
+    ``STOP``/``DEADLOCK`` singleton (entry 0 is no equation's), and
+    ``problems`` names every invariant violation, the list
+    :func:`validate_spec` returns."""
     n = len(spec.equations)
-    if n < 1:
-        problems.append("specification has no equations")
+    steps: list = [DEADLOCK]
+    problems = [] if n else ["specification has no equations"]
     if not 1 <= spec.root <= max(n, 1):
         problems.append(f"root {spec.root} out of range 1..{n}")
     for i, rhs in enumerate(spec.equations, 1):
-        if isinstance(rhs, BranchRef):
-            for ref in (rhs.yes, rhs.no):
-                if not 1 <= ref <= n:
-                    problems.append(f"dangling index {ref} in equation {i}")
-        elif not isinstance(rhs, (Stop, Deadlock)):
+        if isinstance(rhs, BranchRef) and 1 <= rhs.yes <= n and 1 <= rhs.no <= n:
+            steps.append((rhs.action, rhs.yes, rhs.no))
+        elif isinstance(rhs, (Stop, Deadlock)):
+            steps.append(STOP if isinstance(rhs, Stop) else DEADLOCK)
+        elif isinstance(rhs, BranchRef):
+            problems += [f"dangling index {ref} in equation {i}"
+                         for ref in (rhs.yes, rhs.no) if not 1 <= ref <= n]
+        else:
             problems.append(f"equation {i} has an unrecognized right-hand side")
-    return problems
+    return steps, problems
 
 
-def _require_valid(spec: LinearSpec) -> None:
-    problems = validate_spec(spec)
-    if problems:
-        raise SpecError("; ".join(problems))
+def validate_spec(spec: LinearSpec) -> list[str]:
+    """Report every invariant violation; an empty list means the spec is
+    well formed. Never raises."""
+    return _read_spec(spec)[1]
 
 
 def pi(n: int, spec: LinearSpec, state: int) -> LinearSpec:
@@ -182,19 +191,11 @@ def pi(n: int, spec: LinearSpec, state: int) -> LinearSpec:
 def _spec_states(spec: LinearSpec):
     """Read a specification as a state space: returns ``(root, successors)``.
     A state is an equation number, and a terminal equation steps to the
-    singleton of its kind. One pass lays out the step of every equation;
-    on an invalid spec it raises SpecError, naming every problem."""
-    n = len(spec.equations)
-    steps: list = [DEADLOCK]  # entry 0 is no equation's
-    for rhs in spec.equations:
-        if isinstance(rhs, BranchRef) and 0 < rhs.yes <= n and 0 < rhs.no <= n:
-            steps.append((rhs.action, rhs.yes, rhs.no))
-        elif isinstance(rhs, (Stop, Deadlock)):
-            steps.append(STOP if isinstance(rhs, Stop) else DEADLOCK)
-        else:
-            _require_valid(spec)
-    if not 0 < spec.root <= n:
-        _require_valid(spec)
+    singleton of its kind. The steps come from :func:`_read_spec`; on an
+    invalid spec this raises SpecError, naming every problem."""
+    steps, problems = _read_spec(spec)
+    if problems:
+        raise SpecError("; ".join(problems))
     return spec.root, steps.__getitem__
 
 

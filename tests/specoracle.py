@@ -18,7 +18,8 @@ from __future__ import annotations
 from itertools import count
 
 from pgarl import DEADLOCK, STOP, Deadlock, LinearSpec, Stop, Trace, services
-from pgarl.threads import _require_valid, explore
+from pgarl.threads import explore
+from valueoracle import require_valid
 
 
 def packed(bindings, states: tuple) -> int:
@@ -48,12 +49,12 @@ class SpecSilentSteps:
 
     Service states travel as a tuple with one slot per binding. Each equation
     is classified once: it ends the thread, it performs a visible action, it
-    asks a bound service for a co-action outside that service's alphabet
+    asks a bound service for an action outside that service's alphabet
     (deadlock), or it is a silent step on one slot.
     """
 
     def __init__(self, spec: LinearSpec, bindings) -> None:
-        _require_valid(spec)
+        require_valid(spec)
         services.check_foci(bindings)
         self.initial = tuple(svc.initial for _, svc in bindings)
         slots = {focus: slot for slot, (focus, _) in enumerate(bindings)}
@@ -68,9 +69,9 @@ class SpecSilentSteps:
             else:
                 slot = slots[rhs.action.focus]
                 svc = bindings[slot][1]
-                co = services.CoAction(rhs.action.method, rhs.action.argument)
                 moves.append(
-                    (slot, svc.step, co, rhs.yes, rhs.no) if svc.accepts(co) else DEADLOCK
+                    (slot, svc.step, rhs.action, rhs.yes, rhs.no)
+                    if svc.accepts(rhs.action) else DEADLOCK
                 )
         self.moves = moves
 
@@ -96,8 +97,8 @@ class SpecSilentSteps:
                 raise services.DivergenceSuspected(
                     f"no visible progress within {limit} consumed steps")
             seen.add(key)
-            slot, step, co, yes, no = move
-            reply, state = step(states[slot], co)
+            slot, step, action, yes, no = move
+            reply, state = step(states[slot], action)
             states = states[:slot] + (state,) + states[slot + 1:]
             equation = yes if reply else no
 

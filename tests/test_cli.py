@@ -179,6 +179,30 @@ def test_equiv_via_pure(capsys):
     assert code == 0
 
 
+def test_extract_prints_the_same_bytes_via_either_projection(capsys):
+    # the two routes number one spec, so the printed thread is the same
+    for program in soundness_corpus()[::5]:
+        text = pgarl.format_program(program)
+        code, out, err = run(capsys, "extract", "-e", text)
+        assert (code, err) == (0, "") and out.startswith("root 1\n")
+        assert run(capsys, "extract", "--via=pure", "-e", text) == (0, out, ""), text
+
+
+_UNIT_IN_LOOP = "well-formedness error: error at 2: unit instruction in a rigid-loop program\n"
+
+
+@pytest.mark.parametrize("text", ["(3x{;u(a;#2);}x;b)^w", "(2x{;u(a;+b);}x;c)^w"])
+@pytest.mark.parametrize("argv", [
+    ("extract",), ("extract", "--via=pure"), ("project",), ("project", "--mode=pure"),
+    ("equiv", "-e", "a"), ("equiv", "--via=pure", "-e", "a"), ("simulate", "--replies=TT"),
+    ("stats",), ("annotate",),
+])
+def test_unit_in_a_rigid_loop_program_exits_3_on_either_route(capsys, text, argv):
+    # before this was an error, extract printed two equations on the first
+    # program and four with --via pure
+    assert run(capsys, *argv, "-e", text) == (3, "", _UNIT_IN_LOOP)
+
+
 @pytest.mark.parametrize("via", [(), ("--via=pure",)])
 def test_equiv_body_closing_prefix_loops_in_later_periods(capsys, via):
     # the body's closure closes the inner loop in the first period and the

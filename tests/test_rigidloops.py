@@ -38,6 +38,7 @@ from pgarl import (
     format_program,
     format_sequence,
     has_rigid,
+    normalize_jumps,
     parse_canonical,
     parse_program,
     pi,
@@ -107,6 +108,33 @@ def test_well_formedness_error_lists_the_errors_alone():
         "error at 1: annotated instruction in a source program; "
         "error at 3: loop closure directly preceded by a test instruction"
     )
+
+
+def test_validate_unit_in_a_rigid_loop_program_is_error():
+    # neither projection reads the jumps inside a unit; on these programs the
+    # two routes gave different threads before the error existed
+    for text in ("(3x{;u(a;#2);}x;b)^w", "(2x{;u(a;+b);}x;c)^w"):
+        program = parse_canonical(text)
+        diags = [str(d) for d in validate_pgarl(program)]
+        assert diags == ["error at 2: unit instruction in a rigid-loop program"], text
+        for via in ("defining", "pure"):
+            with pytest.raises(WellFormednessError, match="^error at 2: unit instruction"):
+                project(program, via)
+    # every unit is named at its written position, after the annotated instructions
+    diags = validate_pgarl(parse_canonical("u(a);3}x2;2x{;b;}x;(u(+c;#2);d)^w"))
+    assert [str(d) for d in diags] == [
+        "error at 2: annotated instruction in a source program",
+        "error at 1: unit instruction in a rigid-loop program",
+        "error at 6: unit instruction in a rigid-loop program",
+    ]
+
+
+def test_units_without_loop_brackets_still_project():
+    # a program of units and no loops, and the counter projection's own output
+    counted = project_counter(parse_canonical(SECOND)).program
+    for program in (parse_canonical("a;(u(+b;#2);c;u(d))^w"), counted):
+        assert validate_pgarl(program) == []
+        assert defining_thread(program) == explore(*bound_states(project(program, "pure")))
 
 
 def test_validate_annotated_source_is_error():
@@ -619,7 +647,7 @@ def test_projections_agree_with_stream_interpreter():
             program = CanonicalProgram(prefix, body)
             canonical = canonicalize(RawProgram((Part(prefix), Part(body, repeated=True))))
             defining = defining_thread(canonical)
-            assert thread_equal(defining, extract_pga(project_pure(canonical)))
+            assert defining == extract_pga(project_pure(canonical))  # one spec, not one thread
             assert thread_equal(pi(10, defining, defining.root), stream_pi(program, 10)), (
                 format_program(program)
             )
@@ -649,6 +677,24 @@ def test_pure_matches_unrolling_oracle_with_jumps_up_to_body_length():
         program = random_pgarl(rng)
         program = _stretched(rng, program, len(program.body or ()))
         assert project_pure(program) == _unrolled(program), format_program(program)
+
+
+def test_pure_matches_unrolling_oracle_on_random_programs():
+    rng = random.Random(11)
+    for _ in range(1000):
+        program = random_pgarl(rng)
+        assert project_pure(program) == _unrolled(program), format_program(program)
+
+
+def test_pure_matches_unrolling_oracle_on_corpus_with_long_jumps():
+    # body jumps redrawn in 0..2|body|+2; the oracle reads the body as the
+    # projection does, with its jumps normalized
+    rng = random.Random(12)
+    for program in soundness_corpus():
+        program = _stretched(rng, program, 2 * len(program.body or ()) + 2)
+        body = program.body and normalize_jumps(program.body)
+        normalized = dataclasses.replace(program, body=body)
+        assert project_pure(program) == _unrolled(normalized), format_program(program)
 
 
 def test_pure_agrees_with_defining_thread_on_long_jumps():

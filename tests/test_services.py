@@ -1,5 +1,6 @@
 import random
 import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -10,7 +11,6 @@ from pgarl import (
     Action,
     BranchRef,
     BudgetExceeded,
-    CoAction,
     DEADLOCK,
     DivergenceSuspected,
     DownCounter,
@@ -72,33 +72,40 @@ def counter_spec():
 
 def test_down_counter_reply_discipline():
     dc = DownCounter(1, 3)
-    reply, state = dc.step(dc.initial, CoAction("dec"))
+    reply, state = dc.step(dc.initial, c_dec)
     assert (reply, state) == (True, 0)
-    assert dc.step(state, CoAction("dec")) == (False, 0)
+    assert dc.step(state, c_dec) == (False, 0)
 
 
 def test_down_counter_set():
     dc = DownCounter(0, 5)
-    assert dc.step(0, CoAction("set", 5)) == (True, 5)
+    assert dc.step(0, Action("set", focus="c", argument=5)) == (True, 5)
 
 
 def test_down_counter_fresh_is_zero():
     dc = DownCounter(0, 4)
     assert dc.initial == 0
-    assert dc.step(dc.initial, CoAction("dec"))[0] is False
+    assert dc.step(dc.initial, c_dec)[0] is False
 
 
 def test_down_counter_alphabet_excludes_large_set():
     dc = DownCounter(0, 3)
-    assert dc.accepts(CoAction("set", 3))
-    assert not dc.accepts(CoAction("set", 4))
-    assert not dc.accepts(CoAction("inc"))
+    assert dc.accepts(Action("set", focus="c", argument=3))
+    assert not dc.accepts(Action("set", focus="c", argument=4))
+    assert not dc.accepts(c_inc)
 
 
 def test_full_counter_alphabet_excludes_other_methods():
     fc = FullCounter()
-    assert not fc.accepts(CoAction("foo"))
-    assert not fc.accepts(CoAction("set"))
+    assert not fc.accepts(Action("foo", focus="c"))
+    assert not fc.accepts(Action("set", focus="c"))
+
+
+def test_readme_custom_service_reads_the_action(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(from dataclasses import .*?)\n```", readme, re.S)
+    exec(block, {"__name__": "readme"})
+    assert capsys.readouterr().out == "root 1\nX1 = X2 <a> X2\nX2 = X3 <b> X3\nX3 = X1 <b> X1\n"
 
 
 def test_down_counter_initial_above_max_rejected():
@@ -116,14 +123,14 @@ def test_full_counter_sequence():
     replies = []
     state = fc.initial
     for name in ("inc", "inc", "dec", "dec", "dec"):
-        reply, state = fc.step(state, CoAction(name))
+        reply, state = fc.step(state, Action(name, focus="c"))
         replies.append(reply)
     assert replies == [True, True, True, True, False]
 
 
 def test_full_counter_fresh_dec_false():
     fc = FullCounter()
-    assert fc.step(fc.initial, CoAction("dec")) == (False, 0)
+    assert fc.step(fc.initial, c_dec) == (False, 0)
 
 
 # -- use operator, finite product ----------------------------------------------

@@ -29,6 +29,7 @@ from pgarl import (
     project_pure,
     refines,
     simulate_with_services,
+    synthesize,
     thread_equal,
     validate_spec,
 )
@@ -237,6 +238,46 @@ def test_step_list_matches_closure_oracle_on_corpus():
                 step, expected = successors(i), old_successors(i)
                 assert type(step) is type(expected) and step == expected
                 assert step is expected or type(step) is tuple
+
+
+# -- spec validity against the validate_spec it replaced (valueoracle) ---------
+
+def _check_validity(spec):
+    # the problem list, and the SpecError text of every reader, are the oracle's
+    problems = valueoracle.validate_spec(spec)
+    assert validate_spec(spec) == problems
+    for read in (_spec_states, lambda spec: distinguish(A_LOOP, spec), synthesize):
+        if problems:
+            with pytest.raises(SpecError) as info:
+                read(spec)
+            assert str(info.value) == "; ".join(problems)
+        else:
+            read(spec)
+
+
+_refs = st.integers(-1, 5)
+_right_hand_sides = (
+    st.sampled_from([STOP, DEADLOCK, Stop(), Deadlock(), "X1", None, 1])
+    | st.builds(BranchRef, _refs, st.just(a), _refs)
+    | st.tuples(_refs, st.just(a), _refs)
+)
+
+
+@given(st.lists(_right_hand_sides, max_size=4), st.integers(-1, 6))
+def test_spec_problems_match_kept_validate_spec(equations, root):
+    _check_validity(LinearSpec(tuple(equations), root))
+
+
+def test_spec_problems_match_kept_validate_spec_on_a_grid():
+    # empty specs, roots on and past both ends, dangling references on either
+    # side and on both, plain tuples and right-hand sides of no kind
+    right_hand_sides = [STOP, Deadlock(), (1, a, 1), "X1"] + [
+        BranchRef(yes, a, no) for yes, no in ((1, 1), (0, 2), (2, 3), (3, 0), (-1, 9))
+    ]
+    for n in range(3):
+        for equations in itertools.product(right_hand_sides, repeat=n):
+            for root in {-1, 0, 1, n, n + 1}:
+                _check_validity(LinearSpec(equations, root))
 
 
 def test_pi_zero_is_deadlock():

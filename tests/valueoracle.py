@@ -1,11 +1,15 @@
-"""The thread layer's value types and spec reader as frozen dataclasses and a
-closure: the oracle for the tuple types ``pgarl.threads.Action`` and
-``pgarl.threads.BranchRef`` and for the step list ``pgarl.threads._spec_states``
-lays out.
+"""The thread layer's value types and spec reader as frozen dataclasses, a
+validity check and a closure: the oracle for the tuple types
+``pgarl.threads.Action`` and ``pgarl.threads.BranchRef``, for the problem
+list of ``pgarl.threads.validate_spec`` and for the step list
+``pgarl.threads._spec_states`` lays out (both read off
+``pgarl.threads._read_spec``).
 
 :class:`Action` and :class:`BranchRef` check, print and compare as the
-library's do, but are dataclasses, so they equal no tuple. :func:`spec_states`
-validates the whole spec first and then reads one equation per call.
+library's do, but are dataclasses, so they equal no tuple.
+:func:`validate_spec` checks the spec's invariants one by one, apart from
+any reading of its steps. :func:`spec_states` validates the whole spec with
+it first and then reads one equation per call.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ from pgarl.threads import (
     NAME,
     STOP,
     BranchRef as LibraryBranchRef,
+    Deadlock,
+    SpecError,
     Stop,
-    _require_valid,
 )
 
 
@@ -61,11 +66,37 @@ class BranchRef:
     no: int
 
 
+def validate_spec(spec) -> list[str]:
+    """Report every invariant violation; an empty list means the spec is
+    well formed. Never raises."""
+    problems = []
+    n = len(spec.equations)
+    if n < 1:
+        problems.append("specification has no equations")
+    if not 1 <= spec.root <= max(n, 1):
+        problems.append(f"root {spec.root} out of range 1..{n}")
+    for i, rhs in enumerate(spec.equations, 1):
+        if isinstance(rhs, LibraryBranchRef):
+            for ref in (rhs.yes, rhs.no):
+                if not 1 <= ref <= n:
+                    problems.append(f"dangling index {ref} in equation {i}")
+        elif not isinstance(rhs, (Stop, Deadlock)):
+            problems.append(f"equation {i} has an unrecognized right-hand side")
+    return problems
+
+
+def require_valid(spec) -> None:
+    """Raise SpecError naming every problem :func:`validate_spec` finds."""
+    problems = validate_spec(spec)
+    if problems:
+        raise SpecError("; ".join(problems))
+
+
 def spec_states(spec):
     """Read a specification as a state space: returns ``(root, successors)``.
     A state is an equation number, and a terminal equation steps to the
     singleton of its kind. Raises SpecError on an invalid spec."""
-    _require_valid(spec)
+    require_valid(spec)
     equations = spec.equations
 
     def successors(i: int):
