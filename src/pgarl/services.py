@@ -1,13 +1,16 @@
 """Stateful reply services and the use operator.
 
-A service answers the actions addressed to it through a focus: each step
-maps the current state and the action itself to a boolean reply and a
-successor state. The binding has already chosen the service by the
+A service answers the actions addressed to it through a focus. Asked an
+action, it gives that action's reply function, which maps the current state
+to a boolean reply and a successor state, or None when the action lies
+outside its alphabet. The binding has already chosen the service by the
 action's focus, so a service reads only the method and the argument.
 Applying a service to a thread (the use operator) consumes every action on
 the bound focus silently, branching on the service's reply; actions on other
 foci pass through, an action outside the service's alphabet deadlocks, and
 a cycle of consumed actions that never emits anything is deadlock as well.
+Each thread state asks its service once, so a consumed step only calls the
+reply function it was given.
 
 Several services are applied together, one per focus. When every bound
 service is finite, their states travel as one int in mixed radix, each
@@ -79,27 +82,34 @@ class DivergenceSuspected(BudgetExceeded):
 
 
 class Service:
-    """Interface: an initial state, a reply function, and an alphabet test,
-    both asked the thread's :class:`pgarl.threads.Action` on the bound focus
-    and reading its ``method`` and ``argument``.
+    """Interface: an initial state and ``reply(action)``, asked the thread's
+    :class:`pgarl.threads.Action` on the bound focus and reading its
+    ``method`` and ``argument``. It returns the action's reply function,
+    ``state -> (reply, next state)`` with a boolean reply, or None when the
+    service cannot answer the action, which makes the thread deadlock.
 
     A service with finitely many states states how many, ``size``, and its
     states are then the ints ``0..size - 1``; ``size`` is None for one
     without a finite enumeration. ``finite`` is read off ``size``: the
     finite product (:func:`apply_use`) takes only finite services. States
-    are immutable snapshots; ``step`` returns the successor rather than
-    mutating.
+    are immutable snapshots; a reply function returns the successor rather
+    than mutating.
     """
 
     initial: object
     size: int | None = None
     finite = property(lambda self: self.size is not None)
 
-    def accepts(self, action: Action) -> bool:
+    def reply(self, action: Action):
         raise NotImplementedError
 
-    def step(self, state, action: Action) -> tuple[bool, object]:
-        raise NotImplementedError
+
+def _dec(state: int) -> tuple[bool, int]:
+    return (True, state - 1) if state > 0 else (False, 0)
+
+
+def _inc(state: int) -> tuple[bool, int]:
+    return True, state + 1
 
 
 @dataclass(frozen=True)
@@ -117,17 +127,11 @@ class DownCounter(Service):
         if not 0 <= self.initial <= self.limit:
             raise ValueError("initial counter value must lie within 0..limit")
 
-    def accepts(self, action: Action) -> bool:
-        if action.method == "dec":
-            return action.argument is None
-        if action.method == "set":
-            return action.argument is not None and 0 <= action.argument <= self.limit
-        return False
-
-    def step(self, state: int, action: Action) -> tuple[bool, int]:
-        if action.method == "dec":
-            return (True, state - 1) if state > 0 else (False, 0)
-        return True, action.argument
+    def reply(self, action: Action):
+        method, _, n = action
+        if method == "set" and n is not None and 0 <= n <= self.limit:
+            return lambda state: (True, n)
+        return _dec if method == "dec" and n is None else None
 
 
 @dataclass(frozen=True)
@@ -141,19 +145,11 @@ class FullCounter(Service):
         if self.initial < 0:
             raise ValueError("counter value must be a natural number")
 
-    def accepts(self, action: Action) -> bool:
-        if action.method in ("dec", "inc"):
-            return action.argument is None
-        if action.method == "set":
-            return action.argument is not None and action.argument >= 0
-        return False
-
-    def step(self, state: int, action: Action) -> tuple[bool, int]:
-        if action.method == "inc":
-            return True, state + 1
-        if action.method == "dec":
-            return (True, state - 1) if state > 0 else (False, 0)
-        return True, action.argument
+    def reply(self, action: Action):
+        method, _, n = action
+        if method == "set" and n is not None and n >= 0:
+            return lambda state: (True, n)
+        return {"dec": _dec, "inc": _inc}.get(method) if n is None else None
 
 
 # kept only because bench/workloads.py calls it; it leaves with ROADMAP item 1
@@ -194,9 +190,9 @@ class _SilentSteps:
     first time a run reaches it, and ``moves`` keeps what it is: the
     ``STOP`` or ``DEADLOCK`` it ends in, None for a visible branch, which
     ``visible`` keeps as ``(action, yes, no)``, a silent step ``(slot,
-    size, step, action, yes, no)`` on one slot (its weight and size in
-    the int, its index in the tuple), or ``DEADLOCK`` when it asks a bound
-    service for an action outside that service's alphabet.
+    size, step, yes, no)`` on one slot (its weight and size in the int, its
+    index in the tuple) with the reply function ``step`` its service gave
+    for the action, or ``DEADLOCK`` when the service gave None.
     """
 
     def __init__(self, space, bindings) -> None:
@@ -217,7 +213,8 @@ class _SilentSteps:
             action, yes, no = move
             if action.focus in self._bound:
                 slot, size, svc = self._bound[action.focus]
-                move = (slot, size, svc.step, action, yes, no) if svc.accepts(action) else DEADLOCK
+                step = svc.reply(action)
+                move = DEADLOCK if step is None else (slot, size, step, yes, no)
             else:
                 self.visible[state] = move
                 move = None
@@ -252,9 +249,9 @@ class _SilentSteps:
             if consumed == SILENT_RUN_LIMIT:
                 raise DivergenceSuspected(f"no visible progress within {consumed} consumed steps")
             consumed += 1
-            slot, size, step, action, yes, no = move
+            slot, size, step, yes, no = move
             old = states // slot % size if packed else states[slot]
-            reply, value = step(old, action)
+            reply, value = step(old)
             states = (states + (value - old) * slot if packed
                       else states[:slot] + (value,) + states[slot + 1:])
             state = yes if reply else no

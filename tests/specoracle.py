@@ -50,7 +50,8 @@ class SpecSilentSteps:
     Service states travel as a tuple with one slot per binding. Each equation
     is classified once: it ends the thread, it performs a visible action, it
     asks a bound service for an action outside that service's alphabet
-    (deadlock), or it is a silent step on one slot.
+    (deadlock), or it is a silent step on one slot through the reply
+    function the service gave for the action.
     """
 
     def __init__(self, spec: LinearSpec, bindings) -> None:
@@ -68,11 +69,8 @@ class SpecSilentSteps:
                 moves.append(None)
             else:
                 slot = slots[rhs.action.focus]
-                svc = bindings[slot][1]
-                moves.append(
-                    (slot, svc.step, rhs.action, rhs.yes, rhs.no)
-                    if svc.accepts(rhs.action) else DEADLOCK
-                )
+                step = bindings[slot][1].reply(rhs.action)
+                moves.append(DEADLOCK if step is None else (slot, step, rhs.yes, rhs.no))
         self.moves = moves
 
     def resolve(self, equation: int, states: tuple):
@@ -97,8 +95,8 @@ class SpecSilentSteps:
                 raise services.DivergenceSuspected(
                     f"no visible progress within {limit} consumed steps")
             seen.add(key)
-            slot, step, action, yes, no = move
-            reply, state = step(states[slot], action)
+            slot, step, yes, no = move
+            reply, state = step(states[slot])
             states = states[:slot] + (state,) + states[slot + 1:]
             equation = yes if reply else no
 

@@ -440,19 +440,20 @@ def test_simulate_reply_script_characters(capsys):
 
 def test_project_then_extract_matches_defining_pipeline(capsys):
     # extracting the printed counter projection under its printed bindings
-    # gives byte-identical output to extracting the source directly
-    source = "(3x{;a;b;4x{;c;}x;d;}x;e)^w"
-    _, projected, _ = run(capsys, "project", "--mode=counter", "-e", source)
-    lines = projected.splitlines()
-    program_text = lines[0]
-    binds = [line.removeprefix("bind ") for line in lines[1:]]
-    argv = ["extract", "-e", program_text]
-    for bind in binds:
-        argv += ["--bind", bind]
-    code, via_projection, _ = run(capsys, *argv)
-    code2, via_defining, _ = run(capsys, "extract", "-e", source)
-    assert code == code2 == 0
-    assert via_projection == via_defining
+    # gives byte-identical output to extracting the source directly, on a
+    # nest and on every fifth corpus program
+    sources = ["(3x{;a;b;4x{;c;}x;d;}x;e)^w"]
+    sources += [pgarl.format_program(program) for program in soundness_corpus()[::5]]
+    for source in sources:
+        code, projected, _ = run(capsys, "project", "--mode=counter", "-e", source)
+        program_text, *binds = projected.splitlines()
+        argv = ["extract", "-e", program_text]
+        for bind in binds:
+            argv += ["--bind", bind.removeprefix("bind ")]
+        code2, via_projection, _ = run(capsys, *argv)
+        code3, via_defining, _ = run(capsys, "extract", "-e", source)
+        assert code == code2 == code3 == 0, source
+        assert via_projection == via_defining, source
 
 
 @pytest.mark.parametrize("command", ["project", "extract", "equiv", "simulate", "stats"])

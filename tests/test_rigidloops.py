@@ -653,6 +653,31 @@ def test_projections_agree_with_stream_interpreter():
             )
 
 
+# Every program with no prefix and a body of four over {a, +b, #1..#5, 2x{,
+# }x, !} on which the stream interpreter disagrees with the projections: 10
+# of the 9602 well-formed ones (the sweep takes about 3.4 s, so it is not
+# run here). Each jumps past the end of its body, and both projections read
+# that jump modulo the body length, while the stream interpreter keeps one
+# counter per loop instance (ROADMAP item 5). Pinned, so a fix on either
+# side shows.
+_LONG_JUMPS_THAT_DISAGREE = (
+    "(a;2x{;#5;}x)^w", "(+b;2x{;#5;}x)^w", "(#5;}x;a;2x{)^w", "(#5;}x;+b;2x{)^w",
+    "(#5;}x;!;2x{)^w", "(2x{;#5;}x;a)^w", "(2x{;#5;}x;+b)^w", "(2x{;#5;}x;!)^w",
+    "(}x;a;2x{;#5)^w", "(}x;+b;2x{;#5)^w",
+)
+
+
+def test_long_jumps_in_a_repeated_body_disagree_only_with_the_stream_reading():
+    for text in _LONG_JUMPS_THAT_DISAGREE:
+        raw = parse_program(text)
+        (part,) = raw.parts
+        canonical = canonicalize(raw)
+        defining = defining_thread(canonical)
+        assert defining == extract_pga(project_pure(canonical)), text
+        written = CanonicalProgram((), part.instructions)  # the stream reads it as written
+        assert not thread_equal(pi(10, defining, defining.root), stream_pi(written, 10)), text
+
+
 def test_pure_matches_unrolling_oracle_on_soundness_corpus():
     for program in soundness_corpus():
         expected = format_program(_unrolled(program))

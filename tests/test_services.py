@@ -47,6 +47,7 @@ from pgarl.services import (
 )
 from pgarl.threads import _spec_states, explore
 
+import valueoracle
 from genprograms import after_soundness_corpus, lin, random_spec, soundness_corpus
 from specoracle import SpecSilentSteps, packed, spec_apply_use, unpacked, walk_simulate
 from treeoracle import Branch, number, tree_apply_use_bounded
@@ -72,33 +73,70 @@ def counter_spec():
 
 def test_down_counter_reply_discipline():
     dc = DownCounter(1, 3)
-    reply, state = dc.step(dc.initial, c_dec)
+    reply, state = dc.reply(c_dec)(dc.initial)
     assert (reply, state) == (True, 0)
-    assert dc.step(state, c_dec) == (False, 0)
+    assert dc.reply(c_dec)(state) == (False, 0)
 
 
 def test_down_counter_set():
     dc = DownCounter(0, 5)
-    assert dc.step(0, Action("set", focus="c", argument=5)) == (True, 5)
+    assert dc.reply(Action("set", focus="c", argument=5))(0) == (True, 5)
 
 
 def test_down_counter_fresh_is_zero():
     dc = DownCounter(0, 4)
     assert dc.initial == 0
-    assert dc.step(dc.initial, c_dec)[0] is False
+    assert dc.reply(c_dec)(dc.initial)[0] is False
 
 
 def test_down_counter_alphabet_excludes_large_set():
     dc = DownCounter(0, 3)
-    assert dc.accepts(Action("set", focus="c", argument=3))
-    assert not dc.accepts(Action("set", focus="c", argument=4))
-    assert not dc.accepts(c_inc)
+    assert dc.reply(Action("set", focus="c", argument=3)) is not None
+    assert dc.reply(Action("set", focus="c", argument=4)) is None
+    assert dc.reply(c_inc) is None
 
 
 def test_full_counter_alphabet_excludes_other_methods():
     fc = FullCounter()
-    assert not fc.accepts(Action("foo", focus="c"))
-    assert not fc.accepts(Action("set", focus="c"))
+    assert fc.reply(Action("foo", focus="c")) is None
+    assert fc.reply(Action("set", focus="c")) is None
+
+
+@pytest.mark.parametrize("limit", [0, 1, 3])
+def test_counter_reply_matches_the_two_method_oracle_on_a_grid(limit):
+    """``reply(action)`` is None exactly where the kept two-method counter
+    does not accept the action, and otherwise answers every state as its
+    ``step`` does; one reply function serves every state."""
+    pairs = [
+        (DownCounter(0, limit), valueoracle.DownCounter(0, limit), range(limit + 1)),
+        (FullCounter(), valueoracle.FullCounter(), [*range(limit + 1), 0, 1, 10**12]),
+    ]
+    for method in ("dec", "inc", "set", "flip"):
+        for argument in (None, 0, 1, limit, limit + 1, 10**12):
+            action = Action(method, focus="c", argument=argument)
+            for svc, oracle, states in pairs:
+                step = svc.reply(action)
+                assert (step is None) == (not oracle.accepts(action)), (svc, action)
+                for state in states if step is not None else ():
+                    assert step(state) == oracle.step(state, action), (svc, action, state)
+
+
+def test_a_service_is_asked_once_per_thread_state():
+    # counter_spec has two thread states on c; however long the run, each
+    # asks its service once, and its consumed steps call what it was given
+    asked = []
+
+    class Asked(FullCounter):
+        def reply(self, action):
+            asked.append(action)
+            return super().reply(action)
+
+    script = ReplyScript(tuple([True] * 40 + [False] + [True] * 40))
+    trace = simulate_with_services(counter_spec(), (("c", Asked()),), script)
+    assert (len(trace.steps), trace.status, asked) == (81, "S", [c_inc, c_dec])
+    asked.clear()
+    apply_use_bounded(counter_spec(), (("c", Asked()),), 30)
+    assert asked == [c_inc, c_dec]
 
 
 def test_readme_custom_service_reads_the_action(capsys):
@@ -123,14 +161,14 @@ def test_full_counter_sequence():
     replies = []
     state = fc.initial
     for name in ("inc", "inc", "dec", "dec", "dec"):
-        reply, state = fc.step(state, Action(name, focus="c"))
+        reply, state = fc.reply(Action(name, focus="c"))(state)
         replies.append(reply)
     assert replies == [True, True, True, True, False]
 
 
 def test_full_counter_fresh_dec_false():
     fc = FullCounter()
-    assert fc.step(fc.initial, c_dec) == (False, 0)
+    assert fc.reply(c_dec)(fc.initial) == (False, 0)
 
 
 # -- use operator, finite product ----------------------------------------------

@@ -10,6 +10,11 @@ library's do, but are dataclasses, so they equal no tuple.
 :func:`validate_spec` checks the spec's invariants one by one, apart from
 any reading of its steps. :func:`spec_states` validates the whole spec with
 it first and then reads one equation per call.
+
+:class:`DownCounter` and :class:`FullCounter` are the counter services as
+two methods, an alphabet test ``accepts(action)`` and ``step(state,
+action)``, which answers an accepted action: the oracle for the one method
+``reply(action)`` of ``pgarl.services.DownCounter`` and ``FullCounter``.
 """
 
 from __future__ import annotations
@@ -106,3 +111,47 @@ def spec_states(spec):
         return STOP if isinstance(rhs, Stop) else DEADLOCK
 
     return spec.root, successors
+
+
+@dataclass(frozen=True)
+class DownCounter:
+    """Bounded counter: ``dec`` replies true and decrements while positive,
+    false at zero (leaving it at zero); ``set:n`` replies true and loads n.
+    Values above ``limit`` are outside the alphabet."""
+
+    initial: int = 0
+    limit: int = 0
+
+    def accepts(self, action) -> bool:
+        if action.method == "dec":
+            return action.argument is None
+        if action.method == "set":
+            return action.argument is not None and 0 <= action.argument <= self.limit
+        return False
+
+    def step(self, state: int, action) -> tuple[bool, int]:
+        if action.method == "dec":
+            return (True, state - 1) if state > 0 else (False, 0)
+        return True, action.argument
+
+
+@dataclass(frozen=True)
+class FullCounter:
+    """Unbounded counter: like the down counter but with ``inc`` (always
+    true) and no cap on ``set``."""
+
+    initial: int = 0
+
+    def accepts(self, action) -> bool:
+        if action.method in ("dec", "inc"):
+            return action.argument is None
+        if action.method == "set":
+            return action.argument is not None and action.argument >= 0
+        return False
+
+    def step(self, state: int, action) -> tuple[bool, int]:
+        if action.method == "inc":
+            return True, state + 1
+        if action.method == "dec":
+            return (True, state - 1) if state > 0 else (False, 0)
+        return True, action.argument
