@@ -12,10 +12,12 @@ a cycle of consumed actions that never emits anything is deadlock as well.
 Each thread state asks its service once, so a consumed step only calls the
 reply function it was given.
 
-Several services are applied together, one per focus. When every bound
-service is finite, their states travel as one int in mixed radix, each
-service's slot as wide as its state count (``Service.size``); with an
-unbounded service bound they travel as a tuple with one slot per binding.
+Several services are applied together, one per focus. Their states travel
+as one int in mixed radix, each finite service's slot as wide as its state
+count (``Service.size``) and at most one :class:`FullCounter`, whose states
+are natural numbers, in the top slot; they travel as a tuple with one slot
+per binding when another service without a size, or a second counter, is
+bound.
 The use operator reads a thread as a state space in the
 sense of :mod:`pgarl.threads`, ``(root, successors)``, and one resolver
 (``_SilentSteps``) consumes its silent steps, classifying each thread state
@@ -35,9 +37,10 @@ only to be read by the product. The public forms take a
 service states in a single pass, :func:`apply_use_bounded`
 numbers the pairs within a visible depth, so its result is a finite thread
 as a spec, and scripted simulation (:func:`simulate_with_services`) walks
-one path, remembering the states it meets when every service is finite;
-:func:`simulate` is the same walk over a projected program's extraction
-table, which it steps only where the run goes. All of them
+one path, remembering the states it meets when every service is finite,
+and sharing each visible thread state's two steps between the trace
+entries that take it; :func:`simulate` is the same walk over a projected
+program's extraction table, which it steps only where the run goes. All of them
 limit each silent run to ``SILENT_RUN_LIMIT`` steps and reject a list of
 bindings that binds a focus twice. The product may step at most
 ``PRODUCT_STATE_LIMIT`` states, and the depth-bounded form may unfold at
@@ -92,8 +95,8 @@ class Service:
     states are then the ints ``0..size - 1``; ``size`` is None for one
     without a finite enumeration. ``finite`` is read off ``size``: the
     finite product (:func:`apply_use`) takes only finite services. States
-    are immutable snapshots; a reply function returns the successor rather
-    than mutating.
+    are immutable, hashable snapshots, of any kind when there is no
+    ``size``; a reply function returns the successor rather than mutating.
     """
 
     initial: object
@@ -142,7 +145,7 @@ class FullCounter(Service):
     initial: int = 0
 
     def __post_init__(self) -> None:
-        if self.initial < 0:
+        if not isinstance(self.initial, int) or self.initial < 0:
             raise ValueError("counter value must be a natural number")
 
     def reply(self, action: Action):
@@ -183,27 +186,39 @@ class _SilentSteps:
     :func:`pgarl.threads.explore`), under a list of bound services.
 
     The form of the service states is chosen once, from the bindings. When
-    every binding is finite they are one int in mixed radix: slot i holds
-    its value times the product of the sizes of the slots below it, its
-    weight, and a step rewrites one slot by arithmetic. Otherwise they are
-    a tuple with one slot per binding. Each thread state is classified the
+    every binding but at most one :class:`FullCounter` has a ``size`` they
+    are one int in mixed radix: the finite bindings take the slots from the
+    bottom, in binding order, and the counter, if any, the top slot. A slot
+    holds its value times the product of the sizes of the slots below it,
+    its weight, so the top slot is read by one division, with no modulus,
+    and a step rewrites one slot by arithmetic. With any other binding
+    without a ``size`` (its states need not be ints), or two counters, they
+    are a tuple with one slot per binding; ``finite`` says whether every
+    binding has a ``size``. Each thread state is classified the
     first time a run reaches it, and ``moves`` keeps what it is: the
     ``STOP`` or ``DEADLOCK`` it ends in, None for a visible branch, which
-    ``visible`` keeps as ``(action, yes, no)``, a silent step ``(slot,
-    size, step, yes, no)`` on one slot (its weight and size in the int, its
-    index in the tuple) with the reply function ``step`` its service gave
-    for the action, or ``DEADLOCK`` when the service gave None.
+    ``visible`` keeps as ``(action, yes, no, (action, False), (action,
+    True))``, the last two the steps a trace lists for each reply, a silent
+    step ``(slot, size, step, yes, no)`` on one slot (its weight and size in
+    the int, the size None on top; its index in the tuple) with the reply
+    function ``step`` its service gave for the action, or ``DEADLOCK`` when
+    the service gave None.
     """
 
     def __init__(self, space, bindings) -> None:
         check_foci(bindings)
         self.root, self._successors = space
+        unbounded = [svc for _, svc in bindings if not svc.finite]
+        self.finite = not unbounded
+        # only the counter itself is known to hold ints; a subclass may hold other states
+        self.packed = self.finite or len(unbounded) == 1 and type(unbounded[0]) is FullCounter
+        if self.packed:  # the finite slots, then the counter on top
+            bindings = sorted(bindings, key=lambda binding: not binding[1].finite)
         sizes = [svc.size for _, svc in bindings]
         initial = tuple(svc.initial for _, svc in bindings)
-        self.packed = None not in sizes
-        weights = list(accumulate(sizes, mul, initial=1)) if self.packed else range(len(sizes))
-        self.initial = sum(map(mul, weights, initial)) if self.packed else initial
-        self._bound = {f: (slot, size, svc) for slot, size, (f, svc) in zip(weights, sizes, bindings)}
+        slots = list(accumulate(sizes[:-1], mul, initial=1)) if self.packed else range(len(sizes))
+        self.initial = sum(map(mul, slots, initial)) if self.packed else initial
+        self._bound = {f: (slot, size, svc) for slot, size, (f, svc) in zip(slots, sizes, bindings)}
         self.moves: dict = {STOP: STOP, DEADLOCK: DEADLOCK}
         self.visible: dict = {}
 
@@ -216,7 +231,7 @@ class _SilentSteps:
                 step = svc.reply(action)
                 move = DEADLOCK if step is None else (slot, size, step, yes, no)
             else:
-                self.visible[state] = move
+                self.visible[state] = (action, yes, no, (action, False), (action, True))
                 move = None
         self.moves[state] = move
         return move
@@ -227,10 +242,11 @@ class _SilentSteps:
         pair; returns STOP, DEADLOCK (a silent cycle is deadlock too) or the
         pair at the visible action. DivergenceSuspected is raised when a step
         is due after SILENT_RUN_LIMIT consumed steps. Most runs consume one
-        step, so the pairs met are kept in a set from the second step on."""
+        step, so the pairs met are kept in a set, and built, only from the
+        second step on."""
         moves = self.moves
         packed = self.packed
-        first = key = (state, states)
+        start, start_states = state, states
         consumed = 0
         while True:
             try:
@@ -238,11 +254,12 @@ class _SilentSteps:
             except KeyError:
                 move = self._classify(state)
             if move is None:
-                return key
+                return state, states
             if move is STOP or move is DEADLOCK:
                 return move
             if consumed:  # no set for a run of one step
-                seen = {first} if consumed == 1 else seen
+                seen = {(start, start_states)} if consumed == 1 else seen
+                key = (state, states)
                 if key in seen:
                     return DEADLOCK
                 seen.add(key)
@@ -250,12 +267,14 @@ class _SilentSteps:
                 raise DivergenceSuspected(f"no visible progress within {consumed} consumed steps")
             consumed += 1
             slot, size, step, yes, no = move
-            old = states // slot % size if packed else states[slot]
-            reply, value = step(old)
-            states = (states + (value - old) * slot if packed
-                      else states[:slot] + (value,) + states[slot + 1:])
+            if packed:  # the top slot has no size and is read without a modulus
+                old = states // slot % size if size else states // slot
+                reply, value = step(old)
+                states += (value - old) * slot
+            else:
+                reply, value = step(states[slot])
+                states = states[:slot] + (value,) + states[slot + 1:]
             state = yes if reply else no
-            key = (state, states)
 
 
 def _product_states(space, bindings):
@@ -275,7 +294,7 @@ def _product_states(space, bindings):
         if next(explored) > limit:
             raise BudgetExceeded(f"the use-operator product has more than {limit} states")
         state, states = node
-        action, yes, no = visible[state]
+        action, yes, no, _, _ = visible[state]
         at_yes = resolve(yes, states)
         return action, at_yes, at_yes if no == yes else resolve(no, states)
 
@@ -297,7 +316,7 @@ def _bounded_use_states(space, bindings, depth: int):
         at = resolve(*node)
         if at is STOP or at is DEADLOCK:
             return at
-        action, yes, no = visible[at[0]]
+        action, yes, no, _, _ = visible[at[0]]
         return action, (yes, at[1]), (no, at[1])
 
     _, bounded = _bounded(None, depth, successors)  # checks the depth before the bindings
@@ -372,40 +391,42 @@ def _simulate(space, bindings, script: ReplyScript, max_steps: int) -> Trace:
 
     When every bound service is finite, the product has finitely many
     visible states and a scripted run keeps returning to them, so the walk
-    keeps one entry per visible state it meets: the action performed there
+    keeps one entry per visible state it meets: the two steps taken there
     and, once a reply has been taken from it, the entry that reply resolves
     to. A state met again costs no silent steps. Only the branch a reply
     takes is resolved, as in the walk without a table, so a divergence
-    behind an untaken branch is never raised."""
+    behind an untaken branch is never raised. Both walks append the steps
+    that ``_SilentSteps.visible`` made once per thread state, so the trace
+    allocates no step of its own."""
     if max_steps < 0:
         raise ValueError(f"max_steps must be a natural number, got {max_steps}")
     silent = _SilentSteps(space, tuple(bindings))
     resolve, visible = silent.resolve, silent.visible
     at = resolve(silent.root, silent.initial)
     steps: list[tuple[Action, bool]] = []
-    if silent.packed:
+    if silent.finite:
         table: dict = {STOP: STOP, DEADLOCK: DEADLOCK}  # the terminals stand for themselves
 
-        def entry(at):  # [action, where false leads, where true leads, no, yes, states]
+        def entry(at):  # [step on false, on true, where each leads, no, yes, states]
             if at not in table:
-                action, yes, no = visible[at[0]]
-                table[at] = [action, None, None, no, yes, at[1]]
+                _, yes, no, if_false, if_true = visible[at[0]]
+                table[at] = [if_false, if_true, None, None, no, yes, at[1]]
             return table[at]
 
         at = entry(at)
         for reply in script.values[:max_steps]:
             if at is STOP or at is DEADLOCK:
                 break
-            steps.append((at[0], reply))
-            if at[1 + reply] is None:
-                at[1 + reply] = entry(resolve(at[3 + reply], at[5]))
-            at = at[1 + reply]
+            steps.append(at[reply])
+            if at[2 + reply] is None:
+                at[2 + reply] = entry(resolve(at[4 + reply], at[6]))
+            at = at[2 + reply]
     else:  # an unbounded service seldom meets a state twice: walk without a table
         for reply in script.values[:max_steps]:
             if at is STOP or at is DEADLOCK:
                 break
-            action, yes, no = visible[at[0]]
-            steps.append((action, reply))
+            _, yes, no, if_false, if_true = visible[at[0]]
+            steps.append(if_true if reply else if_false)
             at = resolve(yes if reply else no, at[1])
     status = str(at) if at is STOP or at is DEADLOCK else "cutoff"
     return Trace(tuple(steps), status)

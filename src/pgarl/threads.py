@@ -42,6 +42,7 @@ spec's equations besides :func:`format_spec` and ``extraction.synthesize``.
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -290,26 +291,33 @@ def distinguish(spec_p: LinearSpec, spec_q: LinearSpec) -> Witness | None:
     return first_difference(_spec_states(spec_p), _spec_states(spec_q), False)
 
 
+_FALSE_BYTES = bytes.maketrans(b"Ff0", bytes(3))  # a false reply reads as a zero byte
+
+
 @dataclass(frozen=True)
 class ReplyScript:
-    """An ordered supply of boolean replies, consumed from the first."""
+    """An ordered supply of boolean replies, consumed from the first. A walk
+    indexes its table by the reply, so any value but a bool is refused."""
 
     values: tuple[bool, ...] = ()
 
+    def __post_init__(self) -> None:
+        if not {*map(type, self.values)} <= {bool}:  # read in C; the bad one is named after
+            bad = next(value for value in self.values if type(value) is not bool)
+            raise ValueError(f"a reply must be a bool, got {bad!r}")
+
     @classmethod
     def from_text(cls, text: str) -> "ReplyScript":
-        """Build a script from a compact string, e.g. ``TTF`` or ``110``."""
-        values = []
-        for ch in text:
-            if ch in "Tt1":
-                values.append(True)
-            elif ch in "Ff0":
-                values.append(False)
-            elif ch in ", ":
-                continue
-            else:
-                raise ValueError(f"bad reply character {ch!r}")
-        return cls(tuple(values))
+        """Build a script from a compact string, e.g. ``TTF`` or ``110``:
+        ``T``, ``t`` and ``1`` are true, ``F``, ``f`` and ``0`` false, and
+        commas and spaces are skipped. The text is read in C; only a bad
+        character is looked for again, one character at a time."""
+        raw = text.encode("ascii", "replace")  # a character outside ASCII reads as ?
+        if raw.translate(None, b"TtFf10, "):
+            bad = next(ch for ch in text if ch not in "TtFf10, ")
+            raise ValueError(f"bad reply character {bad!r}")
+        raw = raw.translate(_FALSE_BYTES, b", ")
+        return cls(struct.unpack(f"{len(raw)}?", raw))  # any byte but zero unpacks as True
 
 
 @dataclass(frozen=True)

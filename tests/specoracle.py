@@ -10,7 +10,9 @@ numbers the finite product over those pairs, and :func:`walk_simulate` walks
 a spec under a reply script, the oracle for ``services._simulate`` with
 services bound and without. :func:`packed` and :func:`unpacked` translate
 between this module's tuples of service states and the one int that
-``services._SilentSteps`` carries when every binding is finite.
+``services._SilentSteps`` carries when every binding but at most one
+``FullCounter`` has a finite size: the finite slots in binding order, then
+the counter on top.
 """
 
 from __future__ import annotations
@@ -22,25 +24,32 @@ from pgarl.threads import explore
 from valueoracle import require_valid
 
 
+def _slots(bindings):
+    """The slot order of the one int: the finite bindings in binding order,
+    then the binding without a size, if there is one, on top."""
+    return sorted(range(len(bindings)), key=lambda i: not bindings[i][1].finite)
+
+
 def packed(bindings, states: tuple) -> int:
     """The mixed-radix code of a tuple of service states: slot i holds its
     value times the product of the state counts of the slots below it."""
     code, weight = 0, 1
-    for (_, svc), value in zip(bindings, states):
-        code += value * weight
-        weight *= svc.size
+    for i in _slots(bindings):
+        code += states[i] * weight
+        weight *= bindings[i][1].size or 1  # the top slot's size is never read
     return code
 
 
 def unpacked(bindings, states):
     """The tuple of service states that ``states`` stands for: a code is
-    decoded slot by slot, a tuple is already one."""
+    decoded slot by slot, the top slot without a modulus; a tuple is already
+    one."""
     if isinstance(states, tuple):
         return states
-    values = []
-    for _, svc in bindings:
-        states, value = divmod(states, svc.size)
-        values.append(value)
+    values = [None] * len(bindings)
+    for i in _slots(bindings):
+        size = bindings[i][1].size
+        states, values[i] = divmod(states, size) if size else (0, states)
     return tuple(values)
 
 

@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import dataclass
 from pathlib import Path
 from unittest import mock
 
@@ -19,6 +20,7 @@ from pgarl import (
     ProjectedProgram,
     ReplyScript,
     STOP,
+    Service,
     ServiceError,
     apply_use,
     apply_use_bounded,
@@ -139,6 +141,47 @@ def test_a_service_is_asked_once_per_thread_state():
     assert asked == [c_inc, c_dec]
 
 
+@dataclass(frozen=True)
+class Tally(Service):
+    """counter() with its value n held as ``encode(n)``, which is no int."""
+
+    encode: object = lambda n: ("|",) * n
+    decode: object = len
+    initial = property(lambda self: self.encode(0))
+
+    def reply(self, action):
+        method, _, n = action
+        if method == "set" and n is not None:
+            return lambda state: (True, self.encode(n))
+        if method in ("inc", "dec") and n is None:
+            delta = 1 if method == "inc" else -1
+            return lambda state: (delta > 0 or self.decode(state) > 0,
+                                  self.encode(max(self.decode(state) + delta, 0)))
+        return None
+
+
+def test_services_without_a_size_keep_states_of_any_kind():
+    # a tally walks and cuts as the counter() in its place does, alone, next
+    # to a dc() and next to a counter(), with its value held as a tuple of
+    # marks, a string, a float or, at zero, None; its states ride in a tuple
+    tallies = (Tally(), Tally(lambda n: "|" * n), Tally(lambda n: n + 0.5, int),
+               Tally(lambda n: ("|",) * n or None, lambda state: len(state or ())))
+    rng = random.Random(31)
+    with mock.patch.object(services, "SILENT_RUN_LIMIT", 20):
+        for k in range(120):
+            spec = _focused_spec(rng, methods=("dec", "inc", "set"))
+            for others in ((), (("q", DownCounter(1, 2)),), (("q", FullCounter(1)),)):
+                bindings = (("p", tallies[k % 4]),) + others
+                counted = (("p", FullCounter()),) + others
+                assert not _SilentSteps(_spec_states(spec), bindings).packed
+                script = ReplyScript(tuple(rng.random() < 0.5 for _ in range(40)))
+                assert _same_walk(spec, bindings, script) == _same_walk(spec, counted, script)
+                depth = rng.randint(0, 8)
+                cut = _cut_outcome(apply_use_bounded, spec, bindings, depth)
+                assert cut == _cut_outcome(tree_apply_use_bounded, spec, bindings, depth)
+                assert cut == _cut_outcome(apply_use_bounded, spec, counted, depth)
+
+
 def test_readme_custom_service_reads_the_action(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"```python\n(from dataclasses import .*?)\n```", readme, re.S)
@@ -152,8 +195,10 @@ def test_down_counter_initial_above_max_rejected():
 
 
 def test_full_counter_negative_initial_rejected():
-    with pytest.raises(ValueError, match="natural number"):
-        FullCounter(-1)
+    # and any other value that is no int: its states ride in the packed int
+    for initial in (-1, 0.5, 2.0, "1", None):
+        with pytest.raises(ValueError, match="natural number"):
+            FullCounter(initial)
 
 
 def test_full_counter_sequence():
@@ -340,8 +385,8 @@ def test_silent_run_limit_counts_consumed_steps():
                BranchRef(4, a, 4))
     silent = _SilentSteps(_spec_states(spec), (("c", FullCounter()),))
     with mock.patch.object(services, "SILENT_RUN_LIMIT", 3):
-        assert silent.resolve(spec.root, silent.initial) == (4, (3,))
-    assert silent.resolve(spec.root, silent.initial) == (4, (3,))
+        assert silent.resolve(spec.root, silent.initial) == (4, 3)
+    assert silent.resolve(spec.root, silent.initial) == (4, 3)
     with mock.patch.object(services, "SILENT_RUN_LIMIT", 2), \
             pytest.raises(DivergenceSuspected, match="within 2 consumed steps"):
         silent.resolve(spec.root, silent.initial)
@@ -351,7 +396,8 @@ def test_silent_run_limit_boundary_in_both_forms():
     # runs of 0-3 consumed steps on c and d, then a visible a, and silent
     # cycles of length 1 and 2; a run of k steps needs a limit of k, and a
     # cycle of length n is deadlock under a limit of n, whether the service
-    # states are one code (every binding finite) or a tuple (a counter())
+    # states are one code (every binding finite, or one counter() on top)
+    # or a tuple (two counter()s)
     c_set, d_set, d_dec = (Action("set", focus="c", argument=3),
                            Action("set", focus="d", argument=1), Action("dec", focus="d"))
     runs = [
@@ -363,8 +409,11 @@ def test_silent_run_limit_boundary_in_both_forms():
     ]
     cycles = [(lin(BranchRef(1, c_set, 1)), 1),
               (lin(BranchRef(2, c_set, 2), BranchRef(1, d_set, 1)), 2)]
+    forms = []
     for bindings in ((("c", DownCounter(3, 3)), ("d", DownCounter(1, 2))),
-                     (("c", DownCounter(3, 3)), ("d", FullCounter(1)))):
+                     (("c", DownCounter(3, 3)), ("d", FullCounter(1))),
+                     (("c", FullCounter(3)), ("d", FullCounter(1)))):
+        forms.append(type(_SilentSteps(_spec_states(runs[0][0]), bindings).initial))
         for limit in range(4):
             with mock.patch.object(services, "SILENT_RUN_LIMIT", limit):
                 for spec, steps, states in runs:
@@ -380,6 +429,7 @@ def test_silent_run_limit_boundary_in_both_forms():
                     outcome = _resolved(silent, spec.root, silent.initial)
                     assert outcome == (DEADLOCK if length <= limit else
                                        f"no visible progress within {limit} consumed steps")
+    assert forms == [int, int, tuple]
 
 
 def test_bounded_budget_exhaustion():
@@ -470,27 +520,35 @@ def _resolved(silent, state, states):
 
 def test_resolve_matches_spec_reading_resolver_on_corpus(monkeypatch):
     # every equation, from the initial service states and from three drawn
-    # ones, under the loop counters and counter()/dc() bindings of c and d
+    # ones, under the loop counters and counter()/dc() bindings of c and d,
+    # the two shapes in turn; one counter() rides on top of the code, and
+    # every third program runs again under two, which make the states a
+    # tuple, drawing from a generator of its own
     monkeypatch.setattr(services, "SILENT_RUN_LIMIT", 200)
-    rng = random.Random(7)
-    kinds = set()
+    rng, tuple_rng = random.Random(7), random.Random(8)
+    kinds, forms = set(), set()
     for i, projected in _counting_corpus():
         spec = extract_pgau(projected.program)
-        bindings = projected.bindings + (
-            (("c", FullCounter()),),
-            (("c", FullCounter(2)), ("d", DownCounter(1, 2))),
-        )[i % 2]
-        silent = _SilentSteps(_spec_states(spec), bindings)
-        oracle = SpecSilentSteps(spec, bindings)
-        assert silent.initial == oracle.initial
-        drawn = [tuple(rng.randint(0, getattr(svc, "limit", 3)) for _, svc in bindings)
-                 for _ in range(3)]
-        for equation in range(1, len(spec) + 1):
-            for states in (silent.initial, *drawn):
-                outcome = _resolved(silent, equation, states)
-                assert outcome == _resolved(oracle, equation, states)
-                kinds.add(outcome if outcome is STOP or outcome is DEADLOCK else type(outcome))
-    assert kinds == {STOP, DEADLOCK, tuple, str}
+        shapes = [((("c", FullCounter()),), (("c", FullCounter(2)), ("d", DownCounter(1, 2))))[i % 2]]
+        shapes += [(("c", FullCounter()), ("d", FullCounter(1)))] * (i % 3 == 0)
+        for shape, draw in zip(shapes, (rng, tuple_rng)):
+            bindings = projected.bindings + shape
+            silent = _SilentSteps(_spec_states(spec), bindings)
+            oracle = SpecSilentSteps(spec, bindings)
+            code = packed if type(silent.initial) is int else lambda bindings, states: states
+            assert unpacked(bindings, silent.initial) == oracle.initial
+            forms.add(type(silent.initial))
+            drawn = [tuple(draw.randint(0, getattr(svc, "limit", 3)) for _, svc in bindings)
+                     for _ in range(3)]
+            for equation in range(1, len(spec) + 1):
+                for states in (oracle.initial, *drawn):
+                    outcome = _resolved(silent, equation, code(bindings, states))
+                    if type(outcome) is tuple:
+                        assert type(outcome[1]) is type(silent.initial)
+                        outcome = outcome[0], unpacked(bindings, outcome[1])
+                    assert outcome == _resolved(oracle, equation, states)
+                    kinds.add(outcome if outcome is STOP or outcome is DEADLOCK else type(outcome))
+    assert kinds == {STOP, DEADLOCK, tuple, str} and forms == {int, tuple}
 
 
 def test_packed_resolve_matches_spec_reading_resolver_on_corpus(monkeypatch):
@@ -637,6 +695,54 @@ def test_simulation_matches_replaced_walk_on_the_corpus():
             assert _simulated(simulate, projected, script, max_steps) == (steps, status)
             ends.add(status)
     assert ends == {"S", "D", "cutoff"}
+
+
+def test_long_walks_match_replaced_walk_in_every_form_of_the_service_states(monkeypatch):
+    # long scripts over the counting corpus under four binding shapes: none,
+    # the loop counters (one code, with simulate's table), the loop counters
+    # and one counter() (one code, its slot on top, no table) and two
+    # counter()s (a tuple); a trace keeps at most the two steps, one per
+    # reply, of each visible thread state
+    monkeypatch.setattr(services, "SILENT_RUN_LIMIT", 200)
+    rng = random.Random(29)
+    ends, forms = set(), set()
+    for i, projected in _counting_corpus():
+        spec = extract_pgau(projected.program)
+        shapes = ((), projected.bindings, projected.bindings + (("c", FullCounter()),),
+                  (("c", FullCounter()), ("d", FullCounter(3))))
+        for bindings in shapes:
+            script = ReplyScript(tuple(rng.random() < 0.5 for _ in range(rng.randint(0, 1500))))
+            max_steps = rng.randint(0, 1600)
+            outcome = _same_walk(spec, bindings, script, max_steps)
+            with_bindings = ProjectedProgram(projected.program, bindings)
+            assert _simulated(simulate, with_bindings, script, max_steps) == outcome
+            if outcome[0] is DivergenceSuspected:
+                ends.add(DivergenceSuspected)
+                continue
+            trace = simulate_with_services(spec, bindings, script, max_steps)
+            foci = {focus for focus, _ in bindings}
+            visible = sum(isinstance(rhs, BranchRef) and rhs.action.focus not in foci
+                          for rhs in spec.equations)
+            assert len(set(map(id, trace.steps))) <= 2 * visible
+            forms.add(type(_SilentSteps(_spec_states(spec), bindings).initial))
+            ends.add(trace.status)
+    assert {"S", "D", "cutoff", DivergenceSuspected} <= ends and forms == {int, tuple}
+
+
+def test_steps_are_shared_between_visits_of_a_thread_state():
+    # the counter() family at n = 4000: 8001 visible steps at two thread
+    # states, a and b, so the trace holds at most four step objects
+    n = 4000
+    replies = tuple([True] * n + [False] + [k % 3 == 0 for k in range(n)])
+    script = ReplyScript(replies)
+    projected = project(canonicalize(parse_program("(+a;#2;#3;k.inc;#6;+k.dec;#2;!;b;#6)^w")),
+                        bindings=(("k", FullCounter()),))
+    walked = simulate_with_services(counter_spec(), (("c", FullCounter()),), script, len(replies))
+    for trace in (simulate(projected, script, len(replies)), walked):
+        assert (len(trace.steps), trace.status) == (8001, "S")
+        assert [(str(action), reply) for action, reply in trace.steps] == (
+            [("a", True)] * n + [("a", False)] + [("b", reply) for reply in replies[n + 1:]])
+        assert len(set(map(id, trace.steps))) <= 4
 
 
 _C_ACTIONS = (

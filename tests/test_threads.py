@@ -352,6 +352,46 @@ def test_simulate_follows_replies():
     assert trace.status == "S"
 
 
+def _read_script(read, text):
+    try:
+        return read(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+# the script alphabet, its separators, and bad characters: two control bytes
+# that could pass for replies once encoded, white space, a digit, a letter
+# outside ASCII and one outside the BMP
+_SCRIPT_CHARACTERS = st.sampled_from(list("TtFf10, ") + ["\0", "\x01", "\n", "\t", "2", "é", "\U0001F600"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SCRIPT_CHARACTERS, max_size=40).map("".join))
+def test_reply_script_matches_the_per_character_reader(text):
+    # the same replies, as bools, or the same message naming the first bad character
+    read = _read_script(lambda text: ReplyScript.from_text(text).values, text)
+    assert read == _read_script(valueoracle.reply_values, text)
+    assert isinstance(read, str) or all(type(value) is bool for value in read)
+
+
+def test_reply_script_names_the_first_bad_character():
+    for text, bad in (("T\0", r"'\x00'"), ("\x01", r"'\x01'"), ("TF\nT", r"'\n'"),
+                      ("t 2é", "'2'"), ("1,é\U0001F600", "'é'"), ("F\U0001F600\t", "'\U0001F600'")):
+        with pytest.raises(ValueError) as info:
+            ReplyScript.from_text(text)
+        assert str(info.value) == f"bad reply character {bad}"
+
+
+def test_reply_script_takes_only_bools():
+    # a walk indexes its table by the reply, so an int, a float or a letter
+    # is refused where the script is made, naming the first one
+    for values, bad in (((2,), "2"), ((True, "T"), "'T'"), ((1, 2), "1"),
+                        ((False, None), "None"), ((0.0,), "0.0")):
+        with pytest.raises(ValueError) as info:
+            ReplyScript(values)
+        assert str(info.value) == f"a reply must be a bool, got {bad}"
+
+
 def test_format_spec_text_form():
     spec = LinearSpec((BranchRef(2, Action("dec", focus="c"), 1), STOP), 2)
     assert format_spec(spec) == "root 2\nX1 = X2 <c.dec> X1\nX2 = S"

@@ -15,6 +15,9 @@ it first and then reads one equation per call.
 two methods, an alphabet test ``accepts(action)`` and ``step(state,
 action)``, which answers an accepted action: the oracle for the one method
 ``reply(action)`` of ``pgarl.services.DownCounter`` and ``FullCounter``.
+
+:func:`reply_values` reads a reply script one character at a time: the
+oracle for ``pgarl.threads.ReplyScript.from_text``, which reads it in C.
 """
 
 from __future__ import annotations
@@ -155,3 +158,20 @@ class FullCounter:
         if action.method == "dec":
             return (True, state - 1) if state > 0 else (False, 0)
         return True, action.argument
+
+
+def reply_values(text: str) -> tuple[bool, ...]:
+    """The replies of a compact script, e.g. ``TTF`` or ``110``, read one
+    character at a time; a character other than ``TtFf10``, a comma or a
+    space is a ValueError that names it."""
+    values = []
+    for ch in text:
+        if ch in "Tt1":
+            values.append(True)
+        elif ch in "Ff0":
+            values.append(False)
+        elif ch in ", ":
+            continue
+        else:
+            raise ValueError(f"bad reply character {ch!r}")
+    return tuple(values)
