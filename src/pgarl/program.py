@@ -63,7 +63,7 @@ class Jump(Instruction):
     distance: int
 
     def __post_init__(self) -> None:
-        if self.distance < 0:
+        if not isinstance(self.distance, int) or self.distance < 0:
             raise ValueError("jump distance must be a natural number")
 
 
@@ -75,7 +75,7 @@ class LoopHeader(Instruction):
     count: int
 
     def __post_init__(self) -> None:
-        if self.count < 1:
+        if not isinstance(self.count, int) or self.count < 1:
             raise ValueError("loop count must be positive")
 
 
@@ -93,7 +93,7 @@ class AnnClose(Instruction):
     body_size: int
 
     def __post_init__(self) -> None:
-        if self.remaining < 0 or self.body_size < 0:
+        if not all(isinstance(n, int) and n >= 0 for n in (self.remaining, self.body_size)):
             raise ValueError("closure annotations must be natural numbers")
 
 
@@ -107,7 +107,7 @@ class AnnJump(Instruction):
     resets: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.distance < 0:
+        if not isinstance(self.distance, int) or self.distance < 0:
             raise ValueError("jump distance must be a natural number")
 
 

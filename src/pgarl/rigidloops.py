@@ -14,11 +14,13 @@ behaviour.
 Both projections read the repeated body with normalized jumps, and with the
 repetition boundary moved forward past every loop that has its header in the
 prefix and its closure in the body. The pure projection is built in
-time linear in its output by two passes over the source: a layout pass that
-places the first instance of every instruction and so gives the output
-length in closed form (``size_report`` uses it without building anything),
-and an emission pass that repeats each loop's finished block and shortens the
-jumps that leave it, one block per iteration. Those jumps are read off the
+time linear in its output by two passes over the source. The layout pass is
+its one plan: it matches the loops once, places the first instance of every
+instruction, and so gives the output length and the loop product in closed
+form (``size_report`` reads both without building anything). The emission
+pass follows the plan, with no bracket matching of its own: at each
+matched closure it repeats the loop's finished block and shortens the jumps
+that leave it, one block per iteration. Those jumps are read off the
 finished block, closing skip included: a jump in it leaves the loop when it
 lands at or past the block's end.
 """
@@ -387,11 +389,12 @@ def project(program: CanonicalProgram, via: str = "defining", bindings=()) -> Pr
     return ProjectedProgram(project_pure(program), bindings)
 
 
-def _pure_layout(program: CanonicalProgram) -> tuple[list[Instruction], int, list[int]]:
-    """The layout pass: check the program, then walk it once. Returns the
-    program as one source list (the prefix, then the repeated body with
-    normalized jumps), lonely brackets already turned into skips; the prefix
-    length; and ``first``.
+def _pure_layout(program: CanonicalProgram) -> tuple[list[Instruction], int, list[int], dict, int]:
+    """The layout pass, the pure projection's one plan: check the program,
+    then walk it once. Returns the program as one source list (the prefix,
+    then the repeated body with normalized jumps), lonely brackets already
+    turned into skips; the prefix length; ``first``; the matched loops
+    (closure position -> header position); and the loop product.
 
     An output instruction is a source position together with the iteration
     of each loop enclosing it; ``first[p]`` is the output position of p in
@@ -399,7 +402,9 @@ def _pure_layout(program: CanonicalProgram) -> tuple[list[Instruction], int, lis
     last output position, so the output length is ``first[-1] - 1``. A loop
     of count c whose body expands to L instructions takes c blocks of L + 2
     (one skip per bracket), and its iteration i sits i blocks after the
-    first."""
+    first. The loop product is the most output copies of one source
+    position: the copies of the current position are multiplied by a loop's
+    count at its header and divided by it at its closure."""
     require_well_formed(program)
     program = _unsplit_loops(program)
     source = list(program.prefix)
@@ -411,15 +416,18 @@ def _pure_layout(program: CanonicalProgram) -> tuple[list[Instruction], int, lis
         source[pos - 1] = _SKIP
     first = [0] * (len(source) + 2)
     end = 0  # output instructions laid out so far
-    for pos in range(1, len(source) + 1):
+    copies = product = 1
+    for pos, ins in enumerate(source, 1):
         end += 1
         first[pos] = end
-        header = pairs.get(pos)
-        if header is not None:
-            block = end - first[header] + 1
-            end = first[header] - 1 + source[header - 1].count * block
+        if type(ins) is LoopHeader:  # every bracket left is matched
+            copies *= ins.count
+            product = max(product, copies)
+        elif (header := pairs.get(pos)) is not None:
+            end = first[header] - 1 + source[header - 1].count * (end - first[header] + 1)
+            copies //= source[header - 1].count
     first[-1] = end + 1
-    return source, plen, first
+    return source, plen, first, pairs, product
 
 
 def project_pure(program: CanonicalProgram) -> CanonicalProgram:
@@ -431,20 +439,22 @@ def project_pure(program: CanonicalProgram) -> CanonicalProgram:
     body's jumps are normalized first, as in the counter projection.
 
     Two linear passes build the result. The layout pass (:func:`_pure_layout`)
-    places the first instance of every source instruction and gives the
-    output length, which is checked against ``PURE_LENGTH_LIMIT`` before
-    anything is built. The emission pass then walks the source once and
-    repeats each loop's finished block count - 1 times, with the jumps that
-    leave the loop read off that block. A jump keeps the
-    iteration of every loop enclosing both it and its target and enters every
-    other loop in its first iteration, so its distance is fixed by the layout
-    except for the loops it leaves: in iteration i of such a loop it is i
-    blocks shorter. A jump leaves a loop when it lands past the loop's first
-    block, because its target's first instance comes after all of the loop's
-    blocks. A jump past the end of the repeated body lands in a later period,
-    each one body's output length further on.
+    is the plan: it matches the loops, places the first instance of every
+    source instruction and gives the output length, which is checked against
+    ``PURE_LENGTH_LIMIT`` before anything is built. The emission pass then
+    walks the source once and repeats a block where the plan places one: at
+    the closure of each matched loop, the finished block from the header's
+    first instance on is repeated count - 1 times, with the jumps that leave
+    the loop read off that block. A jump keeps the iteration of every loop
+    enclosing both it and its target and enters every other loop in its
+    first iteration, so its distance is fixed by the layout except for the
+    loops it leaves: in iteration i of such a loop it is i blocks shorter. A
+    jump leaves a loop when it lands past the loop's first block, because its
+    target's first instance comes after all of the loop's blocks. A jump past
+    the end of the repeated body lands in a later period, each one body's
+    output length further on.
     """
-    source, plen, first = _pure_layout(program)
+    source, plen, first, pairs, _ = _pure_layout(program)
     length = first[-1] - 1
     if length > PURE_LENGTH_LIMIT:
         raise BudgetExceeded(
@@ -464,21 +474,17 @@ def project_pure(program: CanonicalProgram) -> CanonicalProgram:
         return first[plen + 1 + offset] + periods * period
 
     out: list[Instruction] = []
-    frames: list[tuple[int, int]] = []  # per open loop: its count, where its block starts
     for pos, ins in enumerate(source, 1):
-        if isinstance(ins, LoopHeader):
-            frames.append((ins.count, len(out)))
+        if isinstance(ins, (LoopHeader, LoopClose)):
             out.append(_SKIP)
-        elif isinstance(ins, LoopClose):
-            out.append(_SKIP)
-            count, start = frames.pop()
-            end, size = len(out), len(out) - start
-            leaving = [at for at, jump in enumerate(out[start:-1], start)
-                       if type(jump) is Jump and at + jump.distance >= end]
-            out.extend(out[start:] * (count - 1))
-            for i in range(1, count):
-                for at in leaving:
-                    out[at + i * size] = Jump(out[at].distance - i * size)
+            if (header := pairs.get(pos)) is not None:  # repeat the finished block out[start:end]
+                start, end, count = first[header] - 1, first[pos], source[header - 1].count
+                leaving = [at for at, jump in enumerate(out[start:-1], start)
+                           if type(jump) is Jump and at + jump.distance >= end]
+                out.extend(out[start:] * (count - 1))
+                for i in range(1, count):
+                    for at in leaving:
+                        out[at + i * (end - start)] = Jump(out[at].distance - i * (end - start))
         elif isinstance(ins, Jump) and ins.distance:
             out.append(Jump(target(pos + ins.distance) - first[pos]))
         else:
@@ -502,24 +508,12 @@ class SizeReport:
     loop_product: int
 
 
-def _loop_product(source: list[Instruction]) -> int:
-    """Read from the layout's source, where every bracket left is matched."""
-    products = [1]  # one per open loop: the product of its count and the enclosing ones
-    best = 1
-    for ins in source:
-        if isinstance(ins, LoopHeader):
-            products.append(products[-1] * ins.count)
-            best = max(best, products[-1])
-        elif isinstance(ins, LoopClose):
-            products.pop()
-    return best
-
-
 def size_report(program: CanonicalProgram) -> SizeReport:
-    """Measure the source against both projections. The pure length comes
-    from the layout pass alone, so the pure program is never built."""
+    """Measure the source against both projections. The pure length and the
+    loop product come from the layout pass alone (:func:`_pure_layout`), so
+    the pure program is never built and its loop nest is read once."""
     counter = project_counter(program).program
-    source, _, first = _pure_layout(program)
+    _, _, first, _, loop_product = _pure_layout(program)
     return SizeReport(
         source_len=len(program),
         pure_len=first[-1] - 1,
@@ -527,5 +521,5 @@ def size_report(program: CanonicalProgram) -> SizeReport:
         counter_len_expanded=sum(
             not isinstance(ins, Unit) for ins in program_instructions(counter)
         ),
-        loop_product=_loop_product(source),
+        loop_product=loop_product,
     )

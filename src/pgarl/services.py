@@ -127,7 +127,8 @@ class DownCounter(Service):
     size = property(lambda self: self.limit + 1)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.initial <= self.limit:
+        ints = isinstance(self.initial, int) and isinstance(self.limit, int)
+        if not ints or not 0 <= self.initial <= self.limit:
             raise ValueError("initial counter value must lie within 0..limit")
 
     def reply(self, action: Action):

@@ -77,7 +77,7 @@ class Action(_ActionFields):
         if focus is not None and not FOCUS.fullmatch(focus):
             raise ValueError(f"bad focus identifier {focus!r}")
         if argument is not None:
-            if argument < 0:
+            if not isinstance(argument, int) or argument < 0:
                 raise ValueError("action argument must be a natural number")
             if focus is None:
                 raise ValueError("an action argument requires a focus.method action")
@@ -200,6 +200,11 @@ def _spec_states(spec: LinearSpec):
     return spec.root, steps.__getitem__
 
 
+def _format_steps(steps: tuple[tuple[Action, bool], ...], last: str) -> str:
+    """A run's steps, one ``action true|false`` line each, then ``last``."""
+    return "\n".join([*(f"{action} {'true' if yes else 'false'}" for action, yes in steps), last])
+
+
 @dataclass(frozen=True)
 class Witness:
     """A finite trace separating two threads: the scripted steps taken to
@@ -209,9 +214,7 @@ class Witness:
     reason: str
 
     def __str__(self) -> str:
-        lines = [f"{action} {'true' if reply else 'false'}" for action, reply in self.steps]
-        lines.append(f"differs: {self.reason}")
-        return "\n".join(lines)
+        return _format_steps(self.steps, f"differs: {self.reason}")
 
 
 def first_difference(space_p, space_q, deadlock_below: bool) -> Witness | None:
@@ -332,9 +335,7 @@ class Trace:
         return tuple(action for action, _ in self.steps)
 
     def __str__(self) -> str:
-        lines = [f"{action} {'true' if reply else 'false'}" for action, reply in self.steps]
-        lines.append(self.status)
-        return "\n".join(lines)
+        return _format_steps(self.steps, self.status)
 
 
 def explore(root, successors) -> LinearSpec:

@@ -295,6 +295,26 @@ def test_guards_reject_bad_values(make, error, message):
         make()
 
 
+# each number field, which takes only ints; a bool is an int
+NUMBER_FIELDS = {
+    "jump": (Jump, "jump distance must be a natural number"),
+    "header": (LoopHeader, "loop count must be positive"),
+    "closure remaining": (lambda n: AnnClose(n, 0), "closure annotations must be natural numbers"),
+    "closure body size": (lambda n: AnnClose(0, n), "closure annotations must be natural numbers"),
+    "annotated jump": (lambda n: AnnJump(n, ()), "jump distance must be a natural number"),
+    "argument": (lambda n: Action("set", focus="c", argument=n),
+                 "action argument must be a natural number"),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, "1"])
+@pytest.mark.parametrize("make, message", NUMBER_FIELDS.values(), ids=NUMBER_FIELDS.keys())
+def test_number_fields_refuse_values_that_are_no_ints(make, message, value):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(value)
+    make(True)
+
+
 # -- jump normalization -------------------------------------------------------
 
 def test_normalize_wrapping_jump():

@@ -694,6 +694,11 @@ def test_pure_matches_unrolling_oracle_on_nests():
             ):
                 program = parse_canonical(text)
                 assert project_pure(program) == _unrolled(program), text
+    # jumps that leave one or both loops, or wrap past the repeated body
+    for n, j, k in itertools.product(range(1, 8), range(9), range(9)):
+        text = f"({n}x{{;a;2x{{;#{j};b;c;}}x;#{k};d;}}x;e)^w"
+        program = parse_canonical(text)
+        assert project_pure(program) == _unrolled(program), text
 
 
 def test_pure_matches_unrolling_oracle_with_jumps_up_to_body_length():
@@ -842,6 +847,36 @@ def test_size_report_nested_family():
     assert sizes[8].counter_len == sizes[2].counter_len
     assert sizes[2].loop_product == 4 and sizes[8].loop_product == 64
     assert sizes[2].pure_len == 16 and sizes[8].pure_len == 208
+
+
+def _loop_product(source):
+    """The loop product as read before the layout pass counted it: one walk
+    with a stack of products over the layout's source, where every bracket
+    left is matched."""
+    products = [1]  # one per open loop: the product of its count and the enclosing ones
+    best = 1
+    for ins in source:
+        if isinstance(ins, LoopHeader):
+            products.append(products[-1] * ins.count)
+            best = max(best, products[-1])
+        elif isinstance(ins, LoopClose):
+            products.pop()
+    return best
+
+
+def test_loop_product_matches_the_stack_reading():
+    rng = random.Random(11)
+    many_prefix_loops = "2x{;" * 200 + "(}x;" + "a;" * 198 + "a)^w"
+    programs = [
+        *soundness_corpus(),
+        *(random_pgarl(rng) for _ in range(400)),
+        *(parse_canonical(f"({n}x{{;{n}x{{;a;}}x;}}x)^w") for n in (2, 4, 8)),
+        parse_canonical(many_prefix_loops),
+    ]
+    for program in programs:
+        expected = _loop_product(rigidloops._pure_layout(program)[0])
+        assert size_report(program).loop_product == expected, format_program(program)
+    assert expected == 2**200
 
 
 def test_size_counter_projection_bound():

@@ -190,8 +190,12 @@ def test_readme_custom_service_reads_the_action(capsys):
 
 
 def test_down_counter_initial_above_max_rejected():
-    with pytest.raises(ValueError):
-        DownCounter(7, 3)
+    # and any value that is no int: DownCounter(0.5, 1) packed its state as
+    # 0.5, and a walk read 0.5 // 1 % 2 as zero
+    for initial, limit in ((7, 3), (0.5, 1), (1.5, 2), ("1", 2), (0, 1.5), (0, "1"), (1, 1.0)):
+        with pytest.raises(ValueError, match="^initial counter value must lie within 0..limit$"):
+            DownCounter(initial, limit)
+    assert DownCounter(True, True).size == 2
 
 
 def test_full_counter_negative_initial_rejected():
