@@ -84,6 +84,11 @@ class LoopClose(Instruction):
     """Close the most recently opened rigid loop (written ``}x``)."""
 
 
+def _naturals(m, n) -> bool:
+    """Whether both values are ints of at least 0 (a bool is an int)."""
+    return isinstance(m, int) and isinstance(n, int) and m >= 0 and n >= 0
+
+
 @dataclass(frozen=True)
 class AnnClose(Instruction):
     """Annotated loop closure ``n}x m``: ``remaining`` repetitions still to
@@ -93,7 +98,7 @@ class AnnClose(Instruction):
     body_size: int
 
     def __post_init__(self) -> None:
-        if not all(isinstance(n, int) and n >= 0 for n in (self.remaining, self.body_size)):
+        if not _naturals(self.remaining, self.body_size):
             raise ValueError("closure annotations must be natural numbers")
 
 
@@ -109,6 +114,10 @@ class AnnJump(Instruction):
     def __post_init__(self) -> None:
         if not isinstance(self.distance, int) or self.distance < 0:
             raise ValueError("jump distance must be a natural number")
+        resets = self.resets  # (position, value) pairs; with none it would be a Jump
+        if not (isinstance(resets, tuple) and resets and all(isinstance(pair, tuple)
+                and len(pair) == 2 and _naturals(*pair) for pair in resets)):
+            raise ValueError("annotated jump resets must be nonempty pairs of natural numbers")
 
 
 @dataclass(frozen=True)
@@ -193,12 +202,14 @@ def has_rigid(program: CanonicalProgram) -> bool:
 
 
 def format_instruction(ins: Instruction) -> str:
+    """The text of one instruction; every number is written as the int it
+    equals, so ``Jump(True)`` is ``#1``."""
     if isinstance(ins, Halt):
         return "!"
     if isinstance(ins, Jump):
-        return f"#{ins.distance}"
+        return f"#{ins.distance:d}"
     if isinstance(ins, AnnJump):
-        return f"#{ins.distance}" + "".join(f"({j},{n})" for j, n in ins.resets)
+        return f"#{ins.distance:d}" + "".join(f"({j:d},{n:d})" for j, n in ins.resets)
     if isinstance(ins, Basic):
         return str(ins.action)
     if isinstance(ins, PosTest):
@@ -206,11 +217,11 @@ def format_instruction(ins: Instruction) -> str:
     if isinstance(ins, NegTest):
         return f"-{ins.action}"
     if isinstance(ins, LoopHeader):
-        return f"{ins.count}x{{"
+        return f"{ins.count:d}x{{"
     if isinstance(ins, LoopClose):
         return "}x"
     if isinstance(ins, AnnClose):
-        return f"{ins.remaining}}}x{ins.body_size}"
+        return f"{ins.remaining:d}}}x{ins.body_size:d}"
     if isinstance(ins, Unit):
         return f"u({format_sequence(ins.body)})"
     raise TypeError(f"not an instruction: {ins!r}")

@@ -13,14 +13,22 @@ behaviour.
 
 Both projections read the repeated body with normalized jumps, and with the
 repetition boundary moved forward past every loop that has its header in the
-prefix and its closure in the body. The pure projection is built in
-time linear in its output by two passes over the source. The layout pass is
-its one plan: it matches the loops once, places the first instance of every
-instruction, and so gives the output length and the loop product in closed
-form (``size_report`` reads both without building anything). The emission
-pass follows the plan, with no bracket matching of its own: at each
-matched closure it repeats the loop's finished block and shortens the jumps
-that leave it, one block per iteration. Those jumps are read off the
+prefix and its closure in the body. That reading costs about what its output
+costs: one pass lists the errors that block a projection, and the boundary
+scan stops after the first period when the loop depth is 0 at both of its
+ends (then no period splits a loop, and the program is read as it is). The
+counter projection's table (``_psi``) then runs only on headers, annotated
+closures and annotated jumps, and every other instruction passes through
+as it is; the two inner jumps of a closure's unit are shared by all units.
+
+The pure projection is built in time linear in its output by two passes
+over the source. The layout pass is its one plan: it matches the loops once,
+places the first instance of every instruction, and so gives the output
+length and the loop product in closed form (``size_report`` reads both
+without building anything). The emission pass follows the plan, with no
+bracket matching of its own: at each matched closure it repeats the loop's
+finished block and shortens the jumps that leave it, one block per
+iteration. Those jumps are read off the
 finished block, closing skip included: a jump in it leaves the loop when it
 lands at or past the block's end.
 """
@@ -53,6 +61,9 @@ PURE_LENGTH_LIMIT = 10**7
 UNSPLIT_LENGTH_LIMIT = 10**6
 RESET_LIMIT = 10**7
 _SKIP = Jump(1)
+# the closure unit's ways to its jump back while the counter is positive, and out of the loop
+_REPEAT, _LEAVE = Jump(3), Jump(2)
+_PROJECTED = {LoopHeader, AnnClose, AnnJump}  # every other instruction projects to itself
 
 
 class WellFormednessError(ValueError):
@@ -116,8 +127,11 @@ def _unsplit_loops(program: CanonicalProgram) -> CanonicalProgram:
     such drop closes the innermost loop open at the start of its period, and
     every boundary up to the drop (in the first period) or up to the drop
     less one period (in the second) splits that loop too, so the boundary
-    jumps there. A boundary more than ``UNSPLIT_LENGTH_LIMIT`` instructions
-    past the written one raises BudgetExceeded.
+    jumps there. When the depth is 0 at both ends of the first period, every
+    period matches like the first and none splits a loop, so the scan stops
+    there and returns ``program`` itself. A boundary more than
+    ``UNSPLIT_LENGTH_LIMIT`` instructions past the written one raises
+    BudgetExceeded.
     """
     prefix, body = program.prefix, program.body
     if not body:
@@ -131,14 +145,17 @@ def _unsplit_loops(program: CanonicalProgram) -> CanonicalProgram:
             raise BudgetExceeded(
                 f"unsplitting would exceed {UNSPLIT_LENGTH_LIMIT} instructions moved to the prefix"
             )
-        for pos in range(len(depths), boundary + 2 * m + 1):
-            ins = prefix[pos - 1] if pos <= p else body[(pos - p - 1) % m]
-            d = depths[-1]
-            if isinstance(ins, LoopHeader):
-                d += 1
-            elif isinstance(ins, LoopClose) and d:
-                d -= 1
-            depths.append(d)
+        for end in (boundary + m, boundary + 2 * m):
+            for pos in range(len(depths), end + 1):
+                kind = type(prefix[pos - 1] if pos <= p else body[(pos - p - 1) % m])
+                d = depths[-1]
+                if kind is LoopHeader:
+                    d += 1
+                elif kind is LoopClose and d:
+                    d -= 1
+                depths.append(d)
+            if depths[p] == depths[p + m] == 0:  # every period matches like the first
+                return program
         moves = (
             t - (start - boundary)
             for start in (boundary, boundary + m)
@@ -155,25 +172,29 @@ def _errors(program: CanonicalProgram) -> list[Diagnostic]:
     units in a program with a loop bracket (a rigid-loop program is PGA
     plus loop instructions, and neither projection reads the jumps inside a
     unit), then loop closures directly preceded by a test (wrapping within
-    the body)."""
-    flat = list(program.prefix) + list(program.body or ())
-    before = [[]] + [[ins] for ins in flat[:-1]]  # what can run right before each position
-    if program.body:
-        before[len(program.prefix)].append(flat[-1])  # the body wraps around
-    bracketed = any(isinstance(ins, (LoopHeader, LoopClose)) for ins in flat)
-    return [
-        Diagnostic("error", pos, "annotated instruction in a source program")
-        for pos, ins in enumerate(flat, 1)
-        if isinstance(ins, (AnnClose, AnnJump))
-    ] + [
-        Diagnostic("error", pos, "unit instruction in a rigid-loop program")
-        for pos, ins in enumerate(flat, 1)
-        if bracketed and isinstance(ins, Unit)
-    ] + [
-        Diagnostic("error", pos, "loop closure directly preceded by a test instruction")
-        for pos, (ins, preds) in enumerate(zip(flat, before), 1)
-        if isinstance(ins, LoopClose) and any(isinstance(x, (PosTest, NegTest)) for x in preds)
-    ]
+    the body). One pass collects all three."""
+    body = program.body or ()
+    flat = program.prefix + body
+    start = len(program.prefix) + 1  # the body's first position, also run right after its last
+    wrapped = type(body[-1]) if body else None
+    annotated, units, closures = [], [], []
+    bracketed = False
+    previous = None
+    for pos, ins in enumerate(flat, 1):
+        kind = type(ins)
+        if kind is LoopClose:
+            bracketed = True
+            if previous in (PosTest, NegTest) or pos == start and wrapped in (PosTest, NegTest):
+                closures.append(Diagnostic(
+                    "error", pos, "loop closure directly preceded by a test instruction"))
+        elif kind is LoopHeader:
+            bracketed = True
+        elif kind is AnnClose or kind is AnnJump:
+            annotated.append(Diagnostic("error", pos, "annotated instruction in a source program"))
+        elif kind is Unit:
+            units.append(Diagnostic("error", pos, "unit instruction in a rigid-loop program"))
+        previous = kind
+    return annotated + (units if bracketed else []) + closures
 
 
 def validate_pgarl(program: CanonicalProgram) -> list[Diagnostic]:
@@ -270,22 +291,18 @@ def annotate(instructions, cyclic: bool = False) -> tuple[Instruction, ...]:
     return tuple(items)
 
 
-def _counter_focus(position: int) -> str:
-    return f"rlc:{position}"
-
-
 def _psi(ins: Instruction, position: int, body_len: int, sets: dict[int, Basic]) -> Instruction:
-    """The counter projection of one annotated instruction, with ``sets``
-    the counter initialization of each closure position."""
-    if isinstance(ins, LoopHeader):
+    """The counter projection of one header, annotated closure or annotated
+    jump, with ``sets`` the counter initialization of each closure position.
+    Every other instruction projects to itself and is not passed here."""
+    kind = type(ins)
+    if kind is LoopHeader:
         return _SKIP
-    if isinstance(ins, AnnJump):
+    if kind is AnnJump:
         return Unit(tuple(sets[j] for j, _ in ins.resets) + (Jump(ins.distance),))
-    if isinstance(ins, AnnClose):
-        init = sets[position]
-        dec = PosTest(Action("dec", focus=init.action.focus))
-        return Unit((dec, Jump(3), init, Jump(2), Jump(body_len - ins.body_size)))
-    return ins
+    init = sets[position]
+    dec = PosTest(Action("dec", focus=init.action.focus))
+    return Unit((dec, _REPEAT, init, _LEAVE, Jump(body_len - ins.body_size)))
 
 
 def _omega_form(program: CanonicalProgram) -> tuple[Instruction, ...]:
@@ -348,17 +365,15 @@ def project_counter(program: CanonicalProgram, xi_tail: str = "derived") -> Proj
     # to at most k - i + m, and a prefix-only jump at i is capped at k + 2 - i
     body = _omega_form(_unsplit_loops(program))
     annotated = annotate(body, cyclic=True)
-    # one initialization per counter: the prefix, the closure and every reset share it
-    sets = {
-        pos: Basic(Action("set", focus=_counter_focus(pos), argument=ins.remaining))
-        for pos, ins in enumerate(annotated, 1)
-        if isinstance(ins, AnnClose)
-    }
-    mapped = tuple(_psi(ins, pos, len(body), sets) for pos, ins in enumerate(annotated, 1))
-    bindings = tuple(
-        (init.action.focus, DownCounter(0, init.action.argument)) for init in sets.values()
-    )
-    return ProjectedProgram(CanonicalProgram(tuple(sets.values()), mapped), bindings)
+    # one initialization per counter, whose focus names its closure's position:
+    # the prefix, the closure and every reset share it
+    sets = {pos: Basic(Action("set", focus=f"rlc:{pos}", argument=ins.remaining))
+            for pos, ins in enumerate(annotated, 1) if type(ins) is AnnClose}
+    mapped = [_psi(ins, pos, len(body), sets) if type(ins) in _PROJECTED else ins
+              for pos, ins in enumerate(annotated, 1)]
+    bindings = tuple((init.action.focus, DownCounter(0, init.action.argument))
+                     for init in sets.values())
+    return ProjectedProgram(CanonicalProgram(tuple(sets.values()), tuple(mapped)), bindings)
 
 
 # xi_tail is kept only because bench/workloads.py passes it; it leaves with ROADMAP item 1
@@ -453,6 +468,13 @@ def project_pure(program: CanonicalProgram) -> CanonicalProgram:
     target's first instance comes after all of the loop's blocks. A jump past
     the end of the repeated body lands in a later period, each one body's
     output length further on.
+
+    The result has the shape of a :class:`CanonicalProgram` but is not always
+    in first canonical form: its body need not be its minimal period, and a
+    suffix of its prefix may be one that ``canonicalize`` absorbs. So its
+    printed text can read back as another value with the same thread (on 33
+    of the 500 programs of the soundness corpus; the counter projection's
+    never did there).
     """
     source, plen, first, pairs, _ = _pure_layout(program)
     length = first[-1] - 1

@@ -44,6 +44,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Union
 
 # The lexical rules every text is read by: program text, actions and the
@@ -88,7 +89,7 @@ class Action(_ActionFields):
     def __str__(self) -> str:
         text = self.method if self.focus is None else f"{self.focus}.{self.method}"
         if self.argument is not None:
-            text = f"{text}:{self.argument}"
+            text = f"{text}:{self.argument:d}"  # the int it equals, for a bool too
         return text
 
 
@@ -373,12 +374,12 @@ def explore(root, successors) -> LinearSpec:
     get = index.get
     for i, (action, yes, no) in enumerate(rows):  # the list grows while it is walked
         rows[i] = (get(yes) or number(yes), action, get(no) or number(no))
-    n = len(rows)
-    equations: list[SpecRhs] = [
-        BranchRef(yes if yes > 0 else n - yes, action, no if no > 0 else n - no)
-        for yes, action, no in rows
-    ]
-    return LinearSpec(tuple(equations + terminals), 1)
+    if terminals:  # terminal i is numbered after the branches, n + 1 + i
+        n = len(rows)
+        rows = [(yes if yes > 0 else n - yes, action, no if no > 0 else n - no)
+                for yes, action, no in rows]
+    # each row is already a BranchRef's fields in order, so the tuples are made in C
+    return LinearSpec((*map(tuple.__new__, repeat(BranchRef), rows), *terminals), 1)
 
 
 def _bounded(root, depth: int, successors):

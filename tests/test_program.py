@@ -1,3 +1,4 @@
+import enum
 import random
 import time
 
@@ -301,7 +302,7 @@ NUMBER_FIELDS = {
     "header": (LoopHeader, "loop count must be positive"),
     "closure remaining": (lambda n: AnnClose(n, 0), "closure annotations must be natural numbers"),
     "closure body size": (lambda n: AnnClose(0, n), "closure annotations must be natural numbers"),
-    "annotated jump": (lambda n: AnnJump(n, ()), "jump distance must be a natural number"),
+    "annotated jump": (lambda n: AnnJump(n, ((1, 2),)), "jump distance must be a natural number"),
     "argument": (lambda n: Action("set", focus="c", argument=n),
                  "action argument must be a natural number"),
 }
@@ -313,6 +314,42 @@ def test_number_fields_refuse_values_that_are_no_ints(make, message, value):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make(value)
     make(True)
+
+
+_RESETS = "annotated jump resets must be nonempty pairs of natural numbers"
+
+
+@pytest.mark.parametrize("resets", [
+    (), [(1, 2)], ((1.5, -1),), ((1, -1),), ((-1, 1),), ((1, "2"),), ((1,),), ((1, 2, 3),),
+    ([1, 2],), ((1, 2), (3, 1.0)),
+])
+def test_annotated_jump_refuses_resets_it_cannot_print(resets):
+    # an empty list would print as a plain jump, and the others as text the
+    # parser refuses (or as a tuple where a list was)
+    with pytest.raises(ValueError, match=f"^{_RESETS}$"):
+        AnnJump(2, resets)
+
+
+class _Three(enum.IntEnum):
+    THREE = 3
+
+
+# every number is printed as the int it equals: a bool as 0 or 1, an IntEnum as its value
+_NUMBERED = [
+    (Jump(True), "#1"), (Jump(False), "#0"), (Jump(_Three.THREE), "#3"),
+    (LoopHeader(True), "1x{"), (LoopHeader(_Three.THREE), "3x{"),
+    (AnnClose(True, False), "1}x0"), (AnnClose(_Three.THREE, True), "3}x1"),
+    (AnnJump(True, ((_Three.THREE, False),)), "#1(3,0)"), (AnnJump(False, ((True, 2),)), "#0(1,2)"),
+    (Basic(Action("set", focus="c", argument=True)), "c.set:1"),
+    (PosTest(Action("set", focus="c", argument=False)), "+c.set:0"),
+    (Basic(Action("set", focus="c", argument=_Three.THREE)), "c.set:3"),
+]
+
+
+@pytest.mark.parametrize("ins, text", _NUMBERED, ids=[text for _, text in _NUMBERED])
+def test_numbers_print_as_ints_and_read_back(ins, text):
+    assert format_instruction(ins) == text
+    assert parse_program(text).parts[0].instructions == (ins,)
 
 
 # -- jump normalization -------------------------------------------------------

@@ -28,7 +28,9 @@ from pgarl import (
     Part,
     PosTest,
     ProgramError,
+    ProjectedProgram,
     RawProgram,
+    Unit,
     WellFormednessError,
     annotate,
     canonicalize,
@@ -363,6 +365,61 @@ def test_closure_unit_in_isolation():
         assert thread_equal(spec, expected)
 
 
+def _psi_table(ins, position: int, body_len: int):
+    """The paper's table of the counter projection, one instruction at a
+    time: a header is a skip, the closure n}x m at position j drives the
+    counter rlc:j over a body of m in a repeated body of body_len, and the
+    jump #l(j,n)... resets each listed counter to n before it jumps."""
+    if isinstance(ins, LoopHeader):
+        return Jump(1)
+    if isinstance(ins, AnnClose):
+        focus = f"rlc:{position}"
+        init = Basic(Action("set", focus, ins.remaining))
+        return Unit((PosTest(Action("dec", focus)), Jump(3), init, Jump(2),
+                     Jump(body_len - ins.body_size)))
+    if isinstance(ins, AnnJump):
+        resets = tuple(Basic(Action("set", f"rlc:{j}", n)) for j, n in ins.resets)
+        return Unit(resets + (Jump(ins.distance),))
+    return ins
+
+
+def _nest_texts():
+    """The nests of the unrolling oracle's test, loops in loops with jumps
+    that leave one or both of them or wrap past the repeated body."""
+    for n in range(1, 13):
+        for m in (1, 2, n):
+            yield f"({n}x{{;{m}x{{;a;}}x;}}x)^w"
+            yield f"({n}x{{;{m}x{{;+a;#3;}}x;b;}}x)^w"
+            yield f"c;#4;{m}x{{;#2;a;}}x;({n}x{{;2x{{;{m}x{{;a;#5;}}x;}}x;b;}}x;d)^w"
+    for n, j, k in itertools.product(range(1, 8), range(9), range(9)):
+        yield f"({n}x{{;a;2x{{;#{j};b;c;}}x;#{k};d;}}x;e)^w"
+
+
+def test_counter_projection_is_the_table_applied_to_the_annotation():
+    rng = random.Random(11)
+    programs = [
+        *soundness_corpus(),
+        *(random_pgarl(rng) for _ in range(400)),
+        *map(parse_canonical, _nest_texts()),
+    ]
+    for program in programs:
+        if not has_rigid(program):
+            assert project_counter(program) == ProjectedProgram(program, ())
+            continue
+        body = _omega_form(_unsplit_loops(program))
+        annotated = annotate(body, cyclic=True)
+        closures = [(j, ins.remaining) for j, ins in enumerate(annotated, 1)
+                    if isinstance(ins, AnnClose)]
+        expected = ProjectedProgram(
+            CanonicalProgram(
+                tuple(Basic(Action("set", f"rlc:{j}", n)) for j, n in closures),
+                tuple(_psi_table(ins, j, len(body)) for j, ins in enumerate(annotated, 1)),
+            ),
+            tuple((f"rlc:{j}", DownCounter(0, n)) for j, n in closures),
+        )
+        assert project_counter(program) == expected, format_program(program)
+
+
 # -- pure projection ----------------------------------------------------------
 
 def test_pure_single_iteration_golden():
@@ -402,6 +459,21 @@ def test_loop_straddling_the_period_boundary():
     assert thread_equal(defining_thread(program), expected)
     assert thread_equal(extract_pga(project_pure(program)), expected)
     assert size_report(program).loop_product == 2
+
+
+def test_pure_projection_reads_back_as_the_same_thread():
+    # project_pure's output is not always in first canonical form, so its text
+    # can read back as another value; that value has the same thread. The
+    # counter projection's text reads back as the same value
+    differ = 0
+    for program in soundness_corpus():
+        pure = project_pure(program)
+        read = parse_canonical(format_program(pure))
+        differ += read != pure
+        assert thread_equal(extract_pgau(read), extract_pgau(pure)), format_program(program)
+        counter = project_counter(program).program
+        assert parse_canonical(format_program(counter)) == counter
+    assert differ == 33
 
 
 def test_pure_output_has_no_rigid_instructions():
@@ -637,6 +709,33 @@ def test_unsplit_moves_are_bounded():
             )
 
 
+def _depth(instructions) -> int:
+    """Loops left open after ``instructions``, matched greedily."""
+    depth = 0
+    for ins in instructions:
+        if isinstance(ins, LoopHeader):
+            depth += 1
+        elif isinstance(ins, LoopClose) and depth:
+            depth -= 1
+    return depth
+
+
+def test_unsplit_returns_its_input_when_a_period_starts_and_ends_at_depth_0():
+    # then every period matches its brackets like the first, so no boundary
+    # splits a loop and the program itself comes back, not a copy
+    alphabet = (Basic(a), LoopHeader(2), LoopClose())
+    balanced = 0
+    for prefix in _sequences(alphabet, 3, shortest=0):
+        for body in _sequences(alphabet, 4):
+            if _depth(prefix) == 0 and _depth(body) == 0:
+                program = CanonicalProgram(prefix, body)
+                assert _unsplit_loops(program) is program, format_program(program)
+                balanced += 1
+    assert balanced == 1155
+    program = parse_canonical("a;2x{;b;}x;(3x{;c;2x{;d;}x;}x;e)^w")
+    assert _unsplit_loops(program) is program
+
+
 def test_projections_agree_with_stream_interpreter():
     # every program with a prefix of 0-3 and a body of 1-3 instructions over
     # a, b and one loop's brackets, and with a prefix of 0-2 and a body of 4,
@@ -685,18 +784,7 @@ def test_pure_matches_unrolling_oracle_on_soundness_corpus():
 
 
 def test_pure_matches_unrolling_oracle_on_nests():
-    for n in range(1, 13):
-        for m in (1, 2, n):
-            for text in (
-                f"({n}x{{;{m}x{{;a;}}x;}}x)^w",
-                f"({n}x{{;{m}x{{;+a;#3;}}x;b;}}x)^w",
-                f"c;#4;{m}x{{;#2;a;}}x;({n}x{{;2x{{;{m}x{{;a;#5;}}x;}}x;b;}}x;d)^w",
-            ):
-                program = parse_canonical(text)
-                assert project_pure(program) == _unrolled(program), text
-    # jumps that leave one or both loops, or wrap past the repeated body
-    for n, j, k in itertools.product(range(1, 8), range(9), range(9)):
-        text = f"({n}x{{;a;2x{{;#{j};b;c;}}x;#{k};d;}}x;e)^w"
+    for text in _nest_texts():
         program = parse_canonical(text)
         assert project_pure(program) == _unrolled(program), text
 

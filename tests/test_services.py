@@ -47,7 +47,7 @@ from pgarl.services import (
     bound_states,
     simulate,
 )
-from pgarl.threads import _spec_states, explore
+from pgarl.threads import _spec_states, explore, first_difference
 
 import valueoracle
 from genprograms import after_soundness_corpus, lin, random_spec, soundness_corpus
@@ -821,6 +821,30 @@ def test_simulation_leaves_an_untaken_divergence_unresolved():
             assert _same_walk(spec, (("c", svc),), ReplyScript((True, True, False))) == (
                 DivergenceSuspected, "no visible progress within 20 consumed steps"
             )
+
+
+def test_a_witness_replays_under_simulate():
+    # the replay law: the replies of equiv's witness, given to simulate as its
+    # script, walk each program through the witness's steps, and one more
+    # reply shows what the witness says differs there
+    corpus = soundness_corpus()
+    unequal = 0
+    for pair in zip(corpus, corpus[1:]):
+        projected = [project(program) for program in pair]
+        witness = first_difference(*map(bound_states, projected), deadlock_below=False)
+        if witness is None:
+            continue
+        unequal += 1
+        script = ReplyScript(tuple(reply for _, reply in witness.steps) + (True,))
+        at = len(witness.steps)
+        for side, seen in zip(projected, witness.reason.split(" vs ")):
+            trace = simulate(side, script)
+            assert trace.steps[:at] == witness.steps
+            if seen.startswith("action "):
+                assert str(trace.steps[at][0]) == seen.removeprefix("action ")
+            else:
+                assert (len(trace.steps), trace.status) == (at, seen)
+    assert unequal == 491
 
 
 def test_simulation_rejects_negative_max_steps():
