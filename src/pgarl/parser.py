@@ -39,6 +39,7 @@ import re
 from .program import (
     CLOSE,
     HALT,
+    UNIT_NESTING_LIMIT,
     AnnClose,
     AnnJump,
     Basic,
@@ -54,8 +55,6 @@ from .program import (
     canonicalize,
 )
 from .threads import NAME, NAT, Action
-
-UNIT_NESTING_LIMIT = 100
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<glued>x\{|\}x|\)\^w|u\()|(?P<char>[^a-z0-9]|\Z)"

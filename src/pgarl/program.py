@@ -16,6 +16,10 @@ from typing import Iterable, Iterator
 
 from .threads import Action
 
+# Units nest at most this deep, so that every walk over a unit's body, and
+# the parser, stays far from Python's recursion limit.
+UNIT_NESTING_LIMIT = 100
+
 
 class ProgramError(ValueError):
     """A program was used in a way its shape does not support."""
@@ -123,16 +127,23 @@ class AnnJump(Instruction):
 @dataclass(frozen=True)
 class Unit(Instruction):
     """A wrapped fragment that counts as a single instruction for outside
-    jump counting while executing its body instruction by instruction."""
+    jump counting while executing its body instruction by instruction. Units
+    nest at most ``UNIT_NESTING_LIMIT`` deep, as the parser reads them."""
 
     body: tuple[Instruction, ...]
 
     def __post_init__(self) -> None:
         if not self.body:
             raise ValueError("unit body must be nonempty")
+        depth = 1  # units nested here, this one included; kept beside the fields
         for ins in self.body:
-            if isinstance(ins, (LoopHeader, LoopClose)):
-                raise ValueError("rigid loop instructions are not allowed inside a unit")
+            if isinstance(ins, (LoopHeader, LoopClose, Unit)):
+                if not isinstance(ins, Unit):
+                    raise ValueError("rigid loop instructions are not allowed inside a unit")
+                depth = max(depth, ins.depth + 1)
+        if depth > UNIT_NESTING_LIMIT:
+            raise ValueError(f"units nested more than {UNIT_NESTING_LIMIT} deep")
+        self.__dict__["depth"] = depth
 
 
 HALT = Halt()

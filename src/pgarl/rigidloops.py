@@ -227,7 +227,7 @@ def validate_pgarl(program: CanonicalProgram) -> list[Diagnostic]:
         Diagnostic(
             "warning",
             plen + offset,
-            f"jump distance {ins.distance} in a repeated body of length {k} "
+            f"jump distance {ins.distance:d} in a repeated body of length {k} "
             "never reaches another instruction",
         )
         for offset, ins in enumerate(normalize_jumps(program.body) if k else (), 1)

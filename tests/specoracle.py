@@ -1,6 +1,7 @@
 """The use operator read off a linear specification, equation by equation:
 the normative oracle for ``services._SilentSteps``, ``services._product_states``
-and scripted simulation.
+and scripted simulation, and a spec's invariants, each checked on its own:
+the oracle for ``pgarl.threads.validate_spec``.
 
 :class:`SpecSilentSteps` classifies every equation of a specification up
 front and resolves silent runs over (equation, service states) pairs; the
@@ -19,9 +20,35 @@ from __future__ import annotations
 
 from itertools import count
 
-from pgarl import DEADLOCK, STOP, Deadlock, LinearSpec, Stop, Trace, services
+from pgarl import DEADLOCK, STOP, BranchRef, Deadlock, LinearSpec, SpecError, Stop, Trace, services
 from pgarl.threads import explore
-from valueoracle import require_valid
+
+
+def invariant_problems(spec) -> list[str]:
+    """Every invariant a spec breaks, each checked on its own, apart from any
+    reading of its steps: at least one equation, the root in range, each
+    branch's references in range, and no right-hand side of another kind."""
+    problems = []
+    n = len(spec.equations)
+    if n < 1:
+        problems.append("specification has no equations")
+    if not 1 <= spec.root <= max(n, 1):
+        problems.append(f"root {spec.root} out of range 1..{n}")
+    for i, rhs in enumerate(spec.equations, 1):
+        if isinstance(rhs, BranchRef):
+            for ref in (rhs.yes, rhs.no):
+                if not 1 <= ref <= n:
+                    problems.append(f"dangling index {ref} in equation {i}")
+        elif not isinstance(rhs, (Stop, Deadlock)):
+            problems.append(f"equation {i} has an unrecognized right-hand side")
+    return problems
+
+
+def require_valid(spec) -> None:
+    """Raise SpecError naming every problem :func:`invariant_problems` finds."""
+    problems = invariant_problems(spec)
+    if problems:
+        raise SpecError("; ".join(problems))
 
 
 def _slots(bindings):

@@ -186,6 +186,10 @@ def test_synthesize_stop_is_halt():
     assert format_program(synthesize(lin(STOP))) == "!"
 
 
+def test_synthesize_deadlock_is_a_jump_to_itself():
+    assert format_program(synthesize(lin(DEADLOCK))) == "#0"
+
+
 def test_synthesize_action_loop():
     program = synthesize(lin(BranchRef(1, a, 1)))
     assert format_program(program) == "(+a;#2;#1)^w"

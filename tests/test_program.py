@@ -39,7 +39,7 @@ from pgarl import (
     refines,
     thread_equal,
 )
-from pgarl.program import Instruction, format_instruction
+from pgarl.program import UNIT_NESTING_LIMIT, Instruction, format_instruction
 
 from genprograms import random_pga, rewrite_with_axioms
 
@@ -350,6 +350,16 @@ _NUMBERED = [
 def test_numbers_print_as_ints_and_read_back(ins, text):
     assert format_instruction(ins) == text
     assert parse_program(text).parts[0].instructions == (ins,)
+
+
+def test_units_nest_as_deep_as_the_parser_reads_them():
+    unit = Basic(a)
+    for _ in range(UNIT_NESTING_LIMIT):
+        unit = Unit((unit,))
+    program = CanonicalProgram((unit,), None)
+    assert parse_canonical(format_program(program)) == program
+    with pytest.raises(ValueError, match=f"^units nested more than {UNIT_NESTING_LIMIT} deep$"):
+        Unit((Basic(b), unit))
 
 
 # -- jump normalization -------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import os
 import random
 import resource
@@ -147,6 +148,11 @@ def test_validate_annotated_source_is_error():
 def test_validate_jump_at_body_length_warns():
     diags = validate_pgarl(parse_canonical("(a;#2)^w"))
     assert any(d.severity == "warning" and "jump" in d.message for d in diags)
+
+
+def test_validate_writes_a_jump_distance_as_an_int():
+    (diag,) = validate_pgarl(CanonicalProgram((), (Jump(True),)))
+    assert diag.message == "jump distance 1 in a repeated body of length 1 never reaches another instruction"
 
 
 def test_project_rejects_errors():
@@ -937,22 +943,15 @@ def test_size_report_nested_family():
     assert sizes[2].pure_len == 16 and sizes[8].pure_len == 208
 
 
-def _loop_product(source):
-    """The loop product as read before the layout pass counted it: one walk
-    with a stack of products over the layout's source, where every bracket
-    left is matched."""
-    products = [1]  # one per open loop: the product of its count and the enclosing ones
-    best = 1
-    for ins in source:
-        if isinstance(ins, LoopHeader):
-            products.append(products[-1] * ins.count)
-            best = max(best, products[-1])
-        elif isinstance(ins, LoopClose):
-            products.pop()
-    return best
+def _largest_chain_product(source):
+    """The loop product by its definition: the largest product of the counts
+    along one chain of nested loops, a loop and the loops that enclose it."""
+    loops = [(header, closure) for closure, header in _match_loops(source)[0].items()]
+    return max((math.prod(source[h - 1].count for h, c in loops if h <= inner < c)
+                for inner, _ in loops), default=1)
 
 
-def test_loop_product_matches_the_stack_reading():
+def test_loop_product_is_the_largest_product_along_one_nesting_chain():
     rng = random.Random(11)
     many_prefix_loops = "2x{;" * 200 + "(}x;" + "a;" * 198 + "a)^w"
     programs = [
@@ -962,7 +961,7 @@ def test_loop_product_matches_the_stack_reading():
         parse_canonical(many_prefix_loops),
     ]
     for program in programs:
-        expected = _loop_product(rigidloops._pure_layout(program)[0])
+        expected = _largest_chain_product(rigidloops._pure_layout(program)[0])
         assert size_report(program).loop_product == expected, format_program(program)
     assert expected == 2**200
 

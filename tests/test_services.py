@@ -49,7 +49,6 @@ from pgarl.services import (
 )
 from pgarl.threads import _spec_states, explore, first_difference
 
-import valueoracle
 from genprograms import after_soundness_corpus, lin, random_spec, soundness_corpus
 from specoracle import SpecSilentSteps, packed, spec_apply_use, unpacked, walk_simulate
 from treeoracle import Branch, number, tree_apply_use_bounded
@@ -104,23 +103,41 @@ def test_full_counter_alphabet_excludes_other_methods():
     assert fc.reply(Action("set", focus="c")) is None
 
 
+def _reply_table(limit, states, arguments):
+    """A counter's replies written out per action it answers and per state:
+    ``{(method, argument): [(reply, next state) for each state]}``, for the
+    down counter with ``limit`` or, when ``limit`` is None, ``counter()``.
+    ``dec`` is true and counts down while positive, false at zero; ``inc``
+    (``counter()`` only) is true and counts up; ``set:n`` is true and loads
+    n, up to ``limit``. An action the table lacks is outside the alphabet."""
+    table = {("dec", None): [(state > 0, max(state - 1, 0)) for state in states]}
+    if limit is None:
+        table["inc", None] = [(True, state + 1) for state in states]
+    for n in arguments:
+        if n is not None and (limit is None or n <= limit):
+            table["set", n] = [(True, n) for _ in states]
+    return table
+
+
 @pytest.mark.parametrize("limit", [0, 1, 3])
-def test_counter_reply_matches_the_two_method_oracle_on_a_grid(limit):
-    """``reply(action)`` is None exactly where the kept two-method counter
-    does not accept the action, and otherwise answers every state as its
-    ``step`` does; one reply function serves every state."""
-    pairs = [
-        (DownCounter(0, limit), valueoracle.DownCounter(0, limit), range(limit + 1)),
-        (FullCounter(), valueoracle.FullCounter(), [*range(limit + 1), 0, 1, 10**12]),
+def test_counter_reply_follows_the_reply_table_on_a_grid(limit):
+    """``reply(action)`` is None exactly where the table has no row, and
+    otherwise answers every state as the row does; one reply function
+    serves every state."""
+    arguments = (None, 0, 1, limit, limit + 1, 10**12)
+    counters = [
+        (DownCounter(0, limit), limit, range(limit + 1)),
+        (FullCounter(), None, [*range(limit + 1), 0, 1, 10**12]),
     ]
-    for method in ("dec", "inc", "set", "flip"):
-        for argument in (None, 0, 1, limit, limit + 1, 10**12):
-            action = Action(method, focus="c", argument=argument)
-            for svc, oracle, states in pairs:
-                step = svc.reply(action)
-                assert (step is None) == (not oracle.accepts(action)), (svc, action)
-                for state in states if step is not None else ():
-                    assert step(state) == oracle.step(state, action), (svc, action, state)
+    for svc, table_limit, states in counters:
+        table = _reply_table(table_limit, states, arguments)
+        for method in ("dec", "inc", "set", "flip"):
+            for argument in arguments:
+                step = svc.reply(Action(method, focus="c", argument=argument))
+                row = table.get((method, argument))
+                assert (step is None) == (row is None), (svc, method, argument)
+                if step is not None:
+                    assert [step(state) for state in states] == row, (svc, method, argument)
 
 
 def test_a_service_is_asked_once_per_thread_state():
@@ -458,7 +475,7 @@ def _cut_outcome(function, *args):
     return format_spec(cut if isinstance(cut, LinearSpec) else number(cut))
 
 
-def test_bounded_divergence_below_the_root_matches_replaced_loop():
+def test_bounded_divergence_below_the_root_matches_tree_cut():
     spec = lin(BranchRef(2, a, 1), BranchRef(2, c_inc, 2))
     bindings = (("c", FullCounter()),)
     with mock.patch.object(services, "SILENT_RUN_LIMIT", 20):
@@ -685,7 +702,7 @@ def _same_walk(spec, bindings, script, max_steps=1000):
     return outcome
 
 
-def test_simulation_matches_replaced_walk_on_the_corpus():
+def test_simulation_matches_spec_walk_on_the_corpus():
     # simulate walks the projected program's table, the others its numbered thread
     rng = after_soundness_corpus()
     ends = set()
@@ -701,7 +718,7 @@ def test_simulation_matches_replaced_walk_on_the_corpus():
     assert ends == {"S", "D", "cutoff"}
 
 
-def test_long_walks_match_replaced_walk_in_every_form_of_the_service_states(monkeypatch):
+def test_long_walks_match_spec_walk_in_every_form_of_the_service_states(monkeypatch):
     # long scripts over the counting corpus under four binding shapes: none,
     # the loop counters (one code, with simulate's table), the loop counters
     # and one counter() (one code, its slot on top, no table) and two
@@ -782,7 +799,7 @@ _C_SERVICES = st.one_of(
     st.lists(st.booleans(), max_size=30).map(lambda replies: ReplyScript(tuple(replies))),
     st.integers(min_value=0, max_value=40),
 )
-def test_simulation_matches_replaced_walk_on_counter_specs(spec, svc, script, max_steps):
+def test_simulation_matches_spec_walk_on_counter_specs(spec, svc, script, max_steps):
     # a small silent run limit makes increment loops stop with
     # DivergenceSuspected at once
     with mock.patch.object(services, "SILENT_RUN_LIMIT", 20):
@@ -791,7 +808,7 @@ def test_simulation_matches_replaced_walk_on_counter_specs(spec, svc, script, ma
 
 def test_simulation_table_resolves_each_state_once(monkeypatch):
     # 600 replies go round the loop and its counter's states dozens of
-    # times; the replaced walk resolves after every step, the table only
+    # times; the spec walk resolves after every step, the table only
     # after a (state, reply) it has not met
     projected = project_counter(canonicalize(parse_program("(3x{;+a;#2;b;c;}x;d)^w")))
     spec = extract_pgau(projected.program)

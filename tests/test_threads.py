@@ -34,11 +34,10 @@ from pgarl import (
     validate_spec,
 )
 from pgarl import extraction, services
-from pgarl.threads import FOCUS, NAME, Witness, _bounded, _spec_states, explore, first_difference
+from pgarl.threads import Witness, _bounded, _spec_states, explore, first_difference
 
-import valueoracle
 from genprograms import random_spec, soundness_corpus
-from specoracle import walk_simulate
+from specoracle import invariant_problems, walk_simulate
 from treeoracle import number, tree_pi
 
 a = Action("a")
@@ -151,69 +150,7 @@ def test_fresh_terminals_walk_like_the_singletons():
         assert trace.status == status
 
 
-# -- the tuple value types against the dataclasses they replaced (valueoracle) --
-
-FIELDS = ("method", "focus", "argument")
-_methods = st.sampled_from(["a", "b", "dec", "set", "x_1", "", "A", "1a", "a.b"]) | st.from_regex(
-    NAME, fullmatch=True
-)
-_foci = st.none() | st.sampled_from(["c", "rlc:6", "c:0", "c:06", "C", "c:", "c.d"]) | (
-    st.from_regex(FOCUS, fullmatch=True)
-)
-_arguments = st.none() | st.sampled_from([0, 3, -1]) | st.integers(-3, 10**6)
-_fields = st.tuples(_methods, _foci, _arguments, st.integers(1, 3), st.booleans())
-
-
-def _built(kind, fields):
-    """``kind`` built from the first ``count`` fields, by position or by
-    keyword, and the ValueError text if it refuses them."""
-    *values, count, by_keyword = fields
-    try:
-        if by_keyword:
-            return kind(**dict(zip(FIELDS, values[:count]))), None
-        return kind(*values[:count]), None
-    except ValueError as exc:
-        return None, str(exc)
-
-
-def _same_relations(new, old):
-    # equality and equal hashes relate each pair of values as the oracle's do
-    for (x, y), (u, v) in zip(zip(new, new[1:]), zip(old, old[1:])):
-        assert (x == y) == (u == v)
-        assert (hash(x) == hash(y)) == (hash(u) == hash(v))
-
-
-def _check_values(fields, refs):
-    actions, old_actions = [], []
-    for one in fields:
-        action, error = _built(Action, one)
-        old_action, old_error = _built(valueoracle.Action, one)
-        assert error == old_error
-        if action is not None:
-            assert (str(action), repr(action)) == (str(old_action), repr(old_action))
-            actions.append(action)
-            old_actions.append(old_action)
-    _same_relations(actions, old_actions)
-    branches = [BranchRef(yes, x, no) for yes, x, no in zip(refs, actions, refs[1:])]
-    old_branches = [
-        valueoracle.BranchRef(yes, x, no) for yes, x, no in zip(refs, old_actions, refs[1:])
-    ]
-    assert list(map(repr, branches)) == list(map(repr, old_branches))
-    _same_relations(branches, old_branches)
-
-
-@given(st.lists(_fields, min_size=2, max_size=4), st.lists(st.integers(1, 3), min_size=4))
-def test_tuple_values_match_dataclass_oracle(fields, refs):
-    _check_values(fields, refs)
-
-
-def test_tuple_values_match_dataclass_oracle_on_every_check():
-    # each field check passed and failed, by position and by keyword
-    grid = list(itertools.product(
-        ["a", "A", ""], [None, "c", "c:6", "C", "c:06"], [None, 0, 3, -1], [1, 2, 3], [False, True]
-    ))
-    _check_values(grid, [1, 2, 3] * len(grid))
-
+# -- values and validity --------------------------------------------------------
 
 def test_actions_and_branches_are_tuples_of_their_fields():
     assert Action("set", "rlc:6", 3) == ("set", "rlc:6", 3)
@@ -228,23 +165,10 @@ def test_actions_and_branches_are_tuples_of_their_fields():
         a._replace(method="A")
 
 
-def test_step_list_matches_closure_oracle_on_corpus():
-    for pair in _corpus_specs():
-        for spec in pair + tuple(map(_fresh_leaves, pair)):
-            root, successors = _spec_states(spec)
-            old_root, old_successors = valueoracle.spec_states(spec)
-            assert root == old_root
-            for i in range(1, len(spec) + 1):
-                step, expected = successors(i), old_successors(i)
-                assert type(step) is type(expected) and step == expected
-                assert step is expected or type(step) is tuple
-
-
-# -- spec validity against the validate_spec it replaced (valueoracle) ---------
-
 def _check_validity(spec):
-    # the problem list, and the SpecError text of every reader, are the oracle's
-    problems = valueoracle.validate_spec(spec)
+    # the problem list, and the SpecError text of every reader, name the
+    # invariants the spec breaks, each checked on its own
+    problems = invariant_problems(spec)
     assert validate_spec(spec) == problems
     for read in (_spec_states, lambda spec: distinguish(A_LOOP, spec), synthesize):
         if problems:
@@ -264,11 +188,11 @@ _right_hand_sides = (
 
 
 @given(st.lists(_right_hand_sides, max_size=4), st.integers(-1, 6))
-def test_spec_problems_match_kept_validate_spec(equations, root):
+def test_spec_problems_are_the_invariants_checked_one_by_one(equations, root):
     _check_validity(LinearSpec(tuple(equations), root))
 
 
-def test_spec_problems_match_kept_validate_spec_on_a_grid():
+def test_spec_problems_are_the_invariants_checked_one_by_one_on_a_grid():
     # empty specs, roots on and past both ends, dangling references on either
     # side and on both, plain tuples and right-hand sides of no kind
     right_hand_sides = [STOP, Deadlock(), (1, a, 1), "X1"] + [
@@ -352,6 +276,21 @@ def test_simulate_follows_replies():
     assert trace.status == "S"
 
 
+def _replies_one_character_at_a_time(text):
+    """The replies of a compact script: ``T``, ``t`` and ``1`` are true,
+    ``F``, ``f`` and ``0`` false, a comma or a space is skipped, and any
+    other character is a ValueError that names it."""
+    values = []
+    for ch in text:
+        if ch in "Tt1":
+            values.append(True)
+        elif ch in "Ff0":
+            values.append(False)
+        elif ch not in ", ":
+            raise ValueError(f"bad reply character {ch!r}")
+    return tuple(values)
+
+
 def _read_script(read, text):
     try:
         return read(text)
@@ -370,7 +309,7 @@ _SCRIPT_CHARACTERS = st.sampled_from(list("TtFf10, ") + ["\0", "\x01", "\n", "\t
 def test_reply_script_matches_the_per_character_reader(text):
     # the same replies, as bools, or the same message naming the first bad character
     read = _read_script(lambda text: ReplyScript.from_text(text).values, text)
-    assert read == _read_script(valueoracle.reply_values, text)
+    assert read == _read_script(_replies_one_character_at_a_time, text)
     assert isinstance(read, str) or all(type(value) is bool for value in read)
 
 
@@ -555,13 +494,13 @@ def _check_scripted_run(spec, script, max_steps):
 
 @given(specs, st.lists(st.booleans(), max_size=12), st.integers(min_value=0, max_value=3),
        st.integers(min_value=0, max_value=12))
-def test_scripted_run_matches_replaced_loop(spec, replies, cursor, max_steps):
+def test_scripted_run_matches_spec_walk(spec, replies, cursor, max_steps):
     script = ReplyScript(tuple(replies[cursor:]))
     _check_scripted_run(spec, script, max_steps)
     _check_scripted_run(pi(6, spec, spec.root), script, max_steps)
 
 
-def test_scripted_run_matches_replaced_loop_on_corpus():
+def test_scripted_run_matches_spec_walk_on_corpus():
     rng = random.Random(20260808)
     statuses = set()
     for defining, pure in _corpus_specs():
@@ -607,7 +546,7 @@ def _spec_pair_walk(spec_p, spec_q, deadlock_below):
     return str(Witness(tuple(reversed(steps)), f"{_describe(x)} vs {_describe(y)}"))
 
 
-def _replaced_explore(root, successors):
+def _breadth_first_numbering(root, successors):
     """Breadth-first numbering that calls ``successors`` when it takes a
     state from its queue, and knows a terminal only as a target or as the
     root; it shares no code with ``explore``."""
@@ -721,12 +660,12 @@ def test_pair_walk_steps_each_state_once_per_side():
     assert sorted(calls) == [("p", i) for i in range(3)] + [("q", i) for i in range(5)]
 
 
-def test_explore_matches_replaced_numbering():
+def test_explore_matches_breadth_first_numbering():
     # extraction and the use-operator product, numbered by both
     for program in soundness_corpus():
         new = (defining_thread(program), extract_pga(project_pure(program)))
-        with mock.patch.object(extraction, "explore", _replaced_explore), \
-                mock.patch.object(services, "explore", _replaced_explore):
+        with mock.patch.object(extraction, "explore", _breadth_first_numbering), \
+                mock.patch.object(services, "explore", _breadth_first_numbering):
             assert (defining_thread(program), extract_pga(project_pure(program))) == new
 
 
