@@ -2,25 +2,28 @@
 
 Extraction first lays a canonical program out as a flat table: its
 executable instructions numbered 0..n-1 in program order, descending into
-units, in int lists that give each entry its unit level, its slot there and
-where its jump chain ends, and each level its slot starts and its slot in
-the level above. One pass builds the table, dispatching on each
-instruction's exact type, and rejects rigid-loop and annotated
-instructions. Halts map to termination, falling off the end or an
-unreachable jump target to deadlock, tests to branches. Units count as a
-single instruction for outside jump counting; execution enters a unit at its
-first instruction, a jump issued inside a unit counts the remaining inner
-instructions individually and then whole outer instructions (climbing the
-level records), and falling off a unit's end continues after it. Units are
-nonempty and laid out contiguously, so the instruction after entry i is
-entry i + 1, or past the last entry the body's first: an action's
-fall-through and a ``#1`` cost an addition, and only skips and longer jumps
-climb the levels. Each jump chain is resolved the first time a walk reaches
-it and remembered; a chain that revisits an instruction without performing
-an action is deadlock. The table is then a state space over instruction
-numbers (see :mod:`pgarl.threads`), which extraction numbers,
-:func:`behav_equiv` compares as it walks it, and the use operator of
-:mod:`pgarl.services` reads as the thread it applies services to.
+units. The table costs what a walk reads. A unit-free sequence is the table
+as it stands; a sequence with units is laid out one stretch (a run of slots
+between units) at a time, in C-level slices, with one record per stretch and
+per unit level instead of one per entry. One pass over each level's
+instruction types rejects rigid-loop and annotated instructions before any
+step. An entry is classified the first time a jump chain reaches it: an
+action ends the chain at itself, a halt at termination, ``#0``, falling off
+the end or an unreachable jump target at deadlock, and any other jump is
+followed. Units count as a single instruction for outside jump counting;
+execution enters a unit at its first instruction, a jump issued inside a unit
+counts the remaining inner instructions individually and then whole outer
+instructions (climbing the level records), and falling off a unit's end
+continues after it. Units are nonempty and laid out contiguously, so the
+instruction after entry i is entry i + 1, or past the last entry the body's
+first: an action's fall-through, a ``#1`` and a jump that stays in its
+stretch cost an addition, and only jumps that leave a stretch climb the
+levels. Each chain is remembered once resolved; a chain that revisits an
+instruction without performing an action is deadlock. The table is then a
+state space over instruction numbers (see :mod:`pgarl.threads`), which
+extraction numbers, :func:`behav_equiv` compares as it walks it, and the use
+operator of :mod:`pgarl.services` reads as the thread it applies services
+to.
 
 Synthesis goes the other way: every regular thread is laid out as a repeated
 program with one test-jump-jump triple per branch equation and one
@@ -28,6 +31,9 @@ instruction per terminal equation.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from itertools import chain
 
 from .program import (
     Basic,
@@ -55,98 +61,110 @@ from .threads import (
 )
 
 
+_EXECUTABLE = frozenset((Basic, PosTest, NegTest, Halt, Jump, Unit))  # what extraction reads
+
+
 def _table_states(program: CanonicalProgram):
     """Lay ``program`` out as its flat table and return the table as a
     state space ``(root, successors)``, whose states are the numbers of its
-    action instructions. ``successors`` resolves the jump chains after an
-    action only when a walk first steps it, so a walk that stops early
-    resolves little of a large table."""
+    action instructions. An entry is classified, and the jump chains after
+    an action are resolved, only when a walk first reaches them, so a walk
+    that stops early reads little of a large table."""
     # Entry i of the table is the i-th executable instruction in program
-    # order, units descended into: ``table[i]``, at slot ``slot_of[i]`` of unit
-    # level ``level_of[i]``. Level 0 is the outer sequence; ``levels[v]`` is
-    # (the first entry of each slot, the parent level, the slot the unit takes
-    # in it). Units are nonempty and laid out contiguously, so the entry after
-    # i is i + 1, or past the end the body's first entry. ``resolved[i]`` is
-    # where the jump chain from i ends: STOP for a halt, i itself for an
-    # action, DEADLOCK for #0, and for any other jump None until a walk
-    # first reaches it.
+    # order, units descended into. Level 0 is the outer sequence and each
+    # unit body a level of its own, whose record is (the first entry of each
+    # slot, the parent level's record or None, the slot the unit takes
+    # there); a level without units numbers its slots with a range. A
+    # stretch is a run of slots of one level between its units; the table
+    # takes it whole, and ``firsts`` and ``owners`` give its first entry and
+    # (its level's record, its first slot minus that entry). A unit whose
+    # body holds no unit is one stretch, laid out where the scan of its level
+    # meets it. Units are nonempty and laid out contiguously, so the entry
+    # after i is i + 1, or past the end the body's first entry.
+    # ``resolved[i]`` is where the jump chain from i ends, None until a walk
+    # first reaches i.
     outer = program.prefix + (program.body or ())
     plen, blen = len(program.prefix), len(outer) - len(program.prefix)
-    table: list[Instruction] = []
-    level_of: list[int] = []
-    slot_of: list[int] = []
-    resolved: list = []
-    levels = [([0] * len(outer), 0, 0)]
-    stack = [(0, iter(enumerate(outer)))]  # explicit, so the table has no cycle
+    parts, firsts, owners, types, n = [], [], [], set(), 0
+    # a sequence, its instruction types or None for a new level, its level's
+    # record or the parent's, and its next slot or the unit's slot
+    stack = [(outer, None, None, 0)]  # explicit, so the table has no cycle
     while stack:
-        level, items = stack[-1]
-        starts = levels[level][0]
-        for slot, ins in items:
-            starts[slot] = len(table)
-            kind = type(ins)
-            if kind is Jump:
-                resolved.append(None if ins.distance else DEADLOCK)
-            elif kind is Basic or kind is PosTest or kind is NegTest:
-                resolved.append(len(table))
-            elif kind is Halt:
-                resolved.append(STOP)
-            elif kind is Unit:
-                levels.append(([0] * len(ins.body), level, slot))
-                stack.append((len(levels) - 1, iter(enumerate(ins.body))))
+        seq, kinds, level, slot = stack.pop()
+        if kinds is None:  # the outer sequence, or a unit body that holds units
+            types |= (new := set(map(type, seq)))
+            kinds = [*map(type, seq), Unit] if Unit in new else ()  # a unit past the end
+            level, slot = ([] if kinds else range(n, n + len(seq)), level, slot), 0
+        while True:
+            end = kinds.index(Unit, slot) if kinds else len(seq)
+            firsts.append(n)
+            owners.append((level, slot - n))
+            parts.append(seq[slot:end])
+            if kinds:
+                level[0].extend(range(n, n + end - slot))
+            n += end - slot
+            if end == len(seq):
                 break
-            else:
-                raise ProgramError(
-                    "cannot extract a program containing rigid loop or annotated "
-                    "instructions; project it first"
-                )
-            table.append(ins)
-            level_of.append(level)
-            slot_of.append(slot)
-        else:
-            stack.pop()
-    last = len(table) - 1
-    first = levels[0][0][plen] if blen else None  # where falling off the end continues
+            level[0].append(n)
+            if (unit := seq[end]).depth > 1:
+                stack += (seq, kinds, level, end + 1), (unit.body, None, level, end)
+                break
+            types.update(map(type, body := unit.body))
+            firsts.append(n)
+            owners.append(((body, level, end), -n))  # its length is all that is read
+            parts.append(body)
+            n += len(body)
+            slot = end + 1
+    if not types <= _EXECUTABLE:  # one pass over each level's types found them all
+        raise ProgramError("cannot extract a program containing rigid loop or "
+                           "annotated instructions; project it first")
+    firsts.append(n)  # where the last stretch ends
+    table = parts[0] if len(parts) == 1 else [*chain.from_iterable(parts)]
+    resolved = [None] * n + [DEADLOCK]  # past the last entry: off the end
+    last = n - 1
 
-    def advance(i: int, distance: int) -> int | None:
-        """The instruction ``distance`` slots after i, or None past the end.
+    def advance(i: int, distance: int) -> int:
+        """The instruction ``distance`` slots after i, or n past the end.
         Inside a unit the remaining inner slots count one by one, then the
         unit's own slot in the level above counts as one."""
-        level, slot = level_of[i], slot_of[i]
-        while level:
-            starts, up, up_slot = levels[level]
-            if slot + distance < len(starts):
-                return starts[slot + distance]
-            distance -= len(starts) - 1 - slot
-            level, slot = up, up_slot
-        slot += distance
-        if slot >= plen:
-            if not blen:
-                return None
+        k = bisect_right(firsts, i)
+        if i + distance < firsts[k]:  # still in i's stretch
+            return i + distance
+        (starts, parent, up_slot), slot = owners[k - 1]
+        slot += i + distance  # the target slot in i's level
+        while parent and slot >= len(starts):
+            slot += up_slot + 1 - len(starts)
+            starts, parent, up_slot = parent
+        if not parent and slot >= plen and blen:
             slot = plen + (slot - plen) % blen
-        return levels[0][0][slot]
+        return starts[slot] if slot < len(starts) else n
 
-    def resolve(i: int | None):
+    # falling off the end continues at level 0's slot plen; level 0's first
+    # stretch, laid out first, has the record of level 0
+    first = owners[0][0][0][plen] if blen else n
+
+    def resolve(i: int):
         """STOP, DEADLOCK or the action instruction the jump chain from i
-        reaches; a chain that revisits an instruction is deadlock."""
-        chain = []
-        while i is not None:
-            end = resolved[i]
-            if end is not None:
+        reaches, each entry classified the first time a chain reaches it:
+        an action ends at itself, a halt at STOP, #0 at DEADLOCK, and any
+        other jump is followed. A chain that revisits an instruction is
+        deadlock."""
+        trail = []
+        while (end := resolved[i]) is None:
+            kind = type(ins := table[i])
+            if kind is not Jump or not ins.distance:
+                end = resolved[i] = DEADLOCK if kind is Jump else STOP if kind is Halt else i
                 break
             resolved[i] = DEADLOCK  # until the chain ends: a revisit is a cycle
-            chain.append(i)
-            distance = table[i].distance  # type: ignore[attr-defined]
-            i = (i + 1 if i < last else first) if distance == 1 else advance(i, distance)
-        else:
-            end = DEADLOCK
-        for j in chain:
+            trail.append(i)
+            i = (i + 1 if i < last else first) if ins.distance == 1 else advance(i, ins.distance)
+        for j in trail:
             resolved[j] = end
         return end
 
     def successors(i: int):
-        ins = table[i]
         after = resolve(i + 1 if i < last else first)
-        kind = type(ins)
+        kind = type(ins := table[i])
         if kind is Basic:
             return ins.action, after, after
         skip = resolve(advance(i, 2))
@@ -154,7 +172,7 @@ def _table_states(program: CanonicalProgram):
             return ins.action, after, skip
         return ins.action, skip, after
 
-    return resolve(0) if table else DEADLOCK, successors
+    return resolve(0), successors
 
 
 def extract_pga(program: CanonicalProgram) -> LinearSpec:

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -611,6 +612,22 @@ def test_table_is_stepped_only_where_a_walk_goes():
         witness = first_difference((root, counted), _spec_states(reference), False)
         assert witness is not None and len(witness.steps) == k
         assert len(stepped) == k + 1
+
+
+def test_table_lays_out_a_unit_free_program_without_a_record_per_entry():
+    # the 751500-entry pure projection of a 500 x 500 nest: the unit-free
+    # sequence is the table as it stands, so what the layout keeps is the one
+    # resolution slot per entry (8 bytes each), well under the 110 bytes per
+    # entry of a layout that records every entry's level, slot and class
+    program = project_pure(parse_canonical("(500x{;500x{;a;}x;c;}x)^w"))
+    tracemalloc.start()
+    try:
+        space = _table_states(program)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(program) == 751500 and space[0] == 2  # the first a
+    assert kept < 24 * 2**20
 
 
 def test_extraction_leaves_no_garbage_cycles():

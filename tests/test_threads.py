@@ -480,6 +480,18 @@ def test_cut_calls_successors_once_per_depth_and_state():
     assert len(calls) == len(order)
 
 
+def test_cut_answers_stop_and_deadlock_without_asking_successors():
+    # a branch that leads straight to a terminal is cut by the terminal
+    # itself: ``successors`` is asked only about states, so this space,
+    # which knows state 0 alone, never sees STOP or DEADLOCK
+    assert explore(*_bounded(0, 2, {0: (a, STOP, 0)}.get)) == LinearSpec(
+        (BranchRef(3, a, 2), BranchRef(4, a, 4), STOP, DEADLOCK)
+    )
+    assert explore(*_bounded(0, 2, {0: (a, DEADLOCK, DEADLOCK)}.get)) == LinearSpec(
+        (BranchRef(2, a, 2), DEADLOCK)
+    )
+
+
 # -- scripted runs against the spec-reading walk (specoracle.walk_simulate) ----
 
 def _corpus_specs():
