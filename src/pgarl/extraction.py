@@ -76,51 +76,48 @@ def _table_states(program: CanonicalProgram):
     # slot, the parent level's record or None, the slot the unit takes
     # there); a level without units numbers its slots with a range. A
     # stretch is a run of slots of one level between its units; the table
-    # takes it whole, and ``firsts`` and ``owners`` give its first entry and
-    # (its level's record, its first slot minus that entry). A unit whose
-    # body holds no unit is one stretch, laid out where the scan of its level
-    # meets it. Units are nonempty and laid out contiguously, so the entry
-    # after i is i + 1, or past the end the body's first entry.
-    # ``resolved[i]`` is where the jump chain from i ends, None until a walk
-    # first reaches i.
+    # takes it whole, and ``firsts``, ``owners`` and ``offsets`` give its
+    # first entry, its level's record and its first slot minus that entry.
+    # Units are nonempty and laid out contiguously, so the entry after i is
+    # i + 1, or past the end the body's first entry. ``resolved[i]`` is
+    # where the jump chain from i ends, None until a walk first reaches i,
+    # and DEADLOCK past the last entry.
     outer = program.prefix + (program.body or ())
     plen, blen = len(program.prefix), len(outer) - len(program.prefix)
-    parts, firsts, owners, types, n = [], [], [], set(), 0
-    # a sequence, its instruction types or None for a new level, its level's
-    # record or the parent's, and its next slot or the unit's slot
-    stack = [(outer, None, None, 0)]  # explicit, so the table has no cycle
-    while stack:
-        seq, kinds, level, slot = stack.pop()
-        if kinds is None:  # the outer sequence, or a unit body that holds units
+    parts, firsts, owners, offsets, types, stack, n = [], [], [], [], set(), [], 0
+    # the sequence scanned, its instruction types or None for a new level,
+    # its level's record or the parent's, and its next slot or the unit's
+    # slot; ``stack`` holds the scans a unit interrupted, explicit so that
+    # the table has no cycle
+    seq, kinds, level, slot = outer, None, None, None
+    while True:
+        if kinds is None:  # the outer sequence or a unit body
             types |= (new := set(map(type, seq)))
             kinds = [*map(type, seq), Unit] if Unit in new else ()  # a unit past the end
             level, slot = ([] if kinds else range(n, n + len(seq)), level, slot), 0
-        while True:
-            end = kinds.index(Unit, slot) if kinds else len(seq)
-            firsts.append(n)
-            owners.append((level, slot - n))
-            parts.append(seq[slot:end])
-            if kinds:
-                level[0].extend(range(n, n + end - slot))
-            n += end - slot
-            if end == len(seq):
-                break
+        end = kinds.index(Unit, slot) if kinds else len(seq)
+        firsts.append(n)
+        owners.append(level)
+        offsets.append(slot - n)
+        parts.append(seq[slot:end])
+        if kinds:
+            level[0].extend(range(n, n + end - slot))
+        n += end - slot
+        if end < len(seq):  # descend into the unit at end
             level[0].append(n)
-            if (unit := seq[end]).depth > 1:
-                stack += (seq, kinds, level, end + 1), (unit.body, None, level, end)
-                break
-            types.update(map(type, body := unit.body))
-            firsts.append(n)
-            owners.append(((body, level, end), -n))  # its length is all that is read
-            parts.append(body)
-            n += len(body)
-            slot = end + 1
+            stack.append((seq, kinds, level, end + 1))
+            seq, kinds, slot = seq[end].body, None, end
+        elif stack:
+            seq, kinds, level, slot = stack.pop()
+        else:
+            break
     if not types <= _EXECUTABLE:  # one pass over each level's types found them all
         raise ProgramError("cannot extract a program containing rigid loop or "
                            "annotated instructions; project it first")
     firsts.append(n)  # where the last stretch ends
     table = parts[0] if len(parts) == 1 else [*chain.from_iterable(parts)]
-    resolved = [None] * n + [DEADLOCK]  # past the last entry: off the end
+    resolved = [None] * (n + 1)  # one allocation, not a copy
+    resolved[n] = DEADLOCK  # falling off the end
     last = n - 1
 
     def advance(i: int, distance: int) -> int:
@@ -130,8 +127,8 @@ def _table_states(program: CanonicalProgram):
         k = bisect_right(firsts, i)
         if i + distance < firsts[k]:  # still in i's stretch
             return i + distance
-        (starts, parent, up_slot), slot = owners[k - 1]
-        slot += i + distance  # the target slot in i's level
+        starts, parent, up_slot = owners[k - 1]
+        slot = offsets[k - 1] + i + distance  # the target slot in i's level
         while parent and slot >= len(starts):
             slot += up_slot + 1 - len(starts)
             starts, parent, up_slot = parent
@@ -141,7 +138,7 @@ def _table_states(program: CanonicalProgram):
 
     # falling off the end continues at level 0's slot plen; level 0's first
     # stretch, laid out first, has the record of level 0
-    first = owners[0][0][0][plen] if blen else n
+    first = owners[0][0][plen] if blen else n
 
     def resolve(i: int):
         """STOP, DEADLOCK or the action instruction the jump chain from i

@@ -66,15 +66,6 @@ MEMORY_CAP = 2 * 2**30  # bytes of address space per child; a test lowers its ow
 EQUIVALENT = {
     ("rigidloops.py", "first = [0] * (len(source) + 2)", "0 -> 1"):
         "first[0] is never read, and every other entry is written before it is read",
-    ("extraction.py", "stack = [(outer, None, None, 0)]  # explicit, so the table has no cycle",
-     "0 -> 1"):
-        "a new level's scan starts at slot 0 whatever its stack item says, and level 0's "
-        "slot in a parent level is never read, since level 0 has none",
-    ("extraction.py", "if (unit := seq[end]).depth > 1:", "> -> >="):
-        "a unit whose body holds no unit then goes on the stack and is laid out as a new "
-        "level, into the same entries and records; only the layout's speed differs",
-    ("extraction.py", "if (unit := seq[end]).depth > 1:", "1 -> 0"):
-        "every unit has depth 1 or more, so this is the '> -> >=' mutant of the same line",
     ("extraction.py",
      "table = parts[0] if len(parts) == 1 else [*chain.from_iterable(parts)]", "1 -> 0"):
         "a single stretch is then copied into a list with the same entries",
